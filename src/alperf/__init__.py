@@ -6,25 +6,29 @@ __version__ = "0.1.0"
 from .errors import ValidationError
 from .synthdata import (
     GaussianComponent,
-    LabeledSample,
+    LabeledSet,
     SamplingDistribution,
     TaskModel,
-    UnlabeledSample,
     bayes_accuracy,
-    bayes_posterior,
+    bayes_posterior_batch,
     default_task,
     draw_labeled,
     draw_unlabeled,
-    sampling_density,
+    sampling_density_batch,
     unbiased_sampler,
 )
-from .parzen import ClassifierConfig, KernelStats, ParzenModel, accuracy_on, fit, posterior, predict
+from .parzen import (
+    ClassifierConfig,
+    ParzenModel,
+    accuracy_arrays,
+    fit_arrays,
+    posterior_batch,
+    predict_batch,
+)
 from .estimators import (
-    LocalLabelStatistics,
     PerformanceEstimate,
     generalization_error_estimate,
     kfold_cv,
-    local_label_statistics,
     probabilistic_performance,
     self_label_cv,
     subsample_baseline,
@@ -36,10 +40,6 @@ from .harness import (
     ExperimentSpec,
     RunRecord,
     derive_substream,
-    run_bias_sweep,
-    run_cv_folds,
-    run_estimator_comparison,
-    run_eval_size_distribution,
     run_experiment,
     summarize,
 )
@@ -48,29 +48,25 @@ from .config import parse_config, resolve_config
 __all__ = [
     "ValidationError",
     "GaussianComponent",
-    "LabeledSample",
+    "LabeledSet",
     "SamplingDistribution",
     "TaskModel",
-    "UnlabeledSample",
     "bayes_accuracy",
-    "bayes_posterior",
+    "bayes_posterior_batch",
     "default_task",
     "draw_labeled",
     "draw_unlabeled",
-    "sampling_density",
+    "sampling_density_batch",
     "unbiased_sampler",
     "ClassifierConfig",
-    "KernelStats",
     "ParzenModel",
-    "accuracy_on",
-    "fit",
-    "posterior",
-    "predict",
-    "LocalLabelStatistics",
+    "accuracy_arrays",
+    "fit_arrays",
+    "posterior_batch",
+    "predict_batch",
     "PerformanceEstimate",
     "generalization_error_estimate",
     "kfold_cv",
-    "local_label_statistics",
     "probabilistic_performance",
     "self_label_cv",
     "subsample_baseline",
@@ -80,10 +76,6 @@ __all__ = [
     "ExperimentSpec",
     "RunRecord",
     "derive_substream",
-    "run_bias_sweep",
-    "run_cv_folds",
-    "run_estimator_comparison",
-    "run_eval_size_distribution",
     "run_experiment",
     "summarize",
     "parse_config",

@@ -1,14 +1,18 @@
 """JSON experiment configuration: schema, validation, defaults, builtins.
 
-The configuration document mirrors ExperimentSpec. Unknown keys are
-rejected, every numeric range is validated before any computation starts,
-and every default that gets applied is reported back so a run can echo its
-fully resolved configuration.
+The configuration document mirrors ExperimentSpec. This module checks the
+JSON itself: types and unknown keys. Every range and cross-field rule lives
+in the dataclass that owns the field (TaskModel, SamplingDistribution,
+ClassifierConfig, EstimatorSpec, ExperimentSpec), so it is checked before
+any computation starts and names the offending field's path. Every default
+that gets applied is reported back so a run can echo its fully resolved
+configuration.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import harness, synthdata
@@ -140,12 +144,20 @@ def _expect(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _as_int(value, field: str, minimum: int) -> int:
+@contextmanager
+def _at(field: str):
+    """Prefix a validation error raised while building ``field``."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{field}: {exc}") from None
+
+
+def _as_int(value, field: str) -> int:
     _expect(
         isinstance(value, int) and not isinstance(value, bool),
         f"{field} must be an integer",
     )
-    _expect(value >= minimum, f"{field} must be >= {minimum}, got {value}")
     return value
 
 
@@ -158,7 +170,7 @@ def _as_number(value, field: str) -> float:
 
 
 def _as_list(value, field: str):
-    _expect(isinstance(value, list) and len(value) > 0, f"{field} must be a nonempty list")
+    _expect(isinstance(value, list), f"{field} must be a list")
     return value
 
 
@@ -174,10 +186,6 @@ def _build_task(obj) -> TaskModel:
     _expect("priors" in obj and "components" in obj, "task needs priors and components")
     priors = [_as_number(p, "task.priors[]") for p in _as_list(obj["priors"], "task.priors")]
     comps_raw = _as_list(obj["components"], "task.components")
-    _expect(
-        len(comps_raw) == len(priors),
-        "task.components must have one entry per class prior",
-    )
     components = []
     for c, comp_list in enumerate(comps_raw):
         comp_list = _as_list(comp_list, f"task.components[{c}]")
@@ -190,15 +198,17 @@ def _build_task(obj) -> TaskModel:
                 {"weight", "mean", "std"} <= set(comp),
                 f"task.components[{c}][{j}] needs weight, mean and std",
             )
-            built.append(
-                GaussianComponent(
-                    _as_number(comp["weight"], "weight"),
-                    _as_number(comp["mean"], "mean"),
-                    _as_number(comp["std"], "std"),
+            with _at(f"task.components[{c}][{j}]"):
+                built.append(
+                    GaussianComponent(
+                        _as_number(comp["weight"], "weight"),
+                        _as_number(comp["mean"], "mean"),
+                        _as_number(comp["std"], "std"),
+                    )
                 )
-            )
         components.append(tuple(built))
-    return TaskModel(class_priors=tuple(priors), class_components=tuple(components))
+    with _at("task"):
+        return TaskModel(class_priors=tuple(priors), class_components=tuple(components))
 
 
 def _build_sampler(obj, field: str) -> SamplingDistribution:
@@ -221,10 +231,10 @@ def _build_sampler(obj, field: str) -> SamplingDistribution:
     std = _as_number(obj.get("std", 0.25), f"{field}.std")
     priors = obj.get("priors", [0.5, 0.5])
     priors = tuple(_as_number(p, f"{field}.priors[]") for p in _as_list(priors, f"{field}.priors"))
-    _expect(len(priors) == 2, f"{field}.priors must be a pair")
-    return SamplingDistribution(
-        kind=kind, d=d, component_std=std, component_priors=priors
-    )
+    with _at(field):
+        return SamplingDistribution(
+            kind=kind, d=d, component_std=std, component_priors=priors
+        )
 
 
 def _sampler_document(s: SamplingDistribution) -> dict:
@@ -250,14 +260,15 @@ def _build_estimator(obj, field: str) -> EstimatorSpec:
     params = _as_object(params, f"{field}.params", _ESTIMATOR_PARAM_KEYS[name])
     kwargs = {}
     if "k" in params:
-        kwargs["k"] = _as_int(params["k"], f"{field}.params.k", 2)
+        kwargs["k"] = _as_int(params["k"], f"{field}.params.k")
     if "weight_cap" in params and params["weight_cap"] is not None:
-        cap = _as_number(params["weight_cap"], f"{field}.params.weight_cap")
-        _expect(cap > 0.0, f"{field}.params.weight_cap must be > 0, got {cap}")
-        kwargs["weight_cap"] = cap
+        kwargs["weight_cap"] = _as_number(
+            params["weight_cap"], f"{field}.params.weight_cap"
+        )
     if "count_mode" in params:
         kwargs["count_mode"] = params["count_mode"]
-    return EstimatorSpec(name=name, **kwargs)
+    with _at(field):
+        return EstimatorSpec(name=name, **kwargs)
 
 
 def _estimator_document(e: EstimatorSpec) -> dict:
@@ -301,7 +312,7 @@ def resolve_config(text: str) -> ResolvedConfig:
         applied.append(key)
         return default
 
-    master_seed = _as_int(take("master_seed", 0), "master_seed", 0)
+    master_seed = _as_int(take("master_seed", 0), "master_seed")
     task = _build_task(take("task", _DEFAULT_TASK))
 
     classifier_raw = _as_object(
@@ -317,11 +328,10 @@ def resolve_config(text: str) -> ResolvedConfig:
     else:
         epsilon = 0.01
         applied.append("classifier.epsilon")
-    _expect(bandwidth > 0.0, f"classifier.bandwidth must be > 0, got {bandwidth}")
-    _expect(epsilon >= 0.0, f"classifier.epsilon must be >= 0, got {epsilon}")
-    classifier = ClassifierConfig(
-        bandwidth=bandwidth, prior_weight=epsilon, class_count=task.class_count
-    )
+    with _at("classifier"):
+        classifier = ClassifierConfig(
+            bandwidth=bandwidth, prior_weight=epsilon, class_count=task.class_count
+        )
 
     estimators_raw = _as_list(
         take("estimators", _DEFAULT_ESTIMATORS[scenario]), "estimators"
@@ -329,16 +339,10 @@ def resolve_config(text: str) -> ResolvedConfig:
     estimator_specs = tuple(
         _build_estimator(e, f"estimators[{i}]") for i, e in enumerate(estimators_raw)
     )
-    ids = [e.estimator_id() for e in estimator_specs]
-    _expect(
-        len(ids) == len(set(ids)),
-        "estimators must be unique (duplicate estimator id)",
-    )
-
     repetitions = _as_int(
-        take("repetitions", _DEFAULT_REPETITIONS[scenario]), "repetitions", 1
+        take("repetitions", _DEFAULT_REPETITIONS[scenario]), "repetitions"
     )
-    true_eval_size = _as_int(take("true_eval_size", 2000), "true_eval_size", 1)
+    true_eval_size = _as_int(take("true_eval_size", 2000), "true_eval_size")
 
     kwargs: dict = {}
     document: dict = {"scenario": scenario, "master_seed": master_seed}
@@ -346,23 +350,11 @@ def resolve_config(text: str) -> ResolvedConfig:
     if scenario == harness.BIAS_SWEEP:
         d_grid_raw = _as_list(take("d_grid", list(harness.DEFAULT_D_GRID)), "d_grid")
         d_grid = tuple(_as_number(d, "d_grid[]") for d in d_grid_raw)
-        _expect(all(d > 0 for d in d_grid), "d_grid distances must be > 0")
-        _expect(
-            all(a < b for a, b in zip(d_grid, d_grid[1:])),
-            "d_grid must be strictly increasing",
-        )
-        labeled_size = _as_int(take("labeled_size", 30), "labeled_size", 1)
-        _expect(
-            estimator_specs[0].name == harness.KFOLD_CV and len(estimator_specs) == 1,
-            "bias-sweep runs exactly one kfold-cv estimator",
-        )
-        _expect(
-            estimator_specs[0].k <= labeled_size,
-            f"estimators[0].params.k must be <= labeled_size ({labeled_size})",
-        )
-        samplers = tuple(
-            SamplingDistribution(kind=synthdata.SYMMETRIC_MIXTURE, d=d) for d in d_grid
-        )
+        labeled_size = _as_int(take("labeled_size", 30), "labeled_size")
+        with _at("d_grid"):
+            samplers = tuple(
+                SamplingDistribution(kind=synthdata.SYMMETRIC_MIXTURE, d=d) for d in d_grid
+            )
         budgets = (labeled_size,)
         kwargs.update(d_grid=d_grid, labeled_size=labeled_size)
     else:
@@ -375,45 +367,14 @@ def resolve_config(text: str) -> ResolvedConfig:
         samplers = tuple(
             _build_sampler(s, f"samplers[{i}]") for i, s in enumerate(samplers_raw)
         )
-        labels = [s.label() for s in samplers]
-        _expect(len(labels) == len(set(labels)), "samplers must be unique")
-        if scenario != harness.ESTIMATOR_COMPARISON:
-            _expect(len(samplers) == 1, f"{scenario} uses exactly one sampler")
         budgets_raw = _as_list(take("budgets", _DEFAULT_BUDGETS[scenario]), "budgets")
-        budgets = tuple(_as_int(b, "budgets[]", 1) for b in budgets_raw)
-        _expect(
-            all(a < b for a, b in zip(budgets, budgets[1:])),
-            "budgets must be strictly increasing",
-        )
+        budgets = tuple(_as_int(b, "budgets[]") for b in budgets_raw)
 
     if scenario == harness.EVAL_SIZE_DISTRIBUTION:
-        _expect(
-            all(e.name == harness.SUBSAMPLE_BASELINE for e in estimator_specs),
-            "eval-size-distribution supports only the subsample-baseline estimator",
-        )
-        kwargs["train_size"] = _as_int(take("train_size", 100), "train_size", 1)
-    if scenario == harness.CV_FOLDS:
-        _expect(len(budgets) == 1, "cv-folds uses exactly one budget (the labeled-set size)")
-        for i, e in enumerate(estimator_specs):
-            _expect(
-                e.name in (harness.KFOLD_CV, harness.REWEIGHTED_CV),
-                f"estimators[{i}]: cv-folds supports only kfold-cv and reweighted-cv",
-            )
-            _expect(
-                e.k <= budgets[0],
-                f"estimators[{i}].params.k must be <= the budget ({budgets[0]})",
-            )
+        kwargs["train_size"] = _as_int(take("train_size", 100), "train_size")
     if scenario == harness.ESTIMATOR_COMPARISON:
-        kwargs["pool_size"] = _as_int(take("pool_size", 1000), "pool_size", 1)
-        kwargs["subsample_reps"] = _as_int(
-            take("subsample_reps", 100), "subsample_reps", 1
-        )
-        for i, e in enumerate(estimator_specs):
-            if e.name in (harness.KFOLD_CV, harness.REWEIGHTED_CV, harness.SELF_LABEL_CV):
-                _expect(
-                    e.k <= min(budgets),
-                    f"estimators[{i}].params.k must be <= the smallest budget ({min(budgets)})",
-                )
+        kwargs["pool_size"] = _as_int(take("pool_size", 1000), "pool_size")
+        kwargs["subsample_reps"] = _as_int(take("subsample_reps", 100), "subsample_reps")
 
     spec = ExperimentSpec(
         scenario=scenario,

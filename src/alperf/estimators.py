@@ -24,7 +24,7 @@ from scipy import optimize, special
 from . import parzen, synthdata
 from .errors import ValidationError
 from .parzen import ClassifierConfig, ParzenModel
-from .synthdata import LabeledSample, TaskModel, UnlabeledSample
+from .synthdata import LabeledSet, TaskModel
 
 POINT = "point"
 EMPIRICAL = "empirical"
@@ -125,20 +125,6 @@ class PerformanceEstimate:
         }
 
 
-@dataclass(frozen=True)
-class LocalLabelStatistics:
-    """Soft evidence near a point: kernel mass n and two-class posterior p_hat."""
-
-    n: float
-    p_hat: float
-
-    def __post_init__(self):
-        if self.n < 0.0:
-            raise ValidationError(f"label mass must be >= 0, got {self.n}")
-        if not 0.0 <= self.p_hat <= 1.0:
-            raise ValidationError(f"p_hat must be in [0,1], got {self.p_hat}")
-
-
 # ---------------------------------------------------------------------------
 # Generalization error
 # ---------------------------------------------------------------------------
@@ -154,18 +140,17 @@ def _accuracy_from_posteriors(post: np.ndarray) -> float:
 
 
 def generalization_error_estimate(
-    m: ParzenModel, evaluation: list[UnlabeledSample]
+    m: ParzenModel, evaluation: np.ndarray
 ) -> PerformanceEstimate:
     """Self-assessed accuracy from the classifier's own confidence.
 
     Sums one minus the maximal predicted posterior over the evaluation
     instances and reports accuracy = 1 - error / |evaluation|.
     """
-    if not evaluation:
+    if len(evaluation) == 0:
         raise ValidationError("no evaluation instances")
-    xs = np.array([s.x for s in evaluation], dtype=np.float64)
     return PerformanceEstimate.point(
-        _accuracy_from_posteriors(parzen.posterior_batch(m, xs))
+        _accuracy_from_posteriors(parzen.posterior_batch(m, evaluation))
     )
 
 
@@ -208,7 +193,7 @@ class KFoldDetail:
 
 
 def kfold_cv_detail(
-    labeled: list[LabeledSample],
+    labeled: LabeledSet,
     k: int,
     config: ClassifierConfig,
     rng: np.random.Generator,
@@ -218,11 +203,7 @@ def kfold_cv_detail(
     n = len(labeled)
     if n == 0:
         raise ValidationError("no labeled instances")
-    xs = np.array([s.x for s in labeled], dtype=np.float64)
-    ys = np.array([s.y for s in labeled], dtype=np.int64)
-    qs = np.array([s.sampling_density for s in labeled], dtype=np.float64)
-    if reweighted and np.any(qs <= 0.0):
-        raise ValidationError("reweighted CV needs strictly positive sampling densities")
+    xs, ys = labeled.xs, labeled.ys
 
     folds = random_folds(n, k, rng)
     correct = np.empty(n, dtype=np.float64)
@@ -230,14 +211,12 @@ def kfold_cv_detail(
     for fold in folds:
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        model = parzen.fit_arrays(
-            xs[mask], ys[mask], config.bandwidth, config.prior_weight, config.class_count
-        )
+        model = parzen.fit_arrays(xs[mask], ys[mask], config)
         models.append(model)
         correct[fold] = parzen.predict_batch(model, xs[fold]) == ys[fold]
 
     if reweighted:
-        w = 1.0 / qs
+        w = 1.0 / labeled.qs
         if weight_cap is not None:
             if weight_cap <= 0.0:
                 raise ValidationError(f"weight_cap must be > 0, got {weight_cap}")
@@ -254,7 +233,7 @@ def kfold_cv_detail(
 
 
 def kfold_cv(
-    labeled: list[LabeledSample],
+    labeled: LabeledSet,
     k: int,
     config: ClassifierConfig,
     rng: np.random.Generator,
@@ -290,16 +269,14 @@ def _subset_restricted_cv(
         available = np.nonzero(mask)[0]
         size = min(train_size, len(available))
         pick = rng.choice(available, size=size, replace=False)
-        model = parzen.fit_arrays(
-            xs[pick], ys[pick], config.bandwidth, config.prior_weight, config.class_count
-        )
+        model = parzen.fit_arrays(xs[pick], ys[pick], config)
         correct[fold] = parzen.predict_batch(model, xs[fold]) == ys[fold]
     return PerformanceEstimate.point(float(correct.mean()))
 
 
 def self_label_cv(
-    labeled: list[LabeledSample],
-    pool: list[UnlabeledSample],
+    labeled: LabeledSet,
+    pool: np.ndarray,
     k: int,
     config: ClassifierConfig,
     rng: np.random.Generator,
@@ -312,26 +289,21 @@ def self_label_cv(
     on a uniform random subset of size min(|labeled|, instances outside
     the fold).
     """
-    if not labeled:
+    if len(labeled) == 0:
         raise ValidationError("no labeled instances")
     if k < 2:
         raise ValidationError(f"fold count must be >= 2, got {k}")
-    if not pool:
+    if len(pool) == 0:
         warnings.warn(
             "empty candidate pool: falling back to plain k-fold CV", stacklevel=2
         )
         return kfold_cv(labeled, k, config, rng)
 
-    lab_xs = np.array([s.x for s in labeled], dtype=np.float64)
-    lab_ys = np.array([s.y for s in labeled], dtype=np.int64)
-    base = parzen.fit_arrays(
-        lab_xs, lab_ys, config.bandwidth, config.prior_weight, config.class_count
-    )
-    pool_xs = np.array([s.x for s in pool], dtype=np.float64)
-    pool_ys = parzen.predict_batch(base, pool_xs)
+    base = parzen.fit_arrays(labeled.xs, labeled.ys, config)
+    pool_ys = parzen.predict_batch(base, pool)
 
-    union_xs = np.concatenate([lab_xs, pool_xs])
-    union_ys = np.concatenate([lab_ys, pool_ys])
+    union_xs = np.concatenate([labeled.xs, pool])
+    union_ys = np.concatenate([labeled.ys, pool_ys])
     return _subset_restricted_cv(union_xs, union_ys, len(labeled), k, config, rng)
 
 
@@ -341,7 +313,7 @@ def self_label_cv(
 
 
 def _two_class_masses(
-    labeled: list[LabeledSample],
+    labeled: LabeledSet,
     query_xs: np.ndarray,
     bandwidth: float,
     count_mode: str,
@@ -352,10 +324,9 @@ def _two_class_masses(
     if count_mode not in (KERNEL_COUNT, HARD_COUNT):
         raise ValidationError(f"unknown count mode {count_mode!r}")
     nq = len(query_xs)
-    if not labeled:
+    if len(labeled) == 0:
         return np.zeros(nq), np.zeros(nq)
-    xs = np.array([s.x for s in labeled], dtype=np.float64)
-    ys = np.array([s.y for s in labeled], dtype=np.int64)
+    xs, ys = labeled.xs, labeled.ys
     if np.any((ys < 1) | (ys > 2)):
         raise ValidationError("local label statistics are defined for 2 classes only")
     if count_mode == KERNEL_COUNT:
@@ -367,26 +338,6 @@ def _two_class_masses(
     total = weights.sum(axis=1)
     class2 = weights[:, ys == 2].sum(axis=1)
     return total, class2
-
-
-def local_label_statistics(
-    labeled: list[LabeledSample],
-    x: float,
-    bandwidth: float,
-    count_mode: str = KERNEL_COUNT,
-) -> LocalLabelStatistics:
-    """Effective nearby-label count and local class-2 fraction at x.
-
-    The count is a soft kernel mass by default; ``count_mode="hard"``
-    switches to counting instances within one bandwidth. With no mass the
-    local posterior defaults to 1/2.
-    """
-    total, class2 = _two_class_masses(
-        labeled, np.array([x], dtype=np.float64), bandwidth, count_mode
-    )
-    n = float(total[0])
-    p_hat = float(class2[0] / n) if n > 0.0 else 0.5
-    return LocalLabelStatistics(n=n, p_hat=p_hat)
 
 
 def beta_components_from_stats(
@@ -402,21 +353,23 @@ def beta_components_from_stats(
 
 
 def probabilistic_performance(
-    labeled: list[LabeledSample],
-    evaluation: list[UnlabeledSample],
+    labeled: LabeledSet,
+    evaluation: np.ndarray,
     bandwidth: float,
     count_mode: str = KERNEL_COUNT,
 ) -> PerformanceEstimate:
     """Accuracy as an equal-prior mixture of per-instance Beta distributions.
 
     Each evaluation instance contributes one Beta component derived from
-    its local label statistics; instances with no nearby labels contribute
-    the uniform Beta(1, 1).
+    its local label statistics: the nearby-label count n and the local
+    class-2 fraction p_hat. The count is a soft kernel mass by default;
+    ``count_mode="hard"`` switches to counting instances within one
+    bandwidth. With no mass p_hat defaults to 1/2, so instances with no
+    nearby labels contribute the uniform Beta(1, 1).
     """
-    if not evaluation:
+    if len(evaluation) == 0:
         raise ValidationError("no evaluation instances")
-    query_xs = np.array([s.x for s in evaluation], dtype=np.float64)
-    total, class2 = _two_class_masses(labeled, query_xs, bandwidth, count_mode)
+    total, class2 = _two_class_masses(labeled, evaluation, bandwidth, count_mode)
     p_hat = np.where(total > 0.0, class2 / np.where(total > 0.0, total, 1.0), 0.5)
     alphas, betas = beta_components_from_stats(total, p_hat)
     return PerformanceEstimate.beta_mixture(alphas, betas)

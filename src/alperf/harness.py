@@ -14,6 +14,10 @@ Four scenarios are implemented:
   sequence, with every configured estimator applied to each budget prefix
   under unbiased, boundary-focused and boundary-avoiding acquisition.
 
+Every scenario is one entry of a table: ``units(spec)`` lists its
+independent units of work and ``run_unit(spec, unit)`` turns one unit into
+records. ``run_experiment`` runs any scenario through that table.
+
 All randomness flows through ``derive_substream``: every unit of work owns
 a (master_seed, path) pair, so repetitions are independent, results do not
 depend on the worker count, and deleting one repetition leaves the others
@@ -25,7 +29,8 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +39,7 @@ from . import estimators, parzen, synthdata
 from .errors import ValidationError
 from .estimators import PerformanceEstimate
 from .parzen import ClassifierConfig, ParzenModel
-from .synthdata import LabeledSample, SamplingDistribution, TaskModel, UnlabeledSample
+from .synthdata import LabeledSet, SamplingDistribution, TaskModel
 
 EVAL_SIZE_DISTRIBUTION = "eval-size-distribution"
 CV_FOLDS = "cv-folds"
@@ -138,7 +143,7 @@ class EstimatorSpec:
                 raise ValidationError(
                     f"estimator {self.name}: weight_cap only applies to {REWEIGHTED_CV}"
                 )
-            if self.weight_cap <= 0.0:
+            if not self.weight_cap > 0.0:
                 raise ValidationError(
                     f"estimator {self.name}: weight_cap must be > 0, got {self.weight_cap}"
                 )
@@ -162,7 +167,12 @@ class EstimatorSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one experiment run."""
+    """Everything needed to reproduce one experiment run.
+
+    Construction checks every range and cross-field rule, so an invalid
+    spec fails before any computation, whether it comes from a JSON config
+    or from Python.
+    """
 
     scenario: str
     task: TaskModel
@@ -184,6 +194,14 @@ class ExperimentSpec:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
         if self.repetitions < 1:
             raise ValidationError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.train_size < 1:
+            raise ValidationError(f"train_size must be >= 1, got {self.train_size}")
+        if self.labeled_size < 1:
+            raise ValidationError(f"labeled_size must be >= 1, got {self.labeled_size}")
+        if not self.d_grid or not all(d > 0 for d in self.d_grid):
+            raise ValidationError("d_grid must be nonempty with positive distances")
+        if not all(a < b for a, b in zip(self.d_grid, self.d_grid[1:])):
+            raise ValidationError("d_grid must be strictly increasing")
         if not self.budgets:
             raise ValidationError("budgets must be nonempty")
         if any(b < 1 for b in self.budgets):
@@ -206,14 +224,50 @@ class ExperimentSpec:
             raise ValidationError("at least one sampler is required")
         if not self.estimators:
             raise ValidationError("at least one estimator is required")
-        if self.train_size < 1:
-            raise ValidationError(f"train_size must be >= 1, got {self.train_size}")
-        if self.labeled_size < 1:
-            raise ValidationError(f"labeled_size must be >= 1, got {self.labeled_size}")
-        if not self.d_grid or any(d <= 0 for d in self.d_grid):
-            raise ValidationError("d_grid must be nonempty with positive distances")
-        if any(a >= b for a, b in zip(self.d_grid, self.d_grid[1:])):
-            raise ValidationError("d_grid must be strictly increasing")
+        if self.classifier.class_count != self.task.class_count:
+            raise ValidationError(
+                f"classifier.class_count is {self.classifier.class_count}, "
+                f"but the task has {self.task.class_count} classes"
+            )
+        ids = [e.estimator_id() for e in self.estimators]
+        if len(set(ids)) != len(ids):
+            raise ValidationError("estimators must be unique (duplicate estimator id)")
+        labels = [s.label() for s in self.samplers]
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"samplers must be unique, got labels {labels}")
+        if PROBABILISTIC in (e.name for e in self.estimators) and self.task.class_count != 2:
+            raise ValidationError(
+                f"the {PROBABILISTIC} estimator needs a 2-class task, "
+                f"got {self.task.class_count} classes"
+            )
+        if self.scenario in (EVAL_SIZE_DISTRIBUTION, CV_FOLDS) and len(self.samplers) != 1:
+            raise ValidationError(f"{self.scenario} uses exactly one sampler")
+        if self.scenario == EVAL_SIZE_DISTRIBUTION and ids != [SUBSAMPLE_BASELINE]:
+            raise ValidationError(
+                "eval-size-distribution supports only the subsample-baseline estimator"
+            )
+        if self.scenario == CV_FOLDS:
+            if len(self.budgets) != 1:
+                raise ValidationError(
+                    "cv-folds uses exactly one budget (the labeled-set size)"
+                )
+            bad = [e.name for e in self.estimators if e.name not in (KFOLD_CV, REWEIGHTED_CV)]
+            if bad:
+                raise ValidationError(
+                    f"cv-folds supports only the CV estimators {KFOLD_CV} and "
+                    f"{REWEIGHTED_CV}, got {bad}"
+                )
+        if self.scenario == BIAS_SWEEP:
+            if [e.name for e in self.estimators] != [KFOLD_CV]:
+                raise ValidationError("bias-sweep runs exactly one kfold-cv estimator")
+            k_limit, limit_name = self.labeled_size, "labeled_size"
+        else:
+            k_limit, limit_name = min(self.budgets), "the smallest budget"
+        for i, e in enumerate(self.estimators):
+            if e.name in _CV_FAMILY and e.k > k_limit:
+                raise ValidationError(
+                    f"estimators[{i}] ({ids[i]}): k={e.k} exceeds {limit_name} ({k_limit})"
+                )
 
 
 @dataclass(frozen=True)
@@ -242,46 +296,38 @@ def _record(
     sampler: str,
     budget: int,
     estimator: str,
-    estimate: PerformanceEstimate,
+    summary: dict[str, float],
     true_baseline: float,
     wall_ms: float,
 ) -> RunRecord:
-    s = estimate.summary()
     return RunRecord(
         scenario=scenario,
         repetition=repetition,
         sampler=sampler,
         budget=budget,
         estimator=estimator,
-        estimate_mean=s["mean"],
-        estimate_median=s["median"],
-        estimate_q25=s["q25"],
-        estimate_q75=s["q75"],
+        estimate_mean=summary["mean"],
+        estimate_median=summary["median"],
+        estimate_q25=summary["q25"],
+        estimate_q75=summary["q75"],
         true_baseline=true_baseline,
         wall_ms=wall_ms,
     )
 
 
-def _map_over_reps(fn, payloads: list, workers: int) -> list:
-    if workers <= 1:
-        return [fn(p) for p in payloads]
-    chunk = max(1, math.ceil(len(payloads) / (workers * 4)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads, chunksize=chunk))
-
-
-def _finish(nested: list[list[RunRecord]]) -> list[RunRecord]:
-    records = [r for sub in nested for r in sub]
-    records.sort(key=RunRecord.sort_key)
-    return records
+def _ms_since(t0: float) -> float:
+    """Wall milliseconds since ``t0``. Callers take ``t0`` right before the
+    estimator call and read this after its summary, so ``wall_ms`` covers
+    both."""
+    return (time.perf_counter() - t0) * 1000.0
 
 
 def _apply_estimator(
     spec: ExperimentSpec,
     espec: EstimatorSpec,
-    labeled: list[LabeledSample],
-    pool: list[UnlabeledSample],
-    model: ParzenModel,
+    labeled: LabeledSet,
+    pool: np.ndarray | None,
+    model: ParzenModel | None,
     budget: int,
     rng: np.random.Generator,
 ) -> PerformanceEstimate:
@@ -310,128 +356,98 @@ def _apply_estimator(
 # ---------------------------------------------------------------------------
 # Scenario: eval-size-distribution
 # ---------------------------------------------------------------------------
-# Substream paths: (0, 0) classifier training draws, (0, 1) true baseline,
-# (1, rep, size_index) per-repetition evaluation draws.
 
 
-def _eval_size_rep(payload) -> list[RunRecord]:
-    spec, model, truth, rep = payload
-    records = []
-    for i, size in enumerate(spec.budgets):
-        rng = derive_substream(spec.master_seed, (1, rep, i))
-        t0 = time.perf_counter()
-        est = estimators.subsample_baseline(model, spec.task, size, 1, rng)
-        wall = (time.perf_counter() - t0) * 1000.0
-        records.append(
-            _record(
-                spec.scenario, rep, spec.samplers[0].label(), size,
-                "subsample-baseline", est, truth, wall,
-            )
-        )
-    return records
-
-
-def run_eval_size_distribution(
-    spec: ExperimentSpec,
-    sizes: Sequence[int] | None = None,
-    reps: int | None = None,
-    workers: int = 1,
-) -> list[RunRecord]:
-    """Fixed classifier, repeatedly evaluated on fresh sets of each size.
+def _eval_size_units(spec: ExperimentSpec) -> list:
+    """One fixed classifier, repeatedly evaluated on fresh sets of each size:
+    one unit per repetition, all sharing the classifier and its truth.
 
     The budget column of the resulting records carries the evaluation-set
     size; each repetition contributes one accuracy value per size.
     """
-    if sizes is not None:
-        spec = replace(spec, budgets=tuple(sizes))
-    if reps is not None:
-        spec = replace(spec, repetitions=reps)
-    sampler = spec.samplers[0]
     train_rng = derive_substream(spec.master_seed, (0, 0))
-    training = synthdata.draw_labeled(spec.task, sampler, spec.train_size, train_rng)
-    model = parzen.fit_config(training, spec.classifier)
+    training = synthdata.draw_labeled(spec.task, spec.samplers[0], spec.train_size, train_rng)
+    model = parzen.fit_arrays(training.xs, training.ys, spec.classifier)
     truth = estimators.true_baseline(
         model, spec.task, spec.true_eval_size, derive_substream(spec.master_seed, (0, 1))
     ).mean()
-    payloads = [(spec, model, truth, rep) for rep in range(spec.repetitions)]
-    return _finish(_map_over_reps(_eval_size_rep, payloads, workers))
+    return [(model, truth, rep) for rep in range(spec.repetitions)]
+
+
+def _eval_size_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
+    model, truth, rep = unit
+    records = []
+    for i, size in enumerate(spec.budgets):
+        rng = derive_substream(spec.master_seed, (1, rep, i))
+        t0 = time.perf_counter()
+        summary = estimators.subsample_baseline(model, spec.task, size, 1, rng).summary()
+        records.append(
+            _record(
+                spec.scenario, rep, spec.samplers[0].label(), size,
+                SUBSAMPLE_BASELINE, summary, truth, _ms_since(t0),
+            )
+        )
+    return records
 
 
 # ---------------------------------------------------------------------------
 # Scenario: cv-folds
 # ---------------------------------------------------------------------------
-# Substream paths: (0, 0) labeled-set acquisition, (0, 1) true baseline of
-# the full-set model, (1, rep, estimator_index) fold assignment.
 
 
-def _cv_folds_rep(payload) -> list[RunRecord]:
-    spec, labeled, truth, rep = payload
+def _cv_folds_units(spec: ExperimentSpec) -> list:
+    """Cross-validate one fixed labeled set with different fold counts: one
+    unit per repetition, all sharing the labeled set and its truth.
+
+    The labeled-set size is the single configured budget; the reference is
+    the true baseline of the model trained on all acquired labels.
+    """
+    labeled = synthdata.draw_labeled(
+        spec.task, spec.samplers[0], spec.budgets[0],
+        derive_substream(spec.master_seed, (0, 0)),
+    )
+    full_model = parzen.fit_arrays(labeled.xs, labeled.ys, spec.classifier)
+    truth = estimators.true_baseline(
+        full_model, spec.task, spec.true_eval_size,
+        derive_substream(spec.master_seed, (0, 1)),
+    ).mean()
+    return [(labeled, truth, rep) for rep in range(spec.repetitions)]
+
+
+def _cv_folds_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
+    labeled, truth, rep = unit
     records = []
     for e_idx, espec in enumerate(spec.estimators):
         rng = derive_substream(spec.master_seed, (1, rep, e_idx))
         t0 = time.perf_counter()
-        est = _apply_estimator(spec, espec, labeled, [], None, spec.budgets[0], rng)
-        wall = (time.perf_counter() - t0) * 1000.0
+        summary = _apply_estimator(
+            spec, espec, labeled, None, None, spec.budgets[0], rng
+        ).summary()
         records.append(
             _record(
                 spec.scenario, rep, spec.samplers[0].label(), spec.budgets[0],
-                espec.estimator_id(), est, truth, wall,
+                espec.estimator_id(), summary, truth, _ms_since(t0),
             )
         )
     return records
 
 
-def run_cv_folds(
-    spec: ExperimentSpec,
-    folds: Sequence[int] | None = None,
-    reps: int | None = None,
-    workers: int = 1,
-) -> list[RunRecord]:
-    """Cross-validate one fixed labeled set with different fold counts.
-
-    The labeled-set size is the single configured budget; the reference is
-    the true baseline of the model trained on all acquired labels.
-    """
-    if folds is not None:
-        spec = replace(
-            spec, estimators=tuple(EstimatorSpec(KFOLD_CV, k=k) for k in folds)
-        )
-    if reps is not None:
-        spec = replace(spec, repetitions=reps)
-    if len(spec.budgets) != 1:
-        raise ValidationError("cv-folds uses exactly one budget (the labeled-set size)")
-    n_labels = spec.budgets[0]
-    for espec in spec.estimators:
-        if espec.name not in (KFOLD_CV, REWEIGHTED_CV):
-            raise ValidationError(
-                f"cv-folds supports only the CV estimators, got {espec.name!r}"
-            )
-        if espec.k > n_labels:
-            raise ValidationError(
-                f"estimator {espec.estimator_id()}: k exceeds the {n_labels} labels"
-            )
-    sampler = spec.samplers[0]
-    labeled = synthdata.draw_labeled(
-        spec.task, sampler, n_labels, derive_substream(spec.master_seed, (0, 0))
-    )
-    full_model = parzen.fit_config(labeled, spec.classifier)
-    truth = estimators.true_baseline(
-        full_model, spec.task, spec.true_eval_size,
-        derive_substream(spec.master_seed, (0, 1)),
-    ).mean()
-    payloads = [(spec, labeled, truth, rep) for rep in range(spec.repetitions)]
-    return _finish(_map_over_reps(_cv_folds_rep, payloads, workers))
-
-
 # ---------------------------------------------------------------------------
 # Scenario: bias-sweep
 # ---------------------------------------------------------------------------
-# Substream paths per (d_index, rep): (0, d, rep) acquisition,
-# (1, d, rep) fold assignment, (2, d, rep) hold-out draws.
 
 
-def _bias_sweep_rep(payload) -> list[RunRecord]:
-    spec, rep = payload
+def _bias_sweep_units(spec: ExperimentSpec) -> list:
+    """Sweep the acquisition distance d; per repetition, compare internal
+    CV against the fold-trained models' accuracy on a fresh hold-out set.
+
+    The hold-out truth averages the per-fold models so it refers to the
+    same classifiers the CV estimate was computed from.
+    """
+    return list(range(spec.repetitions))
+
+
+def _bias_sweep_unit(spec: ExperimentSpec, rep: int) -> list[RunRecord]:
     espec = spec.estimators[0]
     records = []
     for d_idx, d in enumerate(spec.d_grid):
@@ -445,7 +461,8 @@ def _bias_sweep_rep(payload) -> list[RunRecord]:
             labeled, espec.k, spec.classifier,
             derive_substream(spec.master_seed, (1, d_idx, rep)),
         )
-        wall = (time.perf_counter() - t0) * 1000.0
+        summary = detail.estimate.summary()
+        wall_ms = _ms_since(t0)
         hold_x, hold_y = synthdata.draw_oracle_arrays(
             spec.task, spec.true_eval_size,
             derive_substream(spec.master_seed, (2, d_idx, rep)),
@@ -456,50 +473,20 @@ def _bias_sweep_rep(payload) -> list[RunRecord]:
         records.append(
             _record(
                 spec.scenario, rep, sampler.label(), spec.labeled_size,
-                espec.estimator_id(), detail.estimate, truth, wall,
+                espec.estimator_id(), summary, truth, wall_ms,
             )
         )
     return records
 
 
-def run_bias_sweep(
-    spec: ExperimentSpec,
-    d_grid: Sequence[float] | None = None,
-    labeled_size: int | None = None,
-    reps: int | None = None,
-    workers: int = 1,
-) -> list[RunRecord]:
-    """Sweep the acquisition distance d; per repetition, compare internal
-    CV against the fold-trained models' accuracy on a fresh hold-out set.
-
-    The hold-out truth averages the per-fold models so it refers to the
-    same classifiers the CV estimate was computed from.
-    """
-    if d_grid is not None:
-        spec = replace(spec, d_grid=tuple(d_grid))
-    if labeled_size is not None:
-        spec = replace(spec, labeled_size=labeled_size)
-    if reps is not None:
-        spec = replace(spec, repetitions=reps)
-    if len(spec.estimators) != 1 or spec.estimators[0].name != KFOLD_CV:
-        raise ValidationError("bias-sweep runs exactly one kfold-cv estimator")
-    if spec.estimators[0].k > spec.labeled_size:
-        raise ValidationError("bias-sweep: fold count exceeds labeled_size")
-    payloads = [(spec, rep) for rep in range(spec.repetitions)]
-    return _finish(_map_over_reps(_bias_sweep_rep, payloads, workers))
-
-
 # ---------------------------------------------------------------------------
 # Scenario: estimator-comparison
 # ---------------------------------------------------------------------------
-# Substream paths per (sampler_index, rep): (0, s, rep) acquisition
-# sequence, (1, s, rep) pool draws, (2, s, rep, budget_index) true
-# baseline, (3, s, rep, budget_index, estimator_index) estimator stream.
 
 
 def acquisition_sequence(
     spec: ExperimentSpec, sampler_index: int, rep: int
-) -> list[LabeledSample]:
+) -> LabeledSet:
     """The full fixed acquisition sequence for one (sampler, repetition).
 
     Budget prefixes are nested by construction: the budget-B labeled set is
@@ -510,8 +497,18 @@ def acquisition_sequence(
     return synthdata.draw_labeled(spec.task, sampler, max(spec.budgets), rng)
 
 
-def _comparison_rep(payload) -> list[RunRecord]:
-    spec, s_idx, rep = payload
+def _comparison_units(spec: ExperimentSpec) -> list:
+    """Apply every configured estimator to nested budget prefixes of one
+    acquisition sequence per (sampler, repetition) unit."""
+    return [
+        (s_idx, rep)
+        for s_idx in range(len(spec.samplers))
+        for rep in range(spec.repetitions)
+    ]
+
+
+def _comparison_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
+    s_idx, rep = unit
     sampler = spec.samplers[s_idx]
     sequence = acquisition_sequence(spec, s_idx, rep)
     pool_rng = derive_substream(spec.master_seed, (1, s_idx, rep))
@@ -519,7 +516,7 @@ def _comparison_rep(payload) -> list[RunRecord]:
     records = []
     for b_idx, budget in enumerate(spec.budgets):
         labeled = sequence[:budget]
-        model = parzen.fit_config(labeled, spec.classifier)
+        model = parzen.fit_arrays(labeled.xs, labeled.ys, spec.classifier)
         truth = estimators.true_baseline(
             model, spec.task, spec.true_eval_size,
             derive_substream(spec.master_seed, (2, s_idx, rep, b_idx)),
@@ -527,44 +524,51 @@ def _comparison_rep(payload) -> list[RunRecord]:
         for e_idx, espec in enumerate(spec.estimators):
             rng = derive_substream(spec.master_seed, (3, s_idx, rep, b_idx, e_idx))
             t0 = time.perf_counter()
-            est = _apply_estimator(spec, espec, labeled, pool, model, budget, rng)
-            wall = (time.perf_counter() - t0) * 1000.0
+            summary = _apply_estimator(
+                spec, espec, labeled, pool, model, budget, rng
+            ).summary()
             records.append(
                 _record(
                     spec.scenario, rep, sampler.label(), budget,
-                    espec.estimator_id(), est, truth, wall,
+                    espec.estimator_id(), summary, truth, _ms_since(t0),
                 )
             )
     return records
 
 
-def run_estimator_comparison(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
-    """Apply every configured estimator to nested budget prefixes of one
-    acquisition sequence per (sampler, repetition)."""
-    for espec in spec.estimators:
-        if espec.name in _CV_FAMILY and espec.k > min(spec.budgets):
-            raise ValidationError(
-                f"estimator {espec.estimator_id()}: k exceeds the smallest budget"
-            )
-    payloads = [
-        (spec, s_idx, rep)
-        for s_idx in range(len(spec.samplers))
-        for rep in range(spec.repetitions)
-    ]
-    return _finish(_map_over_reps(_comparison_rep, payloads, workers))
-
-
 # ---------------------------------------------------------------------------
+
+# scenario -> (units(spec), run_unit(spec, unit)). Units are independent and
+# each draws only from its own substreams, so they may run in any order on
+# any worker.
+_SCENARIO_TABLE = {
+    # Substream paths: (0, 0) classifier training draws, (0, 1) true baseline,
+    # (1, rep, size_index) per-repetition evaluation draws.
+    EVAL_SIZE_DISTRIBUTION: (_eval_size_units, _eval_size_unit),
+    # Substream paths: (0, 0) labeled-set acquisition, (0, 1) true baseline of
+    # the full-set model, (1, rep, estimator_index) fold assignment.
+    CV_FOLDS: (_cv_folds_units, _cv_folds_unit),
+    # Substream paths per (d_index, rep): (0, d, rep) acquisition,
+    # (1, d, rep) fold assignment, (2, d, rep) hold-out draws.
+    BIAS_SWEEP: (_bias_sweep_units, _bias_sweep_unit),
+    # Substream paths per (sampler_index, rep): (0, s, rep) acquisition
+    # sequence, (1, s, rep) pool draws, (2, s, rep, budget_index) true
+    # baseline, (3, s, rep, budget_index, estimator_index) estimator stream.
+    ESTIMATOR_COMPARISON: (_comparison_units, _comparison_unit),
+}
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
     """Run the scenario configured in the spec and return sorted records."""
-    if spec.scenario == EVAL_SIZE_DISTRIBUTION:
-        return run_eval_size_distribution(spec, workers=workers)
-    if spec.scenario == CV_FOLDS:
-        return run_cv_folds(spec, workers=workers)
-    if spec.scenario == BIAS_SWEEP:
-        return run_bias_sweep(spec, workers=workers)
-    if spec.scenario == ESTIMATOR_COMPARISON:
-        return run_estimator_comparison(spec, workers=workers)
-    raise ValidationError(f"unknown scenario {spec.scenario!r}")
+    units, run_unit = _SCENARIO_TABLE[spec.scenario]
+    work = units(spec)
+    run = partial(run_unit, spec)
+    if workers <= 1:
+        nested = [run(unit) for unit in work]
+    else:
+        chunk = max(1, math.ceil(len(work) / (workers * 4)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            nested = list(pool.map(run, work, chunksize=chunk))
+    records = [r for sub in nested for r in sub]
+    records.sort(key=RunRecord.sort_key)
+    return records

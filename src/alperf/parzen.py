@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .synthdata import LabeledSample
 
 # Kernel exponents are clamped here before exponentiation.
 _EXP_CLAMP = -700.0
@@ -48,14 +47,6 @@ class ClassifierConfig:
 
 
 @dataclass(frozen=True)
-class KernelStats:
-    """Kernel-weight sums at one query point."""
-
-    per_class_mass: np.ndarray
-    total_mass: float
-
-
-@dataclass(frozen=True)
 class ParzenModel:
     """Immutable classifier state: training samples plus hyperparameters."""
 
@@ -75,14 +66,10 @@ class ParzenModel:
 
 
 def fit_arrays(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    bandwidth: float = 0.2,
-    prior_weight: float = 0.01,
-    class_count: int = 2,
+    xs: np.ndarray, ys: np.ndarray, config: ClassifierConfig = ClassifierConfig()
 ) -> ParzenModel:
     """Build a model from raw (x, label) arrays. No iterative training."""
-    ClassifierConfig(bandwidth, prior_weight, class_count)  # range checks
+    class_count = config.class_count
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.int64)
     if xs.shape != ys.shape:
@@ -93,23 +80,7 @@ def fit_arrays(
         raise ValidationError(
             f"training label at index {i} is {int(ys[i])}, outside 1..{class_count}"
         )
-    return ParzenModel(xs, ys, bandwidth, prior_weight, class_count)
-
-
-def fit(
-    training: list[LabeledSample],
-    bandwidth: float = 0.2,
-    prior_weight: float = 0.01,
-    class_count: int = 2,
-) -> ParzenModel:
-    """Build a model from labeled samples."""
-    xs = np.array([s.x for s in training], dtype=np.float64)
-    ys = np.array([s.y for s in training], dtype=np.int64)
-    return fit_arrays(xs, ys, bandwidth, prior_weight, class_count)
-
-
-def fit_config(training: list[LabeledSample], config: ClassifierConfig) -> ParzenModel:
-    return fit(training, config.bandwidth, config.prior_weight, config.class_count)
+    return ParzenModel(xs, ys, config.bandwidth, config.prior_weight, class_count)
 
 
 def kernel_weights(
@@ -145,18 +116,6 @@ def class_kernel_mass(
     return out
 
 
-def kernel_stats(m: ParzenModel, x: float) -> KernelStats:
-    """Kernel-weight sums per class at a single query point."""
-    masses = class_kernel_mass(
-        np.array([x], dtype=np.float64),
-        m.train_x,
-        m.train_y,
-        m.bandwidth,
-        m.class_count,
-    )[0]
-    return KernelStats(per_class_mass=masses, total_mass=float(masses.sum()))
-
-
 def posterior_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
     """Posterior p(y|x) for each query; shape (len(xs), C).
 
@@ -182,18 +141,9 @@ def posterior_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def posterior(m: ParzenModel, x: float) -> np.ndarray:
-    """Posterior p(y|x) at a single point, as a length-C vector."""
-    return posterior_batch(m, np.array([x], dtype=np.float64))[0]
-
-
 def predict_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
     """Most probable class per query; ties break toward the smallest index."""
     return np.argmax(posterior_batch(m, xs), axis=1) + 1
-
-
-def predict(m: ParzenModel, x: float) -> int:
-    return int(predict_batch(m, np.array([x], dtype=np.float64))[0])
 
 
 def accuracy_arrays(
@@ -202,6 +152,7 @@ def accuracy_arrays(
     ys: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> float:
+    """Fraction of correct predictions, optionally weighted per sample."""
     if len(xs) == 0:
         raise ValidationError("no evaluation instances")
     correct = (predict_batch(m, xs) == np.asarray(ys)).astype(np.float64)
@@ -221,13 +172,3 @@ def accuracy_arrays(
         return float(correct.mean())
     return float((weights * correct).sum() / wsum)
 
-
-def accuracy_on(
-    m: ParzenModel,
-    evaluation: list[LabeledSample],
-    weights: np.ndarray | None = None,
-) -> float:
-    """Fraction of correct predictions, optionally weighted per sample."""
-    xs = np.array([s.x for s in evaluation], dtype=np.float64)
-    ys = np.array([s.y for s in evaluation], dtype=np.int64)
-    return accuracy_arrays(m, xs, ys, weights)

@@ -149,38 +149,45 @@ def unbiased_sampler() -> SamplingDistribution:
     return SamplingDistribution(kind=DATA_MARGINAL)
 
 
-@dataclass(frozen=True)
-class UnlabeledSample:
-    """A feature value without a label."""
-
-    x: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise ValidationError(f"sample x must be finite, got {self.x}")
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """A feature value, its oracle label, and the acquisition density q(x).
+@dataclass(frozen=True, eq=False)
+class LabeledSet:
+    """Acquired labels as parallel arrays: feature values, oracle labels
+    (class indices >= 1) and the acquisition density q(x) of each draw.
 
     The sampling density is recorded at acquisition time so estimators that
     correct for sampling bias never need the SamplingDistribution object.
+    A slice (``labeled[:budget]``) is again a LabeledSet, so a budget-B
+    labeled set is the length-B prefix of an acquisition sequence.
     """
 
-    x: float
-    y: int
-    sampling_density: float
+    xs: np.ndarray
+    ys: np.ndarray
+    qs: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise ValidationError(f"sample x must be finite, got {self.x}")
-        if not (isinstance(self.y, (int, np.integer)) and self.y >= 1):
-            raise ValidationError(f"label must be a class index >= 1, got {self.y!r}")
-        if not (self.sampling_density > 0.0 and math.isfinite(self.sampling_density)):
+        xs = np.array(self.xs, dtype=np.float64)
+        ys = np.asarray(self.ys)
+        qs = np.array(self.qs, dtype=np.float64)
+        if xs.ndim != 1 or ys.shape != xs.shape or qs.shape != xs.shape:
             raise ValidationError(
-                f"sampling_density must be positive and finite, got {self.sampling_density}"
+                "x, label and density arrays must be 1-D and of equal length, got "
+                f"shapes {xs.shape}, {ys.shape}, {qs.shape}"
             )
+        if not np.all(np.isfinite(xs)):
+            raise ValidationError("sample x must be finite")
+        if xs.size and (ys.dtype.kind not in "iu" or ys.min() < 1):
+            raise ValidationError("labels must be class indices >= 1")
+        if not np.all((qs > 0.0) & np.isfinite(qs)):
+            raise ValidationError("sampling densities must be positive and finite")
+        for name, arr in (("xs", xs), ("ys", ys.astype(np.int64)), ("qs", qs)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, key: slice) -> LabeledSet:
+        return LabeledSet(self.xs[key], self.ys[key], self.qs[key])
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +237,6 @@ def bayes_posterior_batch(model: TaskModel, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def bayes_posterior(model: TaskModel, x: float) -> np.ndarray:
-    """True posterior p(y|x) at a single point, as a length-C vector."""
-    return bayes_posterior_batch(model, np.array([x], dtype=np.float64))[0]
-
-
 def sampling_density_batch(
     s: SamplingDistribution, model: TaskModel | None, xs: np.ndarray
 ) -> np.ndarray:
@@ -247,13 +249,6 @@ def sampling_density_batch(
     return w_lo * _normal_pdf(xs, -s.d, s.component_std) + w_hi * _normal_pdf(
         xs, s.d, s.component_std
     )
-
-
-def sampling_density(
-    s: SamplingDistribution, model: TaskModel | None, x: float
-) -> float:
-    """q(x) for the given acquisition distribution."""
-    return float(sampling_density_batch(s, model, np.array([x], dtype=np.float64))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -325,34 +320,18 @@ def draw_oracle_arrays(
     return xs, ys
 
 
-def draw_labeled_arrays(
-    model: TaskModel, s: SamplingDistribution, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Acquisition draws as raw arrays (x, label, sampling density)."""
-    xs = draw_x(s, model, n, rng)
-    ys = oracle_labels(model, xs, rng)
-    qs = sampling_density_batch(s, model, xs)
-    return xs, ys, qs
-
-
 def draw_labeled(
     model: TaskModel, s: SamplingDistribution, n: int, rng: np.random.Generator
-) -> list[LabeledSample]:
+) -> LabeledSet:
     """Draw n labeled samples: x from q, y from the true posterior at x."""
-    xs, ys, qs = draw_labeled_arrays(model, s, n, rng)
-    return [
-        LabeledSample(float(x), int(y), float(q)) for x, y, q in zip(xs, ys, qs)
-    ]
+    xs = draw_x(s, model, n, rng)
+    ys = oracle_labels(model, xs, rng)
+    return LabeledSet(xs, ys, sampling_density_batch(s, model, xs))
 
 
-def draw_unlabeled(
-    model: TaskModel, n: int, rng: np.random.Generator
-) -> list[UnlabeledSample]:
-    """Draw n unlabeled samples from the data marginal."""
-    if n < 0:
-        raise ValidationError(f"sample count must be >= 0, got {n}")
-    xs = draw_x(unbiased_sampler(), model, n, rng)
-    return [UnlabeledSample(float(x)) for x in xs]
+def draw_unlabeled(model: TaskModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n unlabeled feature values from the data marginal."""
+    return draw_x(unbiased_sampler(), model, n, rng)
 
 
 # ---------------------------------------------------------------------------

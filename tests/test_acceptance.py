@@ -24,10 +24,9 @@ from alperf.estimators import (
     true_baseline,
 )
 from alperf.harness import derive_substream, run_experiment, summarize
-from alperf.parzen import ClassifierConfig, fit, posterior_batch, predict
+from alperf.parzen import ClassifierConfig, fit_arrays, posterior_batch, predict_batch
 from alperf.synthdata import (
-    LabeledSample,
-    UnlabeledSample,
+    LabeledSet,
     bayes_accuracy,
     default_task,
     draw_labeled,
@@ -58,7 +57,10 @@ def fig2_model_and_a_true(task):
     """The fig2 scenario's fixed classifier (same substream path the runner
     uses) plus its accuracy measured on a 200k-sample oracle set."""
     training = draw_labeled(task, unbiased_sampler(), 100, derive_substream(42, (0, 0)))
-    model = fit(training, bandwidth=0.2, prior_weight=0.01, class_count=2)
+    model = fit_arrays(
+        training.xs, training.ys,
+        ClassifierConfig(bandwidth=0.2, prior_weight=0.01, class_count=2),
+    )
     a_true = true_baseline(model, task, 200_000, derive_substream(42, (900,))).mean()
     return model, a_true
 
@@ -193,10 +195,8 @@ def test_criterion_7_property_suite(task, two_point_model):
         budget = 5.0
 
         t0 = time.perf_counter()
-        labeled = [
-            LabeledSample(float(x), 1 + int(x > 0), 0.37)
-            for x in np.linspace(-2, 2, 12)
-        ]
+        xs = np.linspace(-2, 2, 12)
+        labeled = LabeledSet(xs, 1 + (xs > 0).astype(int), np.full(12, 0.37))
         cfg = ClassifierConfig()
         plain = kfold_cv(labeled, 3, cfg, derive_substream(3, (0,)))
         rew = kfold_cv(labeled, 3, cfg, derive_substream(3, (0,)), reweighted=True)
@@ -220,17 +220,23 @@ def test_criterion_7_property_suite(task, two_point_model):
 
         t0 = time.perf_counter()
         for c in (2, 3, 5):
-            m = fit([], prior_weight=0.01, class_count=c)
-            evaluation = [UnlabeledSample(float(x)) for x in range(6)]
+            m = fit_arrays(
+                np.array([]), np.array([], dtype=int),
+                ClassifierConfig(prior_weight=0.01, class_count=c),
+            )
+            evaluation = np.arange(6, dtype=np.float64)
             est = generalization_error_estimate(m, evaluation)
             # error per instance is 1 - 1/C, so accuracy is 1/C
             assert est.mean() == pytest.approx(1.0 / c, abs=1e-15)
         assert time.perf_counter() - t0 < budget
 
         t0 = time.perf_counter()
-        assert predict(two_point_model, 0.0) == 1
-        empty = fit([], prior_weight=0.01, class_count=2)
-        assert predict(empty, 3.0) == 1
+        assert predict_batch(two_point_model, np.array([0.0]))[0] == 1
+        empty = fit_arrays(
+            np.array([]), np.array([], dtype=int),
+            ClassifierConfig(prior_weight=0.01, class_count=2),
+        )
+        assert predict_batch(empty, np.array([3.0]))[0] == 1
         np.testing.assert_array_equal(posterior_batch(empty, np.array([-4.0, 0.0, 4.0])), 0.5)
         assert time.perf_counter() - t0 < budget
 

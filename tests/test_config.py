@@ -78,7 +78,7 @@ class TestValidation:
             _resolve({"scenario": "estimator-comparison", "workers": 4})
 
     def test_negative_bandwidth_named(self):
-        with pytest.raises(ValidationError, match="classifier.bandwidth must be > 0"):
+        with pytest.raises(ValidationError, match="classifier: bandwidth must be > 0"):
             _resolve({"scenario": "estimator-comparison",
                       "classifier": {"bandwidth": -1}})
 
@@ -97,6 +97,10 @@ class TestValidation:
         with pytest.raises(ValidationError, match="name must be one of"):
             _resolve({"scenario": "estimator-comparison",
                       "estimators": [{"name": "bootstrap"}]})
+        with pytest.raises(ValidationError, match=r"estimators\[1\]: .*k must be >= 2"):
+            _resolve({"scenario": "estimator-comparison",
+                      "estimators": [{"name": "probabilistic"},
+                                     {"name": "kfold-cv", "params": {"k": 1}}]})
 
     def test_duplicate_estimators_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -116,7 +120,7 @@ class TestValidation:
             _resolve({"scenario": "bias-sweep", "d_grid": [1.0, 0.5]})
 
     def test_cv_folds_k_within_budget(self):
-        with pytest.raises(ValidationError, match="params.k must be <="):
+        with pytest.raises(ValidationError, match="k=20 exceeds the smallest budget"):
             _resolve({"scenario": "cv-folds", "budgets": [10]})
 
     def test_sampler_validation(self):
@@ -126,6 +130,9 @@ class TestValidation:
         with pytest.raises(ValidationError, match="no further parameters"):
             _resolve({"scenario": "estimator-comparison",
                       "samplers": [{"kind": "data-marginal", "d": 1.0}]})
+        with pytest.raises(ValidationError, match=r"samplers\[0\]: d must be"):
+            _resolve({"scenario": "estimator-comparison",
+                      "samplers": [{"kind": "symmetric-mixture", "d": -1.0}]})
 
     def test_task_validation_propagates(self):
         with pytest.raises(ValidationError, match="sum to 1"):

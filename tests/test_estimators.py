@@ -13,7 +13,6 @@ from alperf.estimators import (
     generalization_error_estimate,
     kfold_cv,
     kfold_cv_detail,
-    local_label_statistics,
     probabilistic_performance,
     random_folds,
     self_label_cv,
@@ -21,22 +20,38 @@ from alperf.estimators import (
     true_baseline,
 )
 from alperf.harness import derive_substream
-from alperf.parzen import ClassifierConfig, fit, predict_batch
+from alperf.parzen import ClassifierConfig, fit_arrays, predict_batch
 from alperf.synthdata import (
     GaussianComponent,
-    LabeledSample,
+    LabeledSet,
     TaskModel,
-    UnlabeledSample,
     draw_labeled,
     draw_unlabeled,
     unbiased_sampler,
 )
 
 CFG = ClassifierConfig()
+NO_LABELS = LabeledSet([], [], [])
 
 
 def _labeled(pairs, density=1.0):
-    return [LabeledSample(x, y, density) for x, y in pairs]
+    return LabeledSet(
+        [x for x, _ in pairs], [y for _, y in pairs], [density] * len(pairs)
+    )
+
+
+def _fit(labeled, **config):
+    return fit_arrays(labeled.xs, labeled.ys, ClassifierConfig(**config))
+
+
+def _local_stats(labeled, x, bandwidth, count_mode="kernel"):
+    """Label mass n at x with the Beta component (alpha, beta) that the
+    probabilistic estimator builds from it for a single evaluation point;
+    n = alpha + beta - 2."""
+    est = probabilistic_performance(labeled, np.array([x]), bandwidth, count_mode)
+    alpha, beta = est.components[0]
+    n = alpha + beta - 2.0
+    return n, alpha, beta
 
 
 class TestPerformanceEstimate:
@@ -103,26 +118,26 @@ class TestGeneralizationError:
         )
 
     def test_uniform_posteriors_give_half(self):
-        m = fit([], prior_weight=0.01, class_count=2)
-        evaluation = [UnlabeledSample(x) for x in (-2.0, -1.0, 1.0, 2.0)]
+        m = _fit(NO_LABELS, prior_weight=0.01, class_count=2)
+        evaluation = np.array([-2.0, -1.0, 1.0, 2.0])
         assert generalization_error_estimate(m, evaluation).mean() == 0.5
 
     def test_uniform_posteriors_c_classes(self):
         for c in (2, 3, 5):
-            m = fit([], prior_weight=0.01, class_count=c)
-            evaluation = [UnlabeledSample(float(x)) for x in range(4)]
+            m = _fit(NO_LABELS, prior_weight=0.01, class_count=c)
+            evaluation = np.arange(4, dtype=np.float64)
             est = generalization_error_estimate(m, evaluation)
             assert est.mean() == pytest.approx(1.0 / c, abs=1e-15)
 
     def test_fully_confident_model(self):
-        m = fit(_labeled([(0.0, 1)]), prior_weight=0.0)
-        evaluation = [UnlabeledSample(x) for x in (-1.0, 0.0, 2.0)]
+        m = _fit(_labeled([(0.0, 1)]), prior_weight=0.0)
+        evaluation = np.array([-1.0, 0.0, 2.0])
         assert generalization_error_estimate(m, evaluation).mean() == 1.0
 
     def test_permutation_invariance_is_exact(self, two_point_model):
         rng = np.random.default_rng(8)
-        evaluation = [UnlabeledSample(float(x)) for x in rng.normal(0, 2, 500)]
-        shuffled = list(evaluation)
+        evaluation = rng.normal(0, 2, 500)
+        shuffled = evaluation.copy()
         rng.shuffle(shuffled)
         a = generalization_error_estimate(two_point_model, evaluation).mean()
         b = generalization_error_estimate(two_point_model, shuffled).mean()
@@ -130,7 +145,7 @@ class TestGeneralizationError:
 
     def test_empty_evaluation_rejected(self, two_point_model):
         with pytest.raises(ValidationError, match="no evaluation"):
-            generalization_error_estimate(two_point_model, [])
+            generalization_error_estimate(two_point_model, np.array([]))
 
 
 class TestRandomFolds:
@@ -220,16 +235,18 @@ class TestKFoldCV:
 class TestSelfLabelCV:
     def test_far_pool_gets_tie_break_labels(self, task):
         labeled = _labeled([(-1.0, 1), (1.0, 2)])
-        pool = [UnlabeledSample(x) for x in np.linspace(60.0, 70.0, 30)]
-        base = fit(labeled, CFG.bandwidth, CFG.prior_weight, CFG.class_count)
-        assert np.all(predict_batch(base, np.array([s.x for s in pool])) == 1)
+        pool = np.linspace(60.0, 70.0, 30)
+        base = fit_arrays(labeled.xs, labeled.ys, CFG)
+        assert np.all(predict_batch(base, pool) == 1)
         est = self_label_cv(labeled, pool, 3, CFG, derive_substream(0, (0,)))
         assert 0.0 <= est.mean() <= 1.0
 
     def test_empty_pool_falls_back_to_plain_cv(self, task):
         labeled = draw_labeled(task, unbiased_sampler(), 9, derive_substream(1, (0,)))
         with pytest.warns(UserWarning, match="empty candidate pool"):
-            fallback = self_label_cv(labeled, [], 3, CFG, derive_substream(1, (1,)))
+            fallback = self_label_cv(
+                labeled, np.array([]), 3, CFG, derive_substream(1, (1,))
+            )
         plain = kfold_cv(labeled, 3, CFG, derive_substream(1, (1,)))
         assert fallback.mean() == plain.mean()
 
@@ -237,10 +254,10 @@ class TestSelfLabelCV:
         # pool at the labeled x values, self-labels agree with the truth,
         # so the estimate equals the subset-restricted CV over the union
         labeled = _labeled([(-2.0, 1), (-1.0, 1), (1.0, 2), (2.0, 2)])
-        pool = [UnlabeledSample(s.x) for s in labeled]
+        pool = labeled.xs
         est = self_label_cv(labeled, pool, 3, CFG, derive_substream(2, (0,)))
-        union_x = np.array([s.x for s in labeled] * 2)
-        union_y = np.array([s.y for s in labeled] * 2)
+        union_x = np.tile(labeled.xs, 2)
+        union_y = np.tile(labeled.ys, 2)
         ref = _subset_restricted_cv(
             union_x, union_y, len(labeled), 3, CFG, derive_substream(2, (0,))
         )
@@ -260,33 +277,36 @@ class TestSelfLabelCV:
 
 
 class TestLocalLabelStatistics:
+    # Local statistics (n, p_hat) enter the estimate as the Beta component
+    # alpha = 1 + max(n p, n (1-p)), beta = 1 + min(n p, n (1-p)).
+
     def test_empty_labeled_set_convention(self):
-        s = local_label_statistics([], 0.0, 0.2)
-        assert s.n == 0.0 and s.p_hat == 0.5
+        n, alpha, beta = _local_stats(NO_LABELS, 0.0, 0.2)
+        assert n == 0.0 and alpha == beta == 1.0  # p_hat = 1/2
 
     def test_single_point_at_query(self):
-        s = local_label_statistics(_labeled([(0.3, 2)]), 0.3, 0.2)
-        assert s.n == 1.0 and s.p_hat == 1.0
-        s1 = local_label_statistics(_labeled([(0.3, 1)]), 0.3, 0.2)
-        assert s1.n == 1.0 and s1.p_hat == 0.0
+        n, alpha, beta = _local_stats(_labeled([(0.3, 2)]), 0.3, 0.2)
+        assert n == 1.0 and (alpha, beta) == (2.0, 1.0)  # p_hat = 1
+        n1, alpha1, beta1 = _local_stats(_labeled([(0.3, 1)]), 0.3, 0.2)
+        assert n1 == 1.0 and (alpha1, beta1) == (2.0, 1.0)  # p_hat = 0
 
     def test_symmetric_pair(self):
-        s = local_label_statistics(_labeled([(-0.2, 1), (0.2, 2)]), 0.0, 0.2)
-        assert s.n == pytest.approx(2.0 * math.exp(-0.5), abs=1e-12)
-        assert s.p_hat == pytest.approx(0.5, abs=1e-12)
+        n, alpha, beta = _local_stats(_labeled([(-0.2, 1), (0.2, 2)]), 0.0, 0.2)
+        assert n == pytest.approx(2.0 * math.exp(-0.5), abs=1e-12)
+        assert alpha == pytest.approx(beta, abs=1e-12)  # p_hat = 1/2
 
     def test_hard_count_mode(self):
         labeled = _labeled([(-0.1, 1), (0.1, 2), (0.5, 2)])
-        s = local_label_statistics(labeled, 0.0, 0.2, count_mode="hard")
-        assert s.n == 2.0 and s.p_hat == 0.5
+        n, alpha, beta = _local_stats(labeled, 0.0, 0.2, count_mode="hard")
+        assert n == 2.0 and alpha == beta == 2.0  # p_hat = 1/2
 
     def test_rejects_more_than_two_classes(self):
         with pytest.raises(ValidationError, match="2 classes"):
-            local_label_statistics(_labeled([(0.0, 3)]), 0.0, 0.2)
+            _local_stats(_labeled([(0.0, 3)]), 0.0, 0.2)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValidationError, match="count mode"):
-            local_label_statistics([], 0.0, 0.2, count_mode="soft")
+            _local_stats(NO_LABELS, 0.0, 0.2, count_mode="soft")
 
 
 class TestProbabilisticPerformance:
@@ -296,22 +316,25 @@ class TestProbabilisticPerformance:
         assert b[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_no_evidence_gives_uniform_mixture(self):
-        evaluation = [UnlabeledSample(float(x)) for x in range(5)]
-        est = probabilistic_performance([], evaluation, 0.2)
+        evaluation = np.arange(5, dtype=np.float64)
+        est = probabilistic_performance(NO_LABELS, evaluation, 0.2)
         np.testing.assert_allclose(est.components, 1.0)
         assert est.mean() == 0.5
 
     def test_component_matches_local_statistics(self):
         labeled = _labeled([(-0.2, 1), (0.1, 2), (0.15, 2)])
         x = 0.05
-        est = probabilistic_performance(labeled, [UnlabeledSample(x)], 0.2)
-        s = local_label_statistics(labeled, x, 0.2)
-        a, b = beta_components_from_stats(np.array([s.n]), np.array([s.p_hat]))
+        est = probabilistic_performance(labeled, np.array([x]), 0.2)
+        # local statistics computed directly from the kernel definition
+        w = np.exp(-((x - labeled.xs) ** 2) / (2 * 0.2**2))
+        n = w.sum()
+        p_hat = w[labeled.ys == 2].sum() / n
+        a, b = beta_components_from_stats(np.array([n]), np.array([p_hat]))
         np.testing.assert_allclose(est.components[0], [a[0], b[0]], atol=1e-12)
 
     def test_empty_evaluation_rejected(self):
         with pytest.raises(ValidationError, match="no evaluation"):
-            probabilistic_performance([], [], 0.2)
+            probabilistic_performance(NO_LABELS, np.array([]), 0.2)
 
 
 class TestTrueBaseline:
@@ -323,7 +346,7 @@ class TestTrueBaseline:
         assert tb == pytest.approx(phi15, abs=0.002)
 
     def test_constant_classifier_is_a_coin_flip(self, task):
-        m = fit(_labeled([(0.0, 1)]), prior_weight=0.0)
+        m = _fit(_labeled([(0.0, 1)]), prior_weight=0.0)
         n = 50_000
         tb = true_baseline(m, task, n, derive_substream(3, (0,))).mean()
         assert abs(tb - 0.5) < 3.0 * math.sqrt(0.25 / n)
@@ -344,7 +367,7 @@ class TestSubsampleBaseline:
                 (GaussianComponent(1.0, 100.0, 1.0),),
             ),
         )
-        m = fit(_labeled([(-100.0, 1), (100.0, 2)]), bandwidth=5.0, prior_weight=0.0)
+        m = _fit(_labeled([(-100.0, 1), (100.0, 2)]), bandwidth=5.0, prior_weight=0.0)
         est = subsample_baseline(m, far_task, 10, 200, derive_substream(0, (0,)))
         assert np.all(np.asarray(est.samples) == 1.0)
 
@@ -387,7 +410,7 @@ class TestDeterminism:
     def test_every_estimator_reproduces_bit_exact(self, task):
         labeled = draw_labeled(task, unbiased_sampler(), 20, derive_substream(5, (0,)))
         pool = draw_unlabeled(task, 60, derive_substream(5, (1,)))
-        m = fit(labeled, CFG.bandwidth, CFG.prior_weight, CFG.class_count)
+        m = fit_arrays(labeled.xs, labeled.ys, CFG)
         runs = {
             "generalization-error": lambda r: generalization_error_estimate(m, pool),
             "kfold": lambda r: kfold_cv(labeled, 3, CFG, r),

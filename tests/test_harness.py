@@ -14,10 +14,6 @@ from alperf.harness import (
     ExperimentSpec,
     acquisition_sequence,
     derive_substream,
-    run_bias_sweep,
-    run_cv_folds,
-    run_estimator_comparison,
-    run_eval_size_distribution,
     run_experiment,
     summarize,
 )
@@ -129,6 +125,8 @@ class TestSpecs:
             EstimatorSpec("kfold-cv", k=1)
         with pytest.raises(ValidationError, match="weight_cap"):
             EstimatorSpec("kfold-cv", weight_cap=2.0)
+        with pytest.raises(ValidationError, match="weight_cap must be > 0"):
+            EstimatorSpec("reweighted-cv", weight_cap=float("nan"))
 
     def test_experiment_spec_validation(self):
         spec = _spec()
@@ -138,24 +136,48 @@ class TestSpecs:
             dataclasses.replace(spec, repetitions=0)
         with pytest.raises(ValidationError, match="unknown scenario"):
             dataclasses.replace(spec, scenario="grid-search")
+        with pytest.raises(ValidationError, match="d_grid"):
+            dataclasses.replace(spec, d_grid=(float("nan"),))
+
+    def test_probabilistic_needs_two_classes(self):
+        # the default comparison estimators include the probabilistic one,
+        # which is defined for 2 classes only: rejected before any work
+        three_classes = {
+            "priors": [0.4, 0.3, 0.3],
+            "components": [[{"weight": 1.0, "mean": m, "std": 1.0}] for m in (-2, 0, 2)],
+        }
+        with pytest.raises(ValidationError, match="2-class task"):
+            _spec({"task": three_classes})
+
+    def test_replace_rejects_duplicate_estimator_ids(self):
+        spec = _spec()
+        with pytest.raises(ValidationError, match="duplicate"):
+            dataclasses.replace(
+                spec, estimators=(EstimatorSpec("kfold-cv"), EstimatorSpec("kfold-cv"))
+            )
+
+    def test_eval_size_rejects_kfold_estimator(self):
+        spec = _spec({"scenario": "eval-size-distribution", "budgets": [5, 10]})
+        with pytest.raises(ValidationError, match="only the subsample-baseline"):
+            dataclasses.replace(spec, estimators=(EstimatorSpec("kfold-cv", k=2),))
 
 
 class TestEvalSizeDistribution:
     def test_structure_and_determinism(self):
         spec = _spec({"scenario": "eval-size-distribution", "budgets": [5, 10],
                       "repetitions": 6, "train_size": 30})
-        r1 = run_eval_size_distribution(spec, workers=1)
+        r1 = run_experiment(spec, workers=1)
         assert len(r1) == 12
         assert {r.estimator for r in r1} == {"subsample-baseline"}
         assert {r.sampler for r in r1} == {"unbiased"}
-        r2 = run_eval_size_distribution(spec, workers=3)
+        r2 = run_experiment(spec, workers=3)
         assert _strip_wall(r1) == _strip_wall(r2)
 
     def test_repetition_isolation(self):
         spec = _spec({"scenario": "eval-size-distribution", "budgets": [5, 10],
                       "repetitions": 5, "train_size": 30})
-        full = run_eval_size_distribution(spec, workers=1)
-        fewer = run_eval_size_distribution(
+        full = run_experiment(spec, workers=1)
+        fewer = run_experiment(
             dataclasses.replace(spec, repetitions=3), workers=1
         )
         assert _strip_wall([r for r in full if r.repetition < 3]) == _strip_wall(fewer)
@@ -163,13 +185,13 @@ class TestEvalSizeDistribution:
     def test_huge_evaluation_set_converges_to_truth(self):
         spec = _spec({"scenario": "eval-size-distribution", "budgets": [200_000],
                       "repetitions": 1})
-        (record,) = run_eval_size_distribution(spec, workers=1)
+        (record,) = run_experiment(spec, workers=1)
         assert abs(record.estimate_mean - record.true_baseline) < 0.005
 
     def test_spread_shrinks_with_size(self):
         spec = _spec({"scenario": "eval-size-distribution", "budgets": [5, 100],
                       "repetitions": 200})
-        records = run_eval_size_distribution(spec, workers=1)
+        records = run_experiment(spec, workers=1)
         iqr = {}
         for size in (5, 100):
             s = summarize([r.estimate_mean for r in records if r.budget == size])
@@ -182,7 +204,7 @@ class TestCvFolds:
         spec = _spec({"scenario": "cv-folds", "budgets": [12], "repetitions": 8,
                       "estimators": [{"name": "kfold-cv", "params": {"k": 12}},
                                      {"name": "kfold-cv", "params": {"k": 2}}]})
-        records = run_cv_folds(spec, workers=1)
+        records = run_experiment(spec, workers=1)
         loo = {r.estimate_mean for r in records if r.estimator == "cv-12fold"}
         assert len(loo) == 1
         assert len({r.estimate_mean for r in records if r.estimator == "cv-2fold"}) > 1
@@ -190,28 +212,28 @@ class TestCvFolds:
     def test_folds_override(self):
         spec = _spec({"scenario": "cv-folds", "budgets": [10], "repetitions": 2,
                       "estimators": [{"name": "kfold-cv", "params": {"k": 2}}]})
-        records = run_cv_folds(spec, folds=[2, 5], workers=1)
+        folds = tuple(EstimatorSpec("kfold-cv", k=k) for k in (2, 5))
+        records = run_experiment(dataclasses.replace(spec, estimators=folds), workers=1)
         assert {r.estimator for r in records} == {"cv-2fold", "cv-5fold"}
 
     def test_rejects_non_cv_estimators(self):
         spec = _spec({"scenario": "cv-folds", "budgets": [10], "repetitions": 2,
                       "estimators": [{"name": "kfold-cv", "params": {"k": 2}}]})
-        bad = dataclasses.replace(spec, estimators=(EstimatorSpec("probabilistic"),))
         with pytest.raises(ValidationError, match="CV estimators"):
-            run_cv_folds(bad, workers=1)
+            dataclasses.replace(spec, estimators=(EstimatorSpec("probabilistic"),))
 
     def test_rejects_k_above_label_count(self):
         spec = _spec({"scenario": "cv-folds", "budgets": [10], "repetitions": 2,
                       "estimators": [{"name": "kfold-cv", "params": {"k": 2}}]})
         with pytest.raises(ValidationError, match="exceeds"):
-            run_cv_folds(spec, folds=[11], workers=1)
+            dataclasses.replace(spec, estimators=(EstimatorSpec("kfold-cv", k=11),))
 
 
 class TestBiasSweep:
     def test_structure(self):
         spec = _spec({"scenario": "bias-sweep", "repetitions": 3,
                       "d_grid": [0.25, 2.5], "labeled_size": 12})
-        records = run_bias_sweep(spec, workers=1)
+        records = run_experiment(spec, workers=1)
         assert len(records) == 6
         assert {r.sampler for r in records} == {"biased-d0.25", "biased-d2.5"}
         assert {r.budget for r in records} == {12}
@@ -222,15 +244,15 @@ class TestBiasSweep:
     def test_worker_invariance(self):
         spec = _spec({"scenario": "bias-sweep", "repetitions": 4,
                       "d_grid": [0.5, 1.5], "labeled_size": 9})
-        r1 = run_bias_sweep(spec, workers=1)
-        r2 = run_bias_sweep(spec, workers=4)
+        r1 = run_experiment(spec, workers=1)
+        r2 = run_experiment(spec, workers=4)
         assert _strip_wall(r1) == _strip_wall(r2)
 
 
 class TestEstimatorComparison:
     def test_budget_prefixes_are_nested_and_reproducible(self):
         spec = _spec()
-        records = run_estimator_comparison(spec, workers=1)
+        records = run_experiment(spec, workers=1)
         seq = acquisition_sequence(spec, sampler_index=0, rep=1)
         assert len(seq) == max(spec.budgets)
         # the recorded CV estimate must equal a recomputation from the
@@ -248,7 +270,7 @@ class TestEstimatorComparison:
 
     def test_all_estimators_present(self):
         spec = _spec()
-        records = run_estimator_comparison(spec, workers=1)
+        records = run_experiment(spec, workers=1)
         assert {r.estimator for r in records} == {
             "generalization-error", "cv-3fold", "self-label-cv-3fold",
             "reweighted-cv-3fold", "probabilistic", "subsample-baseline",
@@ -260,28 +282,18 @@ class TestEstimatorComparison:
 
     def test_worker_invariance(self):
         spec = _spec({"repetitions": 4})
-        r1 = run_estimator_comparison(spec, workers=1)
-        r2 = run_estimator_comparison(spec, workers=4)
+        r1 = run_experiment(spec, workers=1)
+        r2 = run_experiment(spec, workers=4)
         assert _strip_wall(r1) == _strip_wall(r2)
 
     def test_canonical_ordering(self):
         spec = _spec()
-        records = run_estimator_comparison(spec, workers=1)
+        records = run_experiment(spec, workers=1)
         keys = [r.sort_key() for r in records]
         assert keys == sorted(keys)
 
     def test_rejects_k_above_smallest_budget(self):
         spec = _spec()
-        bad = dataclasses.replace(
-            spec, estimators=(EstimatorSpec("kfold-cv", k=11),)
-        )
         with pytest.raises(ValidationError, match="smallest budget"):
-            run_estimator_comparison(bad, workers=1)
+            dataclasses.replace(spec, estimators=(EstimatorSpec("kfold-cv", k=11),))
 
-
-class TestRunExperiment:
-    def test_dispatch_matches_scenario_runner(self):
-        spec = _spec({"repetitions": 2})
-        assert _strip_wall(run_experiment(spec)) == _strip_wall(
-            run_estimator_comparison(spec)
-        )

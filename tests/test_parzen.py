@@ -7,36 +7,51 @@ from alperf.errors import ValidationError
 from alperf.harness import derive_substream
 from alperf.parzen import (
     ClassifierConfig,
-    accuracy_on,
-    fit,
+    accuracy_arrays,
+    class_kernel_mass,
     fit_arrays,
-    kernel_stats,
-    posterior,
     posterior_batch,
-    predict,
     predict_batch,
 )
 from alperf.estimators import true_baseline
-from alperf.synthdata import LabeledSample, draw_labeled, unbiased_sampler
+from alperf.synthdata import draw_labeled, unbiased_sampler
 
 
-def _samples(pairs):
-    return [LabeledSample(x, y, 1.0) for x, y in pairs]
+def _arrays(pairs):
+    """(x, label) pairs as the feature and label arrays of an evaluation set."""
+    xs = np.array([x for x, _ in pairs], dtype=np.float64)
+    ys = np.array([y for _, y in pairs], dtype=np.int64)
+    return xs, ys
+
+
+def _post(m, x):
+    return posterior_batch(m, np.array([x]))[0]
+
+
+def _pred(m, x):
+    return int(predict_batch(m, np.array([x]))[0])
+
+
+_EMPTY = (np.array([]), np.array([], dtype=np.int64))
+
+
+def _masses(m, xs):
+    return class_kernel_mass(xs, m.train_x, m.train_y, m.bandwidth, m.class_count)
 
 
 class TestFit:
     def test_empty_training_uniform_posterior(self):
-        m = fit([], bandwidth=0.2, prior_weight=0.01, class_count=2)
+        m = fit_arrays(*_EMPTY, ClassifierConfig(bandwidth=0.2, prior_weight=0.01, class_count=2))
         for x in (-3.0, 0.0, 5.0):
-            np.testing.assert_array_equal(posterior(m, x), [0.5, 0.5])
+            np.testing.assert_array_equal(_post(m, x), [0.5, 0.5])
 
     def test_label_out_of_range_names_index(self):
         with pytest.raises(ValidationError, match="index 1 is 3"):
-            fit(_samples([(-1.0, 1), (0.0, 3)]), class_count=2)
+            fit_arrays(*_arrays([(-1.0, 1), (0.0, 3)]), ClassifierConfig(class_count=2))
 
     def test_bandwidth_positive(self):
         with pytest.raises(ValidationError, match="bandwidth"):
-            fit(_samples([(-1.0, 1)]), bandwidth=0.0)
+            fit_arrays(*_arrays([(-1.0, 1)]), ClassifierConfig(bandwidth=0.0))
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="length"):
@@ -51,25 +66,25 @@ class TestFit:
 
 class TestPosterior:
     def test_symmetric_evidence(self, two_point_model):
-        p = posterior(two_point_model, 0.0)
+        p = _post(two_point_model, 0.0)
         assert p[0] == p[1] == 0.5
 
     def test_on_training_point(self, two_point_model):
         # kernel mass 1 at the point itself, e^{-50} from the far point
-        p = posterior(two_point_model, 1.0)
+        p = _post(two_point_model, 1.0)
         expected = (1.0 + 0.01) / (1.0 + math.exp(-50.0) + 0.02)
         assert p[1] == pytest.approx(expected, abs=1e-12)
         assert p[1] == pytest.approx(0.9902, abs=1e-4)
 
     def test_unlabeled_region_is_uniform(self, two_point_model):
-        np.testing.assert_allclose(posterior(two_point_model, 100.0), 0.5, atol=1e-9)
+        np.testing.assert_allclose(_post(two_point_model, 100.0), 0.5, atol=1e-9)
 
     def test_normalization_on_random_queries(self):
         rng = np.random.default_rng(0)
-        training = _samples(
+        training = _arrays(
             [(float(x), int(y)) for x, y in zip(rng.normal(0, 2, 40), rng.integers(1, 4, 40))]
         )
-        m = fit(training, bandwidth=0.3, prior_weight=0.01, class_count=3)
+        m = fit_arrays(*training, ClassifierConfig(bandwidth=0.3, prior_weight=0.01, class_count=3))
         xs = np.concatenate([rng.uniform(-30, 30, 10_000), [1e6, -1e6]])
         post = posterior_batch(m, xs)
         assert np.all(post >= 0.0)
@@ -91,45 +106,48 @@ class TestPosterior:
 
     def test_ratio_form_scale_invariance(self, two_point_model):
         # scaling every kernel mass and epsilon jointly keeps the ratio
-        for x in (-0.7, 0.2, 3.0):
-            stats = kernel_stats(two_point_model, x)
-            p = posterior(two_point_model, x)
+        xs = np.array([-0.7, 0.2, 3.0])
+        masses = _masses(two_point_model, xs)
+        post = posterior_batch(two_point_model, xs)
+        for p, per_class in zip(post, masses):
             for lam in (0.5, 3.0, 100.0):
-                scaled = (lam * stats.per_class_mass + lam * 0.01) / (
-                    lam * stats.total_mass + 2 * lam * 0.01
+                scaled = (lam * per_class + lam * 0.01) / (
+                    lam * per_class.sum() + 2 * lam * 0.01
                 )
                 np.testing.assert_allclose(p, scaled, atol=1e-12)
 
     def test_tail_convergence_to_uniform(self, two_point_model):
-        gaps = [abs(posterior(two_point_model, x)[1] - 0.5) for x in (5.0, 10.0, 20.0)]
+        gaps = [abs(_post(two_point_model, x)[1] - 0.5) for x in (5.0, 10.0, 20.0)]
         assert gaps[0] >= gaps[1] >= gaps[2]
         assert gaps[2] < 1e-9
 
     def test_zero_mass_without_prior_is_degenerate(self):
         # exponent clamping keeps kernel mass positive for any finite
         # distance, so zero total mass means an empty training set
-        m = fit([], bandwidth=0.05, prior_weight=0.0)
+        m = fit_arrays(*_EMPTY, ClassifierConfig(bandwidth=0.05, prior_weight=0.0))
         with pytest.warns(UserWarning, match="degenerate"):
-            p = posterior(m, 50.0)
+            p = _post(m, 50.0)
         np.testing.assert_array_equal(p, [0.5, 0.5])
 
     def test_kernel_stats_consistency(self, two_point_model):
-        s = kernel_stats(two_point_model, 0.3)
-        assert np.all(s.per_class_mass >= 0.0)
-        assert s.total_mass == pytest.approx(s.per_class_mass.sum(), abs=1e-12)
+        # per-class masses are nonnegative and add up to the direct kernel sum
+        (per_class,) = _masses(two_point_model, np.array([0.3]))
+        assert np.all(per_class >= 0.0)
+        total = sum(math.exp(-((0.3 - x) ** 2) / (2 * 0.2**2)) for x in (-1.0, 1.0))
+        assert total == pytest.approx(per_class.sum(), abs=1e-12)
 
 
 class TestPredict:
     def test_nearest_evidence_wins(self, two_point_model):
-        assert predict(two_point_model, 0.5) == 2
-        assert predict(two_point_model, -0.5) == 1
+        assert _pred(two_point_model, 0.5) == 2
+        assert _pred(two_point_model, -0.5) == 1
 
     def test_tie_breaks_to_smallest_class(self, two_point_model):
-        assert predict(two_point_model, 0.0) == 1
+        assert _pred(two_point_model, 0.0) == 1
 
     def test_empty_training_predicts_class_one(self):
-        m = fit([], prior_weight=0.01)
-        assert predict(m, -7.0) == predict(m, 7.0) == 1
+        m = fit_arrays(*_EMPTY, ClassifierConfig(prior_weight=0.01))
+        assert _pred(m, -7.0) == _pred(m, 7.0) == 1
 
     def test_argmax_invariant_under_monotone_transforms(self, two_point_model):
         xs = np.linspace(-3, 3, 41)
@@ -141,39 +159,39 @@ class TestPredict:
 
 class TestAccuracy:
     def test_always_right(self, two_point_model):
-        evaluation = _samples([(-1.2, 1), (-0.3, 1), (0.4, 2), (2.0, 2)])
-        assert accuracy_on(two_point_model, evaluation) == 1.0
+        evaluation = _arrays([(-1.2, 1), (-0.3, 1), (0.4, 2), (2.0, 2)])
+        assert accuracy_arrays(two_point_model, *evaluation) == 1.0
 
     def test_weighted_arithmetic(self, two_point_model):
         # correctness pattern (1, 1, 0) with weights (1, 1, 2)
-        evaluation = _samples([(-1.0, 1), (1.0, 2), (1.0, 1)])
-        acc = accuracy_on(two_point_model, evaluation, weights=np.array([1.0, 1.0, 2.0]))
+        evaluation = _arrays([(-1.0, 1), (1.0, 2), (1.0, 1)])
+        acc = accuracy_arrays(two_point_model, *evaluation, weights=np.array([1.0, 1.0, 2.0]))
         assert acc == 0.5
 
     def test_uniform_weights_equal_unweighted(self, two_point_model):
         rng = np.random.default_rng(4)
-        evaluation = _samples(
+        evaluation = _arrays(
             [(float(x), int(y)) for x, y in zip(rng.normal(0, 2, 30), rng.integers(1, 3, 30))]
         )
-        unweighted = accuracy_on(two_point_model, evaluation)
+        unweighted = accuracy_arrays(two_point_model, *evaluation)
         for w in (0.1, 1.0, 7.3):
-            weighted = accuracy_on(
-                two_point_model, evaluation, weights=np.full(30, w)
+            weighted = accuracy_arrays(
+                two_point_model, *evaluation, weights=np.full(30, w)
             )
             assert weighted == unweighted
 
     def test_empty_evaluation_rejected(self, two_point_model):
         with pytest.raises(ValidationError, match="no evaluation instances"):
-            accuracy_on(two_point_model, [])
+            accuracy_arrays(two_point_model, *_EMPTY)
 
     def test_weight_validation(self, two_point_model):
-        evaluation = _samples([(-1.0, 1), (1.0, 2)])
+        evaluation = _arrays([(-1.0, 1), (1.0, 2)])
         with pytest.raises(ValidationError, match="nonnegative"):
-            accuracy_on(two_point_model, evaluation, weights=np.array([1.0, -1.0]))
+            accuracy_arrays(two_point_model, *evaluation, weights=np.array([1.0, -1.0]))
         with pytest.raises(ValidationError, match="zero"):
-            accuracy_on(two_point_model, evaluation, weights=np.array([0.0, 0.0]))
+            accuracy_arrays(two_point_model, *evaluation, weights=np.array([0.0, 0.0]))
         with pytest.raises(ValidationError, match="length"):
-            accuracy_on(two_point_model, evaluation, weights=np.array([1.0]))
+            accuracy_arrays(two_point_model, *evaluation, weights=np.array([1.0]))
 
 
 class TestTrainedModelQuality:
@@ -184,6 +202,9 @@ class TestTrainedModelQuality:
         training = draw_labeled(
             task, unbiased_sampler(), 100, derive_substream(seed, (0,))
         )
-        m = fit(training, bandwidth=0.2, prior_weight=0.01, class_count=2)
+        m = fit_arrays(
+            training.xs, training.ys,
+            ClassifierConfig(bandwidth=0.2, prior_weight=0.01, class_count=2),
+        )
         tb = true_baseline(m, task, 200_000, derive_substream(seed, (1,))).mean()
         assert 0.88 <= tb <= 0.945

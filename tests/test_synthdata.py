@@ -10,18 +10,15 @@ from alperf.synthdata import (
     DATA_MARGINAL,
     SYMMETRIC_MIXTURE,
     GaussianComponent,
-    LabeledSample,
+    LabeledSet,
     SamplingDistribution,
     TaskModel,
-    UnlabeledSample,
     bayes_accuracy,
-    bayes_posterior,
     bayes_posterior_batch,
     default_task,
     draw_labeled,
     draw_unlabeled,
     marginal_density,
-    sampling_density,
     sampling_density_batch,
     unbiased_sampler,
 )
@@ -30,6 +27,14 @@ from alperf.synthdata import (
 def _phi(x):
     """Standard normal CDF via erf (independent closed form)."""
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def _post(task, x):
+    return bayes_posterior_batch(task, np.array([x]))[0]
+
+
+def _q(s, task, x):
+    return sampling_density_batch(s, task, np.array([x]))[0]
 
 
 def _npdf(x, mean, std):
@@ -81,38 +86,56 @@ class TestTaskModelValidation:
 
 
 class TestSampleValidation:
-    def test_unlabeled_x_finite(self):
+    def test_labeled_x_finite(self):
         with pytest.raises(ValidationError):
-            UnlabeledSample(float("nan"))
+            LabeledSet([float("nan")], [1], [0.1])
 
     def test_labeled_class_index(self):
         with pytest.raises(ValidationError):
-            LabeledSample(0.0, 0, 0.1)
+            LabeledSet([0.0], [0], [0.1])
+        with pytest.raises(ValidationError):
+            LabeledSet([0.0], [1.0], [0.1])
 
     def test_labeled_density_positive(self):
         with pytest.raises(ValidationError):
-            LabeledSample(0.0, 1, 0.0)
+            LabeledSet([0.0], [1], [0.0])
         with pytest.raises(ValidationError):
-            LabeledSample(0.0, 1, float("inf"))
+            LabeledSet([0.0], [1], [float("inf")])
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            LabeledSet([0.0, 1.0], [1], [0.1, 0.1])
+        with pytest.raises(ValidationError, match="equal length"):
+            LabeledSet([0.0], [1], [0.1, 0.1])
+
+    def test_prefix_slice_is_a_labeled_set(self):
+        labeled = LabeledSet([0.5, -1.0, 2.0], [2, 1, 2], [0.1, 0.2, 0.3])
+        assert len(labeled) == 3
+        prefix = labeled[:2]
+        assert isinstance(prefix, LabeledSet) and len(prefix) == 2
+        np.testing.assert_array_equal(prefix.xs, [0.5, -1.0])
+        np.testing.assert_array_equal(prefix.ys, [2, 1])
+        np.testing.assert_array_equal(prefix.qs, [0.1, 0.2])
+        assert len(labeled[:0]) == 0
+        with pytest.raises(ValueError, match="read-only"):
+            labeled.xs[0] = 1.0
 
 
 class TestBayesPosterior:
     def test_symmetry_at_zero(self, task):
-        post = bayes_posterior(task, 0.0)
+        post = _post(task, 0.0)
         assert post[0] == 0.5 and post[1] == 0.5
 
     def test_closed_form_log_odds(self, task):
         # For unit-variance classes at -1.5/+1.5 the log odds are 3x.
-        post = bayes_posterior(task, 1.0)
+        post = _post(task, 1.0)
         assert post[1] == pytest.approx(1.0 / (1.0 + math.exp(-3.0)), abs=1e-12)
         # independent oracle: direct density ratio
         ratio = _npdf(1.0, 1.5, 1.0) / (_npdf(1.0, 1.5, 1.0) + _npdf(1.0, -1.5, 1.0))
         assert post[1] == pytest.approx(ratio, abs=1e-12)
 
     def test_mirror_symmetry(self, task):
-        assert bayes_posterior(task, -1.0)[0] == pytest.approx(
-            bayes_posterior(task, 1.0)[1], abs=1e-15
-        )
+        assert _post(task, -1.0)[0] == pytest.approx(_post(task, 1.0)[1], abs=1e-15)
 
     def test_valid_distribution_everywhere(self, task):
         rng = np.random.default_rng(7)
@@ -123,19 +146,19 @@ class TestBayesPosterior:
 
     def test_underflow_falls_back_to_priors(self, task):
         # all class-conditional densities are numerically zero out there
-        np.testing.assert_array_equal(bayes_posterior(task, 500.0), [0.5, 0.5])
+        np.testing.assert_array_equal(_post(task, 500.0), [0.5, 0.5])
 
     def test_monotone_in_x(self, task):
         xs = np.linspace(-6.0, 6.0, 1001)
         p2 = bayes_posterior_batch(task, xs)[:, 1]
         assert np.all(np.diff(p2) > 0)
-        assert bayes_posterior(task, 0.0)[1] == 0.5
+        assert _post(task, 0.0)[1] == 0.5
 
 
 class TestSamplingDensity:
     def test_marginal_at_zero(self, task):
         expected = 0.5 * _npdf(0.0, -1.5, 1.0) + 0.5 * _npdf(0.0, 1.5, 1.0)
-        assert sampling_density(unbiased_sampler(), task, 0.0) == pytest.approx(
+        assert _q(unbiased_sampler(), task, 0.0) == pytest.approx(
             expected, abs=1e-15
         )
         assert expected == pytest.approx(0.1295, abs=5e-5)
@@ -145,7 +168,7 @@ class TestSamplingDensity:
         expected = 0.5 * stats.norm.pdf(0.9, 0.9, 0.25) + 0.5 * stats.norm.pdf(
             0.9, -0.9, 0.25
         )
-        assert sampling_density(s, task, 0.9) == pytest.approx(expected, rel=1e-12)
+        assert _q(s, task, 0.9) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.798, abs=1e-3)
 
     def test_mixture_symmetry(self, task):
@@ -161,7 +184,7 @@ class TestSamplingDensity:
 
     def test_marginal_needs_model(self):
         with pytest.raises(ValidationError, match="task model"):
-            sampling_density(unbiased_sampler(), None, 0.0)
+            _q(unbiased_sampler(), None, 0.0)
 
     @pytest.mark.parametrize(
         "s",
@@ -173,7 +196,7 @@ class TestSamplingDensity:
     )
     def test_density_integrates_to_one(self, task, s):
         total, _ = integrate.quad(
-            lambda x: sampling_density(s, task, x), -10.0, 10.0, limit=200
+            lambda x: _q(s, task, x), -10.0, 10.0, limit=200
         )
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -189,31 +212,31 @@ class TestSamplingDensity:
 class TestDraws:
     def test_empty_draws(self, task):
         rng = derive_substream(0, (0,))
-        assert draw_labeled(task, unbiased_sampler(), 0, rng) == []
-        assert draw_unlabeled(task, 0, rng) == []
+        assert len(draw_labeled(task, unbiased_sampler(), 0, rng)) == 0
+        assert draw_unlabeled(task, 0, rng).shape == (0,)
 
     def test_reproducible_bit_exact(self, task):
         s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.9)
         a = draw_labeled(task, s, 500, derive_substream(11, (1, 2)))
         b = draw_labeled(task, s, 500, derive_substream(11, (1, 2)))
-        assert a == b
+        for field in ("xs", "ys", "qs"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
         ua = draw_unlabeled(task, 500, derive_substream(11, (3,)))
         ub = draw_unlabeled(task, 500, derive_substream(11, (3,)))
-        assert ua == ub
+        np.testing.assert_array_equal(ua, ub)
 
     def test_class_balance_unbiased(self, task):
         samples = draw_labeled(
             task, unbiased_sampler(), 100_000, derive_substream(5, (0,))
         )
-        frac1 = np.mean([s.y == 1 for s in samples])
+        frac1 = np.mean(samples.ys == 1)
         assert abs(frac1 - 0.5) < 0.005
 
     def test_far_sampler_label_noise_negligible(self, task):
         # oracle disagreement probability pinned by quadrature
         s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=2.5, component_std=0.25)
         p_exact, _ = integrate.quad(
-            lambda x: sampling_density(s, task, x)
-            * float(bayes_posterior(task, x).min()),
+            lambda x: _q(s, task, x) * float(_post(task, x).min()),
             -10.0,
             10.0,
             limit=200,
@@ -221,30 +244,26 @@ class TestDraws:
         assert p_exact < 1e-3
         n = 10_000
         samples = draw_labeled(task, s, n, derive_substream(9, (0,)))
-        frac = np.mean([s_.y != (2 if s_.x > 0 else 1) for s_ in samples])
+        frac = np.mean(samples.ys != np.where(samples.xs > 0, 2, 1))
         assert frac < 1e-3
         assert abs(frac - p_exact) < 4.0 * math.sqrt(p_exact / n)
 
     def test_densities_recorded(self, task):
         s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.5)
         samples = draw_labeled(task, s, 50, derive_substream(2, (0,)))
-        for sample in samples:
-            assert sample.sampling_density == pytest.approx(
-                sampling_density(s, task, sample.x), rel=1e-12
-            )
+        np.testing.assert_allclose(
+            samples.qs, sampling_density_batch(s, task, samples.xs), rtol=1e-12, atol=0
+        )
 
     def test_marginal_moments(self, task):
-        samples = draw_unlabeled(task, 100_000, derive_substream(13, (0,)))
-        xs = np.array([s.x for s in samples])
+        xs = draw_unlabeled(task, 100_000, derive_substream(13, (0,)))
         assert abs(xs.mean()) < 0.02
         frac_mid = np.mean(np.abs(xs) < 0.5)
         expected = _phi(2.0) - _phi(1.0)  # marginal mass on (-0.5, 0.5)
         assert abs(frac_mid - expected) < 0.005
 
     def test_histogram_matches_analytic_pdf(self, task):
-        xs = np.array(
-            [s.x for s in draw_unlabeled(task, 100_000, derive_substream(21, (0,)))]
-        )
+        xs = draw_unlabeled(task, 100_000, derive_substream(21, (0,)))
         edges = np.linspace(-6.0, 6.0, 101)
         emp, _ = np.histogram(xs, bins=edges)
         emp = emp / len(xs)
@@ -260,9 +279,8 @@ class TestDraws:
         # near the boundary labels must be noisy at the posterior rate
         s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.25, component_std=0.01)
         samples = draw_labeled(task, s, 20_000, derive_substream(17, (0,)))
-        right = [smp for smp in samples if smp.x > 0]
-        frac2 = np.mean([smp.y == 2 for smp in right])
-        expected = bayes_posterior(task, 0.25)[1]
+        frac2 = np.mean(samples.ys[samples.xs > 0] == 2)
+        expected = _post(task, 0.25)[1]
         assert abs(frac2 - expected) < 0.02
 
 
