@@ -48,6 +48,7 @@ _DEFAULT_REPETITIONS = {
     harness.BIAS_SWEEP: 50,
     harness.ESTIMATOR_COMPARISON: 200,
 }
+_DEFAULT_D_GRID = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0]
 _DEFAULT_BUDGETS = {
     harness.EVAL_SIZE_DISTRIBUTION: [5, 10, 20, 100],
     harness.CV_FOLDS: [20],
@@ -348,7 +349,7 @@ def resolve_config(text: str) -> ResolvedConfig:
     document: dict = {"scenario": scenario, "master_seed": master_seed}
 
     if scenario == harness.BIAS_SWEEP:
-        d_grid_raw = _as_list(take("d_grid", list(harness.DEFAULT_D_GRID)), "d_grid")
+        d_grid_raw = _as_list(take("d_grid", _DEFAULT_D_GRID), "d_grid")
         d_grid = tuple(_as_number(d, "d_grid[]") for d in d_grid_raw)
         labeled_size = _as_int(take("labeled_size", 30), "labeled_size")
         with _at("d_grid"):
@@ -356,7 +357,7 @@ def resolve_config(text: str) -> ResolvedConfig:
                 SamplingDistribution(kind=synthdata.SYMMETRIC_MIXTURE, d=d) for d in d_grid
             )
         budgets = (labeled_size,)
-        kwargs.update(d_grid=d_grid, labeled_size=labeled_size)
+        kwargs["labeled_size"] = labeled_size
     else:
         default_samplers = (
             _DEFAULT_COMPARISON_SAMPLERS
@@ -407,7 +408,7 @@ def resolve_config(text: str) -> ResolvedConfig:
         document["train_size"] = spec.train_size
     if scenario == harness.BIAS_SWEEP:
         document["labeled_size"] = spec.labeled_size
-        document["d_grid"] = list(spec.d_grid)
+        document["d_grid"] = [s.d for s in spec.samplers]
     if scenario == harness.ESTIMATOR_COMPARISON:
         document["pool_size"] = spec.pool_size
         document["subsample_reps"] = spec.subsample_reps

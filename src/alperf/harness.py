@@ -63,8 +63,6 @@ ESTIMATOR_NAMES = (
 )
 _CV_FAMILY = (KFOLD_CV, REWEIGHTED_CV, SELF_LABEL_CV)
 
-DEFAULT_D_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0)
-
 
 def derive_substream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
     """Deterministic, collision-resistant stream for a (seed, path) pair.
@@ -187,7 +185,6 @@ class ExperimentSpec:
     master_seed: int = 0
     train_size: int = 100
     labeled_size: int = 30
-    d_grid: tuple[float, ...] = DEFAULT_D_GRID
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -198,10 +195,6 @@ class ExperimentSpec:
             raise ValidationError(f"train_size must be >= 1, got {self.train_size}")
         if self.labeled_size < 1:
             raise ValidationError(f"labeled_size must be >= 1, got {self.labeled_size}")
-        if not self.d_grid or not all(d > 0 for d in self.d_grid):
-            raise ValidationError("d_grid must be nonempty with positive distances")
-        if not all(a < b for a, b in zip(self.d_grid, self.d_grid[1:])):
-            raise ValidationError("d_grid must be strictly increasing")
         if not self.budgets:
             raise ValidationError("budgets must be nonempty")
         if any(b < 1 for b in self.budgets):
@@ -260,6 +253,16 @@ class ExperimentSpec:
         if self.scenario == BIAS_SWEEP:
             if [e.name for e in self.estimators] != [KFOLD_CV]:
                 raise ValidationError("bias-sweep runs exactly one kfold-cv estimator")
+            ds = [s.d for s in self.samplers]
+            if (
+                any(s.kind != synthdata.SYMMETRIC_MIXTURE for s in self.samplers)
+                or ds[0] <= 0.0
+                or any(a >= b for a, b in zip(ds, ds[1:]))
+            ):
+                raise ValidationError(
+                    "bias-sweep needs symmetric-mixture samplers whose distances "
+                    f"(the d_grid) are positive and strictly increasing, got {labels}"
+                )
             k_limit, limit_name = self.labeled_size, "labeled_size"
         else:
             k_limit, limit_name = min(self.budgets), "the smallest budget"
@@ -450,8 +453,7 @@ def _bias_sweep_units(spec: ExperimentSpec) -> list:
 def _bias_sweep_unit(spec: ExperimentSpec, rep: int) -> list[RunRecord]:
     espec = spec.estimators[0]
     records = []
-    for d_idx, d in enumerate(spec.d_grid):
-        sampler = SamplingDistribution(kind=synthdata.SYMMETRIC_MIXTURE, d=d)
+    for d_idx, sampler in enumerate(spec.samplers):
         labeled = synthdata.draw_labeled(
             spec.task, sampler, spec.labeled_size,
             derive_substream(spec.master_seed, (0, d_idx, rep)),

@@ -70,8 +70,9 @@ def fit_arrays(
 ) -> ParzenModel:
     """Build a model from raw (x, label) arrays. No iterative training."""
     class_count = config.class_count
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.int64)
+    # Copies, so freezing the model's arrays never freezes the caller's.
+    xs = np.array(xs, dtype=np.float64)
+    ys = np.array(ys, dtype=np.int64)
     if xs.shape != ys.shape:
         raise ValidationError("training features and labels differ in length")
     bad = np.nonzero((ys < 1) | (ys > class_count))[0]
@@ -86,12 +87,19 @@ def fit_arrays(
 def kernel_weights(
     query_xs: np.ndarray, train_xs: np.ndarray, bandwidth: float
 ) -> np.ndarray:
-    """Unnormalized Gaussian kernel matrix of shape (n_query, n_train)."""
-    diff = np.asarray(query_xs, dtype=np.float64)[:, None] - np.asarray(
-        train_xs, dtype=np.float64
-    )[None, :]
-    expo = -(diff * diff) / (2.0 * bandwidth * bandwidth)
-    return np.exp(np.maximum(expo, _EXP_CLAMP))
+    """Unnormalized Gaussian kernel matrix of shape (n_query, n_train).
+
+    Every step after the difference works in place on one buffer, in the
+    order exp(max(-(d * d) / (2 h^2), clamp)).
+    """
+    w = np.subtract.outer(
+        np.asarray(query_xs, dtype=np.float64), np.asarray(train_xs, dtype=np.float64)
+    )
+    np.multiply(w, w, out=w)
+    np.negative(w, out=w)
+    np.divide(w, 2.0 * bandwidth * bandwidth, out=w)
+    np.maximum(w, _EXP_CLAMP, out=w)
+    return np.exp(w, out=w)
 
 
 def class_kernel_mass(
@@ -127,11 +135,10 @@ def posterior_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
     masses = class_kernel_mass(xs, m.train_x, m.train_y, m.bandwidth, m.class_count)
     eps = m.prior_weight
     total = masses.sum(axis=1) + m.class_count * eps
-    out = np.empty_like(masses)
-    ok = total > 0.0
-    out[ok] = (masses[ok] + eps) / total[ok, None]
-    degenerate = int((~ok).sum())
-    if degenerate:
+    ok = total > 0.0  # every row when prior_weight > 0
+    out = (masses + eps) / np.where(ok, total, 1.0)[:, None]
+    if not ok.all():
+        degenerate = int((~ok).sum())
         warnings.warn(
             f"degenerate posterior at {degenerate} query point(s): "
             "zero kernel mass with prior_weight=0; returning uniform",

@@ -73,8 +73,10 @@ class TaskModel:
             raise ValidationError(
                 "class_components and class_priors must have the same length"
             )
-        if any(p < 0.0 for p in self.class_priors):
-            raise ValidationError("class priors must be nonnegative")
+        if not all(p >= 0.0 and math.isfinite(p) for p in self.class_priors):
+            raise ValidationError(
+                f"class priors must be finite and nonnegative, got {self.class_priors!r}"
+            )
         if abs(sum(self.class_priors) - 1.0) > _PROB_TOL:
             raise ValidationError(
                 f"class priors must sum to 1 within {_PROB_TOL}, got {sum(self.class_priors)!r}"
@@ -129,10 +131,13 @@ class SamplingDistribution:
                 )
             if self.d < 0.0 or not math.isfinite(self.d):
                 raise ValidationError(f"d must be a finite distance >= 0, got {self.d}")
-            if len(self.component_priors) != 2 or any(
-                p < 0.0 for p in self.component_priors
+            if len(self.component_priors) != 2 or not all(
+                p >= 0.0 and math.isfinite(p) for p in self.component_priors
             ):
-                raise ValidationError("component_priors must be a nonnegative pair")
+                raise ValidationError(
+                    "component_priors must be a finite nonnegative pair, "
+                    f"got {self.component_priors!r}"
+                )
             if abs(sum(self.component_priors) - 1.0) > _PROB_TOL:
                 raise ValidationError(
                     f"component_priors must sum to 1, got {sum(self.component_priors)!r}"

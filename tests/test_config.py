@@ -50,8 +50,9 @@ class TestDefaults:
         assert [e.k for e in fig3.estimators] == [2, 5, 10, 20]
         fig5 = _resolve({"scenario": "bias-sweep"}).spec
         assert fig5.labeled_size == 30
-        assert fig5.d_grid[0] == 0.25 and fig5.d_grid[-1] == 3.0
-        assert len(fig5.d_grid) == 12
+        d_grid = [s.d for s in fig5.samplers]
+        assert d_grid[0] == 0.25 and d_grid[-1] == 3.0
+        assert len(d_grid) == 12
 
     def test_document_echo_roundtrips(self):
         r = _resolve({"scenario": "estimator-comparison", "master_seed": 9})
@@ -133,6 +134,19 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"samplers\[0\]: d must be"):
             _resolve({"scenario": "estimator-comparison",
                       "samplers": [{"kind": "symmetric-mixture", "d": -1.0}]})
+
+    def test_nan_priors_rejected_with_field_path(self):
+        components = [[{"weight": 1.0, "mean": 0.0, "std": 1.0}],
+                      [{"weight": 1.0, "mean": 1.0, "std": 1.0}]]
+        nan = float("nan")  # json.dumps writes it as the NaN literal
+        with pytest.raises(ValidationError, match="^task: class priors must be finite"):
+            _resolve({"scenario": "estimator-comparison",
+                      "task": {"priors": [nan, nan], "components": components}})
+        with pytest.raises(ValidationError, match=r"^samplers\[1\]: component_priors"):
+            _resolve({"scenario": "estimator-comparison",
+                      "samplers": [{"kind": "data-marginal"},
+                                   {"kind": "symmetric-mixture", "d": 0.5,
+                                    "priors": [nan, nan]}]})
 
     def test_task_validation_propagates(self):
         with pytest.raises(ValidationError, match="sum to 1"):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from alperf.errors import ValidationError
 from alperf.estimators import (
@@ -108,6 +108,61 @@ class TestPerformanceEstimate:
         for q in (0.1, 0.25, 0.5, 0.75, 0.9):
             assert e.cdf(e.quantile(q)) == pytest.approx(q, abs=1e-9)
         assert e.quantile(0.25) <= e.median() <= e.quantile(0.75)
+
+
+# (alphas, betas) of Beta mixtures whose quantiles are checked against a
+# brentq solve of the same CDF.
+_BETA_BATTERY = {
+    "single": ([10.0], [2.0]),
+    "uniform": ([1.0], [1.0]),
+    "hard-counts": ([1.0, 2.0, 4.0, 7.0, 3.0, 1.0, 12.0], [1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0]),
+    "alpha-1e3": ([1e3, 1.5e3], [2.0, 1.0]),
+    "beta-1e3": ([1.0, 3.0], [1e3, 5e3]),
+    "alpha-1e5": ([1e5, 1e5], [3.0, 1.0]),
+    "beta-1e6": ([2.0], [1e6]),
+    "bimodal": ([40.0] * 5 + [2.0] * 5, [2.0] * 5 + [40.0] * 5),
+    "bimodal-peaked": ([1e3, 1e3, 1.0, 1.0], [1.0, 1.0, 1e3, 1e3]),
+}
+
+
+class TestBetaQuantile:
+    @staticmethod
+    def _brentq(e, q):
+        return optimize.brentq(lambda t: e.cdf(t) - q, 0.0, 1.0, xtol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(_BETA_BATTERY))
+    def test_matches_brentq(self, name):
+        alphas, betas = _BETA_BATTERY[name]
+        e = PerformanceEstimate.beta_mixture(np.array(alphas), np.array(betas))
+        for q in (0.01, 0.25, 0.5, 0.75, 0.99):
+            assert abs(e.quantile(q) - self._brentq(e, q)) <= 2e-12, q
+        assert e.quantile(0.25) <= e.median() <= e.quantile(0.75)
+
+    def test_matches_brentq_on_estimator_mixtures(self):
+        rng = np.random.default_rng(11)
+        for budget in (10, 50):
+            xs = rng.normal(0.0, 1.5, budget)
+            labeled = _labeled([(x, 1 + int(x > 0)) for x in xs])
+            pool = rng.normal(0.0, 2.0, 1000)
+            for mode in ("kernel", "hard"):
+                e = probabilistic_performance(labeled, pool, 0.2, mode)
+                for q in (0.25, 0.5, 0.75):
+                    assert abs(e.quantile(q) - self._brentq(e, q)) <= 2e-12
+
+    def test_solves_through_cdf_in_few_evaluations(self, monkeypatch):
+        e = PerformanceEstimate.beta_mixture(np.array([5.0, 2.0]), np.array([2.0, 2.0]))
+        expected = e.quantile(0.3)
+        calls = []
+        cdf = PerformanceEstimate.cdf
+
+        def counting(self, t):
+            calls.append(t)
+            return cdf(self, t)
+
+        monkeypatch.setattr(PerformanceEstimate, "cdf", counting)
+        assert e.quantile(0.3) == expected
+        assert 1 <= len(calls) <= 4
+        assert all(0.0 < t < 1.0 for t in calls)
 
 
 class TestGeneralizationError:

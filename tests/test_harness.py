@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from alperf import synthdata
 from alperf.config import resolve_config
 from alperf.errors import ValidationError
-from alperf.estimators import kfold_cv
+from alperf.estimators import kfold_cv, kfold_cv_detail
 from alperf.harness import (
     BoxplotStats,
     EstimatorSpec,
@@ -137,7 +138,7 @@ class TestSpecs:
         with pytest.raises(ValidationError, match="unknown scenario"):
             dataclasses.replace(spec, scenario="grid-search")
         with pytest.raises(ValidationError, match="d_grid"):
-            dataclasses.replace(spec, d_grid=(float("nan"),))
+            _spec({"scenario": "bias-sweep", "d_grid": [float("nan")]})
 
     def test_probabilistic_needs_two_classes(self):
         # the default comparison estimators include the probabilistic one,
@@ -247,6 +248,39 @@ class TestBiasSweep:
         r1 = run_experiment(spec, workers=1)
         r2 = run_experiment(spec, workers=4)
         assert _strip_wall(r1) == _strip_wall(r2)
+
+    def test_uses_the_spec_samplers(self):
+        spec = _spec({"scenario": "bias-sweep", "repetitions": 2,
+                      "d_grid": [0.5, 1.5], "labeled_size": 9})
+        wide = tuple(dataclasses.replace(s, component_std=1.0) for s in spec.samplers)
+        wide_spec = dataclasses.replace(spec, samplers=wide)
+        records = run_experiment(wide_spec, workers=1)
+        default_means = [r.estimate_mean for r in run_experiment(spec, workers=1)]
+        assert [r.estimate_mean for r in records] != default_means
+        for r in records:
+            d_idx = [s.label() for s in wide].index(r.sampler)
+            labeled = synthdata.draw_labeled(
+                spec.task, wide[d_idx], spec.labeled_size,
+                derive_substream(spec.master_seed, (0, d_idx, r.repetition)),
+            )
+            expected = kfold_cv_detail(
+                labeled, 3, spec.classifier,
+                derive_substream(spec.master_seed, (1, d_idx, r.repetition)),
+            ).estimate.mean()
+            assert r.estimate_mean == expected
+
+    def test_samplers_must_form_a_d_grid(self):
+        spec = _spec({"scenario": "bias-sweep", "repetitions": 2,
+                      "d_grid": [0.5, 1.5], "labeled_size": 9})
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            dataclasses.replace(spec, samplers=spec.samplers[::-1])
+        with pytest.raises(ValidationError, match="symmetric-mixture"):
+            dataclasses.replace(
+                spec, samplers=(synthdata.unbiased_sampler(), spec.samplers[1])
+            )
+        zero = dataclasses.replace(spec.samplers[0], d=0.0)
+        with pytest.raises(ValidationError, match="positive"):
+            dataclasses.replace(spec, samplers=(zero, spec.samplers[1]))
 
 
 class TestEstimatorComparison:

@@ -10,6 +10,7 @@ from alperf.parzen import (
     accuracy_arrays,
     class_kernel_mass,
     fit_arrays,
+    kernel_weights,
     posterior_batch,
     predict_batch,
 )
@@ -39,7 +40,33 @@ def _masses(m, xs):
     return class_kernel_mass(xs, m.train_x, m.train_y, m.bandwidth, m.class_count)
 
 
+class TestKernelWeights:
+    def test_matches_direct_formula_bitwise(self):
+        rng = np.random.default_rng(2)
+        for nq, nt in ((1000, 50), (7, 1), (0, 3), (4, 0)):
+            query, train = rng.normal(0, 3, nq), rng.normal(0, 3, nt)
+            query_copy, train_copy = query.copy(), train.copy()
+            for h in (0.2, 0.01):
+                d = query[:, None] - train[None, :]
+                expected = np.exp(np.maximum(-(d * d) / (2 * h * h), -700.0))
+                got = kernel_weights(query, train, h)
+                assert got.shape == (nq, nt)
+                assert np.array_equal(got, expected)
+            np.testing.assert_array_equal(query, query_copy)
+            np.testing.assert_array_equal(train, train_copy)
+
+
 class TestFit:
+    def test_caller_arrays_stay_writeable(self):
+        xs, ys = _arrays([(-1.0, 1), (1.0, 2)])
+        m = fit_arrays(xs, ys)
+        before = posterior_batch(m, np.array([-0.5, 0.5]))
+        assert xs.flags.writeable and ys.flags.writeable
+        xs[0] = 5.0
+        ys[1] = 1
+        np.testing.assert_array_equal(posterior_batch(m, np.array([-0.5, 0.5])), before)
+        assert not m.train_x.flags.writeable and not m.train_y.flags.writeable
+
     def test_empty_training_uniform_posterior(self):
         m = fit_arrays(*_EMPTY, ClassifierConfig(bandwidth=0.2, prior_weight=0.01, class_count=2))
         for x in (-3.0, 0.0, 5.0):
@@ -128,6 +155,22 @@ class TestPosterior:
         with pytest.warns(UserWarning, match="degenerate"):
             p = _post(m, 50.0)
         np.testing.assert_array_equal(p, [0.5, 0.5])
+
+    def test_positive_mass_path_matches_masked_path(self):
+        rng = np.random.default_rng(4)
+        for prior_weight in (0.01, 0.0):
+            m = fit_arrays(
+                rng.normal(0, 1, 30), rng.integers(1, 4, 30),
+                ClassifierConfig(bandwidth=0.3, prior_weight=prior_weight, class_count=3),
+            )
+            xs = rng.uniform(-5, 5, 2000)
+            masses = _masses(m, xs)
+            total = masses.sum(axis=1) + 3 * prior_weight
+            ok = total > 0.0
+            assert ok.all()
+            masked = np.empty_like(masses)
+            masked[ok] = (masses[ok] + prior_weight) / total[ok, None]
+            np.testing.assert_array_equal(posterior_batch(m, xs), masked)
 
     def test_kernel_stats_consistency(self, two_point_model):
         # per-class masses are nonnegative and add up to the direct kernel sum

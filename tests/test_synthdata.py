@@ -52,6 +52,26 @@ class TestTaskModelValidation:
                 ),
             )
 
+    def test_priors_must_be_finite(self):
+        for priors in ((math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0)):
+            with pytest.raises(ValidationError, match="finite and nonnegative"):
+                TaskModel(
+                    class_priors=priors,
+                    class_components=(
+                        (GaussianComponent(1.0, 0.0, 1.0),),
+                        (GaussianComponent(1.0, 1.0, 1.0),),
+                    ),
+                )
+        with pytest.raises(ValidationError, match="component weight"):
+            GaussianComponent(math.nan, 0.0, 1.0)
+
+    def test_sampler_component_priors_must_be_finite(self):
+        for priors in ((math.nan, math.nan), (math.nan, 1.0), (-0.5, 1.5)):
+            with pytest.raises(ValidationError, match="finite nonnegative pair"):
+                SamplingDistribution(
+                    kind=SYMMETRIC_MIXTURE, d=1.0, component_priors=priors
+                )
+
     def test_needs_two_classes(self):
         with pytest.raises(ValidationError, match="2 classes"):
             TaskModel(
