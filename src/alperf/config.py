@@ -84,15 +84,6 @@ _DEFAULT_TASK = {
     ],
 }
 
-_ESTIMATOR_PARAM_KEYS = {
-    harness.GENERALIZATION_ERROR: set(),
-    harness.KFOLD_CV: {"k"},
-    harness.REWEIGHTED_CV: {"k", "weight_cap"},
-    harness.SELF_LABEL_CV: {"k"},
-    harness.PROBABILISTIC: {"count_mode"},
-    harness.SUBSAMPLE_BASELINE: set(),
-}
-
 
 @dataclass(frozen=True)
 class ResolvedConfig:
@@ -257,8 +248,8 @@ def _build_estimator(obj, field: str) -> EstimatorSpec:
         name in harness.ESTIMATOR_NAMES,
         f"{field}.name must be one of {', '.join(harness.ESTIMATOR_NAMES)}",
     )
-    params = obj.get("params", {})
-    params = _as_object(params, f"{field}.params", _ESTIMATOR_PARAM_KEYS[name])
+    reads = set(harness.ESTIMATOR_TABLE[name].reads)
+    params = _as_object(obj.get("params", {}), f"{field}.params", reads)
     kwargs = {}
     if "k" in params:
         kwargs["k"] = _as_int(params["k"], f"{field}.params.k")
@@ -273,14 +264,8 @@ def _build_estimator(obj, field: str) -> EstimatorSpec:
 
 
 def _estimator_document(e: EstimatorSpec) -> dict:
-    params: dict = {}
-    if e.name in (harness.KFOLD_CV, harness.REWEIGHTED_CV, harness.SELF_LABEL_CV):
-        params["k"] = e.k
-    if e.name == harness.REWEIGHTED_CV and e.weight_cap is not None:
-        params["weight_cap"] = e.weight_cap
-    if e.name == harness.PROBABILISTIC:
-        params["count_mode"] = e.count_mode
-    return {"name": e.name, "params": params}
+    values = {f: getattr(e, f) for f in harness.ESTIMATOR_TABLE[e.name].reads}
+    return {"name": e.name, "params": {f: v for f, v in values.items() if v is not None}}
 
 
 def resolve_config(text: str) -> ResolvedConfig:
@@ -351,13 +336,12 @@ def resolve_config(text: str) -> ResolvedConfig:
     if scenario == harness.BIAS_SWEEP:
         d_grid_raw = _as_list(take("d_grid", _DEFAULT_D_GRID), "d_grid")
         d_grid = tuple(_as_number(d, "d_grid[]") for d in d_grid_raw)
-        labeled_size = _as_int(take("labeled_size", 30), "labeled_size")
+        # labeled_size is bias-sweep's single budget.
+        budgets = (_as_int(take("labeled_size", 30), "labeled_size"),)
         with _at("d_grid"):
             samplers = tuple(
                 SamplingDistribution(kind=synthdata.SYMMETRIC_MIXTURE, d=d) for d in d_grid
             )
-        budgets = (labeled_size,)
-        kwargs["labeled_size"] = labeled_size
     else:
         default_samplers = (
             _DEFAULT_COMPARISON_SAMPLERS
@@ -407,7 +391,7 @@ def resolve_config(text: str) -> ResolvedConfig:
     if scenario == harness.EVAL_SIZE_DISTRIBUTION:
         document["train_size"] = spec.train_size
     if scenario == harness.BIAS_SWEEP:
-        document["labeled_size"] = spec.labeled_size
+        document["labeled_size"] = spec.budgets[0]
         document["d_grid"] = [s.d for s in spec.samplers]
     if scenario == harness.ESTIMATOR_COMPARISON:
         document["pool_size"] = spec.pool_size

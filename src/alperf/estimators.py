@@ -57,14 +57,14 @@ class PerformanceEstimate:
         elif self.kind == EMPIRICAL:
             if self.samples is None or len(self.samples) == 0:
                 raise ValidationError("empirical estimate needs at least one sample")
-            if np.any(self.samples < 0.0) or np.any(self.samples > 1.0):
+            if not np.all((self.samples >= 0.0) & (self.samples <= 1.0)):
                 raise ValidationError("empirical samples must lie in [0,1]")
             self.samples.setflags(write=False)
         elif self.kind == BETA_MIXTURE:
             if self.components is None or len(self.components) == 0:
                 raise ValidationError("beta mixture needs at least one component")
-            if np.any(self.components <= 0.0):
-                raise ValidationError("beta parameters must be strictly positive")
+            if not np.all(np.isfinite(self.components) & (self.components > 0.0)):
+                raise ValidationError("beta parameters must be finite and strictly positive")
             self.components.setflags(write=False)
         else:
             raise ValidationError(f"unknown estimate kind {self.kind!r}")
@@ -75,7 +75,8 @@ class PerformanceEstimate:
 
     @classmethod
     def empirical(cls, values: np.ndarray) -> PerformanceEstimate:
-        return cls(kind=EMPIRICAL, samples=np.asarray(values, dtype=np.float64))
+        # A copy, so freezing the samples never freezes the caller's array.
+        return cls(kind=EMPIRICAL, samples=np.array(values, dtype=np.float64))
 
     @classmethod
     def beta_mixture(cls, alphas: np.ndarray, betas: np.ndarray) -> PerformanceEstimate:
@@ -374,8 +375,6 @@ def _two_class_masses(
     count_mode: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(total mass, class-2 mass) at each query; two-class tasks only."""
-    if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-        raise ValidationError(f"bandwidth must be > 0, got {bandwidth}")
     if count_mode not in (KERNEL_COUNT, HARD_COUNT):
         raise ValidationError(f"unknown count mode {count_mode!r}")
     nq = len(query_xs)
@@ -410,7 +409,7 @@ def beta_components_from_stats(
 def probabilistic_performance(
     labeled: LabeledSet,
     evaluation: np.ndarray,
-    bandwidth: float,
+    config: ClassifierConfig,
     count_mode: str = KERNEL_COUNT,
 ) -> PerformanceEstimate:
     """Accuracy as an equal-prior mixture of per-instance Beta distributions.
@@ -419,12 +418,12 @@ def probabilistic_performance(
     its local label statistics: the nearby-label count n and the local
     class-2 fraction p_hat. The count is a soft kernel mass by default;
     ``count_mode="hard"`` switches to counting instances within one
-    bandwidth. With no mass p_hat defaults to 1/2, so instances with no
-    nearby labels contribute the uniform Beta(1, 1).
+    bandwidth of ``config``. With no mass p_hat defaults to 1/2, so
+    instances with no nearby labels contribute the uniform Beta(1, 1).
     """
     if len(evaluation) == 0:
         raise ValidationError("no evaluation instances")
-    total, class2 = _two_class_masses(labeled, evaluation, bandwidth, count_mode)
+    total, class2 = _two_class_masses(labeled, evaluation, config.bandwidth, count_mode)
     p_hat = np.where(total > 0.0, class2 / np.where(total > 0.0, total, 1.0), 0.5)
     alphas, betas = beta_components_from_stats(total, p_hat)
     return PerformanceEstimate.beta_mixture(alphas, betas)

@@ -29,16 +29,15 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import estimators, parzen, synthdata
 from .errors import ValidationError
-from .estimators import PerformanceEstimate
-from .parzen import ClassifierConfig, ParzenModel
+from .parzen import ClassifierConfig
 from .synthdata import LabeledSet, SamplingDistribution, TaskModel
 
 EVAL_SIZE_DISTRIBUTION = "eval-size-distribution"
@@ -53,15 +52,54 @@ REWEIGHTED_CV = "reweighted-cv"
 SELF_LABEL_CV = "self-label-cv"
 PROBABILISTIC = "probabilistic"
 SUBSAMPLE_BASELINE = "subsample-baseline"
-ESTIMATOR_NAMES = (
-    GENERALIZATION_ERROR,
-    KFOLD_CV,
-    REWEIGHTED_CV,
-    SELF_LABEL_CV,
-    PROBABILISTIC,
-    SUBSAMPLE_BASELINE,
-)
-_CV_FAMILY = (KFOLD_CV, REWEIGHTED_CV, SELF_LABEL_CV)
+
+
+class EstimatorEntry(NamedTuple):
+    """What the harness knows about one estimator."""
+
+    reads: tuple[str, ...]  # the EstimatorSpec fields it reads
+    id_template: str  # record id, formatted with k and the count-mode tag
+    run: Callable  # run(spec, espec, labeled, pool, model, budget, rng)
+
+
+# Each run looks its function up in ``estimators`` at call time, so a wrapper
+# installed there reaches it.
+ESTIMATOR_TABLE = {
+    GENERALIZATION_ERROR: EstimatorEntry(
+        (), "generalization-error",
+        lambda spec, e, labeled, pool, model, budget, rng:
+            estimators.generalization_error_estimate(model, pool),
+    ),
+    KFOLD_CV: EstimatorEntry(
+        ("k",), "cv-{k}fold",
+        lambda spec, e, labeled, pool, model, budget, rng:
+            estimators.kfold_cv(labeled, e.k, spec.classifier, rng),
+    ),
+    REWEIGHTED_CV: EstimatorEntry(
+        ("k", "weight_cap"), "reweighted-cv-{k}fold",
+        lambda spec, e, labeled, pool, model, budget, rng: estimators.kfold_cv(
+            labeled, e.k, spec.classifier, rng, reweighted=True, weight_cap=e.weight_cap
+        ),
+    ),
+    SELF_LABEL_CV: EstimatorEntry(
+        ("k",), "self-label-cv-{k}fold",
+        lambda spec, e, labeled, pool, model, budget, rng:
+            estimators.self_label_cv(labeled, pool, e.k, spec.classifier, rng),
+    ),
+    PROBABILISTIC: EstimatorEntry(
+        ("count_mode",), "probabilistic{count_mode}",
+        lambda spec, e, labeled, pool, model, budget, rng:
+            estimators.probabilistic_performance(labeled, pool, spec.classifier, e.count_mode),
+    ),
+    SUBSAMPLE_BASELINE: EstimatorEntry(
+        (), "subsample-baseline",
+        lambda spec, e, labeled, pool, model, budget, rng:
+            estimators.subsample_baseline(model, spec.task, budget, spec.subsample_reps, rng),
+    ),
+}
+ESTIMATOR_NAMES = tuple(ESTIMATOR_TABLE)
+# How each count mode appears in a record id.
+_COUNT_MODE_ID = {estimators.KERNEL_COUNT: "", estimators.HARD_COUNT: "-hard"}
 
 
 def derive_substream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
@@ -132,35 +170,27 @@ class EstimatorSpec:
     count_mode: str = estimators.KERNEL_COUNT
 
     def __post_init__(self):
-        if self.name not in ESTIMATOR_NAMES:
+        if self.name not in ESTIMATOR_TABLE:
             raise ValidationError(f"unknown estimator {self.name!r}")
-        if self.name in _CV_FAMILY and self.k < 2:
+        reads = ESTIMATOR_TABLE[self.name].reads
+        for f in fields(self):
+            if f.name not in ("name", *reads) and getattr(self, f.name) != f.default:
+                raise ValidationError(f"estimator {self.name} does not take {f.name}")
+        if "k" in reads and self.k < 2:
             raise ValidationError(f"estimator {self.name}: k must be >= 2, got {self.k}")
-        if self.weight_cap is not None:
-            if self.name != REWEIGHTED_CV:
-                raise ValidationError(
-                    f"estimator {self.name}: weight_cap only applies to {REWEIGHTED_CV}"
-                )
-            if not self.weight_cap > 0.0:
-                raise ValidationError(
-                    f"estimator {self.name}: weight_cap must be > 0, got {self.weight_cap}"
-                )
-        if self.count_mode not in (estimators.KERNEL_COUNT, estimators.HARD_COUNT):
+        if self.weight_cap is not None and not self.weight_cap > 0.0:
+            raise ValidationError(
+                f"estimator {self.name}: weight_cap must be > 0, got {self.weight_cap}"
+            )
+        if self.count_mode not in _COUNT_MODE_ID:
             raise ValidationError(
                 f"estimator {self.name}: unknown count_mode {self.count_mode!r}"
             )
 
     def estimator_id(self) -> str:
         """Stable identifier used in records, files and plots."""
-        if self.name == KFOLD_CV:
-            return f"cv-{self.k}fold"
-        if self.name == REWEIGHTED_CV:
-            return f"reweighted-cv-{self.k}fold"
-        if self.name == SELF_LABEL_CV:
-            return f"self-label-cv-{self.k}fold"
-        if self.name == PROBABILISTIC and self.count_mode == estimators.HARD_COUNT:
-            return "probabilistic-hard"
-        return self.name
+        template = ESTIMATOR_TABLE[self.name].id_template
+        return template.format(k=self.k, count_mode=_COUNT_MODE_ID[self.count_mode])
 
 
 @dataclass(frozen=True)
@@ -184,7 +214,6 @@ class ExperimentSpec:
     subsample_reps: int = 100
     master_seed: int = 0
     train_size: int = 100
-    labeled_size: int = 30
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -193,12 +222,10 @@ class ExperimentSpec:
             raise ValidationError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.train_size < 1:
             raise ValidationError(f"train_size must be >= 1, got {self.train_size}")
-        if self.labeled_size < 1:
-            raise ValidationError(f"labeled_size must be >= 1, got {self.labeled_size}")
         if not self.budgets:
             raise ValidationError("budgets must be nonempty")
         if any(b < 1 for b in self.budgets):
-            raise ValidationError("budgets must be >= 1")
+            raise ValidationError(f"budgets must be >= 1, got {list(self.budgets)}")
         if any(a >= b for a, b in zip(self.budgets, self.budgets[1:])):
             raise ValidationError("budgets must be strictly increasing")
         if self.pool_size < 1:
@@ -239,11 +266,11 @@ class ExperimentSpec:
             raise ValidationError(
                 "eval-size-distribution supports only the subsample-baseline estimator"
             )
+        if self.scenario in (CV_FOLDS, BIAS_SWEEP) and len(self.budgets) != 1:
+            raise ValidationError(
+                f"{self.scenario} uses exactly one budget (the labeled-set size)"
+            )
         if self.scenario == CV_FOLDS:
-            if len(self.budgets) != 1:
-                raise ValidationError(
-                    "cv-folds uses exactly one budget (the labeled-set size)"
-                )
             bad = [e.name for e in self.estimators if e.name not in (KFOLD_CV, REWEIGHTED_CV)]
             if bad:
                 raise ValidationError(
@@ -263,13 +290,11 @@ class ExperimentSpec:
                     "bias-sweep needs symmetric-mixture samplers whose distances "
                     f"(the d_grid) are positive and strictly increasing, got {labels}"
                 )
-            k_limit, limit_name = self.labeled_size, "labeled_size"
-        else:
-            k_limit, limit_name = min(self.budgets), "the smallest budget"
         for i, e in enumerate(self.estimators):
-            if e.name in _CV_FAMILY and e.k > k_limit:
+            if "k" in ESTIMATOR_TABLE[e.name].reads and e.k > min(self.budgets):
                 raise ValidationError(
-                    f"estimators[{i}] ({ids[i]}): k={e.k} exceeds {limit_name} ({k_limit})"
+                    f"estimators[{i}] ({ids[i]}): k={e.k} exceeds the smallest budget "
+                    f"({min(self.budgets)})"
                 )
 
 
@@ -323,37 +348,6 @@ def _ms_since(t0: float) -> float:
     estimator call and read this after its summary, so ``wall_ms`` covers
     both."""
     return (time.perf_counter() - t0) * 1000.0
-
-
-def _apply_estimator(
-    spec: ExperimentSpec,
-    espec: EstimatorSpec,
-    labeled: LabeledSet,
-    pool: np.ndarray | None,
-    model: ParzenModel | None,
-    budget: int,
-    rng: np.random.Generator,
-) -> PerformanceEstimate:
-    if espec.name == GENERALIZATION_ERROR:
-        return estimators.generalization_error_estimate(model, pool)
-    if espec.name == KFOLD_CV:
-        return estimators.kfold_cv(labeled, espec.k, spec.classifier, rng)
-    if espec.name == REWEIGHTED_CV:
-        return estimators.kfold_cv(
-            labeled, espec.k, spec.classifier, rng,
-            reweighted=True, weight_cap=espec.weight_cap,
-        )
-    if espec.name == SELF_LABEL_CV:
-        return estimators.self_label_cv(labeled, pool, espec.k, spec.classifier, rng)
-    if espec.name == PROBABILISTIC:
-        return estimators.probabilistic_performance(
-            labeled, pool, spec.classifier.bandwidth, espec.count_mode
-        )
-    if espec.name == SUBSAMPLE_BASELINE:
-        return estimators.subsample_baseline(
-            model, spec.task, budget, spec.subsample_reps, rng
-        )
-    raise ValidationError(f"unknown estimator {espec.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +416,9 @@ def _cv_folds_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
     records = []
     for e_idx, espec in enumerate(spec.estimators):
         rng = derive_substream(spec.master_seed, (1, rep, e_idx))
+        run = ESTIMATOR_TABLE[espec.name].run
         t0 = time.perf_counter()
-        summary = _apply_estimator(
-            spec, espec, labeled, None, None, spec.budgets[0], rng
-        ).summary()
+        summary = run(spec, espec, labeled, None, None, spec.budgets[0], rng).summary()
         records.append(
             _record(
                 spec.scenario, rep, spec.samplers[0].label(), spec.budgets[0],
@@ -444,8 +437,9 @@ def _bias_sweep_units(spec: ExperimentSpec) -> list:
     """Sweep the acquisition distance d; per repetition, compare internal
     CV against the fold-trained models' accuracy on a fresh hold-out set.
 
-    The hold-out truth averages the per-fold models so it refers to the
-    same classifiers the CV estimate was computed from.
+    The labeled-set size is the single configured budget. The hold-out
+    truth averages the per-fold models so it refers to the same classifiers
+    the CV estimate was computed from.
     """
     return list(range(spec.repetitions))
 
@@ -455,7 +449,7 @@ def _bias_sweep_unit(spec: ExperimentSpec, rep: int) -> list[RunRecord]:
     records = []
     for d_idx, sampler in enumerate(spec.samplers):
         labeled = synthdata.draw_labeled(
-            spec.task, sampler, spec.labeled_size,
+            spec.task, sampler, spec.budgets[0],
             derive_substream(spec.master_seed, (0, d_idx, rep)),
         )
         t0 = time.perf_counter()
@@ -474,7 +468,7 @@ def _bias_sweep_unit(spec: ExperimentSpec, rep: int) -> list[RunRecord]:
         )
         records.append(
             _record(
-                spec.scenario, rep, sampler.label(), spec.labeled_size,
+                spec.scenario, rep, sampler.label(), spec.budgets[0],
                 espec.estimator_id(), summary, truth, wall_ms,
             )
         )
@@ -525,10 +519,9 @@ def _comparison_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
         ).mean()
         for e_idx, espec in enumerate(spec.estimators):
             rng = derive_substream(spec.master_seed, (3, s_idx, rep, b_idx, e_idx))
+            run = ESTIMATOR_TABLE[espec.name].run
             t0 = time.perf_counter()
-            summary = _apply_estimator(
-                spec, espec, labeled, pool, model, budget, rng
-            ).summary()
+            summary = run(spec, espec, labeled, pool, model, budget, rng).summary()
             records.append(
                 _record(
                     spec.scenario, rep, sampler.label(), budget,

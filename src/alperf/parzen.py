@@ -52,17 +52,11 @@ class ParzenModel:
 
     train_x: np.ndarray
     train_y: np.ndarray
-    bandwidth: float
-    prior_weight: float
-    class_count: int
+    config: ClassifierConfig
 
     def __post_init__(self):
         self.train_x.setflags(write=False)
         self.train_y.setflags(write=False)
-
-    @property
-    def config(self) -> ClassifierConfig:
-        return ClassifierConfig(self.bandwidth, self.prior_weight, self.class_count)
 
 
 def fit_arrays(
@@ -81,7 +75,7 @@ def fit_arrays(
         raise ValidationError(
             f"training label at index {i} is {int(ys[i])}, outside 1..{class_count}"
         )
-    return ParzenModel(xs, ys, config.bandwidth, config.prior_weight, class_count)
+    return ParzenModel(xs, ys, config)
 
 
 def kernel_weights(
@@ -132,9 +126,10 @@ def posterior_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
     warning flags them as degenerate.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    masses = class_kernel_mass(xs, m.train_x, m.train_y, m.bandwidth, m.class_count)
-    eps = m.prior_weight
-    total = masses.sum(axis=1) + m.class_count * eps
+    c = m.config
+    masses = class_kernel_mass(xs, m.train_x, m.train_y, c.bandwidth, c.class_count)
+    eps = c.prior_weight
+    total = masses.sum(axis=1) + c.class_count * eps
     ok = total > 0.0  # every row when prior_weight > 0
     out = (masses + eps) / np.where(ok, total, 1.0)[:, None]
     if not ok.all():
@@ -144,7 +139,7 @@ def posterior_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
             "zero kernel mass with prior_weight=0; returning uniform",
             stacklevel=2,
         )
-        out[~ok] = 1.0 / m.class_count
+        out[~ok] = 1.0 / c.class_count
     return out
 
 
@@ -153,29 +148,9 @@ def predict_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
     return np.argmax(posterior_batch(m, xs), axis=1) + 1
 
 
-def accuracy_arrays(
-    m: ParzenModel,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> float:
-    """Fraction of correct predictions, optionally weighted per sample."""
+def accuracy_arrays(m: ParzenModel, xs: np.ndarray, ys: np.ndarray) -> float:
+    """Fraction of correct predictions."""
     if len(xs) == 0:
         raise ValidationError("no evaluation instances")
-    correct = (predict_batch(m, xs) == np.asarray(ys)).astype(np.float64)
-    if weights is None:
-        return float(correct.mean())
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != correct.shape:
-        raise ValidationError("weights must match the evaluation set in length")
-    if np.any(weights < 0.0):
-        raise ValidationError("weights must be nonnegative")
-    wsum = weights.sum()
-    if not wsum > 0.0:
-        raise ValidationError("weights must not all be zero")
-    if np.ptp(weights) == 0.0:
-        # Constant weights reduce to the unweighted mean; taking that path
-        # keeps the identity exact instead of within float rounding.
-        return float(correct.mean())
-    return float((weights * correct).sum() / wsum)
+    return float((predict_batch(m, xs) == np.asarray(ys)).mean())
 

@@ -56,17 +56,13 @@ class GaussianComponent:
 class TaskModel:
     """Data-generating distribution: class priors plus per-class Gaussian mixtures.
 
-    Classes are indexed 1..C. The feature space is one-dimensional; ``dim``
-    is carried for forward compatibility but only 1 is supported.
+    Classes are indexed 1..C. The feature space is one-dimensional.
     """
 
     class_priors: tuple[float, ...]
     class_components: tuple[tuple[GaussianComponent, ...], ...]
-    dim: int = 1
 
     def __post_init__(self):
-        if self.dim != 1:
-            raise ValidationError(f"only dim=1 is supported, got {self.dim}")
         if len(self.class_priors) < 2:
             raise ValidationError("a task needs at least 2 classes")
         if len(self.class_components) != len(self.class_priors):

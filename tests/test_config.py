@@ -49,15 +49,25 @@ class TestDefaults:
         assert fig3.budgets == (20,)
         assert [e.k for e in fig3.estimators] == [2, 5, 10, 20]
         fig5 = _resolve({"scenario": "bias-sweep"}).spec
-        assert fig5.labeled_size == 30
+        assert fig5.budgets == (30,)
         d_grid = [s.d for s in fig5.samplers]
         assert d_grid[0] == 0.25 and d_grid[-1] == 3.0
         assert len(d_grid) == 12
 
     def test_document_echo_roundtrips(self):
-        r = _resolve({"scenario": "estimator-comparison", "master_seed": 9})
-        r2 = _resolve(r.document)
-        assert r2.spec == r.spec
+        with_params = {
+            "scenario": "estimator-comparison", "master_seed": 9,
+            "estimators": [
+                {"name": "reweighted-cv", "params": {"k": 3, "weight_cap": 5.0}},
+                {"name": "probabilistic", "params": {"count_mode": "hard"}},
+            ],
+        }
+        for cfg in ({"scenario": "estimator-comparison", "master_seed": 9}, with_params):
+            r = _resolve(cfg)
+            r2 = _resolve(r.document)
+            assert r2.spec == r.spec
+            assert r2.document == r.document
+        assert r2.document["estimators"] == with_params["estimators"]
         assert r2.defaults_applied == ()
 
 
@@ -123,6 +133,10 @@ class TestValidation:
     def test_cv_folds_k_within_budget(self):
         with pytest.raises(ValidationError, match="k=20 exceeds the smallest budget"):
             _resolve({"scenario": "cv-folds", "budgets": [10]})
+        # bias-sweep's single budget is its labeled_size
+        with pytest.raises(ValidationError, match=r"k=5 exceeds the smallest budget \(4\)"):
+            _resolve({"scenario": "bias-sweep", "labeled_size": 4,
+                      "estimators": [{"name": "kfold-cv", "params": {"k": 5}}]})
 
     def test_sampler_validation(self):
         with pytest.raises(ValidationError, match="needs d"):

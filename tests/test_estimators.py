@@ -48,7 +48,8 @@ def _local_stats(labeled, x, bandwidth, count_mode="kernel"):
     """Label mass n at x with the Beta component (alpha, beta) that the
     probabilistic estimator builds from it for a single evaluation point;
     n = alpha + beta - 2."""
-    est = probabilistic_performance(labeled, np.array([x]), bandwidth, count_mode)
+    config = ClassifierConfig(bandwidth=bandwidth)
+    est = probabilistic_performance(labeled, np.array([x]), config, count_mode)
     alpha, beta = est.components[0]
     n = alpha + beta - 2.0
     return n, alpha, beta
@@ -72,8 +73,15 @@ class TestPerformanceEstimate:
             assert e.quantile(q) == float(np.percentile(vals, 100 * q))
 
     def test_empirical_range_validated(self):
-        with pytest.raises(ValidationError):
-            PerformanceEstimate.empirical(np.array([0.5, 1.5]))
+        for samples in ([0.5, 1.5], [float("nan"), 0.5]):
+            with pytest.raises(ValidationError, match=r"lie in \[0,1\]"):
+                PerformanceEstimate.empirical(np.array(samples))
+
+    def test_caller_arrays_stay_writeable(self):
+        values, alphas, betas = np.array([0.2, 0.4]), np.array([2.0]), np.array([1.0])
+        PerformanceEstimate.empirical(values)
+        PerformanceEstimate.beta_mixture(alphas, betas)
+        values[0], alphas[0], betas[0] = 0.1, 3.0, 2.0
 
     def test_beta_single_component(self):
         e = PerformanceEstimate.beta_mixture(np.array([10.0]), np.array([2.0]))
@@ -91,8 +99,9 @@ class TestPerformanceEstimate:
         assert e2.mean() == pytest.approx(float((a / (a + b)).mean()), abs=1e-12)
 
     def test_beta_parameters_positive(self):
-        with pytest.raises(ValidationError):
-            PerformanceEstimate.beta_mixture(np.array([0.0]), np.array([1.0]))
+        for alpha, beta in ((0.0, 1.0), (float("nan"), 1.0), (1.0, float("inf"))):
+            with pytest.raises(ValidationError, match="beta parameters"):
+                PerformanceEstimate.beta_mixture(np.array([alpha]), np.array([beta]))
 
     def test_beta_cdf_monotone_with_unit_range(self):
         e = PerformanceEstimate.beta_mixture(
@@ -145,7 +154,7 @@ class TestBetaQuantile:
             labeled = _labeled([(x, 1 + int(x > 0)) for x in xs])
             pool = rng.normal(0.0, 2.0, 1000)
             for mode in ("kernel", "hard"):
-                e = probabilistic_performance(labeled, pool, 0.2, mode)
+                e = probabilistic_performance(labeled, pool, CFG, mode)
                 for q in (0.25, 0.5, 0.75):
                     assert abs(e.quantile(q) - self._brentq(e, q)) <= 2e-12
 
@@ -372,14 +381,14 @@ class TestProbabilisticPerformance:
 
     def test_no_evidence_gives_uniform_mixture(self):
         evaluation = np.arange(5, dtype=np.float64)
-        est = probabilistic_performance(NO_LABELS, evaluation, 0.2)
+        est = probabilistic_performance(NO_LABELS, evaluation, CFG)
         np.testing.assert_allclose(est.components, 1.0)
         assert est.mean() == 0.5
 
     def test_component_matches_local_statistics(self):
         labeled = _labeled([(-0.2, 1), (0.1, 2), (0.15, 2)])
         x = 0.05
-        est = probabilistic_performance(labeled, np.array([x]), 0.2)
+        est = probabilistic_performance(labeled, np.array([x]), CFG)
         # local statistics computed directly from the kernel definition
         w = np.exp(-((x - labeled.xs) ** 2) / (2 * 0.2**2))
         n = w.sum()
@@ -389,7 +398,7 @@ class TestProbabilisticPerformance:
 
     def test_empty_evaluation_rejected(self):
         with pytest.raises(ValidationError, match="no evaluation"):
-            probabilistic_performance(NO_LABELS, np.array([]), 0.2)
+            probabilistic_performance(NO_LABELS, np.array([]), CFG)
 
 
 class TestTrueBaseline:
@@ -471,7 +480,7 @@ class TestDeterminism:
             "kfold": lambda r: kfold_cv(labeled, 3, CFG, r),
             "reweighted": lambda r: kfold_cv(labeled, 3, CFG, r, reweighted=True),
             "self-label": lambda r: self_label_cv(labeled, pool, 3, CFG, r),
-            "probabilistic": lambda r: probabilistic_performance(labeled, pool, 0.2),
+            "probabilistic": lambda r: probabilistic_performance(labeled, pool, CFG),
             "true-baseline": lambda r: true_baseline(m, task, 500, r),
             "subsample": lambda r: subsample_baseline(m, task, 10, 50, r),
         }

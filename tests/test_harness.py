@@ -128,6 +128,10 @@ class TestSpecs:
             EstimatorSpec("kfold-cv", weight_cap=2.0)
         with pytest.raises(ValidationError, match="weight_cap must be > 0"):
             EstimatorSpec("reweighted-cv", weight_cap=float("nan"))
+        with pytest.raises(ValidationError, match="generalization-error does not take k"):
+            EstimatorSpec("generalization-error", k=5)
+        with pytest.raises(ValidationError, match="kfold-cv does not take count_mode"):
+            EstimatorSpec("kfold-cv", count_mode="hard")
 
     def test_experiment_spec_validation(self):
         spec = _spec()
@@ -253,14 +257,16 @@ class TestBiasSweep:
         spec = _spec({"scenario": "bias-sweep", "repetitions": 2,
                       "d_grid": [0.5, 1.5], "labeled_size": 9})
         wide = tuple(dataclasses.replace(s, component_std=1.0) for s in spec.samplers)
-        wide_spec = dataclasses.replace(spec, samplers=wide)
+        # the labeled-set size is the spec's single budget
+        wide_spec = dataclasses.replace(spec, samplers=wide, budgets=(12,))
         records = run_experiment(wide_spec, workers=1)
         default_means = [r.estimate_mean for r in run_experiment(spec, workers=1)]
         assert [r.estimate_mean for r in records] != default_means
         for r in records:
+            assert r.budget == 12
             d_idx = [s.label() for s in wide].index(r.sampler)
             labeled = synthdata.draw_labeled(
-                spec.task, wide[d_idx], spec.labeled_size,
+                spec.task, wide[d_idx], 12,
                 derive_substream(spec.master_seed, (0, d_idx, r.repetition)),
             )
             expected = kfold_cv_detail(

@@ -37,7 +37,9 @@ _EMPTY = (np.array([]), np.array([], dtype=np.int64))
 
 
 def _masses(m, xs):
-    return class_kernel_mass(xs, m.train_x, m.train_y, m.bandwidth, m.class_count)
+    return class_kernel_mass(
+        xs, m.train_x, m.train_y, m.config.bandwidth, m.config.class_count
+    )
 
 
 class TestKernelWeights:
@@ -205,36 +207,9 @@ class TestAccuracy:
         evaluation = _arrays([(-1.2, 1), (-0.3, 1), (0.4, 2), (2.0, 2)])
         assert accuracy_arrays(two_point_model, *evaluation) == 1.0
 
-    def test_weighted_arithmetic(self, two_point_model):
-        # correctness pattern (1, 1, 0) with weights (1, 1, 2)
-        evaluation = _arrays([(-1.0, 1), (1.0, 2), (1.0, 1)])
-        acc = accuracy_arrays(two_point_model, *evaluation, weights=np.array([1.0, 1.0, 2.0]))
-        assert acc == 0.5
-
-    def test_uniform_weights_equal_unweighted(self, two_point_model):
-        rng = np.random.default_rng(4)
-        evaluation = _arrays(
-            [(float(x), int(y)) for x, y in zip(rng.normal(0, 2, 30), rng.integers(1, 3, 30))]
-        )
-        unweighted = accuracy_arrays(two_point_model, *evaluation)
-        for w in (0.1, 1.0, 7.3):
-            weighted = accuracy_arrays(
-                two_point_model, *evaluation, weights=np.full(30, w)
-            )
-            assert weighted == unweighted
-
     def test_empty_evaluation_rejected(self, two_point_model):
         with pytest.raises(ValidationError, match="no evaluation instances"):
             accuracy_arrays(two_point_model, *_EMPTY)
-
-    def test_weight_validation(self, two_point_model):
-        evaluation = _arrays([(-1.0, 1), (1.0, 2)])
-        with pytest.raises(ValidationError, match="nonnegative"):
-            accuracy_arrays(two_point_model, *evaluation, weights=np.array([1.0, -1.0]))
-        with pytest.raises(ValidationError, match="zero"):
-            accuracy_arrays(two_point_model, *evaluation, weights=np.array([0.0, 0.0]))
-        with pytest.raises(ValidationError, match="length"):
-            accuracy_arrays(two_point_model, *evaluation, weights=np.array([1.0]))
 
 
 class TestTrainedModelQuality:

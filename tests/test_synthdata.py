@@ -93,17 +93,6 @@ class TestTaskModelValidation:
                 ),
             )
 
-    def test_only_one_dimension(self):
-        with pytest.raises(ValidationError, match="dim"):
-            TaskModel(
-                class_priors=(0.5, 0.5),
-                class_components=(
-                    (GaussianComponent(1.0, 0.0, 1.0),),
-                    (GaussianComponent(1.0, 1.0, 1.0),),
-                ),
-                dim=2,
-            )
-
 
 class TestSampleValidation:
     def test_labeled_x_finite(self):
