@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
@@ -38,6 +40,46 @@ HARD_COUNT = "hard"
 # density/|slope|), below which the next iterate is returned.
 _XTOL = 1e-12
 _HALLEY_STOP = 1e-5
+
+
+def percentiles(values: np.ndarray, percents: Sequence[float]) -> list[float]:
+    """Percentiles of finite ``values`` by numpy's default "linear" method,
+    from one sort.
+
+    Each level p in [0, 100] has the virtual index i = (n-1) * (p/100) into
+    the sorted values; with a, b the values at floor(i) and floor(i)+1 (both
+    the last value when i >= n-1) and g = i - floor(i), the result is
+    a + (b-a)*g, or b - (b-a)*(1-g) when g >= 0.5. That is numpy's arithmetic
+    step for step, so the result equals ``numpy.percentile(values, percents)``
+    bit for bit.
+    """
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    last = len(ordered) - 1
+    out = []
+    for p in percents:
+        virtual = last * (p / 100.0)
+        if virtual >= last:
+            # numpy reads the last value on both sides, at index -1
+            a = b = float(ordered[last])
+            g = virtual + 1.0
+        else:
+            below = math.floor(virtual)
+            a, b = float(ordered[below]), float(ordered[below + 1])
+            g = virtual - below
+        out.append(b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g)
+    return out
+
+
+class _BetaSetup(NamedTuple):
+    """What every quantile solve of one Beta mixture shares."""
+
+    a: np.ndarray
+    b: np.ndarray
+    am1: np.ndarray
+    bm1: np.ndarray
+    log_norm: np.ndarray  # betaln(a, b)
+    mean: float
+    var: float
 
 
 @dataclass(frozen=True)
@@ -90,8 +132,16 @@ class PerformanceEstimate:
             return self.point_value
         if self.kind == EMPIRICAL:
             return float(self.samples.mean())
+        return self._beta.mean
+
+    @cached_property
+    def _beta(self) -> _BetaSetup:
+        """Beta-mixture set-up, computed once per estimate."""
         a, b = self.components[:, 0], self.components[:, 1]
-        return float((a / (a + b)).mean())
+        means = a / (a + b)
+        mu = float(means.mean())
+        var = float((means * (a + 1.0) / (a + b + 1.0)).mean()) - mu * mu
+        return _BetaSetup(a, b, a - 1.0, b - 1.0, special.betaln(a, b), mu, var)
 
     def cdf(self, t: float) -> float:
         """Mixture CDF; defined for every kind (point = step function)."""
@@ -103,39 +153,35 @@ class PerformanceEstimate:
             return 0.0
         if t >= 1.0:
             return 1.0
-        a, b = self.components[:, 0], self.components[:, 1]
-        return float(special.betainc(a, b, t).mean())
+        beta = self._beta
+        return float(special.betainc(beta.a, beta.b, t).mean())
 
     def quantile(self, q: float) -> float:
         """Level-q quantile.
 
-        For a Beta mixture this solves F(t) = q, with F = ``cdf``, by a
-        safeguarded Halley iteration. It starts at the quantile of the
-        normal distribution with the mixture's mean and variance. The
-        mixture density and its derivative come from the log-space Beta
-        densities. Every CDF evaluation goes through ``cdf`` and shrinks a
-        bracket that starts at [0, 1]; a step that would leave the bracket
-        is replaced by bisection. The solve stops when the bracket is
-        narrower than 1e-12, or after an accepted Halley step shorter than
-        1e-5 of the local length scale (at most 1): convergence is cubic,
-        so the error left after such a step is far below 1e-12.
+        An empirical quantile is numpy's "linear" percentile (see
+        ``percentiles``). For a Beta mixture this solves F(t) = q, with
+        F = ``cdf``, by a safeguarded Halley iteration. It starts at the
+        quantile of the normal distribution with the mixture's mean and
+        variance. The mixture density and its derivative come from the
+        log-space Beta densities. Every CDF evaluation goes through ``cdf``
+        and shrinks a bracket that starts at [0, 1]; a step that would leave
+        the bracket is replaced by bisection. The solve stops when the
+        bracket is narrower than 1e-12, or after an accepted Halley step
+        shorter than 1e-5 of the local length scale (at most 1): convergence
+        is cubic, so the error left after such a step is far below 1e-12.
         """
         if not 0.0 <= q <= 1.0:
             raise ValidationError(f"quantile level must be in [0,1], got {q}")
         if self.kind == POINT:
             return self.point_value
         if self.kind == EMPIRICAL:
-            return float(np.percentile(self.samples, 100.0 * q))
+            return percentiles(self.samples, (100.0 * q,))[0]
         if q == 0.0:
             return 0.0
         if q == 1.0:
             return 1.0
-        a, b = self.components[:, 0], self.components[:, 1]
-        am1, bm1 = a - 1.0, b - 1.0
-        log_norm = special.betaln(a, b)
-        means = a / (a + b)
-        mu = float(means.mean())
-        var = float((means * (a + 1.0) / (a + b + 1.0)).mean()) - mu * mu
+        _, _, am1, bm1, log_norm, mu, var = self._beta
         lo, hi = 0.0, 1.0
         t = mu + math.sqrt(max(var, 0.0)) * float(special.ndtri(q))
         if not lo < t < hi:
@@ -172,13 +218,19 @@ class PerformanceEstimate:
         return self.quantile(0.5)
 
     def summary(self) -> dict[str, float]:
-        """Boxplot-style summary: mean, median and quartiles."""
-        return {
-            "mean": self.mean(),
-            "median": self.median(),
-            "q25": self.quantile(0.25),
-            "q75": self.quantile(0.75),
-        }
+        """Boxplot-style summary: mean, median and quartiles.
+
+        An empirical estimate sorts its samples once and reads all three
+        quartiles from that sort (``percentiles``, equal to
+        ``numpy.percentile`` bit for bit). Otherwise each quartile is a
+        ``quantile`` call; the Beta-mixture set-up those solves share is
+        computed once per estimate.
+        """
+        if self.kind == EMPIRICAL:
+            q25, median, q75 = percentiles(self.samples, (25.0, 50.0, 75.0))
+        else:
+            median, q25, q75 = self.median(), self.quantile(0.25), self.quantile(0.75)
+        return {"mean": self.mean(), "median": median, "q25": q25, "q75": q75}
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +311,8 @@ def kfold_cv_detail(
     n = len(labeled)
     if n == 0:
         raise ValidationError("no labeled instances")
+    if weight_cap is not None and not weight_cap > 0.0:
+        raise ValidationError(f"weight_cap must be > 0, got {weight_cap}")
     xs, ys = labeled.xs, labeled.ys
 
     folds = random_folds(n, k, rng)
@@ -274,8 +328,6 @@ def kfold_cv_detail(
     if reweighted:
         w = 1.0 / labeled.qs
         if weight_cap is not None:
-            if weight_cap <= 0.0:
-                raise ValidationError(f"weight_cap must be > 0, got {weight_cap}")
             w = np.minimum(w, weight_cap)
         if np.ptp(w) == 0.0:
             # Constant weights: identical to the unweighted mean by identity;

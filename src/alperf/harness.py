@@ -58,7 +58,7 @@ class EstimatorEntry(NamedTuple):
     """What the harness knows about one estimator."""
 
     reads: tuple[str, ...]  # the EstimatorSpec fields it reads
-    id_template: str  # record id, formatted with k and the count-mode tag
+    id_template: str  # record id, formatted with k and the count-mode and cap tags
     run: Callable  # run(spec, espec, labeled, pool, model, budget, rng)
 
 
@@ -76,7 +76,7 @@ ESTIMATOR_TABLE = {
             estimators.kfold_cv(labeled, e.k, spec.classifier, rng),
     ),
     REWEIGHTED_CV: EstimatorEntry(
-        ("k", "weight_cap"), "reweighted-cv-{k}fold",
+        ("k", "weight_cap"), "reweighted-cv-{k}fold{cap}",
         lambda spec, e, labeled, pool, model, budget, rng: estimators.kfold_cv(
             labeled, e.k, spec.classifier, rng, reweighted=True, weight_cap=e.weight_cap
         ),
@@ -136,19 +136,22 @@ class BoxplotStats:
 
 
 def summarize(values: Sequence[float]) -> BoxplotStats:
-    """Boxplot statistics with linearly interpolated quartiles."""
+    """Boxplot statistics with linearly interpolated quartiles
+    (``estimators.percentiles``, equal to ``numpy.percentile`` bit for bit)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValidationError("cannot summarize an empty value list")
-    q25, median, q75 = np.percentile(arr, [25.0, 50.0, 75.0])
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("cannot summarize non-finite values")
+    q25, median, q75 = estimators.percentiles(arr, (25.0, 50.0, 75.0))
     iqr = q75 - q25
     low_limit = q25 - 1.5 * iqr
     high_limit = q75 + 1.5 * iqr
     return BoxplotStats(
         mean=float(arr.mean()),
-        median=float(median),
-        q25=float(q25),
-        q75=float(q75),
+        median=median,
+        q25=q25,
+        q75=q75,
         whisker_low=float(arr[arr >= low_limit].min()),
         whisker_high=float(arr[arr <= high_limit].max()),
         n=int(arr.size),
@@ -190,7 +193,12 @@ class EstimatorSpec:
     def estimator_id(self) -> str:
         """Stable identifier used in records, files and plots."""
         template = ESTIMATOR_TABLE[self.name].id_template
-        return template.format(k=self.k, count_mode=_COUNT_MODE_ID[self.count_mode])
+        # An uncapped estimator has no cap tag; a capped one ends in e.g. "-cap5".
+        cap = (
+            "" if self.weight_cap is None
+            else "-cap" + repr(float(self.weight_cap)).removesuffix(".0")
+        )
+        return template.format(k=self.k, count_mode=_COUNT_MODE_ID[self.count_mode], cap=cap)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Serialization of run records: raw CSV, grouped summary JSON.
 
 The raw CSV is the contract everything downstream operates on; the summary
-is always reproducible from it alone. Writers refuse NaN/Inf values.
+is always reproducible from it alone. Writers and the reader refuse NaN/Inf
+values.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ def read_records_csv(path: str | Path) -> list[RunRecord]:
                 )
             except ValueError as exc:
                 raise ValidationError(f"{path}: line {i}: {exc}") from exc
+            for name in _FLOAT_FIELDS:
+                value = getattr(records[-1], name)
+                if not math.isfinite(value):
+                    raise ValidationError(f"{path}: line {i}: non-finite {name}={value!r}")
     return records
 
 

@@ -231,10 +231,10 @@ def bayes_posterior_batch(model: TaskModel, xs: np.ndarray) -> np.ndarray:
     """
     joint = _joint_density(model, np.asarray(xs, dtype=np.float64))
     total = joint.sum(axis=1)
-    out = np.empty_like(joint)
     ok = total > 0.0
-    out[ok] = joint[ok] / total[ok, None]
-    out[~ok] = np.asarray(model.class_priors)
+    out = joint / np.where(ok, total, 1.0)[:, None]
+    if not ok.all():
+        out[~ok] = np.asarray(model.class_priors)
     return out
 
 

@@ -130,6 +130,20 @@ class TestReportAndPlot:
         assert cli_main(["plot", str(out / "raw.csv"), "--out", str(svg_path)]) == 0
         ET.fromstring(svg_path.read_text())
 
+    def test_plot_rejects_non_finite_csv_field(self, tmp_path, config_path, capsys):
+        out = tmp_path / "r"
+        cli_main(["run", "--config", str(config_path), "--out", str(out)])
+        raw = out / "raw.csv"
+        lines = raw.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[5] = "nan"  # estimate_mean
+        lines[3] = ",".join(fields)
+        raw.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["plot", str(raw), "--out", str(tmp_path / "plot.svg")]) == 1
+        err = capsys.readouterr().err
+        assert str(raw) in err and "line 4" in err and "estimate_mean" in err
+
     def test_report_missing_csv_is_io_error(self, tmp_path):
         assert cli_main(
             ["report", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "s.json")]

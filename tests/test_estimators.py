@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
+from alperf import parzen
 from alperf.errors import ValidationError
 from alperf.estimators import (
     PerformanceEstimate,
@@ -13,6 +14,7 @@ from alperf.estimators import (
     generalization_error_estimate,
     kfold_cv,
     kfold_cv_detail,
+    percentiles,
     probabilistic_performance,
     random_folds,
     self_label_cv,
@@ -55,6 +57,25 @@ def _local_stats(labeled, x, bandwidth, count_mode="kernel"):
     return n, alpha, beta
 
 
+class TestPercentiles:
+    def test_bit_identical_to_numpy(self):
+        rng = np.random.default_rng(2024)
+        sizes = [*range(1, 41), 99, 100, 101, 1000]
+        fixed = [0.0, 25.0, 50.0, 75.0, 100.0]
+        for n in sizes:
+            for decimals in (1, 2, 15):  # coarse rounding makes ties
+                values = np.round(rng.random(n), decimals)
+                levels = fixed + list(rng.uniform(0.0, 100.0, 20))
+                got = np.array(percentiles(values, levels))
+                expected = np.percentile(values, levels)
+                np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_leaves_input_unsorted(self):
+        values = np.array([0.9, 0.1, 0.5])
+        assert percentiles(values, (50.0,)) == [0.5]
+        np.testing.assert_array_equal(values, [0.9, 0.1, 0.5])
+
+
 class TestPerformanceEstimate:
     def test_point_summary(self):
         e = PerformanceEstimate.point(0.7)
@@ -71,6 +92,25 @@ class TestPerformanceEstimate:
         assert e.mean() == pytest.approx(vals.mean(), abs=1e-15)
         for q in (0.25, 0.5, 0.75):
             assert e.quantile(q) == float(np.percentile(vals, 100 * q))
+        for vals in (vals, np.array([0.3]), np.array([0.9, 0.2])):
+            summary = PerformanceEstimate.empirical(vals).summary()
+            q25, median, q75 = np.percentile(vals, [25.0, 50.0, 75.0])
+            assert summary == {
+                "mean": float(vals.mean()), "median": float(median),
+                "q25": float(q25), "q75": float(q75),
+            }
+
+    def test_beta_summary_equals_fresh_quantiles(self):
+        # The set-up shared by one estimate's solves must not change them.
+        rng = np.random.default_rng(9)
+        a, b = rng.uniform(0.5, 30.0, 200), rng.uniform(0.5, 30.0, 200)
+        summary = PerformanceEstimate.beta_mixture(a, b).summary()
+        fresh = [
+            PerformanceEstimate.beta_mixture(a, b).quantile(q)
+            for q in (0.5, 0.25, 0.75)
+        ]
+        assert [summary["median"], summary["q25"], summary["q75"]] == fresh
+        assert summary["mean"] == PerformanceEstimate.beta_mixture(a, b).mean()
 
     def test_empirical_range_validated(self):
         for samples in ([0.5, 1.5], [float("nan"), 0.5]):
@@ -270,6 +310,21 @@ class TestKFoldCV:
             kfold_cv(
                 labeled, 3, CFG, derive_substream(6, (2,)),
                 reweighted=True, weight_cap=0.0,
+            )
+
+    def test_nan_weight_cap_rejected_before_any_fit(self, task, monkeypatch):
+        labeled = draw_labeled(
+            task, unbiased_sampler(), 30, derive_substream(6, (0,))
+        )
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fold model was fitted")
+
+        monkeypatch.setattr(parzen, "fit_arrays", no_fit)
+        with pytest.raises(ValidationError, match="weight_cap must be > 0"):
+            kfold_cv(
+                labeled, 3, CFG, derive_substream(6, (2,)),
+                reweighted=True, weight_cap=float("nan"),
             )
 
     def test_too_many_folds_rejected(self):

@@ -106,6 +106,8 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             summarize([])
+        with pytest.raises(ValidationError, match="non-finite"):
+            summarize([0.5, float("nan")])
 
 
 class TestSpecs:
@@ -118,6 +120,24 @@ class TestSpecs:
             EstimatorSpec("probabilistic", count_mode="hard").estimator_id()
             == "probabilistic-hard"
         )
+        capped = EstimatorSpec("reweighted-cv", k=3, weight_cap=5.0)
+        assert capped.estimator_id() == "reweighted-cv-3fold-cap5"
+        assert EstimatorSpec("reweighted-cv", weight_cap=2.5).estimator_id() == (
+            "reweighted-cv-3fold-cap2.5"
+        )
+
+    def test_capped_and_uncapped_reweighted_cv_run_together(self):
+        spec = _spec({
+            "repetitions": 1,
+            "estimators": [
+                {"name": "reweighted-cv", "params": {"k": 3}},
+                {"name": "reweighted-cv", "params": {"k": 3, "weight_cap": 5.0}},
+            ],
+        })
+        records = run_experiment(spec, workers=1)
+        assert {r.estimator for r in records} == {
+            "reweighted-cv-3fold", "reweighted-cv-3fold-cap5",
+        }
 
     def test_estimator_validation(self):
         with pytest.raises(ValidationError, match="unknown estimator"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from alperf import synthdata
 from alperf.errors import ValidationError
 from alperf.harness import derive_substream
 from alperf.synthdata import (
@@ -156,6 +157,29 @@ class TestBayesPosterior:
     def test_underflow_falls_back_to_priors(self, task):
         # all class-conditional densities are numerically zero out there
         np.testing.assert_array_equal(_post(task, 500.0), [0.5, 0.5])
+
+    def test_equals_masked_computation(self):
+        # The single-path division must equal dividing only the rows with
+        # positive mass and writing the priors into the others, bit for bit.
+        task = TaskModel(
+            class_priors=(0.3, 0.7),
+            class_components=(
+                (GaussianComponent(1.0, -1.0, 0.5),),
+                (GaussianComponent(0.6, 1.0, 0.8), GaussianComponent(0.4, 2.5, 0.3)),
+            ),
+        )
+        rng = np.random.default_rng(3)
+        for xs in (
+            rng.uniform(-5.0, 5.0, 500),
+            np.concatenate([rng.uniform(-5.0, 5.0, 200), [-500.0, 300.0, 1e4]]),
+        ):
+            joint = synthdata._joint_density(task, xs)
+            total = joint.sum(axis=1)
+            ok = total > 0.0
+            expected = np.empty_like(joint)
+            expected[ok] = joint[ok] / total[ok, None]
+            expected[~ok] = task.class_priors
+            np.testing.assert_array_equal(bayes_posterior_batch(task, xs), expected)
 
     def test_monotone_in_x(self, task):
         xs = np.linspace(-6.0, 6.0, 1001)
