@@ -75,9 +75,12 @@ def _cmd_run(args) -> int:
     resolved = resolve_config(text)
     spec = resolved.spec
     document = dict(resolved.document)
+    defaults_applied = list(resolved.defaults_applied)
     if args.seed is not None:
         spec = replace(spec, master_seed=args.seed)
         document["master_seed"] = args.seed
+        # The seed was given, so it is no longer a default.
+        defaults_applied = [key for key in defaults_applied if key != "master_seed"]
     if args.workers < 1:
         raise ValidationError(f"--workers must be >= 1, got {args.workers}")
 
@@ -97,7 +100,7 @@ def _cmd_run(args) -> int:
         "summary_json": summary_path.name,
         "svg": [],
         "config": document,
-        "defaults_applied": list(resolved.defaults_applied),
+        "defaults_applied": defaults_applied,
         "version": __version__,
         "seed": spec.master_seed,
     }
@@ -127,8 +130,8 @@ def _cmd_plot(args) -> int:
 
 def _cmd_scenarios(args) -> int:
     if args.name is None:
-        for builtin in BUILTIN_SCENARIOS.values():
-            print(f"{builtin.name}  {builtin.description}")
+        for name, builtin in BUILTIN_SCENARIOS.items():
+            print(f"{name}  {builtin.description}")
         return 0
     builtin = BUILTIN_SCENARIOS.get(args.name)
     if builtin is None:

@@ -7,6 +7,11 @@ ClassifierConfig, EstimatorSpec, ExperimentSpec), so it is checked before
 any computation starts and names the offending field's path. Every default
 that gets applied is reported back so a run can echo its fully resolved
 configuration.
+
+What differs between scenarios lives in one table, ``_SCENARIO_DEFAULTS``:
+each scenario's default repetitions and estimators, and its own JSON keys
+with their defaults. Only bias-sweep maps its keys onto the spec
+(``labeled_size`` is its single budget, ``d_grid`` its samplers).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import harness, synthdata
 from .errors import ValidationError
@@ -30,59 +36,61 @@ _BASE_KEYS = {
     "repetitions",
     "true_eval_size",
 }
-_SCENARIO_KEYS = {
-    harness.EVAL_SIZE_DISTRIBUTION: {"samplers", "budgets", "train_size"},
-    harness.CV_FOLDS: {"samplers", "budgets"},
-    harness.BIAS_SWEEP: {"labeled_size", "d_grid"},
-    harness.ESTIMATOR_COMPARISON: {
-        "samplers",
-        "budgets",
-        "pool_size",
-        "subsample_reps",
-    },
-}
 
-_DEFAULT_REPETITIONS = {
-    harness.EVAL_SIZE_DISTRIBUTION: 1000,
-    harness.CV_FOLDS: 50,
-    harness.BIAS_SWEEP: 50,
-    harness.ESTIMATOR_COMPARISON: 200,
+
+class _ScenarioDefaults(NamedTuple):
+    """What one scenario defaults to beyond the keys every scenario takes."""
+
+    repetitions: int
+    estimators: list  # estimator documents
+    keys: dict  # the scenario's own JSON keys with their defaults, in parse order
+
+
+_UNBIASED = [{"kind": synthdata.DATA_MARGINAL}]
+_SCENARIO_DEFAULTS = {
+    harness.EVAL_SIZE_DISTRIBUTION: _ScenarioDefaults(
+        1000,
+        [{"name": harness.SUBSAMPLE_BASELINE, "params": {}}],
+        {"samplers": _UNBIASED, "budgets": [5, 10, 20, 100], "train_size": 100},
+    ),
+    harness.CV_FOLDS: _ScenarioDefaults(
+        50,
+        [{"name": harness.KFOLD_CV, "params": {"k": k}} for k in (2, 5, 10, 20)],
+        {"samplers": _UNBIASED, "budgets": [20]},
+    ),
+    harness.BIAS_SWEEP: _ScenarioDefaults(
+        50,
+        [{"name": harness.KFOLD_CV, "params": {"k": 3}}],
+        {
+            "d_grid": [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0],
+            "labeled_size": 30,
+        },
+    ),
+    harness.ESTIMATOR_COMPARISON: _ScenarioDefaults(
+        200,
+        [
+            {"name": harness.GENERALIZATION_ERROR, "params": {}},
+            {"name": harness.KFOLD_CV, "params": {"k": 3}},
+            {"name": harness.SELF_LABEL_CV, "params": {"k": 3}},
+            {"name": harness.REWEIGHTED_CV, "params": {"k": 3}},
+            {"name": harness.PROBABILISTIC, "params": {}},
+            {"name": harness.SUBSAMPLE_BASELINE, "params": {}},
+        ],
+        {
+            # The three acquisition regimes of the comparison scenario:
+            # unbiased, boundary-focused, and boundary-avoiding.
+            "samplers": [
+                *_UNBIASED,
+                {"kind": synthdata.SYMMETRIC_MIXTURE, "d": 0.3, "std": 0.25, "priors": [0.5, 0.5]},
+                {"kind": synthdata.SYMMETRIC_MIXTURE, "d": 2.0, "std": 0.25, "priors": [0.5, 0.5]},
+            ],
+            "budgets": [10, 30, 50],
+            "pool_size": 1000,
+            "subsample_reps": 100,
+        },
+    ),
 }
-_DEFAULT_D_GRID = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0]
-_DEFAULT_BUDGETS = {
-    harness.EVAL_SIZE_DISTRIBUTION: [5, 10, 20, 100],
-    harness.CV_FOLDS: [20],
-    harness.ESTIMATOR_COMPARISON: [10, 30, 50],
-}
-_DEFAULT_ESTIMATORS = {
-    harness.EVAL_SIZE_DISTRIBUTION: [{"name": harness.SUBSAMPLE_BASELINE, "params": {}}],
-    harness.CV_FOLDS: [
-        {"name": harness.KFOLD_CV, "params": {"k": k}} for k in (2, 5, 10, 20)
-    ],
-    harness.BIAS_SWEEP: [{"name": harness.KFOLD_CV, "params": {"k": 3}}],
-    harness.ESTIMATOR_COMPARISON: [
-        {"name": harness.GENERALIZATION_ERROR, "params": {}},
-        {"name": harness.KFOLD_CV, "params": {"k": 3}},
-        {"name": harness.SELF_LABEL_CV, "params": {"k": 3}},
-        {"name": harness.REWEIGHTED_CV, "params": {"k": 3}},
-        {"name": harness.PROBABILISTIC, "params": {}},
-        {"name": harness.SUBSAMPLE_BASELINE, "params": {}},
-    ],
-}
-# The three acquisition regimes of the comparison scenario: unbiased,
-# boundary-focused, and boundary-avoiding.
-_DEFAULT_COMPARISON_SAMPLERS = [
-    {"kind": synthdata.DATA_MARGINAL},
-    {"kind": synthdata.SYMMETRIC_MIXTURE, "d": 0.3, "std": 0.25, "priors": [0.5, 0.5]},
-    {"kind": synthdata.SYMMETRIC_MIXTURE, "d": 2.0, "std": 0.25, "priors": [0.5, 0.5]},
-]
-_DEFAULT_TASK = {
-    "priors": [0.5, 0.5],
-    "components": [
-        [{"weight": 1.0, "mean": -1.5, "std": 1.0}],
-        [{"weight": 1.0, "mean": 1.5, "std": 1.0}],
-    ],
-}
+_CLASSIFIER_DEFAULTS = {"bandwidth": 0.2, "epsilon": 0.01}
 
 
 @dataclass(frozen=True)
@@ -97,32 +105,27 @@ class ResolvedConfig:
 
 @dataclass(frozen=True)
 class BuiltinScenario:
-    name: str
     description: str
     config: dict
 
 
 BUILTIN_SCENARIOS: dict[str, BuiltinScenario] = {
     "fig2": BuiltinScenario(
-        "fig2",
         "performance-distribution study: one fixed classifier evaluated on "
         "fresh unbiased sets of size 5/10/20/100, 1000 repetitions",
         {"scenario": harness.EVAL_SIZE_DISTRIBUTION, "master_seed": 42},
     ),
     "fig3": BuiltinScenario(
-        "fig3",
         "fold-count study: 20 unbiased labels cross-validated with "
         "k=2/5/10/20 against the all-label true baseline, 50 repetitions",
         {"scenario": harness.CV_FOLDS, "master_seed": 42},
     ),
     "fig5": BuiltinScenario(
-        "fig5",
         "sampling-bias sweep: 30 biased labels, 3-fold CV versus hold-out "
         "truth across boundary distances 0.25..3.0, 50 repetitions",
         {"scenario": harness.BIAS_SWEEP, "master_seed": 42},
     ),
     "fig6": BuiltinScenario(
-        "fig6",
         "estimator comparison: every estimator at budgets 10/30/50 under "
         "unbiased, boundary-focused and boundary-avoiding acquisition, "
         "200 repetitions",
@@ -203,6 +206,16 @@ def _build_task(obj) -> TaskModel:
         return TaskModel(class_priors=tuple(priors), class_components=tuple(components))
 
 
+def _task_document(task: TaskModel) -> dict:
+    return {
+        "priors": list(task.class_priors),
+        "components": [
+            [{"weight": c.weight, "mean": c.mean, "std": c.std} for c in comps]
+            for comps in task.class_components
+        ],
+    }
+
+
 def _build_sampler(obj, field: str) -> SamplingDistribution:
     obj = _as_object(obj, field, {"kind", "d", "std", "priors"})
     _expect("kind" in obj, f"{field} needs a kind")
@@ -245,8 +258,8 @@ def _build_estimator(obj, field: str) -> EstimatorSpec:
     _expect("name" in obj, f"{field} needs a name")
     name = obj["name"]
     _expect(
-        name in harness.ESTIMATOR_NAMES,
-        f"{field}.name must be one of {', '.join(harness.ESTIMATOR_NAMES)}",
+        name in harness.ESTIMATOR_TABLE,
+        f"{field}.name must be one of {', '.join(harness.ESTIMATOR_TABLE)}",
     )
     reads = set(harness.ESTIMATOR_TABLE[name].reads)
     params = _as_object(obj.get("params", {}), f"{field}.params", reads)
@@ -283,7 +296,8 @@ def resolve_config(text: str) -> ResolvedConfig:
         scenario in harness.SCENARIOS,
         f"scenario must be one of {', '.join(harness.SCENARIOS)}, got {scenario!r}",
     )
-    allowed = _BASE_KEYS | _SCENARIO_KEYS[scenario]
+    defaults = _SCENARIO_DEFAULTS[scenario]
+    allowed = _BASE_KEYS | set(defaults.keys)
     unknown = sorted(set(raw) - allowed)
     _expect(
         not unknown,
@@ -292,74 +306,62 @@ def resolve_config(text: str) -> ResolvedConfig:
 
     applied: list[str] = []
 
-    def take(key: str, default):
-        if key in raw:
-            return raw[key]
-        applied.append(key)
+    def take(key: str, default, obj=raw, path=""):
+        if key in obj:
+            return obj[key]
+        applied.append(path + key)
         return default
 
     master_seed = _as_int(take("master_seed", 0), "master_seed")
-    task = _build_task(take("task", _DEFAULT_TASK))
+    task = _build_task(take("task", _task_document(synthdata.default_task())))
 
     classifier_raw = _as_object(
-        raw.get("classifier", {}), "classifier", {"bandwidth", "epsilon"}
+        raw.get("classifier", {}), "classifier", set(_CLASSIFIER_DEFAULTS)
     )
-    if "bandwidth" in classifier_raw:
-        bandwidth = _as_number(classifier_raw["bandwidth"], "classifier.bandwidth")
-    else:
-        bandwidth = 0.2
-        applied.append("classifier.bandwidth")
-    if "epsilon" in classifier_raw:
-        epsilon = _as_number(classifier_raw["epsilon"], "classifier.epsilon")
-    else:
-        epsilon = 0.01
-        applied.append("classifier.epsilon")
+    classifier_doc = {
+        key: _as_number(take(key, default, classifier_raw, "classifier."), f"classifier.{key}")
+        for key, default in _CLASSIFIER_DEFAULTS.items()
+    }
     with _at("classifier"):
         classifier = ClassifierConfig(
-            bandwidth=bandwidth, prior_weight=epsilon, class_count=task.class_count
+            bandwidth=classifier_doc["bandwidth"],
+            prior_weight=classifier_doc["epsilon"],
+            class_count=task.class_count,
         )
 
-    estimators_raw = _as_list(
-        take("estimators", _DEFAULT_ESTIMATORS[scenario]), "estimators"
-    )
+    estimators_raw = _as_list(take("estimators", defaults.estimators), "estimators")
     estimator_specs = tuple(
         _build_estimator(e, f"estimators[{i}]") for i, e in enumerate(estimators_raw)
     )
-    repetitions = _as_int(
-        take("repetitions", _DEFAULT_REPETITIONS[scenario]), "repetitions"
-    )
+    repetitions = _as_int(take("repetitions", defaults.repetitions), "repetitions")
     true_eval_size = _as_int(take("true_eval_size", 2000), "true_eval_size")
 
-    kwargs: dict = {}
-    document: dict = {"scenario": scenario, "master_seed": master_seed}
-
+    # The scenario's own keys: how labels are drawn (echoed before the
+    # classifier, or last for bias-sweep), then ExperimentSpec sizes.
+    own = dict(defaults.keys)
     if scenario == harness.BIAS_SWEEP:
-        d_grid_raw = _as_list(take("d_grid", _DEFAULT_D_GRID), "d_grid")
+        d_grid_raw = _as_list(take("d_grid", own.pop("d_grid")), "d_grid")
         d_grid = tuple(_as_number(d, "d_grid[]") for d in d_grid_raw)
         # labeled_size is bias-sweep's single budget.
-        budgets = (_as_int(take("labeled_size", 30), "labeled_size"),)
+        budgets = (_as_int(take("labeled_size", own.pop("labeled_size")), "labeled_size"),)
         with _at("d_grid"):
             samplers = tuple(
                 SamplingDistribution(kind=synthdata.SYMMETRIC_MIXTURE, d=d) for d in d_grid
             )
+        echo_first, echo_last = {}, {"labeled_size": budgets[0], "d_grid": list(d_grid)}
     else:
-        default_samplers = (
-            _DEFAULT_COMPARISON_SAMPLERS
-            if scenario == harness.ESTIMATOR_COMPARISON
-            else [{"kind": synthdata.DATA_MARGINAL}]
-        )
-        samplers_raw = _as_list(take("samplers", default_samplers), "samplers")
+        samplers_raw = _as_list(take("samplers", own.pop("samplers")), "samplers")
         samplers = tuple(
             _build_sampler(s, f"samplers[{i}]") for i, s in enumerate(samplers_raw)
         )
-        budgets_raw = _as_list(take("budgets", _DEFAULT_BUDGETS[scenario]), "budgets")
+        budgets_raw = _as_list(take("budgets", own.pop("budgets")), "budgets")
         budgets = tuple(_as_int(b, "budgets[]") for b in budgets_raw)
-
-    if scenario == harness.EVAL_SIZE_DISTRIBUTION:
-        kwargs["train_size"] = _as_int(take("train_size", 100), "train_size")
-    if scenario == harness.ESTIMATOR_COMPARISON:
-        kwargs["pool_size"] = _as_int(take("pool_size", 1000), "pool_size")
-        kwargs["subsample_reps"] = _as_int(take("subsample_reps", 100), "subsample_reps")
+        echo_first = {
+            "samplers": [_sampler_document(s) for s in samplers],
+            "budgets": list(budgets),
+        }
+        echo_last = {}
+    sizes = {key: _as_int(take(key, default), key) for key, default in own.items()}
 
     spec = ExperimentSpec(
         scenario=scenario,
@@ -371,32 +373,21 @@ def resolve_config(text: str) -> ResolvedConfig:
         repetitions=repetitions,
         true_eval_size=true_eval_size,
         master_seed=master_seed,
-        **kwargs,
+        **sizes,
     )
 
-    document["task"] = {
-        "priors": list(task.class_priors),
-        "components": [
-            [{"weight": c.weight, "mean": c.mean, "std": c.std} for c in comps]
-            for comps in task.class_components
-        ],
+    document = {
+        "scenario": scenario,
+        "master_seed": master_seed,
+        "task": _task_document(task),
+        **echo_first,
+        "classifier": classifier_doc,
+        "estimators": [_estimator_document(e) for e in estimator_specs],
+        "repetitions": repetitions,
+        "true_eval_size": true_eval_size,
+        **sizes,
+        **echo_last,
     }
-    if scenario != harness.BIAS_SWEEP:
-        document["samplers"] = [_sampler_document(s) for s in samplers]
-        document["budgets"] = list(budgets)
-    document["classifier"] = {"bandwidth": bandwidth, "epsilon": epsilon}
-    document["estimators"] = [_estimator_document(e) for e in estimator_specs]
-    document["repetitions"] = repetitions
-    document["true_eval_size"] = true_eval_size
-    if scenario == harness.EVAL_SIZE_DISTRIBUTION:
-        document["train_size"] = spec.train_size
-    if scenario == harness.BIAS_SWEEP:
-        document["labeled_size"] = spec.budgets[0]
-        document["d_grid"] = [s.d for s in spec.samplers]
-    if scenario == harness.ESTIMATOR_COMPARISON:
-        document["pool_size"] = spec.pool_size
-        document["subsample_reps"] = spec.subsample_reps
-
     return ResolvedConfig(
         spec=spec, document=document, defaults_applied=tuple(applied)
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -97,7 +97,6 @@ ESTIMATOR_TABLE = {
             estimators.subsample_baseline(model, spec.task, budget, spec.subsample_reps, rng),
     ),
 }
-ESTIMATOR_NAMES = tuple(ESTIMATOR_TABLE)
 # How each count mode appears in a record id.
 _COUNT_MODE_ID = {estimators.KERNEL_COUNT: "", estimators.HARD_COUNT: "-hard"}
 
@@ -226,26 +225,15 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
-        if self.repetitions < 1:
-            raise ValidationError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.train_size < 1:
-            raise ValidationError(f"train_size must be >= 1, got {self.train_size}")
+        for name in ("repetitions", "train_size", "pool_size", "true_eval_size", "subsample_reps"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.budgets:
             raise ValidationError("budgets must be nonempty")
         if any(b < 1 for b in self.budgets):
             raise ValidationError(f"budgets must be >= 1, got {list(self.budgets)}")
         if any(a >= b for a, b in zip(self.budgets, self.budgets[1:])):
             raise ValidationError("budgets must be strictly increasing")
-        if self.pool_size < 1:
-            raise ValidationError(f"pool_size must be >= 1, got {self.pool_size}")
-        if self.true_eval_size < 1:
-            raise ValidationError(
-                f"true_eval_size must be >= 1, got {self.true_eval_size}"
-            )
-        if self.subsample_reps < 1:
-            raise ValidationError(
-                f"subsample_reps must be >= 1, got {self.subsample_reps}"
-            )
         if self.master_seed < 0:
             raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.samplers:
@@ -332,10 +320,13 @@ def _record(
     sampler: str,
     budget: int,
     estimator: str,
-    summary: dict[str, float],
+    estimate: estimators.PerformanceEstimate,
     true_baseline: float,
-    wall_ms: float,
+    t0: float,
 ) -> RunRecord:
+    """The record of one estimate. Callers take ``t0`` right before the
+    estimator call; the summary is taken here, so ``wall_ms`` covers both."""
+    summary = estimate.summary()
     return RunRecord(
         scenario=scenario,
         repetition=repetition,
@@ -347,15 +338,8 @@ def _record(
         estimate_q25=summary["q25"],
         estimate_q75=summary["q75"],
         true_baseline=true_baseline,
-        wall_ms=wall_ms,
+        wall_ms=(time.perf_counter() - t0) * 1000.0,
     )
-
-
-def _ms_since(t0: float) -> float:
-    """Wall milliseconds since ``t0``. Callers take ``t0`` right before the
-    estimator call and read this after its summary, so ``wall_ms`` covers
-    both."""
-    return (time.perf_counter() - t0) * 1000.0
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +369,11 @@ def _eval_size_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
     for i, size in enumerate(spec.budgets):
         rng = derive_substream(spec.master_seed, (1, rep, i))
         t0 = time.perf_counter()
-        summary = estimators.subsample_baseline(model, spec.task, size, 1, rng).summary()
+        estimate = estimators.subsample_baseline(model, spec.task, size, 1, rng)
         records.append(
             _record(
                 spec.scenario, rep, spec.samplers[0].label(), size,
-                SUBSAMPLE_BASELINE, summary, truth, _ms_since(t0),
+                SUBSAMPLE_BASELINE, estimate, truth, t0,
             )
         )
     return records
@@ -426,11 +410,11 @@ def _cv_folds_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
         rng = derive_substream(spec.master_seed, (1, rep, e_idx))
         run = ESTIMATOR_TABLE[espec.name].run
         t0 = time.perf_counter()
-        summary = run(spec, espec, labeled, None, None, spec.budgets[0], rng).summary()
+        estimate = run(spec, espec, labeled, None, None, spec.budgets[0], rng)
         records.append(
             _record(
                 spec.scenario, rep, spec.samplers[0].label(), spec.budgets[0],
-                espec.estimator_id(), summary, truth, _ms_since(t0),
+                espec.estimator_id(), estimate, truth, t0,
             )
         )
     return records
@@ -465,8 +449,12 @@ def _bias_sweep_unit(spec: ExperimentSpec, rep: int) -> list[RunRecord]:
             labeled, espec.k, spec.classifier,
             derive_substream(spec.master_seed, (1, d_idx, rep)),
         )
-        summary = detail.estimate.summary()
-        wall_ms = _ms_since(t0)
+        # The hold-out truth is filled in after the record, so wall_ms stops
+        # at the estimate's summary.
+        record = _record(
+            spec.scenario, rep, sampler.label(), spec.budgets[0],
+            espec.estimator_id(), detail.estimate, math.nan, t0,
+        )
         hold_x, hold_y = synthdata.draw_oracle_arrays(
             spec.task, spec.true_eval_size,
             derive_substream(spec.master_seed, (2, d_idx, rep)),
@@ -474,12 +462,7 @@ def _bias_sweep_unit(spec: ExperimentSpec, rep: int) -> list[RunRecord]:
         truth = float(
             np.mean([parzen.accuracy_arrays(m, hold_x, hold_y) for m in detail.fold_models])
         )
-        records.append(
-            _record(
-                spec.scenario, rep, sampler.label(), spec.budgets[0],
-                espec.estimator_id(), summary, truth, wall_ms,
-            )
-        )
+        records.append(replace(record, true_baseline=truth))
     return records
 
 
@@ -529,11 +512,11 @@ def _comparison_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
             rng = derive_substream(spec.master_seed, (3, s_idx, rep, b_idx, e_idx))
             run = ESTIMATOR_TABLE[espec.name].run
             t0 = time.perf_counter()
-            summary = run(spec, espec, labeled, pool, model, budget, rng).summary()
+            estimate = run(spec, espec, labeled, pool, model, budget, rng)
             records.append(
                 _record(
                     spec.scenario, rep, sampler.label(), budget,
-                    espec.estimator_id(), summary, truth, _ms_since(t0),
+                    espec.estimator_id(), estimate, truth, t0,
                 )
             )
     return records
@@ -566,6 +549,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
     units, run_unit = _SCENARIO_TABLE[spec.scenario]
     work = units(spec)
     run = partial(run_unit, spec)
+    # A pool may fork all its workers at once: ask for no more than there are units.
+    workers = min(workers, len(work))
     if workers <= 1:
         nested = [run(unit) for unit in work]
     else:

@@ -10,36 +10,25 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ValidationError
 from .harness import RunRecord, summarize
 
-CSV_COLUMNS = (
-    "scenario",
-    "repetition",
-    "sampler",
-    "budget",
-    "estimator",
-    "estimate_mean",
-    "estimate_median",
-    "estimate_q25",
-    "estimate_q75",
-    "true_baseline",
-    "wall_ms",
-)
-_FLOAT_FIELDS = (
-    "estimate_mean",
-    "estimate_median",
-    "estimate_q25",
-    "estimate_q75",
-    "true_baseline",
-    "wall_ms",
-)
+# The raw CSV columns are the RunRecord fields, in order. Each column is
+# parsed by its field's type; float columns carry exactly 6 fractional digits.
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
+_TYPES = tuple(get_type_hints(RunRecord)[name] for name in CSV_COLUMNS)
+_FLOAT_COLUMNS = tuple(n for n, t in zip(CSV_COLUMNS, _TYPES) if t is float)
+_ROW = ",".join("{:.6f}" if t is float else "{}" for t in _TYPES)
+_values = attrgetter(*CSV_COLUMNS)
 
 
 def _check_finite(record: RunRecord) -> None:
-    for name in _FLOAT_FIELDS:
+    for name in _FLOAT_COLUMNS:
         value = getattr(record, name)
         if not math.isfinite(value):
             raise ValidationError(
@@ -53,11 +42,7 @@ def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
         _check_finite(r)
-        lines.append(
-            f"{r.scenario},{r.repetition},{r.sampler},{r.budget},{r.estimator},"
-            f"{r.estimate_mean:.6f},{r.estimate_median:.6f},{r.estimate_q25:.6f},"
-            f"{r.estimate_q75:.6f},{r.true_baseline:.6f},{r.wall_ms:.6f}"
-        )
+        lines.append(_ROW.format(*_values(r)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -78,24 +63,10 @@ def read_records_csv(path: str | Path) -> list[RunRecord]:
             if len(row) != len(CSV_COLUMNS):
                 raise ValidationError(f"{path}: line {i} has {len(row)} fields")
             try:
-                records.append(
-                    RunRecord(
-                        scenario=row[0],
-                        repetition=int(row[1]),
-                        sampler=row[2],
-                        budget=int(row[3]),
-                        estimator=row[4],
-                        estimate_mean=float(row[5]),
-                        estimate_median=float(row[6]),
-                        estimate_q25=float(row[7]),
-                        estimate_q75=float(row[8]),
-                        true_baseline=float(row[9]),
-                        wall_ms=float(row[10]),
-                    )
-                )
+                records.append(RunRecord(*[parse(v) for parse, v in zip(_TYPES, row)]))
             except ValueError as exc:
                 raise ValidationError(f"{path}: line {i}: {exc}") from exc
-            for name in _FLOAT_FIELDS:
+            for name in _FLOAT_COLUMNS:
                 value = getattr(records[-1], name)
                 if not math.isfinite(value):
                     raise ValidationError(f"{path}: line {i}: non-finite {name}={value!r}")

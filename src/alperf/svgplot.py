@@ -40,7 +40,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_boxplots_svg(rows: list[dict], title: str | None = None) -> str:
+def render_boxplots_svg(rows: list[dict]) -> str:
     """Render grouped boxplot summaries (the summary rows produced by
     ``reporting.summarize_records``) as a self-contained SVG document."""
     if not rows:
@@ -65,11 +65,6 @@ def render_boxplots_svg(rows: list[dict], title: str | None = None) -> str:
         f'font-family="Helvetica, Arial, sans-serif">'
     )
     out.append('<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>')
-    if title:
-        out.append(
-            f'<text x="{_fmt(width / 2)}" y="16" text-anchor="middle" '
-            f'font-size="14">{_escape(title)}</text>'
-        )
 
     for p_idx, key in enumerate(panel_keys):
         items = panels[key]

@@ -239,12 +239,10 @@ def bayes_posterior_batch(model: TaskModel, xs: np.ndarray) -> np.ndarray:
 
 
 def sampling_density_batch(
-    s: SamplingDistribution, model: TaskModel | None, xs: np.ndarray
+    s: SamplingDistribution, model: TaskModel, xs: np.ndarray
 ) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if s.kind == DATA_MARGINAL:
-        if model is None:
-            raise ValidationError("data-marginal sampling density needs a task model")
         return marginal_density(model, xs)
     w_lo, w_hi = s.component_priors
     return w_lo * _normal_pdf(xs, -s.d, s.component_std) + w_hi * _normal_pdf(

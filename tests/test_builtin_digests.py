@@ -7,8 +7,11 @@ with a constant recorded before the arrays-first refactor; any numeric drift
 in the data, classifier, estimator or harness layers changes it. The
 SHA-256 of ``summary.json``, the grouped boxplot statistics, is compared
 with a constant recorded before the quartiles moved to the one-sort
-percentile helper. The SHA-256 of ``alperf scenarios <name>``, the fully
-resolved configuration each built-in echoes, is compared the same way.
+percentile helper. The SHA-256 of ``bundle.json``, the resolved
+configuration with its applied defaults in order, is compared with a
+constant recorded before the scenario defaults moved into one table. The
+SHA-256 of ``alperf scenarios <name>``, the fully resolved configuration
+each built-in echoes, is compared the same way.
 """
 
 import hashlib
@@ -32,6 +35,14 @@ SUMMARY_JSON = {
     "fig3": "5ba8be7bc3da58ad311bf06bdb499b3a15d0363b9399237f913c89ca6a9a0b30",
     "fig5": "f0d03e4cc76d70d71f7c8f9feeea04fef1cb7f87d83cde997f7942155fa46e61",
     "fig6": "5b69fd1005c0960327f5f088effced8cef224775aa54486df9a68a222c002c15",
+}
+
+# bundle.json of the same runs as GOLDEN.
+BUNDLE_JSON = {
+    "fig2": "cc07c4d69746d673534e49f9e9dc7c72f6943f75229454cc37717987a071824f",
+    "fig3": "9e921a03c6a1c7a0d87aa3e9070521eee2ebece11ac8fe6760bda627920c4013",
+    "fig5": "c9388fc60a64e5004a98a52f45f4f0f4c62b0a882f0181e1e0300b214c122940",
+    "fig6": "42f8375692c9e7391be8dd6b39cb186d3b78a74712cf2620cd2df68b272de747",
 }
 
 SCENARIO_ECHO = {
@@ -77,6 +88,12 @@ def test_builtin_raw_csv_digest(builtin_run, name):
 def test_builtin_summary_json_digest(builtin_run, name):
     summary = (builtin_run(name) / "summary.json").read_bytes()
     assert hashlib.sha256(summary).hexdigest() == SUMMARY_JSON[name]
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLE_JSON))
+def test_builtin_bundle_json_digest(builtin_run, name):
+    bundle = (builtin_run(name) / "bundle.json").read_bytes()
+    assert hashlib.sha256(bundle).hexdigest() == BUNDLE_JSON[name]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_ECHO))

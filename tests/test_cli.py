@@ -28,6 +28,15 @@ def _csv_without_wall(path):
     return [line.rsplit(",", 1)[0] for line in lines]
 
 
+def test_package_exports_its_imported_names():
+    import alperf
+
+    assert "run_experiment" in alperf.__all__ and "RunRecord" in alperf.__all__
+    assert "harness" not in alperf.__all__ and "synthdata" not in alperf.__all__
+    assert all(hasattr(alperf, name) for name in alperf.__all__)
+    assert len(alperf.__all__) == 34
+
+
 class TestScenarios:
     def test_lists_exactly_four_builtins(self, capsys):
         assert cli_main(["scenarios"]) == 0
@@ -81,6 +90,19 @@ class TestRun:
         assert bundle["version"] == __version__
         assert bundle["config"]["master_seed"] == 11
         assert "classifier.bandwidth" in bundle["defaults_applied"]
+
+    def test_seed_flag_is_not_a_default(self, tmp_path):
+        unseeded = {k: v for k, v in TINY_CONFIG.items() if k != "master_seed"}
+        path = tmp_path / "unseeded.json"
+        path.write_text(json.dumps(unseeded))
+        for name, seed in (("plain", []), ("seeded", ["--seed", "7"])):
+            rc = cli_main(["run", "--config", str(path), "--out", str(tmp_path / name), *seed])
+            assert rc == 0
+        plain = json.loads((tmp_path / "plain" / "bundle.json").read_text())
+        seeded = json.loads((tmp_path / "seeded" / "bundle.json").read_text())
+        assert plain["defaults_applied"][0] == "master_seed"
+        assert seeded["defaults_applied"] == plain["defaults_applied"][1:]
+        assert seeded["seed"] == seeded["config"]["master_seed"] == 7
 
     def test_summary_reproducible_from_csv(self, tmp_path, config_path):
         out = tmp_path / "r"

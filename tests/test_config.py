@@ -54,21 +54,42 @@ class TestDefaults:
         assert d_grid[0] == 0.25 and d_grid[-1] == 3.0
         assert len(d_grid) == 12
 
-    def test_document_echo_roundtrips(self):
-        with_params = {
-            "scenario": "estimator-comparison", "master_seed": 9,
-            "estimators": [
-                {"name": "reweighted-cv", "params": {"k": 3, "weight_cap": 5.0}},
-                {"name": "probabilistic", "params": {"count_mode": "hard"}},
-            ],
-        }
-        for cfg in ({"scenario": "estimator-comparison", "master_seed": 9}, with_params):
-            r = _resolve(cfg)
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"scenario": "eval-size-distribution", "master_seed": 3, "train_size": 40,
+             "budgets": [5, 50]},
+            {"scenario": "cv-folds", "master_seed": 4, "budgets": [24],
+             "samplers": [{"kind": "symmetric-mixture", "d": 0.7}]},
+            {"scenario": "bias-sweep", "master_seed": 5, "labeled_size": 24,
+             "d_grid": [0.4, 1.6]},
+            {"scenario": "estimator-comparison", "master_seed": 9, "pool_size": 300,
+             "subsample_reps": 30,
+             "estimators": [
+                 {"name": "reweighted-cv", "params": {"k": 3, "weight_cap": 5.0}},
+                 {"name": "probabilistic", "params": {"count_mode": "hard"}},
+             ]},
+        ],
+        ids=lambda cfg: cfg["scenario"],
+    )
+    def test_document_echo_roundtrips(self, cfg):
+        # Every scenario, with its own keys set away from their defaults:
+        # the echo resolves back to the same spec and document, and applies
+        # no default of its own.
+        for given in ({"scenario": cfg["scenario"], "master_seed": 9}, cfg):
+            r = _resolve(given)
             r2 = _resolve(r.document)
             assert r2.spec == r.spec
             assert r2.document == r.document
-        assert r2.document["estimators"] == with_params["estimators"]
-        assert r2.defaults_applied == ()
+            assert r2.defaults_applied == ()
+        for key, value in cfg.items():
+            if key not in ("samplers", "estimators"):
+                assert r2.document[key] == value
+        if "estimators" in cfg:
+            assert r2.document["estimators"] == cfg["estimators"]
+        if "samplers" in cfg:
+            assert [s["d"] for s in r2.document["samplers"]] == [0.7]
+        assert r2.spec.master_seed == cfg["master_seed"]
 
 
 class TestValidation:

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import math
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from alperf import synthdata
+from alperf import harness, synthdata
 from alperf.config import resolve_config
 from alperf.errors import ValidationError
 from alperf.estimators import kfold_cv, kfold_cv_detail
@@ -180,6 +182,13 @@ class TestSpecs:
             dataclasses.replace(
                 spec, estimators=(EstimatorSpec("kfold-cv"), EstimatorSpec("kfold-cv"))
             )
+
+    @pytest.mark.parametrize(
+        "field", ["repetitions", "train_size", "pool_size", "true_eval_size", "subsample_reps"]
+    )
+    def test_counts_must_be_positive(self, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be >= 1, got 0$"):
+            dataclasses.replace(_spec(), **{field: 0})
 
     def test_eval_size_rejects_kfold_estimator(self):
         spec = _spec({"scenario": "eval-size-distribution", "budgets": [5, 10]})
@@ -357,3 +366,54 @@ class TestEstimatorComparison:
         with pytest.raises(ValidationError, match="smallest budget"):
             dataclasses.replace(spec, estimators=(EstimatorSpec("kfold-cv", k=11),))
 
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker count asked for
+    and maps in this process, so no process is started."""
+
+    asked: list = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class TestRunExperiment:
+    @pytest.mark.parametrize(
+        "repetitions, workers, pool_workers",
+        [(3, 64, [3]), (3, 2, [2]), (1, 64, []), (3, 1, [])],
+    )
+    def test_no_more_workers_than_units(
+        self, monkeypatch, repetitions, workers, pool_workers
+    ):
+        # cv-folds has one unit per repetition.
+        spec = _spec({"scenario": "cv-folds", "repetitions": repetitions})
+        serial = run_experiment(spec, workers=1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "asked", [])
+        records = run_experiment(spec, workers=workers)
+        assert _InlinePool.asked == pool_workers
+        assert _strip_wall(records) == _strip_wall(serial)
+
+    def test_bias_sweep_wall_ms_stops_before_holdout(self, monkeypatch):
+        # The hold-out draws come after the estimate's summary: slowing them
+        # down must not reach wall_ms, and the truth must still be filled in.
+        draw = synthdata.draw_oracle_arrays
+
+        def slow_draw(*args):
+            time.sleep(0.2)
+            return draw(*args)
+
+        monkeypatch.setattr(synthdata, "draw_oracle_arrays", slow_draw)
+        spec = _spec({"scenario": "bias-sweep", "d_grid": [0.5, 2.0], "repetitions": 1})
+        for r in run_experiment(spec, workers=1):
+            assert math.isfinite(r.true_baseline) and 0.0 <= r.true_baseline <= 1.0
+            assert 0.0 <= r.wall_ms < 200.0

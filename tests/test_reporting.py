@@ -75,6 +75,33 @@ class TestCsv:
                 [_record(true_baseline=float("inf"))], tmp_path / "y.csv"
             )
 
+    @pytest.mark.parametrize(
+        "field",
+        ["estimate_mean", "estimate_median", "estimate_q25", "estimate_q75",
+         "true_baseline", "wall_ms"],
+    )
+    def test_every_float_column_checked_both_ways(self, tmp_path, field):
+        # The float columns come from the RunRecord fields: each one is
+        # refused when non-finite on write, and on read with line and field.
+        with pytest.raises(ValidationError, match=f"non-finite {field}=nan"):
+            write_records_csv([_record(**{field: float("nan")})], tmp_path / "w.csv")
+        path = tmp_path / "r.csv"
+        write_records_csv([_record(), _record(repetition=1)], path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[CSV_COLUMNS.index(field)] = "inf"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=f"line 3: non-finite {field}=inf"):
+            read_records_csv(path)
+
+    def test_read_parses_each_column_by_field_type(self, tmp_path, records):
+        path = tmp_path / "raw.csv"
+        write_records_csv(records, path)
+        parsed = read_records_csv(path)
+        assert parsed == records
+        assert all(type(r.repetition) is int and type(r.budget) is int for r in parsed)
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

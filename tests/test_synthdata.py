@@ -215,10 +215,6 @@ class TestSamplingDensity:
                 rtol=1e-12,
             )
 
-    def test_marginal_needs_model(self):
-        with pytest.raises(ValidationError, match="task model"):
-            _q(unbiased_sampler(), None, 0.0)
-
     @pytest.mark.parametrize(
         "s",
         [
