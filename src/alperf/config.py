@@ -11,7 +11,9 @@ configuration.
 What differs between scenarios lives in one table, ``_SCENARIO_DEFAULTS``:
 each scenario's default repetitions and estimators, and its own JSON keys
 with their defaults. Only bias-sweep maps its keys onto the spec
-(``labeled_size`` is its single budget, ``d_grid`` its samplers).
+(``labeled_size`` is its single budget, ``d_grid`` its samplers). A default
+that is the same for every scenario is read from its dataclass field
+(ExperimentSpec, ClassifierConfig), not repeated here.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ _BASE_KEYS = {
     "classifier",
     "estimators",
     "repetitions",
-    "true_eval_size",
 }
 
 
@@ -51,7 +52,11 @@ _SCENARIO_DEFAULTS = {
     harness.EVAL_SIZE_DISTRIBUTION: _ScenarioDefaults(
         1000,
         [{"name": harness.SUBSAMPLE_BASELINE, "params": {}}],
-        {"samplers": _UNBIASED, "budgets": [5, 10, 20, 100], "train_size": 100},
+        {
+            "samplers": _UNBIASED,
+            "budgets": [5, 10, 20, 100],
+            "train_size": ExperimentSpec.train_size,
+        },
     ),
     harness.CV_FOLDS: _ScenarioDefaults(
         50,
@@ -85,12 +90,14 @@ _SCENARIO_DEFAULTS = {
                 {"kind": synthdata.SYMMETRIC_MIXTURE, "d": 2.0, "std": 0.25, "priors": [0.5, 0.5]},
             ],
             "budgets": [10, 30, 50],
-            "pool_size": 1000,
-            "subsample_reps": 100,
+            "pool_size": ExperimentSpec.pool_size,
+            "subsample_reps": ExperimentSpec.subsample_reps,
         },
     ),
 }
-_CLASSIFIER_DEFAULTS = {"bandwidth": 0.2, "epsilon": 0.01}
+_CLASSIFIER_DEFAULTS = {
+    "bandwidth": ClassifierConfig.bandwidth, "epsilon": ClassifierConfig.prior_weight,
+}
 
 
 @dataclass(frozen=True)
@@ -312,7 +319,7 @@ def resolve_config(text: str) -> ResolvedConfig:
         applied.append(path + key)
         return default
 
-    master_seed = _as_int(take("master_seed", 0), "master_seed")
+    master_seed = _as_int(take("master_seed", ExperimentSpec.master_seed), "master_seed")
     task = _build_task(take("task", _task_document(synthdata.default_task())))
 
     classifier_raw = _as_object(
@@ -334,7 +341,6 @@ def resolve_config(text: str) -> ResolvedConfig:
         _build_estimator(e, f"estimators[{i}]") for i, e in enumerate(estimators_raw)
     )
     repetitions = _as_int(take("repetitions", defaults.repetitions), "repetitions")
-    true_eval_size = _as_int(take("true_eval_size", 2000), "true_eval_size")
 
     # The scenario's own keys: how labels are drawn (echoed before the
     # classifier, or last for bias-sweep), then ExperimentSpec sizes.
@@ -371,7 +377,6 @@ def resolve_config(text: str) -> ResolvedConfig:
         estimators=estimator_specs,
         budgets=budgets,
         repetitions=repetitions,
-        true_eval_size=true_eval_size,
         master_seed=master_seed,
         **sizes,
     )
@@ -384,7 +389,6 @@ def resolve_config(text: str) -> ResolvedConfig:
         "classifier": classifier_doc,
         "estimators": [_estimator_document(e) for e in estimator_specs],
         "repetitions": repetitions,
-        "true_eval_size": true_eval_size,
         **sizes,
         **echo_last,
     }

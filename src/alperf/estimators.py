@@ -486,38 +486,31 @@ def probabilistic_performance(
 # ---------------------------------------------------------------------------
 
 
-def true_baseline(
-    m: ParzenModel,
-    model: TaskModel,
-    eval_size: int = 2000,
-    rng: np.random.Generator | None = None,
-) -> PerformanceEstimate:
-    """Accuracy on a large fresh oracle-labeled unbiased evaluation set."""
-    if eval_size < 1:
-        raise ValidationError(f"eval_size must be >= 1, got {eval_size}")
-    if rng is None:
-        raise ValidationError("true_baseline needs an explicit random stream")
-    xs, ys = synthdata.draw_oracle_arrays(model, eval_size, rng)
-    return PerformanceEstimate.point(parzen.accuracy_arrays(m, xs, ys))
+def true_baseline(m: ParzenModel, model: TaskModel) -> PerformanceEstimate:
+    """Exact accuracy of the classifier under the data-generating
+    distribution: ``synthdata.decision_accuracy`` of the class
+    ``parzen.predict_batch`` returns, read on a grid of 1/20 bandwidth."""
+    return PerformanceEstimate.point(
+        synthdata.decision_accuracy(
+            model, lambda xs: parzen.posterior_batch(m, xs), m.config.bandwidth / 20.0
+        )
+    )
 
 
 def subsample_baseline(
-    m: ParzenModel,
-    model: TaskModel,
-    budget: int,
-    reps: int,
-    rng: np.random.Generator,
+    accuracy: float, budget: int, reps: int, rng: np.random.Generator
 ) -> PerformanceEstimate:
     """Distribution of accuracy over repeated budget-sized evaluation sets.
 
-    The classifier stays fixed; each repetition draws a fresh unbiased
+    The classifier stays fixed and each repetition is a fresh unbiased
     oracle-labeled set of ``budget`` instances, so each accuracy value is
-    Binomial(budget, true accuracy) / budget.
+    Binomial(budget, accuracy) / budget, drawn directly from the classifier's
+    true ``accuracy``.
     """
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    xs, ys = synthdata.draw_oracle_arrays(model, reps * budget, rng)
-    correct = (parzen.predict_batch(m, xs) == ys).reshape(reps, budget)
-    return PerformanceEstimate.empirical(correct.mean(axis=1))
+    if not 0.0 <= accuracy <= 1.0:
+        raise ValidationError(f"accuracy must be in [0,1], got {accuracy}")
+    return PerformanceEstimate.empirical(rng.binomial(budget, accuracy, reps) / budget)

@@ -59,7 +59,7 @@ class EstimatorEntry(NamedTuple):
 
     reads: tuple[str, ...]  # the EstimatorSpec fields it reads
     id_template: str  # record id, formatted with k and the count-mode and cap tags
-    run: Callable  # run(spec, espec, labeled, pool, model, budget, rng)
+    run: Callable  # run(spec, espec, labeled, pool, model, budget, truth, rng)
 
 
 # Each run looks its function up in ``estimators`` at call time, so a wrapper
@@ -67,34 +67,34 @@ class EstimatorEntry(NamedTuple):
 ESTIMATOR_TABLE = {
     GENERALIZATION_ERROR: EstimatorEntry(
         (), "generalization-error",
-        lambda spec, e, labeled, pool, model, budget, rng:
+        lambda spec, e, labeled, pool, model, budget, truth, rng:
             estimators.generalization_error_estimate(model, pool),
     ),
     KFOLD_CV: EstimatorEntry(
         ("k",), "cv-{k}fold",
-        lambda spec, e, labeled, pool, model, budget, rng:
+        lambda spec, e, labeled, pool, model, budget, truth, rng:
             estimators.kfold_cv(labeled, e.k, spec.classifier, rng),
     ),
     REWEIGHTED_CV: EstimatorEntry(
         ("k", "weight_cap"), "reweighted-cv-{k}fold{cap}",
-        lambda spec, e, labeled, pool, model, budget, rng: estimators.kfold_cv(
+        lambda spec, e, labeled, pool, model, budget, truth, rng: estimators.kfold_cv(
             labeled, e.k, spec.classifier, rng, reweighted=True, weight_cap=e.weight_cap
         ),
     ),
     SELF_LABEL_CV: EstimatorEntry(
         ("k",), "self-label-cv-{k}fold",
-        lambda spec, e, labeled, pool, model, budget, rng:
+        lambda spec, e, labeled, pool, model, budget, truth, rng:
             estimators.self_label_cv(labeled, pool, e.k, spec.classifier, rng),
     ),
     PROBABILISTIC: EstimatorEntry(
         ("count_mode",), "probabilistic{count_mode}",
-        lambda spec, e, labeled, pool, model, budget, rng:
+        lambda spec, e, labeled, pool, model, budget, truth, rng:
             estimators.probabilistic_performance(labeled, pool, spec.classifier, e.count_mode),
     ),
     SUBSAMPLE_BASELINE: EstimatorEntry(
         (), "subsample-baseline",
-        lambda spec, e, labeled, pool, model, budget, rng:
-            estimators.subsample_baseline(model, spec.task, budget, spec.subsample_reps, rng),
+        lambda spec, e, labeled, pool, model, budget, truth, rng:
+            estimators.subsample_baseline(truth, budget, spec.subsample_reps, rng),
     ),
 }
 # How each count mode appears in a record id.
@@ -206,7 +206,8 @@ class ExperimentSpec:
 
     Construction checks every range and cross-field rule, so an invalid
     spec fails before any computation, whether it comes from a JSON config
-    or from Python.
+    or from Python. ``budgets`` and ``repetitions`` differ by scenario, so
+    they have no default here; the other defaults hold for every scenario.
     """
 
     scenario: str
@@ -214,10 +215,9 @@ class ExperimentSpec:
     samplers: tuple[SamplingDistribution, ...]
     classifier: ClassifierConfig
     estimators: tuple[EstimatorSpec, ...]
-    budgets: tuple[int, ...] = (10, 30, 50)
-    repetitions: int = 200
+    budgets: tuple[int, ...]
+    repetitions: int
     pool_size: int = 1000
-    true_eval_size: int = 2000
     subsample_reps: int = 100
     master_seed: int = 0
     train_size: int = 100
@@ -225,7 +225,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
-        for name in ("repetitions", "train_size", "pool_size", "true_eval_size", "subsample_reps"):
+        for name in ("repetitions", "train_size", "pool_size", "subsample_reps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.budgets:
@@ -349,27 +349,26 @@ def _record(
 
 def _eval_size_units(spec: ExperimentSpec) -> list:
     """One fixed classifier, repeatedly evaluated on fresh sets of each size:
-    one unit per repetition, all sharing the classifier and its truth.
+    one unit per repetition, all sharing the classifier's exact accuracy.
 
     The budget column of the resulting records carries the evaluation-set
-    size; each repetition contributes one accuracy value per size.
+    size; each repetition contributes one accuracy value per size, a
+    Binomial(size, accuracy) / size draw.
     """
     train_rng = derive_substream(spec.master_seed, (0, 0))
     training = synthdata.draw_labeled(spec.task, spec.samplers[0], spec.train_size, train_rng)
     model = parzen.fit_arrays(training.xs, training.ys, spec.classifier)
-    truth = estimators.true_baseline(
-        model, spec.task, spec.true_eval_size, derive_substream(spec.master_seed, (0, 1))
-    ).mean()
-    return [(model, truth, rep) for rep in range(spec.repetitions)]
+    truth = estimators.true_baseline(model, spec.task).mean()
+    return [(truth, rep) for rep in range(spec.repetitions)]
 
 
 def _eval_size_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
-    model, truth, rep = unit
+    truth, rep = unit
     records = []
     for i, size in enumerate(spec.budgets):
         rng = derive_substream(spec.master_seed, (1, rep, i))
         t0 = time.perf_counter()
-        estimate = estimators.subsample_baseline(model, spec.task, size, 1, rng)
+        estimate = estimators.subsample_baseline(truth, size, 1, rng)
         records.append(
             _record(
                 spec.scenario, rep, spec.samplers[0].label(), size,
@@ -396,10 +395,7 @@ def _cv_folds_units(spec: ExperimentSpec) -> list:
         derive_substream(spec.master_seed, (0, 0)),
     )
     full_model = parzen.fit_arrays(labeled.xs, labeled.ys, spec.classifier)
-    truth = estimators.true_baseline(
-        full_model, spec.task, spec.true_eval_size,
-        derive_substream(spec.master_seed, (0, 1)),
-    ).mean()
+    truth = estimators.true_baseline(full_model, spec.task).mean()
     return [(labeled, truth, rep) for rep in range(spec.repetitions)]
 
 
@@ -410,7 +406,7 @@ def _cv_folds_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
         rng = derive_substream(spec.master_seed, (1, rep, e_idx))
         run = ESTIMATOR_TABLE[espec.name].run
         t0 = time.perf_counter()
-        estimate = run(spec, espec, labeled, None, None, spec.budgets[0], rng)
+        estimate = run(spec, espec, labeled, None, None, spec.budgets[0], truth, rng)
         records.append(
             _record(
                 spec.scenario, rep, spec.samplers[0].label(), spec.budgets[0],
@@ -427,7 +423,7 @@ def _cv_folds_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
 
 def _bias_sweep_units(spec: ExperimentSpec) -> list:
     """Sweep the acquisition distance d; per repetition, compare internal
-    CV against the fold-trained models' accuracy on a fresh hold-out set.
+    CV against the fold-trained models' exact accuracy.
 
     The labeled-set size is the single configured budget. The hold-out
     truth averages the per-fold models so it refers to the same classifiers
@@ -455,12 +451,8 @@ def _bias_sweep_unit(spec: ExperimentSpec, rep: int) -> list[RunRecord]:
             spec.scenario, rep, sampler.label(), spec.budgets[0],
             espec.estimator_id(), detail.estimate, math.nan, t0,
         )
-        hold_x, hold_y = synthdata.draw_oracle_arrays(
-            spec.task, spec.true_eval_size,
-            derive_substream(spec.master_seed, (2, d_idx, rep)),
-        )
         truth = float(
-            np.mean([parzen.accuracy_arrays(m, hold_x, hold_y) for m in detail.fold_models])
+            np.mean([estimators.true_baseline(m, spec.task).mean() for m in detail.fold_models])
         )
         records.append(replace(record, true_baseline=truth))
     return records
@@ -504,15 +496,12 @@ def _comparison_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
     for b_idx, budget in enumerate(spec.budgets):
         labeled = sequence[:budget]
         model = parzen.fit_arrays(labeled.xs, labeled.ys, spec.classifier)
-        truth = estimators.true_baseline(
-            model, spec.task, spec.true_eval_size,
-            derive_substream(spec.master_seed, (2, s_idx, rep, b_idx)),
-        ).mean()
+        truth = estimators.true_baseline(model, spec.task).mean()
         for e_idx, espec in enumerate(spec.estimators):
             rng = derive_substream(spec.master_seed, (3, s_idx, rep, b_idx, e_idx))
             run = ESTIMATOR_TABLE[espec.name].run
             t0 = time.perf_counter()
-            estimate = run(spec, espec, labeled, pool, model, budget, rng)
+            estimate = run(spec, espec, labeled, pool, model, budget, truth, rng)
             records.append(
                 _record(
                     spec.scenario, rep, sampler.label(), budget,
@@ -528,18 +517,21 @@ def _comparison_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
 # each draws only from its own substreams, so they may run in any order on
 # any worker.
 _SCENARIO_TABLE = {
-    # Substream paths: (0, 0) classifier training draws, (0, 1) true baseline,
-    # (1, rep, size_index) per-repetition evaluation draws.
+    # The true baseline is exact and draws nothing. The paths it used to draw
+    # on, (0, 1), (2, d, rep) and (2, s, rep, budget_index), are retired; the
+    # others keep their numbers.
+    # Substream paths: (0, 0) classifier training draws, (1, rep, size_index)
+    # per-repetition evaluation (Binomial) draws.
     EVAL_SIZE_DISTRIBUTION: (_eval_size_units, _eval_size_unit),
-    # Substream paths: (0, 0) labeled-set acquisition, (0, 1) true baseline of
-    # the full-set model, (1, rep, estimator_index) fold assignment.
+    # Substream paths: (0, 0) labeled-set acquisition, (1, rep,
+    # estimator_index) fold assignment.
     CV_FOLDS: (_cv_folds_units, _cv_folds_unit),
     # Substream paths per (d_index, rep): (0, d, rep) acquisition,
-    # (1, d, rep) fold assignment, (2, d, rep) hold-out draws.
+    # (1, d, rep) fold assignment.
     BIAS_SWEEP: (_bias_sweep_units, _bias_sweep_unit),
     # Substream paths per (sampler_index, rep): (0, s, rep) acquisition
-    # sequence, (1, s, rep) pool draws, (2, s, rep, budget_index) true
-    # baseline, (3, s, rep, budget_index, estimator_index) estimator stream.
+    # sequence, (1, s, rep) pool draws, (3, s, rep, budget_index,
+    # estimator_index) estimator stream.
     ESTIMATOR_COMPARISON: (_comparison_units, _comparison_unit),
 }
 

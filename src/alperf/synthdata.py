@@ -10,26 +10,33 @@ draws from the true class posterior, so label noise near the boundary is
 preserved.
 
 Closed-form quantities (posterior, marginal density, Bayes accuracy) are
-exposed so they can serve as reference values elsewhere.
+exposed so they can serve as reference values elsewhere. The accuracy of
+any one-dimensional decision rule under a task is exact: ``decision_accuracy``
+splits the line into the rule's decision regions and sums the closed-form
+Gaussian mass of each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import special
 
 from .errors import ValidationError
 
-# Quadrature support; tail mass beyond this interval is < 1e-15 for all
-# configured tasks.
+# Decision rules are read on this interval; each tail beyond it takes the
+# class predicted at its end.
 SUPPORT = (-10.0, 10.0)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PROB_TOL = 1e-12
-_QUAD_RESIDUAL_TOL = 1e-8
+# Decision boundaries: points read per bracket and refinement round, and the
+# bracket width at which a boundary is placed at its bracket's midpoint.
+_SECTIONS = 32
+_EDGE_TOL = 1e-9
 
 DATA_MARGINAL = "data-marginal"
 SYMMETRIC_MIXTURE = "symmetric-mixture"
@@ -334,56 +341,56 @@ def draw_unlabeled(model: TaskModel, n: int, rng: np.random.Generator) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Bayes accuracy
+# Exact accuracy of a decision rule
 # ---------------------------------------------------------------------------
 
 
-def _argmax_crossings(model: TaskModel, lo: float, hi: float) -> list[float]:
-    """Locate points where the maximizing class of prior*p(x|y) changes."""
-    xs = np.linspace(lo, hi, 4001)
-    winner = np.argmax(_joint_density(model, xs), axis=1)
-    crossings: list[float] = []
-    for i in np.nonzero(np.diff(winner))[0]:
-        a, b = int(winner[i]), int(winner[i + 1])
+def decision_accuracy(
+    model: TaskModel, scores: Callable[[np.ndarray], np.ndarray], step: float
+) -> float:
+    """Exact accuracy under ``model`` of the rule that predicts the argmax of
+    ``scores(xs)``, an (len(xs), C) array; ties go to the smallest class.
 
-        def gap(x: float, a: int = a, b: int = b) -> float:
-            row = _joint_density(model, np.array([x]))[0]
-            return float(row[a] - row[b])
-
-        ga, gb = gap(float(xs[i])), gap(float(xs[i + 1]))
-        if ga == 0.0:
-            crossings.append(float(xs[i]))
-        elif gb == 0.0:
-            crossings.append(float(xs[i + 1]))
-        elif ga * gb < 0.0:
-            crossings.append(float(optimize.brentq(gap, xs[i], xs[i + 1])))
-        else:
-            crossings.append(float(0.5 * (xs[i] + xs[i + 1])))
-    return sorted(set(crossings))
+    The rule is read on a grid over SUPPORT with spacing at most ``step``.
+    Each class change between neighbouring grid points is then bracketed
+    ever more tightly, all changes at once: every round reads the rule at
+    _SECTIONS evenly spaced points inside each bracket, in one ``scores``
+    call, and keeps the section where the class first changes, until every
+    bracket is narrower than _EDGE_TOL. Refining the rule itself, not a
+    score difference, keeps its ties exactly as argmax breaks them. The
+    predicted class is then constant between boundaries, each tail taking the
+    class at its grid end, and the accuracy is the sum over intervals of
+    prior * weight * (Phi(b) - Phi(a)) over the predicted class's components.
+    """
+    lo, hi = SUPPORT
+    grid = np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
+    labels = np.argmax(scores(grid), axis=1)
+    changes = np.nonzero(np.diff(labels))[0]
+    left, right, before = grid[changes], grid[changes + 1], labels[changes]
+    fractions = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+    rows = np.arange(len(changes))
+    while len(changes) and (right - left).max() > _EDGE_TOL:
+        points = left[:, None] + (right - left)[:, None] * fractions
+        inside = np.argmax(scores(points.ravel()), axis=1).reshape(points.shape)
+        moved = inside != before[:, None]
+        # points[:, j] is ends[:, j + 1]. The new bracket ends at the first
+        # point whose class differs from the left end's, else at the old right end.
+        first = np.where(moved.any(axis=1), moved.argmax(axis=1), _SECTIONS)
+        ends = np.column_stack([left, points, right])
+        left, right = ends[rows, first], ends[rows, first + 1]
+    edges = np.r_[-math.inf, 0.5 * (left + right), math.inf]
+    predicted = labels[np.r_[0, changes + 1]]  # the class of each interval
+    total = 0.0
+    for c, (prior, comps) in enumerate(zip(model.class_priors, model.class_components)):
+        mine = predicted == c
+        for comp in comps:
+            mass = np.diff(special.ndtr((edges - comp.mean) / comp.std))
+            total += prior * comp.weight * float(mass[mine].sum())
+    return total
 
 
 def bayes_accuracy(model: TaskModel) -> float:
-    """Accuracy of the optimal decision rule, via adaptive quadrature.
-
-    Integrates max_y prior(y) p(x|y) over the truncated support, splitting
-    at decision-boundary crossings so each panel is smooth.
-
-    Raises RuntimeError when the quadrature residual exceeds the tolerance.
-    """
-    lo, hi = SUPPORT
-    crossings = _argmax_crossings(model, lo, hi)
-    priors = np.asarray(model.class_priors)
-
-    def best_mass(x: float) -> float:
-        return float(
-            np.max(class_conditional_density(model, np.array([x]))[0] * priors)
-        )
-
-    value, residual = integrate.quad(
-        best_mass, lo, hi, points=crossings or None, limit=200
-    )
-    if residual > _QUAD_RESIDUAL_TOL:
-        raise RuntimeError(
-            f"Bayes-accuracy quadrature did not converge (residual {residual:.3e})"
-        )
-    return value
+    """Accuracy of the optimal decision rule, the argmax of prior(y) p(x|y),
+    read on a grid of 1/20 of the narrowest component's width."""
+    step = min(comp.std for comps in model.class_components for comp in comps) / 20.0
+    return decision_accuracy(model, lambda xs: _joint_density(model, xs), step)

@@ -24,12 +24,19 @@ from alperf.estimators import (
     true_baseline,
 )
 from alperf.harness import derive_substream, run_experiment, summarize
-from alperf.parzen import ClassifierConfig, fit_arrays, posterior_batch, predict_batch
+from alperf.parzen import (
+    ClassifierConfig,
+    accuracy_arrays,
+    fit_arrays,
+    posterior_batch,
+    predict_batch,
+)
 from alperf.synthdata import (
     LabeledSet,
     bayes_accuracy,
     default_task,
     draw_labeled,
+    draw_oracle_arrays,
     unbiased_sampler,
 )
 
@@ -55,14 +62,15 @@ def _builtin_spec(name):
 @pytest.fixture(scope="module")
 def fig2_model_and_a_true(task):
     """The fig2 scenario's fixed classifier (same substream path the runner
-    uses) plus its accuracy measured on a 200k-sample oracle set."""
+    uses) plus its accuracy measured on a 200k-sample oracle set: a Monte
+    Carlo independent of the exact integrator behind ``true_baseline``."""
     training = draw_labeled(task, unbiased_sampler(), 100, derive_substream(42, (0, 0)))
     model = fit_arrays(
         training.xs, training.ys,
         ClassifierConfig(bandwidth=0.2, prior_weight=0.01, class_count=2),
     )
-    a_true = true_baseline(model, task, 200_000, derive_substream(42, (900,))).mean()
-    return model, a_true
+    xs, ys = draw_oracle_arrays(task, 200_000, derive_substream(42, (900,)))
+    return model, accuracy_arrays(model, xs, ys)
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +85,9 @@ def test_criterion_1_binomial_oracle(task, fig2_model_and_a_true):
     with criterion(1, "binomial oracle"):
         model, a_true = fig2_model_and_a_true
         t0 = time.perf_counter()
+        exact = true_baseline(model, task).mean()
         for B in (5, 10, 20, 100):
-            est = subsample_baseline(
-                model, task, B, 10_000, derive_substream(42, (901, B))
-            )
+            est = subsample_baseline(exact, B, 10_000, derive_substream(42, (901, B)))
             counts = np.round(np.asarray(est.samples) * B).astype(int)
             emp = np.bincount(counts, minlength=B + 1) / len(counts)
             pmf = stats.binom.pmf(np.arange(B + 1), B, a_true)
@@ -112,9 +119,7 @@ def test_criterion_3_closed_form_accuracy(task, sign_rule_model):
     with criterion(3, "closed-form accuracy"):
         assert bayes_accuracy(task) == pytest.approx(_phi(1.5), abs=1e-6)
         assert _phi(1.5) == pytest.approx(0.93319, abs=5e-6)
-        tb = true_baseline(
-            sign_rule_model, task, 200_000, derive_substream(42, (903,))
-        ).mean()
+        tb = true_baseline(sign_rule_model, task).mean()
         assert abs(tb - _phi(1.5)) < 0.005
 
 

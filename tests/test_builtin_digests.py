@@ -12,6 +12,12 @@ configuration with its applied defaults in order, is compared with a
 constant recorded before the scenario defaults moved into one table. The
 SHA-256 of ``alperf scenarios <name>``, the fully resolved configuration
 each built-in echoes, is compared the same way.
+
+All sixteen constants were re-recorded together when the true baseline
+became the exact decision-region integral and the subsample baseline a
+Binomial draw of it: that changed the ``true_baseline`` column and the
+subsample-baseline rows, and dropped ``true_eval_size`` from the resolved
+configuration. Every other ``raw.csv`` field stayed byte-identical.
 """
 
 import hashlib
@@ -23,33 +29,33 @@ from alperf.cli import cli_main
 from alperf.config import BUILTIN_SCENARIOS
 
 GOLDEN = {
-    "fig2": (50, "027c3e12e756fe1a3a4e8c13eeb5720e71863b86200249457d5da9be2c60fc04"),
-    "fig3": (5, "0a7183ea812a5ad4b2eb0cdbde3a0d9fb8b2b87719546567caa104030f963338"),
-    "fig5": (3, "d9911ea7fbac58ac17886af59dc4caab325104c8e9970ffbc4e666d52928dbae"),
-    "fig6": (2, "62f97a15269aae06d193ce51d22b9227e8d02be2af3ed2412888e35e86b38dae"),
+    "fig2": (50, "881a5426636f4cb75cd1a723e51af37ee4496751d6bf5d52e5a3c4b6f2af3c57"),
+    "fig3": (5, "f2f1d8a6d52596647588ee94c013f9fc43273c28be1e6e696b696e187ff4f2f8"),
+    "fig5": (3, "ff002f35f31d153da8ad80aa6547d945c94764f6d395b0f75b7e1cb69f13a3b6"),
+    "fig6": (2, "203ea4fd70bc71961330993be1e76a6e33a83b6ff42fe6b2288f39aab0894342"),
 }
 
 # summary.json of the same runs as GOLDEN.
 SUMMARY_JSON = {
-    "fig2": "0a16493177bdbe46c3f7bba1aa431d86fdebf489c2b5ff7efd30f3c9a283eeb1",
-    "fig3": "5ba8be7bc3da58ad311bf06bdb499b3a15d0363b9399237f913c89ca6a9a0b30",
-    "fig5": "f0d03e4cc76d70d71f7c8f9feeea04fef1cb7f87d83cde997f7942155fa46e61",
-    "fig6": "5b69fd1005c0960327f5f088effced8cef224775aa54486df9a68a222c002c15",
+    "fig2": "337946a46b662d6d1c25b84926693b4f1a52ca2a6bc404e721a23657affb340f",
+    "fig3": "b4ea1984eac80d81d57adc0cee6b6575dd56ab82a9d65f68a63d8c72c905ba19",
+    "fig5": "c99a36c55b6fe6289af59c6b4b58717cc913ecc4a0925ac490fdcb2ac69c3bb9",
+    "fig6": "c7d966a18489bcd8e57a3e08509cedef89c15e8ba1759a4d81b9df8141682e3d",
 }
 
 # bundle.json of the same runs as GOLDEN.
 BUNDLE_JSON = {
-    "fig2": "cc07c4d69746d673534e49f9e9dc7c72f6943f75229454cc37717987a071824f",
-    "fig3": "9e921a03c6a1c7a0d87aa3e9070521eee2ebece11ac8fe6760bda627920c4013",
-    "fig5": "c9388fc60a64e5004a98a52f45f4f0f4c62b0a882f0181e1e0300b214c122940",
-    "fig6": "42f8375692c9e7391be8dd6b39cb186d3b78a74712cf2620cd2df68b272de747",
+    "fig2": "6dc13d3a422d361d6f3aa1bb8e65d52bccf910c1bd7be2c9443086c087f62457",
+    "fig3": "982d3c1f73fa65342d2937db00a9d444cf33ba22425b5dc39260f94e11b44c70",
+    "fig5": "3a054a0dda1c01cf3e28da5b210519b85e24c5b3538fb0112207172bee34ddae",
+    "fig6": "7f6937be79d13d352179922811f6fb661fc4ebdc62b3920986860be5856c507e",
 }
 
 SCENARIO_ECHO = {
-    "fig2": "9da631a7e670ff1abb11fd8f85e1107ed231f1f13204ad49b836e05fd23e6a04",
-    "fig3": "5cd59e79bda4ec73ac57c1ba5184a3353bcc3b883a6644d32add3c879b02df64",
-    "fig5": "6fbcab38f5c0781cb665252ef58209a70cdb06d825daa50918f9732f728783f2",
-    "fig6": "e3c27449b44375505b658f39f4f0b99c18076e8108173297ab354cab66c9ccb4",
+    "fig2": "c63968ebf7d5953c7ab79a6d16404053d5071973a9a9f6dc702218e0631a776a",
+    "fig3": "61257ac476bf4bf3543e5d55f339798d3c011f32f3e5ec7bee6b9a8cdbfcc6ea",
+    "fig5": "d16487f142011daf9568d101e51ab5e26602c805a51737e4372a40256fc82ca5",
+    "fig6": "0f5b32691f800e5181eafc0593cd8d52fec6dfe8dab597a6856e2f232d7e88f3",
 }
 
 

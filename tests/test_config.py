@@ -1,9 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
 from alperf.config import BUILTIN_SCENARIOS, parse_config, resolve_config
 from alperf.errors import ValidationError
+from alperf.harness import SCENARIOS, EstimatorSpec, ExperimentSpec
+from alperf.parzen import ClassifierConfig
+from alperf.synthdata import default_task, unbiased_sampler
 
 
 def _resolve(cfg):
@@ -16,7 +20,6 @@ class TestDefaults:
         spec = r.spec
         assert spec.budgets == (10, 30, 50)
         assert spec.pool_size == 1000
-        assert spec.true_eval_size == 2000
         assert spec.repetitions == 200
         assert spec.classifier.bandwidth == 0.2
         assert spec.classifier.prior_weight == 0.01
@@ -30,9 +33,36 @@ class TestDefaults:
         ]
         for key in ("budgets", "pool_size", "classifier.bandwidth",
                     "classifier.epsilon", "task", "samplers", "estimators",
-                    "repetitions", "true_eval_size", "subsample_reps"):
+                    "repetitions", "subsample_reps"):
             assert key in r.defaults_applied
         assert "master_seed" not in r.defaults_applied
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_json_defaults_are_the_dataclass_defaults(self, scenario):
+        r = _resolve({"scenario": scenario})
+        spec_defaults = {
+            f.name: f.default
+            for f in dataclasses.fields(ExperimentSpec)
+            if f.default is not dataclasses.MISSING
+        }
+        assert set(spec_defaults) == {"pool_size", "subsample_reps", "master_seed", "train_size"}
+        for key, default in spec_defaults.items():
+            if key in r.document:
+                assert key in r.defaults_applied
+                assert r.document[key] == default == getattr(r.spec, key)
+        assert r.document["classifier"] == {
+            "bandwidth": ClassifierConfig().bandwidth,
+            "epsilon": ClassifierConfig().prior_weight,
+        }
+
+    def test_spec_without_budgets_fails_on_construction(self):
+        # budgets and repetitions differ by scenario: the spec has no default
+        with pytest.raises(TypeError, match="budgets"):
+            ExperimentSpec(
+                scenario="cv-folds", task=default_task(), samplers=(unbiased_sampler(),),
+                classifier=ClassifierConfig(), estimators=(EstimatorSpec("kfold-cv"),),
+                repetitions=5,
+            )
 
     def test_default_task_shape(self):
         spec = parse_config('{"scenario": "estimator-comparison"}')
@@ -108,6 +138,9 @@ class TestValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown configuration key"):
             _resolve({"scenario": "estimator-comparison", "workers": 4})
+        # the true baseline is exact: it has no evaluation-set size
+        with pytest.raises(ValidationError, match="unknown configuration key.*true_eval_size"):
+            _resolve({"scenario": "estimator-comparison", "true_eval_size": 2000})
 
     def test_negative_bandwidth_named(self):
         with pytest.raises(ValidationError, match="classifier: bandwidth must be > 0"):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,13 +22,15 @@ from alperf.estimators import (
     subsample_baseline,
     true_baseline,
 )
-from alperf.harness import derive_substream
-from alperf.parzen import ClassifierConfig, fit_arrays, predict_batch
+from alperf.config import BUILTIN_SCENARIOS, resolve_config
+from alperf.harness import acquisition_sequence, derive_substream
+from alperf.parzen import ClassifierConfig, accuracy_arrays, fit_arrays, predict_batch
 from alperf.synthdata import (
     GaussianComponent,
     LabeledSet,
     TaskModel,
     draw_labeled,
+    draw_oracle_arrays,
     draw_unlabeled,
     unbiased_sampler,
 )
@@ -456,25 +459,77 @@ class TestProbabilisticPerformance:
             probabilistic_performance(NO_LABELS, np.array([]), CFG)
 
 
+def _monte_carlo(m, task, seed, n=200_000):
+    """Accuracy on n fresh oracle draws: an oracle independent of the exact
+    integrator, with its own standard error."""
+    xs, ys = draw_oracle_arrays(task, n, derive_substream(seed, (77,)))
+    a = accuracy_arrays(m, xs, ys)
+    return a, math.sqrt(a * (1.0 - a) / n)
+
+
+def _fig6_models():
+    """Models fitted on fig6 budget prefixes: 3 samplers x 4 repetitions x
+    budgets 10/30/50."""
+    spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
+    for s_idx in range(3):
+        for rep in range(4):
+            sequence = acquisition_sequence(spec, s_idx, rep)
+            for budget in spec.budgets:
+                labeled = sequence[:budget]
+                yield fit_arrays(labeled.xs, labeled.ys, spec.classifier)
+
+
 class TestTrueBaseline:
     def test_sign_rule_hits_bayes_accuracy(self, task, sign_rule_model):
-        tb = true_baseline(
-            sign_rule_model, task, 200_000, derive_substream(42, (0,))
-        ).mean()
+        tb = true_baseline(sign_rule_model, task).mean()
         phi15 = 0.5 * (1 + math.erf(1.5 / math.sqrt(2)))
-        assert tb == pytest.approx(phi15, abs=0.002)
+        assert tb == pytest.approx(phi15, abs=1e-9)
 
     def test_constant_classifier_is_a_coin_flip(self, task):
         m = _fit(_labeled([(0.0, 1)]), prior_weight=0.0)
-        n = 50_000
-        tb = true_baseline(m, task, n, derive_substream(3, (0,))).mean()
-        assert abs(tb - 0.5) < 3.0 * math.sqrt(0.25 / n)
+        assert true_baseline(m, task).mean() == 0.5
 
-    def test_requires_rng_and_size(self, task, sign_rule_model):
-        with pytest.raises(ValidationError, match="random stream"):
-            true_baseline(sign_rule_model, task)
-        with pytest.raises(ValidationError, match="eval_size"):
-            true_baseline(sign_rule_model, task, 0, derive_substream(0, (0,)))
+    def test_matches_monte_carlo_on_fig6_models(self, task):
+        models = list(_fig6_models())
+        assert len(models) >= 30
+        for i, m in enumerate(models):
+            exact = true_baseline(m, task).mean()
+            mc, se = _monte_carlo(m, task, i)
+            assert abs(exact - mc) < 4.0 * se, (i, exact, mc)
+
+    def test_no_labels_scores_exactly_the_first_prior(self):
+        skewed = TaskModel(
+            class_priors=(0.3, 0.7),
+            class_components=(
+                (GaussianComponent(1.0, -1.5, 1.0),),
+                (GaussianComponent(1.0, 1.5, 1.0),),
+            ),
+        )
+        # every posterior is uniform, so argmax ties everywhere go to class 1
+        assert true_baseline(_fit(NO_LABELS), skewed).mean() == 0.3
+
+    @pytest.mark.parametrize(
+        "pairs, prior_weight, far_x, far_class",
+        [
+            # All labels right of 8 with a class-2 majority: left of about
+            # 0.5 every kernel is clamped to the same exp(-700), so the
+            # label counts decide and class 2 is predicted there.
+            ([(8.0, 1), (8.2, 2), (8.4, 2)], 0.0, -2.0, 2),
+            # One class-2 label with epsilon 0.01: more than about 1.8 from
+            # it the kernel mass vanishes next to epsilon, the posterior ties
+            # exactly and class 1 is predicted.
+            ([(1.5, 2)], 0.01, -3.0, 1),
+        ],
+        ids=["clamped-majority", "epsilon-tie"],
+    )
+    def test_far_field_rule_matches_monte_carlo(
+        self, task, pairs, prior_weight, far_x, far_class
+    ):
+        m = _fit(_labeled(pairs), prior_weight=prior_weight)
+        assert predict_batch(m, np.array([far_x]))[0] == far_class
+        exact = true_baseline(m, task).mean()
+        mc, se = _monte_carlo(m, task, 5)
+        assert abs(exact - mc) < 4.0 * se, (exact, mc)
 
 
 class TestSubsampleBaseline:
@@ -487,42 +542,54 @@ class TestSubsampleBaseline:
             ),
         )
         m = _fit(_labeled([(-100.0, 1), (100.0, 2)]), bandwidth=5.0, prior_weight=0.0)
-        est = subsample_baseline(m, far_task, 10, 200, derive_substream(0, (0,)))
+        # the class mass lies beyond SUPPORT, in the tails
+        accuracy = true_baseline(m, far_task).mean()
+        assert accuracy == 1.0
+        est = subsample_baseline(accuracy, 10, 200, derive_substream(0, (0,)))
         assert np.all(np.asarray(est.samples) == 1.0)
 
     def test_mean_matches_true_accuracy(self, task, sign_rule_model):
-        a_true = true_baseline(
-            sign_rule_model, task, 200_000, derive_substream(1, (0,))
-        ).mean()
+        a_true, _ = _monte_carlo(sign_rule_model, task, 1)
         est = subsample_baseline(
-            sign_rule_model, task, 10, 10_000, derive_substream(1, (1,))
+            true_baseline(sign_rule_model, task).mean(), 10, 10_000,
+            derive_substream(1, (1,)),
         )
         assert abs(est.mean() - a_true) < 0.01
 
     def test_binomial_distribution_oracle(self, task, sign_rule_model):
-        a_true = true_baseline(
-            sign_rule_model, task, 200_000, derive_substream(2, (0,))
-        ).mean()
+        a_true, _ = _monte_carlo(sign_rule_model, task, 2)
         B = 10
         est = subsample_baseline(
-            sign_rule_model, task, B, 10_000, derive_substream(2, (1,))
+            true_baseline(sign_rule_model, task).mean(), B, 10_000,
+            derive_substream(2, (1,)),
         )
         counts = np.round(np.asarray(est.samples) * B).astype(int)
         emp = np.bincount(counts, minlength=B + 1) / len(counts)
         pmf = stats.binom.pmf(np.arange(B + 1), B, a_true)
         assert 0.5 * np.abs(emp - pmf).sum() < 0.03
 
-    def test_determinism(self, task, sign_rule_model):
-        a = subsample_baseline(sign_rule_model, task, 5, 100, derive_substream(7, (0,)))
-        b = subsample_baseline(sign_rule_model, task, 5, 100, derive_substream(7, (0,)))
-        np.testing.assert_array_equal(a.samples, b.samples)
+    def test_values_are_multiples_of_one_over_budget(self):
+        for budget in (1, 5, 7, 50):
+            est = subsample_baseline(0.83, budget, 500, derive_substream(4, (budget,)))
+            counts = np.asarray(est.samples) * budget
+            np.testing.assert_array_equal(counts, np.round(counts))
+            np.testing.assert_array_equal(est.samples, np.round(counts) / budget)
 
-    def test_parameter_validation(self, task, sign_rule_model):
+    def test_determinism(self):
+        a = subsample_baseline(0.9, 5, 100, derive_substream(7, (0,)))
+        b = subsample_baseline(0.9, 5, 100, derive_substream(7, (0,)))
+        np.testing.assert_array_equal(a.samples, b.samples)
+        assert a.samples.tobytes() == b.samples.tobytes()
+
+    def test_parameter_validation(self):
         rng = derive_substream(0, (0,))
         with pytest.raises(ValidationError, match="budget"):
-            subsample_baseline(sign_rule_model, task, 0, 10, rng)
+            subsample_baseline(0.9, 0, 10, rng)
         with pytest.raises(ValidationError, match="reps"):
-            subsample_baseline(sign_rule_model, task, 10, 0, rng)
+            subsample_baseline(0.9, 10, 0, rng)
+        for bad in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValidationError, match="accuracy"):
+                subsample_baseline(bad, 10, 10, rng)
 
 
 class TestDeterminism:
@@ -536,8 +603,10 @@ class TestDeterminism:
             "reweighted": lambda r: kfold_cv(labeled, 3, CFG, r, reweighted=True),
             "self-label": lambda r: self_label_cv(labeled, pool, 3, CFG, r),
             "probabilistic": lambda r: probabilistic_performance(labeled, pool, CFG),
-            "true-baseline": lambda r: true_baseline(m, task, 500, r),
-            "subsample": lambda r: subsample_baseline(m, task, 10, 50, r),
+            "true-baseline": lambda r: true_baseline(m, task),
+            "subsample": lambda r: subsample_baseline(
+                true_baseline(m, task).mean(), 10, 50, r
+            ),
         }
         for name, run in runs.items():
             a = run(derive_substream(9, (2,)))

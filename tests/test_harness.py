@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from alperf import harness, synthdata
+from alperf import estimators, harness, synthdata
 from alperf.config import resolve_config
 from alperf.errors import ValidationError
 from alperf.estimators import kfold_cv, kfold_cv_detail
@@ -184,7 +184,7 @@ class TestSpecs:
             )
 
     @pytest.mark.parametrize(
-        "field", ["repetitions", "train_size", "pool_size", "true_eval_size", "subsample_reps"]
+        "field", ["repetitions", "train_size", "pool_size", "subsample_reps"]
     )
     def test_counts_must_be_positive(self, field):
         with pytest.raises(ValidationError, match=f"^{field} must be >= 1, got 0$"):
@@ -404,16 +404,20 @@ class TestRunExperiment:
         assert _strip_wall(records) == _strip_wall(serial)
 
     def test_bias_sweep_wall_ms_stops_before_holdout(self, monkeypatch):
-        # The hold-out draws come after the estimate's summary: slowing them
-        # down must not reach wall_ms, and the truth must still be filled in.
-        draw = synthdata.draw_oracle_arrays
+        # The fold models' exact truth comes after the estimate's summary:
+        # slowing it down must not reach wall_ms, and the truth must still
+        # be filled in.
+        exact = estimators.true_baseline
+        calls = []
 
-        def slow_draw(*args):
+        def slow_truth(*args):
+            calls.append(args)
             time.sleep(0.2)
-            return draw(*args)
+            return exact(*args)
 
-        monkeypatch.setattr(synthdata, "draw_oracle_arrays", slow_draw)
+        monkeypatch.setattr(estimators, "true_baseline", slow_truth)
         spec = _spec({"scenario": "bias-sweep", "d_grid": [0.5, 2.0], "repetitions": 1})
         for r in run_experiment(spec, workers=1):
             assert math.isfinite(r.true_baseline) and 0.0 <= r.true_baseline <= 1.0
             assert 0.0 <= r.wall_ms < 200.0
+        assert len(calls) == 2 * 3  # one per fold model of each record
