@@ -71,7 +71,12 @@ def build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{args.config}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
     resolved = resolve_config(text)
     spec = resolved.spec
     document = dict(resolved.document)

@@ -265,7 +265,7 @@ def _build_estimator(obj, field: str) -> EstimatorSpec:
     _expect("name" in obj, f"{field} needs a name")
     name = obj["name"]
     _expect(
-        name in harness.ESTIMATOR_TABLE,
+        isinstance(name, str) and name in harness.ESTIMATOR_TABLE,
         f"{field}.name must be one of {', '.join(harness.ESTIMATOR_TABLE)}",
     )
     reads = set(harness.ESTIMATOR_TABLE[name].reads)

@@ -8,8 +8,8 @@ from local label statistics. The two baselines (true and subsample) need
 oracle access to the data-generating distribution and exist only to judge
 the estimators.
 
-Every operation returns a PerformanceEstimate so point values, empirical
-distributions and Beta mixtures can be summarized uniformly.
+Every estimator returns a PerformanceEstimate, an empirical sample (a point
+value is a one-value sample) or a Beta mixture, summarized uniformly.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ from . import parzen, synthdata
 from .errors import ValidationError
 from .parzen import ClassifierConfig, ParzenModel
 from .synthdata import LabeledSet, TaskModel
-
-POINT = "point"
-EMPIRICAL = "empirical"
-BETA_MIXTURE = "beta-mixture"
 
 KERNEL_COUNT = "kernel"
 HARD_COUNT = "hard"
@@ -84,53 +80,42 @@ class _BetaSetup(NamedTuple):
 
 @dataclass(frozen=True)
 class PerformanceEstimate:
-    """A point value, an empirical sample, or a Beta mixture over accuracy."""
+    """Accuracy as an empirical sample (one value for a point) or a Beta mixture."""
 
-    kind: str
-    point_value: float | None = None
     samples: np.ndarray | None = None
     components: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind == POINT:
-            v = self.point_value
-            if v is None or not (0.0 <= v <= 1.0):
-                raise ValidationError(f"point estimate must be in [0,1], got {v!r}")
-        elif self.kind == EMPIRICAL:
-            if self.samples is None or len(self.samples) == 0:
+        if (self.samples is None) == (self.components is None):
+            raise ValidationError("an estimate holds either samples or Beta components")
+        if self.samples is not None:
+            if len(self.samples) == 0:
                 raise ValidationError("empirical estimate needs at least one sample")
             if not np.all((self.samples >= 0.0) & (self.samples <= 1.0)):
                 raise ValidationError("empirical samples must lie in [0,1]")
             self.samples.setflags(write=False)
-        elif self.kind == BETA_MIXTURE:
-            if self.components is None or len(self.components) == 0:
+        else:
+            if len(self.components) == 0:
                 raise ValidationError("beta mixture needs at least one component")
             if not np.all(np.isfinite(self.components) & (self.components > 0.0)):
                 raise ValidationError("beta parameters must be finite and strictly positive")
             self.components.setflags(write=False)
-        else:
-            raise ValidationError(f"unknown estimate kind {self.kind!r}")
 
     @classmethod
     def point(cls, value: float) -> PerformanceEstimate:
-        return cls(kind=POINT, point_value=float(value))
+        return cls(samples=np.array([float(value)]))
 
     @classmethod
     def empirical(cls, values: np.ndarray) -> PerformanceEstimate:
         # A copy, so freezing the samples never freezes the caller's array.
-        return cls(kind=EMPIRICAL, samples=np.array(values, dtype=np.float64))
+        return cls(samples=np.array(values, dtype=np.float64))
 
     @classmethod
     def beta_mixture(cls, alphas: np.ndarray, betas: np.ndarray) -> PerformanceEstimate:
-        comps = np.column_stack(
-            [np.asarray(alphas, dtype=np.float64), np.asarray(betas, dtype=np.float64)]
-        )
-        return cls(kind=BETA_MIXTURE, components=comps)
+        return cls(components=np.column_stack([alphas, betas]).astype(np.float64))
 
     def mean(self) -> float:
-        if self.kind == POINT:
-            return self.point_value
-        if self.kind == EMPIRICAL:
+        if self.samples is not None:
             return float(self.samples.mean())
         return self._beta.mean
 
@@ -144,10 +129,8 @@ class PerformanceEstimate:
         return _BetaSetup(a, b, a - 1.0, b - 1.0, special.betaln(a, b), mu, var)
 
     def cdf(self, t: float) -> float:
-        """Mixture CDF; defined for every kind (point = step function)."""
-        if self.kind == POINT:
-            return 1.0 if t >= self.point_value else 0.0
-        if self.kind == EMPIRICAL:
+        """Empirical or mixture CDF (a point value's is a step function)."""
+        if self.samples is not None:
             return float((self.samples <= t).mean())
         if t <= 0.0:
             return 0.0
@@ -173,9 +156,7 @@ class PerformanceEstimate:
         """
         if not 0.0 <= q <= 1.0:
             raise ValidationError(f"quantile level must be in [0,1], got {q}")
-        if self.kind == POINT:
-            return self.point_value
-        if self.kind == EMPIRICAL:
+        if self.samples is not None:
             return percentiles(self.samples, (100.0 * q,))[0]
         if q == 0.0:
             return 0.0
@@ -222,11 +203,11 @@ class PerformanceEstimate:
 
         An empirical estimate sorts its samples once and reads all three
         quartiles from that sort (``percentiles``, equal to
-        ``numpy.percentile`` bit for bit). Otherwise each quartile is a
-        ``quantile`` call; the Beta-mixture set-up those solves share is
-        computed once per estimate.
+        ``numpy.percentile`` bit for bit). For a Beta mixture each quartile
+        is a ``quantile`` call; the set-up those solves share is computed
+        once per estimate.
         """
-        if self.kind == EMPIRICAL:
+        if self.samples is not None:
             q25, median, q75 = percentiles(self.samples, (25.0, 50.0, 75.0))
         else:
             median, q25, q75 = self.median(), self.quantile(0.25), self.quantile(0.75)
@@ -290,13 +271,40 @@ def random_folds(n: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
     return folds
 
 
+def _fold_predictions(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    k: int,
+    config: ClassifierConfig,
+    rng: np.random.Generator,
+    train_size: int | None = None,
+) -> tuple[np.ndarray, list[ParzenModel]]:
+    """Held-out correctness (1.0 or 0.0) of each instance under k-fold CV
+    over (xs, ys), and the fold models. Each fold's model trains on the
+    instances outside the fold or, with ``train_size``, on a fresh uniform
+    subset of at most that many of them."""
+    n = len(xs)
+    folds = random_folds(n, k, rng)
+    correct = np.empty(n, dtype=np.float64)
+    models = []
+    for fold in folds:
+        train = np.ones(n, dtype=bool)
+        train[fold] = False
+        if train_size is not None:
+            outside = np.flatnonzero(train)
+            train = rng.choice(outside, size=min(train_size, len(outside)), replace=False)
+        model = parzen.fit_arrays(xs[train], ys[train], config)
+        models.append(model)
+        correct[fold] = parzen.predict_batch(model, xs[fold]) == ys[fold]
+    return correct, models
+
+
 @dataclass(frozen=True)
 class KFoldDetail:
     """Cross-validation output plus the per-fold models, for callers that
     also want to evaluate the fold-trained classifiers elsewhere."""
 
     estimate: PerformanceEstimate
-    fold_indices: list[np.ndarray]
     fold_models: list[ParzenModel]
 
 
@@ -308,36 +316,21 @@ def kfold_cv_detail(
     reweighted: bool = False,
     weight_cap: float | None = None,
 ) -> KFoldDetail:
-    n = len(labeled)
-    if n == 0:
+    if len(labeled) == 0:
         raise ValidationError("no labeled instances")
     if weight_cap is not None and not weight_cap > 0.0:
         raise ValidationError(f"weight_cap must be > 0, got {weight_cap}")
-    xs, ys = labeled.xs, labeled.ys
-
-    folds = random_folds(n, k, rng)
-    correct = np.empty(n, dtype=np.float64)
-    models = []
-    for fold in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        model = parzen.fit_arrays(xs[mask], ys[mask], config)
-        models.append(model)
-        correct[fold] = parzen.predict_batch(model, xs[fold]) == ys[fold]
-
+    correct, models = _fold_predictions(labeled.xs, labeled.ys, k, config, rng)
+    acc = float(correct.mean())
     if reweighted:
         w = 1.0 / labeled.qs
         if weight_cap is not None:
             w = np.minimum(w, weight_cap)
-        if np.ptp(w) == 0.0:
-            # Constant weights: identical to the unweighted mean by identity;
-            # use that path so the equality is exact.
-            acc = float(correct.mean())
-        else:
+        # Constant weights give the unweighted mean by identity; keeping that
+        # value, not the weighted sum, makes the equality exact.
+        if np.ptp(w) != 0.0:
             acc = float((w * correct).sum() / w.sum())
-    else:
-        acc = float(correct.mean())
-    return KFoldDetail(PerformanceEstimate.point(acc), folds, models)
+    return KFoldDetail(PerformanceEstimate.point(acc), models)
 
 
 def kfold_cv(
@@ -355,49 +348,22 @@ def kfold_cv(
     the inverse of its recorded sampling density, which corrects the
     estimate toward the data-generating distribution.
     """
+    # reweighted stays the 5th positional argument: tracing names the span by it.
     return kfold_cv_detail(labeled, k, config, rng, reweighted, weight_cap).estimate
 
 
-def _subset_restricted_cv(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    train_size: int,
-    k: int,
-    config: ClassifierConfig,
-    rng: np.random.Generator,
-) -> PerformanceEstimate:
-    """k-fold CV where each fold's training side is a fresh uniform subset
-    of at most ``train_size`` instances drawn from the other folds."""
-    n = len(xs)
-    folds = random_folds(n, k, rng)
-    correct = np.empty(n, dtype=np.float64)
-    for fold in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        available = np.nonzero(mask)[0]
-        size = min(train_size, len(available))
-        pick = rng.choice(available, size=size, replace=False)
-        model = parzen.fit_arrays(xs[pick], ys[pick], config)
-        correct[fold] = parzen.predict_batch(model, xs[fold]) == ys[fold]
-    return PerformanceEstimate.point(float(correct.mean()))
-
-
 def self_label_cv(
-    labeled: LabeledSet,
-    pool: np.ndarray,
-    k: int,
-    config: ClassifierConfig,
-    rng: np.random.Generator,
+    m: ParzenModel, pool: np.ndarray, k: int, rng: np.random.Generator
 ) -> PerformanceEstimate:
     """Cross-validation over the labeled set plus a self-labeled pool.
 
-    The classifier fitted on the labeled set labels the candidate pool;
-    those predictions are then treated as ground truth. To keep the
-    training sets comparable to the original labeled set, each fold trains
-    on a uniform random subset of size min(|labeled|, instances outside
-    the fold).
+    The classifier ``m`` labels the candidate pool; those predictions are
+    then treated as ground truth. To keep the training sets comparable to
+    the labeled set ``m`` was fitted on, each fold fits ``m.config`` to a
+    uniform random subset of size min(|labeled|, instances outside the fold).
     """
-    if len(labeled) == 0:
+    n = len(m.train_x)
+    if n == 0:
         raise ValidationError("no labeled instances")
     if k < 2:
         raise ValidationError(f"fold count must be >= 2, got {k}")
@@ -405,45 +371,17 @@ def self_label_cv(
         warnings.warn(
             "empty candidate pool: falling back to plain k-fold CV", stacklevel=2
         )
-        return kfold_cv(labeled, k, config, rng)
-
-    base = parzen.fit_arrays(labeled.xs, labeled.ys, config)
-    pool_ys = parzen.predict_batch(base, pool)
-
-    union_xs = np.concatenate([labeled.xs, pool])
-    union_ys = np.concatenate([labeled.ys, pool_ys])
-    return _subset_restricted_cv(union_xs, union_ys, len(labeled), k, config, rng)
+        correct, _ = _fold_predictions(m.train_x, m.train_y, k, m.config, rng)
+    else:
+        union_xs = np.concatenate([m.train_x, pool])
+        union_ys = np.concatenate([m.train_y, parzen.predict_batch(m, pool)])
+        correct, _ = _fold_predictions(union_xs, union_ys, k, m.config, rng, train_size=n)
+    return PerformanceEstimate.point(float(correct.mean()))
 
 
 # ---------------------------------------------------------------------------
 # Local label statistics / probabilistic performance
 # ---------------------------------------------------------------------------
-
-
-def _two_class_masses(
-    labeled: LabeledSet,
-    query_xs: np.ndarray,
-    bandwidth: float,
-    count_mode: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(total mass, class-2 mass) at each query; two-class tasks only."""
-    if count_mode not in (KERNEL_COUNT, HARD_COUNT):
-        raise ValidationError(f"unknown count mode {count_mode!r}")
-    nq = len(query_xs)
-    if len(labeled) == 0:
-        return np.zeros(nq), np.zeros(nq)
-    xs, ys = labeled.xs, labeled.ys
-    if np.any((ys < 1) | (ys > 2)):
-        raise ValidationError("local label statistics are defined for 2 classes only")
-    if count_mode == KERNEL_COUNT:
-        weights = parzen.kernel_weights(query_xs, xs, bandwidth)
-    else:
-        weights = (
-            np.abs(query_xs[:, None] - xs[None, :]) <= bandwidth
-        ).astype(np.float64)
-    total = weights.sum(axis=1)
-    class2 = weights[:, ys == 2].sum(axis=1)
-    return total, class2
 
 
 def beta_components_from_stats(
@@ -459,23 +397,33 @@ def beta_components_from_stats(
 
 
 def probabilistic_performance(
-    labeled: LabeledSet,
-    evaluation: np.ndarray,
-    config: ClassifierConfig,
-    count_mode: str = KERNEL_COUNT,
+    m: ParzenModel, evaluation: np.ndarray, count_mode: str = KERNEL_COUNT
 ) -> PerformanceEstimate:
     """Accuracy as an equal-prior mixture of per-instance Beta distributions.
 
     Each evaluation instance contributes one Beta component derived from
-    its local label statistics: the nearby-label count n and the local
-    class-2 fraction p_hat. The count is a soft kernel mass by default;
-    ``count_mode="hard"`` switches to counting instances within one
-    bandwidth of ``config``. With no mass p_hat defaults to 1/2, so
-    instances with no nearby labels contribute the uniform Beta(1, 1).
+    the local statistics of the two-class labels ``m`` was fitted on: the
+    nearby-label count n and the local class-2 fraction p_hat. The count is
+    a soft kernel mass by default; ``count_mode="hard"`` switches to
+    counting instances within one bandwidth of ``m.config``. With no mass
+    p_hat defaults to 1/2, so instances with no nearby labels contribute
+    the uniform Beta(1, 1).
     """
     if len(evaluation) == 0:
         raise ValidationError("no evaluation instances")
-    total, class2 = _two_class_masses(labeled, evaluation, config.bandwidth, count_mode)
+    if count_mode not in (KERNEL_COUNT, HARD_COUNT):
+        raise ValidationError(f"unknown count mode {count_mode!r}")
+    xs, ys, bandwidth = m.train_x, m.train_y, m.config.bandwidth
+    if np.any((ys < 1) | (ys > 2)):
+        raise ValidationError("local label statistics are defined for 2 classes only")
+    if count_mode == KERNEL_COUNT:
+        weights = parzen.kernel_weights(evaluation, xs, bandwidth)
+    else:
+        weights = (
+            np.abs(evaluation[:, None] - xs[None, :]) <= bandwidth
+        ).astype(np.float64)
+    total = weights.sum(axis=1)
+    class2 = weights[:, ys == 2].sum(axis=1)
     p_hat = np.where(total > 0.0, class2 / np.where(total > 0.0, total, 1.0), 0.5)
     alphas, betas = beta_components_from_stats(total, p_hat)
     return PerformanceEstimate.beta_mixture(alphas, betas)
@@ -486,14 +434,12 @@ def probabilistic_performance(
 # ---------------------------------------------------------------------------
 
 
-def true_baseline(m: ParzenModel, model: TaskModel) -> PerformanceEstimate:
+def true_baseline(m: ParzenModel, model: TaskModel) -> float:
     """Exact accuracy of the classifier under the data-generating
     distribution: ``synthdata.decision_accuracy`` of the class
     ``parzen.predict_batch`` returns, read on a grid of 1/20 bandwidth."""
-    return PerformanceEstimate.point(
-        synthdata.decision_accuracy(
-            model, lambda xs: parzen.posterior_batch(m, xs), m.config.bandwidth / 20.0
-        )
+    return synthdata.decision_accuracy(
+        model, lambda xs: parzen.posterior_batch(m, xs), m.config.bandwidth / 20.0
     )
 
 

@@ -84,12 +84,12 @@ ESTIMATOR_TABLE = {
     SELF_LABEL_CV: EstimatorEntry(
         ("k",), "self-label-cv-{k}fold",
         lambda spec, e, labeled, pool, model, budget, truth, rng:
-            estimators.self_label_cv(labeled, pool, e.k, spec.classifier, rng),
+            estimators.self_label_cv(model, pool, e.k, rng),
     ),
     PROBABILISTIC: EstimatorEntry(
         ("count_mode",), "probabilistic{count_mode}",
         lambda spec, e, labeled, pool, model, budget, truth, rng:
-            estimators.probabilistic_performance(labeled, pool, spec.classifier, e.count_mode),
+            estimators.probabilistic_performance(model, pool, e.count_mode),
     ),
     SUBSAMPLE_BASELINE: EstimatorEntry(
         (), "subsample-baseline",
@@ -184,7 +184,7 @@ class EstimatorSpec:
             raise ValidationError(
                 f"estimator {self.name}: weight_cap must be > 0, got {self.weight_cap}"
             )
-        if self.count_mode not in _COUNT_MODE_ID:
+        if not isinstance(self.count_mode, str) or self.count_mode not in _COUNT_MODE_ID:
             raise ValidationError(
                 f"estimator {self.name}: unknown count_mode {self.count_mode!r}"
             )
@@ -358,7 +358,7 @@ def _eval_size_units(spec: ExperimentSpec) -> list:
     train_rng = derive_substream(spec.master_seed, (0, 0))
     training = synthdata.draw_labeled(spec.task, spec.samplers[0], spec.train_size, train_rng)
     model = parzen.fit_arrays(training.xs, training.ys, spec.classifier)
-    truth = estimators.true_baseline(model, spec.task).mean()
+    truth = estimators.true_baseline(model, spec.task)
     return [(truth, rep) for rep in range(spec.repetitions)]
 
 
@@ -395,7 +395,7 @@ def _cv_folds_units(spec: ExperimentSpec) -> list:
         derive_substream(spec.master_seed, (0, 0)),
     )
     full_model = parzen.fit_arrays(labeled.xs, labeled.ys, spec.classifier)
-    truth = estimators.true_baseline(full_model, spec.task).mean()
+    truth = estimators.true_baseline(full_model, spec.task)
     return [(labeled, truth, rep) for rep in range(spec.repetitions)]
 
 
@@ -452,7 +452,7 @@ def _bias_sweep_unit(spec: ExperimentSpec, rep: int) -> list[RunRecord]:
             espec.estimator_id(), detail.estimate, math.nan, t0,
         )
         truth = float(
-            np.mean([estimators.true_baseline(m, spec.task).mean() for m in detail.fold_models])
+            np.mean([estimators.true_baseline(m, spec.task) for m in detail.fold_models])
         )
         records.append(replace(record, true_baseline=truth))
     return records
@@ -496,7 +496,7 @@ def _comparison_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
     for b_idx, budget in enumerate(spec.budgets):
         labeled = sequence[:budget]
         model = parzen.fit_arrays(labeled.xs, labeled.ys, spec.classifier)
-        truth = estimators.true_baseline(model, spec.task).mean()
+        truth = estimators.true_baseline(model, spec.task)
         for e_idx, espec in enumerate(spec.estimators):
             rng = derive_substream(spec.master_seed, (3, s_idx, rep, b_idx, e_idx))
             run = ESTIMATOR_TABLE[espec.name].run

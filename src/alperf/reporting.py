@@ -47,29 +47,32 @@ def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
 
 
 def read_records_csv(path: str | Path) -> list[RunRecord]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file, expected a CSV header")
-        if tuple(header) != CSV_COLUMNS:
-            raise ValidationError(
-                f"{path}: unexpected CSV header {header!r}; "
-                f"expected {','.join(CSV_COLUMNS)}"
-            )
-        records = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_COLUMNS):
-                raise ValidationError(f"{path}: line {i} has {len(row)} fields")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                records.append(RunRecord(*[parse(v) for parse, v in zip(_TYPES, row)]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {i}: {exc}") from exc
-            for name in _FLOAT_COLUMNS:
-                value = getattr(records[-1], name)
-                if not math.isfinite(value):
-                    raise ValidationError(f"{path}: line {i}: non-finite {name}={value!r}")
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError(f"{path}: empty file, expected a CSV header")
+            if tuple(header) != CSV_COLUMNS:
+                raise ValidationError(
+                    f"{path}: unexpected CSV header {header!r}; "
+                    f"expected {','.join(CSV_COLUMNS)}"
+                )
+            records = []
+            for i, row in enumerate(reader, start=2):
+                if len(row) != len(CSV_COLUMNS):
+                    raise ValidationError(f"{path}: line {i} has {len(row)} fields")
+                try:
+                    records.append(RunRecord(*[parse(v) for parse, v in zip(_TYPES, row)]))
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: line {i}: {exc}") from exc
+                for name in _FLOAT_COLUMNS:
+                    value = getattr(records[-1], name)
+                    if not math.isfinite(value):
+                        raise ValidationError(f"{path}: line {i}: non-finite {name}={value!r}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     return records
 
 

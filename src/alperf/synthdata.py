@@ -27,9 +27,11 @@ from scipy import special
 
 from .errors import ValidationError
 
-# Decision rules are read on this interval; each tail beyond it takes the
-# class predicted at its end.
+# Decision rules are read on this interval, widened for each task to cover
+# mean +- _SUPPORT_STDS std of every component; each tail beyond the interval
+# takes the class predicted at its end.
 SUPPORT = (-10.0, 10.0)
+_SUPPORT_STDS = 8.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PROB_TOL = 1e-12
@@ -351,7 +353,8 @@ def decision_accuracy(
     """Exact accuracy under ``model`` of the rule that predicts the argmax of
     ``scores(xs)``, an (len(xs), C) array; ties go to the smallest class.
 
-    The rule is read on a grid over SUPPORT with spacing at most ``step``.
+    The rule is read on a grid with spacing at most ``step`` over SUPPORT,
+    widened to cover mean +- 8 std of every component of ``model``.
     Each class change between neighbouring grid points is then bracketed
     ever more tightly, all changes at once: every round reads the rule at
     _SECTIONS evenly spaced points inside each bracket, in one ``scores``
@@ -362,7 +365,9 @@ def decision_accuracy(
     class at its grid end, and the accuracy is the sum over intervals of
     prior * weight * (Phi(b) - Phi(a)) over the predicted class's components.
     """
-    lo, hi = SUPPORT
+    comps = [comp for per_class in model.class_components for comp in per_class]
+    lo = min(SUPPORT[0], *(comp.mean - _SUPPORT_STDS * comp.std for comp in comps))
+    hi = max(SUPPORT[1], *(comp.mean + _SUPPORT_STDS * comp.std for comp in comps))
     grid = np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
     labels = np.argmax(scores(grid), axis=1)
     changes = np.nonzero(np.diff(labels))[0]

@@ -85,7 +85,7 @@ def test_criterion_1_binomial_oracle(task, fig2_model_and_a_true):
     with criterion(1, "binomial oracle"):
         model, a_true = fig2_model_and_a_true
         t0 = time.perf_counter()
-        exact = true_baseline(model, task).mean()
+        exact = true_baseline(model, task)
         for B in (5, 10, 20, 100):
             est = subsample_baseline(exact, B, 10_000, derive_substream(42, (901, B)))
             counts = np.round(np.asarray(est.samples) * B).astype(int)
@@ -119,7 +119,7 @@ def test_criterion_3_closed_form_accuracy(task, sign_rule_model):
     with criterion(3, "closed-form accuracy"):
         assert bayes_accuracy(task) == pytest.approx(_phi(1.5), abs=1e-6)
         assert _phi(1.5) == pytest.approx(0.93319, abs=5e-6)
-        tb = true_baseline(sign_rule_model, task).mean()
+        tb = true_baseline(sign_rule_model, task)
         assert abs(tb - _phi(1.5)) < 0.005
 
 

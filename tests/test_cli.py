@@ -121,6 +121,33 @@ class TestRun:
         bad.write_text('{"scenario": "estimator-comparison", "budgets": [30, 10]}')
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "estimator, field",
+        [
+            ({"name": ["kfold-cv"]}, "estimators[0].name"),
+            ({"name": {"kfold-cv": 3}}, "estimators[0].name"),
+            ({"name": "probabilistic", "params": {"count_mode": ["hard"]}},
+             "estimators[0]: estimator probabilistic: unknown count_mode"),
+            ({"name": "probabilistic", "params": {"count_mode": {"hard": 1}}},
+             "estimators[0]: estimator probabilistic: unknown count_mode"),
+        ],
+        ids=["name-list", "name-object", "count-mode-list", "count-mode-object"],
+    )
+    def test_non_string_estimator_field_is_validation_error(
+        self, tmp_path, capsys, estimator, field
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenario": "estimator-comparison", "estimators": [estimator]}))
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert field in capsys.readouterr().err
+
+    def test_non_utf8_config_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"scenario": "estimator-comparison", "note": "\xe9"}'.encode("latin-1"))
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not UTF-8" in err
+
     def test_invalid_workers(self, tmp_path, config_path):
         assert cli_main(
             ["run", "--config", str(config_path), "--out", str(tmp_path / "o"),
@@ -165,6 +192,17 @@ class TestReportAndPlot:
         assert cli_main(["plot", str(raw), "--out", str(tmp_path / "plot.svg")]) == 1
         err = capsys.readouterr().err
         assert str(raw) in err and "line 4" in err and "estimate_mean" in err
+
+    @pytest.mark.parametrize("command", ["report", "plot"])
+    def test_non_utf8_csv_is_validation_error(self, tmp_path, config_path, capsys, command):
+        out = tmp_path / "r"
+        cli_main(["run", "--config", str(config_path), "--out", str(out)])
+        raw = out / "raw.csv"
+        raw.write_bytes(raw.read_bytes().replace(b"unbiased", b"unbiased\xff", 1))
+        capsys.readouterr()
+        assert cli_main([command, str(raw), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert str(raw) in err and "not UTF-8" in err
 
     def test_report_missing_csv_is_io_error(self, tmp_path):
         assert cli_main(

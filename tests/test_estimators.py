@@ -10,7 +10,7 @@ from alperf.errors import ValidationError
 from alperf.estimators import (
     PerformanceEstimate,
     _accuracy_from_posteriors,
-    _subset_restricted_cv,
+    _fold_predictions,
     beta_components_from_stats,
     generalization_error_estimate,
     kfold_cv,
@@ -49,12 +49,12 @@ def _fit(labeled, **config):
     return fit_arrays(labeled.xs, labeled.ys, ClassifierConfig(**config))
 
 
-def _local_stats(labeled, x, bandwidth, count_mode="kernel"):
+def _local_stats(labeled, x, bandwidth, count_mode="kernel", class_count=2):
     """Label mass n at x with the Beta component (alpha, beta) that the
     probabilistic estimator builds from it for a single evaluation point;
     n = alpha + beta - 2."""
-    config = ClassifierConfig(bandwidth=bandwidth)
-    est = probabilistic_performance(labeled, np.array([x]), config, count_mode)
+    m = _fit(labeled, bandwidth=bandwidth, class_count=class_count)
+    est = probabilistic_performance(m, np.array([x]), count_mode)
     alpha, beta = est.components[0]
     n = alpha + beta - 2.0
     return n, alpha, beta
@@ -87,6 +87,24 @@ class TestPerformanceEstimate:
     def test_point_range_validated(self):
         with pytest.raises(ValidationError):
             PerformanceEstimate.point(1.2)
+        with pytest.raises(ValidationError, match=r"lie in \[0,1\]"):
+            PerformanceEstimate.point(float("nan"))
+
+    def test_point_is_a_one_value_sample(self):
+        for v in (0.0, 0.3, 1.0 / 3.0, 0.7, 1.0):
+            point, sample = PerformanceEstimate.point(v), PerformanceEstimate.empirical([v])
+            assert point.summary() == sample.summary()
+            assert point.summary() == {"mean": v, "median": v, "q25": v, "q75": v}
+            for q in (0.0, 0.25, 0.5, 0.75, 1.0):
+                assert point.quantile(q) == sample.quantile(q) == v
+            for t in (v - 1e-12, v, v + 1e-12):
+                assert point.cdf(t) == sample.cdf(t) == (1.0 if t >= v else 0.0)
+
+    def test_exactly_one_shape(self):
+        with pytest.raises(ValidationError, match="either samples or Beta components"):
+            PerformanceEstimate()
+        with pytest.raises(ValidationError, match="either samples or Beta components"):
+            PerformanceEstimate(samples=np.array([0.5]), components=np.array([[1.0, 1.0]]))
 
     def test_empirical_quantiles_match_numpy(self):
         rng = np.random.default_rng(0)
@@ -197,7 +215,7 @@ class TestBetaQuantile:
             labeled = _labeled([(x, 1 + int(x > 0)) for x in xs])
             pool = rng.normal(0.0, 2.0, 1000)
             for mode in ("kernel", "hard"):
-                e = probabilistic_performance(labeled, pool, CFG, mode)
+                e = probabilistic_performance(_fit(labeled), pool, mode)
                 for q in (0.25, 0.5, 0.75):
                     assert abs(e.quantile(q) - self._brentq(e, q)) <= 2e-12
 
@@ -351,7 +369,6 @@ class TestKFoldCV:
         labeled = _labeled([(float(x), 1 + int(x > 0)) for x in np.linspace(-2, 2, 9)])
         detail = kfold_cv_detail(labeled, 3, CFG, derive_substream(2, (0,)))
         assert len(detail.fold_models) == 3
-        assert sum(len(f) for f in detail.fold_indices) == 9
 
 
 class TestSelfLabelCV:
@@ -360,14 +377,14 @@ class TestSelfLabelCV:
         pool = np.linspace(60.0, 70.0, 30)
         base = fit_arrays(labeled.xs, labeled.ys, CFG)
         assert np.all(predict_batch(base, pool) == 1)
-        est = self_label_cv(labeled, pool, 3, CFG, derive_substream(0, (0,)))
+        est = self_label_cv(base, pool, 3, derive_substream(0, (0,)))
         assert 0.0 <= est.mean() <= 1.0
 
     def test_empty_pool_falls_back_to_plain_cv(self, task):
         labeled = draw_labeled(task, unbiased_sampler(), 9, derive_substream(1, (0,)))
         with pytest.warns(UserWarning, match="empty candidate pool"):
             fallback = self_label_cv(
-                labeled, np.array([]), 3, CFG, derive_substream(1, (1,))
+                _fit(labeled), np.array([]), 3, derive_substream(1, (1,))
             )
         plain = kfold_cv(labeled, 3, CFG, derive_substream(1, (1,)))
         assert fallback.mean() == plain.mean()
@@ -377,22 +394,23 @@ class TestSelfLabelCV:
         # so the estimate equals the subset-restricted CV over the union
         labeled = _labeled([(-2.0, 1), (-1.0, 1), (1.0, 2), (2.0, 2)])
         pool = labeled.xs
-        est = self_label_cv(labeled, pool, 3, CFG, derive_substream(2, (0,)))
+        est = self_label_cv(_fit(labeled), pool, 3, derive_substream(2, (0,)))
         union_x = np.tile(labeled.xs, 2)
         union_y = np.tile(labeled.ys, 2)
-        ref = _subset_restricted_cv(
-            union_x, union_y, len(labeled), 3, CFG, derive_substream(2, (0,))
+        correct, _ = _fold_predictions(
+            union_x, union_y, 3, CFG, derive_substream(2, (0,)), train_size=len(labeled)
         )
-        assert est.mean() == ref.mean()
+        assert est.mean() == float(correct.mean())
 
     def test_overestimates_sparse_labeled_sets(self, task):
         # two labels only: plain CV (2 folds is all that fits) scores 0,
         # self-labeling inflates the estimate in every seed
         labeled = _labeled([(-1.5, 1), (1.5, 2)], density=0.2)
+        m = _fit(labeled)
         wins = 0
         for seed in range(50):
             pool = draw_unlabeled(task, 100, derive_substream(seed, (0,)))
-            sl = self_label_cv(labeled, pool, 3, CFG, derive_substream(seed, (1,)))
+            sl = self_label_cv(m, pool, 3, derive_substream(seed, (1,)))
             cv = kfold_cv(labeled, 2, CFG, derive_substream(seed, (2,)))
             wins += sl.mean() >= cv.mean()
         assert wins >= 45
@@ -424,7 +442,7 @@ class TestLocalLabelStatistics:
 
     def test_rejects_more_than_two_classes(self):
         with pytest.raises(ValidationError, match="2 classes"):
-            _local_stats(_labeled([(0.0, 3)]), 0.0, 0.2)
+            _local_stats(_labeled([(0.0, 3)]), 0.0, 0.2, class_count=3)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValidationError, match="count mode"):
@@ -439,14 +457,14 @@ class TestProbabilisticPerformance:
 
     def test_no_evidence_gives_uniform_mixture(self):
         evaluation = np.arange(5, dtype=np.float64)
-        est = probabilistic_performance(NO_LABELS, evaluation, CFG)
+        est = probabilistic_performance(_fit(NO_LABELS), evaluation)
         np.testing.assert_allclose(est.components, 1.0)
         assert est.mean() == 0.5
 
     def test_component_matches_local_statistics(self):
         labeled = _labeled([(-0.2, 1), (0.1, 2), (0.15, 2)])
         x = 0.05
-        est = probabilistic_performance(labeled, np.array([x]), CFG)
+        est = probabilistic_performance(_fit(labeled), np.array([x]))
         # local statistics computed directly from the kernel definition
         w = np.exp(-((x - labeled.xs) ** 2) / (2 * 0.2**2))
         n = w.sum()
@@ -456,7 +474,7 @@ class TestProbabilisticPerformance:
 
     def test_empty_evaluation_rejected(self):
         with pytest.raises(ValidationError, match="no evaluation"):
-            probabilistic_performance(NO_LABELS, np.array([]), CFG)
+            probabilistic_performance(_fit(NO_LABELS), np.array([]))
 
 
 def _monte_carlo(m, task, seed, n=200_000):
@@ -481,19 +499,19 @@ def _fig6_models():
 
 class TestTrueBaseline:
     def test_sign_rule_hits_bayes_accuracy(self, task, sign_rule_model):
-        tb = true_baseline(sign_rule_model, task).mean()
+        tb = true_baseline(sign_rule_model, task)
         phi15 = 0.5 * (1 + math.erf(1.5 / math.sqrt(2)))
         assert tb == pytest.approx(phi15, abs=1e-9)
 
     def test_constant_classifier_is_a_coin_flip(self, task):
         m = _fit(_labeled([(0.0, 1)]), prior_weight=0.0)
-        assert true_baseline(m, task).mean() == 0.5
+        assert true_baseline(m, task) == 0.5
 
     def test_matches_monte_carlo_on_fig6_models(self, task):
         models = list(_fig6_models())
         assert len(models) >= 30
         for i, m in enumerate(models):
-            exact = true_baseline(m, task).mean()
+            exact = true_baseline(m, task)
             mc, se = _monte_carlo(m, task, i)
             assert abs(exact - mc) < 4.0 * se, (i, exact, mc)
 
@@ -506,7 +524,7 @@ class TestTrueBaseline:
             ),
         )
         # every posterior is uniform, so argmax ties everywhere go to class 1
-        assert true_baseline(_fit(NO_LABELS), skewed).mean() == 0.3
+        assert true_baseline(_fit(NO_LABELS), skewed) == 0.3
 
     @pytest.mark.parametrize(
         "pairs, prior_weight, far_x, far_class",
@@ -527,8 +545,24 @@ class TestTrueBaseline:
     ):
         m = _fit(_labeled(pairs), prior_weight=prior_weight)
         assert predict_batch(m, np.array([far_x]))[0] == far_class
-        exact = true_baseline(m, task).mean()
+        exact = true_baseline(m, task)
         mc, se = _monte_carlo(m, task, 5)
+        assert abs(exact - mc) < 4.0 * se, (exact, mc)
+
+    def test_task_past_support_matches_monte_carlo(self):
+        # Class means 8 and 14: the decision boundary near 11 lies right of
+        # SUPPORT = [-10, 10], so the rule is read on the widened interval.
+        shifted = TaskModel(
+            class_priors=(0.5, 0.5),
+            class_components=(
+                (GaussianComponent(1.0, 8.0, 1.0),),
+                (GaussianComponent(1.0, 14.0, 1.0),),
+            ),
+        )
+        labeled = draw_labeled(shifted, unbiased_sampler(), 50, derive_substream(3, (0,)))
+        m = fit_arrays(labeled.xs, labeled.ys, CFG)
+        exact = true_baseline(m, shifted)
+        mc, se = _monte_carlo(m, shifted, 3)
         assert abs(exact - mc) < 4.0 * se, (exact, mc)
 
 
@@ -542,8 +576,8 @@ class TestSubsampleBaseline:
             ),
         )
         m = _fit(_labeled([(-100.0, 1), (100.0, 2)]), bandwidth=5.0, prior_weight=0.0)
-        # the class mass lies beyond SUPPORT, in the tails
-        accuracy = true_baseline(m, far_task).mean()
+        # the class mass lies beyond SUPPORT, on the grid widened to cover it
+        accuracy = true_baseline(m, far_task)
         assert accuracy == 1.0
         est = subsample_baseline(accuracy, 10, 200, derive_substream(0, (0,)))
         assert np.all(np.asarray(est.samples) == 1.0)
@@ -551,7 +585,7 @@ class TestSubsampleBaseline:
     def test_mean_matches_true_accuracy(self, task, sign_rule_model):
         a_true, _ = _monte_carlo(sign_rule_model, task, 1)
         est = subsample_baseline(
-            true_baseline(sign_rule_model, task).mean(), 10, 10_000,
+            true_baseline(sign_rule_model, task), 10, 10_000,
             derive_substream(1, (1,)),
         )
         assert abs(est.mean() - a_true) < 0.01
@@ -560,7 +594,7 @@ class TestSubsampleBaseline:
         a_true, _ = _monte_carlo(sign_rule_model, task, 2)
         B = 10
         est = subsample_baseline(
-            true_baseline(sign_rule_model, task).mean(), B, 10_000,
+            true_baseline(sign_rule_model, task), B, 10_000,
             derive_substream(2, (1,)),
         )
         counts = np.round(np.asarray(est.samples) * B).astype(int)
@@ -601,14 +635,12 @@ class TestDeterminism:
             "generalization-error": lambda r: generalization_error_estimate(m, pool),
             "kfold": lambda r: kfold_cv(labeled, 3, CFG, r),
             "reweighted": lambda r: kfold_cv(labeled, 3, CFG, r, reweighted=True),
-            "self-label": lambda r: self_label_cv(labeled, pool, 3, CFG, r),
-            "probabilistic": lambda r: probabilistic_performance(labeled, pool, CFG),
-            "true-baseline": lambda r: true_baseline(m, task),
-            "subsample": lambda r: subsample_baseline(
-                true_baseline(m, task).mean(), 10, 50, r
-            ),
+            "self-label": lambda r: self_label_cv(m, pool, 3, r),
+            "probabilistic": lambda r: probabilistic_performance(m, pool),
+            "subsample": lambda r: subsample_baseline(true_baseline(m, task), 10, 50, r),
         }
         for name, run in runs.items():
             a = run(derive_substream(9, (2,)))
             b = run(derive_substream(9, (2,)))
             assert a.summary() == b.summary(), name
+        assert true_baseline(m, task) == true_baseline(m, task)

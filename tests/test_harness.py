@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from alperf import estimators, harness, synthdata
-from alperf.config import resolve_config
+from alperf import estimators, harness, parzen, synthdata
+from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.errors import ValidationError
 from alperf.estimators import kfold_cv, kfold_cv_detail
 from alperf.harness import (
@@ -360,6 +360,26 @@ class TestEstimatorComparison:
         records = run_experiment(spec, workers=1)
         keys = [r.sort_key() for r in records]
         assert keys == sorted(keys)
+
+    def test_one_unit_fits_each_model_once(self, monkeypatch):
+        # Per budget: the unit's model, plus k fold models per CV estimator.
+        # Self-label CV labels the pool with the unit's model, so it adds no
+        # refit of its own.
+        spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
+        cv_folds = [
+            e.k for e in spec.estimators if "k" in harness.ESTIMATOR_TABLE[e.name].reads
+        ]
+        assert cv_folds == [3, 3, 3]
+        fits = []
+        fit = parzen.fit_arrays
+
+        def counting(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(parzen, "fit_arrays", counting)
+        harness._comparison_unit(spec, (0, 0))
+        assert len(fits) == len(spec.budgets) * (1 + sum(cv_folds))
 
     def test_rejects_k_above_smallest_budget(self):
         spec = _spec()

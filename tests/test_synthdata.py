@@ -337,6 +337,24 @@ class TestBayesAccuracy:
         )
         assert bayes_accuracy(model) == pytest.approx(_phi(3.0), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "means, expected",
+        [
+            # Every joint density underflows on [-10, 10]; the rule is read
+            # near the class means instead.
+            ((-100.0, 100.0), 1.0),
+            # The Bayes boundary at 11 lies right of [-10, 10].
+            ((8.0, 14.0), _phi(3.0)),
+        ],
+        ids=["means-100", "means-8-14"],
+    )
+    def test_task_reaching_past_support(self, means, expected):
+        model = TaskModel(
+            class_priors=(0.5, 0.5),
+            class_components=tuple((GaussianComponent(1.0, m, 1.0),) for m in means),
+        )
+        assert bayes_accuracy(model) == pytest.approx(expected, abs=1e-9)
+
     def test_marginal_density_consistency(self, task):
         xs = np.linspace(-4, 4, 9)
         direct = sampling_density_batch(unbiased_sampler(), task, xs)
