@@ -37,14 +37,13 @@ from .estimators import (
     true_baseline,
 )
 from .harness import (
-    BoxplotStats,
     EstimatorSpec,
     ExperimentSpec,
     RunRecord,
     derive_substream,
     run_experiment,
-    summarize,
 )
+from .reporting import summarize
 from .config import parse_config, resolve_config
 
 # The public API is every name imported above.

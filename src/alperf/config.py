@@ -86,8 +86,8 @@ _SCENARIO_DEFAULTS = {
             # unbiased, boundary-focused, and boundary-avoiding.
             "samplers": [
                 *_UNBIASED,
-                {"kind": synthdata.SYMMETRIC_MIXTURE, "d": 0.3, "std": 0.25, "priors": [0.5, 0.5]},
-                {"kind": synthdata.SYMMETRIC_MIXTURE, "d": 2.0, "std": 0.25, "priors": [0.5, 0.5]},
+                {"kind": synthdata.SYMMETRIC_MIXTURE, "d": 0.3},
+                {"kind": synthdata.SYMMETRIC_MIXTURE, "d": 2.0},
             ],
             "budgets": [10, 30, 50],
             "pool_size": ExperimentSpec.pool_size,
@@ -240,8 +240,8 @@ def _build_sampler(obj, field: str) -> SamplingDistribution:
     )
     _expect("d" in obj, f"{field}: symmetric-mixture needs d")
     d = _as_number(obj["d"], f"{field}.d")
-    std = _as_number(obj.get("std", 0.25), f"{field}.std")
-    priors = obj.get("priors", [0.5, 0.5])
+    std = _as_number(obj.get("std", SamplingDistribution.component_std), f"{field}.std")
+    priors = obj.get("priors", list(SamplingDistribution.component_priors))
     priors = tuple(_as_number(p, f"{field}.priors[]") for p in _as_list(priors, f"{field}.priors"))
     with _at(field):
         return SamplingDistribution(
@@ -296,6 +296,8 @@ def resolve_config(text: str) -> ResolvedConfig:
         raise ValidationError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ValidationError("config nests too deeply to parse") from None
     _expect(isinstance(raw, dict), "config must be a JSON object")
     _expect("scenario" in raw, "config needs a scenario")
     scenario = raw["scenario"]

@@ -434,12 +434,17 @@ def probabilistic_performance(
 # ---------------------------------------------------------------------------
 
 
+def truth_step(config: ClassifierConfig) -> float:
+    """The grid step the true baseline reads a classifier's rule on."""
+    return config.bandwidth / 20.0
+
+
 def true_baseline(m: ParzenModel, model: TaskModel) -> float:
     """Exact accuracy of the classifier under the data-generating
     distribution: ``synthdata.decision_accuracy`` of the class
-    ``parzen.predict_batch`` returns, read on a grid of 1/20 bandwidth."""
+    ``parzen.predict_batch`` returns, read on a grid of ``truth_step``."""
     return synthdata.decision_accuracy(
-        model, lambda xs: parzen.posterior_batch(m, xs), m.config.bandwidth / 20.0
+        model, lambda xs: parzen.posterior_batch(m, xs), truth_step(m.config)
     )
 
 

@@ -14,8 +14,10 @@ Four scenarios are implemented:
   sequence, with every configured estimator applied to each budget prefix
   under unbiased, boundary-focused and boundary-avoiding acquisition.
 
-Every scenario is one entry of a table: ``units(spec)`` lists its
-independent units of work and ``run_unit(spec, unit)`` turns one unit into
+In every scenario a unit of work is one (sampler index, repetition) pair,
+whose records are exactly the rows with that sampler and repetition. Each
+scenario is one table entry: ``shared(spec)`` computes, once, what all its
+units share, and ``run_unit(spec, shared, unit)`` turns one unit into
 records. ``run_experiment`` runs any scenario through that table.
 
 All randomness flows through ``derive_substream``: every unit of work owns
@@ -117,47 +119,6 @@ def derive_substream(master_seed: int, path: Sequence[int]) -> np.random.Generat
 
 
 # ---------------------------------------------------------------------------
-# Summary statistics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoxplotStats:
-    """Boxplot summary; whiskers reach the furthest datum within 1.5 IQR."""
-
-    mean: float
-    median: float
-    q25: float
-    q75: float
-    whisker_low: float
-    whisker_high: float
-    n: int
-
-
-def summarize(values: Sequence[float]) -> BoxplotStats:
-    """Boxplot statistics with linearly interpolated quartiles
-    (``estimators.percentiles``, equal to ``numpy.percentile`` bit for bit)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValidationError("cannot summarize an empty value list")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("cannot summarize non-finite values")
-    q25, median, q75 = estimators.percentiles(arr, (25.0, 50.0, 75.0))
-    iqr = q75 - q25
-    low_limit = q25 - 1.5 * iqr
-    high_limit = q75 + 1.5 * iqr
-    return BoxplotStats(
-        mean=float(arr.mean()),
-        median=median,
-        q25=q25,
-        q75=q75,
-        whisker_low=float(arr[arr >= low_limit].min()),
-        whisker_high=float(arr[arr <= high_limit].max()),
-        n=int(arr.size),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Specs and records
 # ---------------------------------------------------------------------------
 
@@ -245,6 +206,8 @@ class ExperimentSpec:
                 f"classifier.class_count is {self.classifier.class_count}, "
                 f"but the task has {self.task.class_count} classes"
             )
+        # Every scenario reads the true baseline on this grid.
+        synthdata.decision_grid_size(self.task, estimators.truth_step(self.classifier))
         ids = [e.estimator_id() for e in self.estimators]
         if len(set(ids)) != len(ids):
             raise ValidationError("estimators must be unique (duplicate estimator id)")
@@ -343,27 +306,26 @@ def _record(
 
 
 # ---------------------------------------------------------------------------
-# Scenario: eval-size-distribution
+# Scenarios
 # ---------------------------------------------------------------------------
 
 
-def _eval_size_units(spec: ExperimentSpec) -> list:
-    """One fixed classifier, repeatedly evaluated on fresh sets of each size:
-    one unit per repetition, all sharing the classifier's exact accuracy.
-
-    The budget column of the resulting records carries the evaluation-set
-    size; each repetition contributes one accuracy value per size, a
-    Binomial(size, accuracy) / size draw.
-    """
-    train_rng = derive_substream(spec.master_seed, (0, 0))
-    training = synthdata.draw_labeled(spec.task, spec.samplers[0], spec.train_size, train_rng)
-    model = parzen.fit_arrays(training.xs, training.ys, spec.classifier)
-    truth = estimators.true_baseline(model, spec.task)
-    return [(truth, rep) for rep in range(spec.repetitions)]
+def _fixed_set(spec: ExperimentSpec, size: int) -> tuple[LabeledSet, float]:
+    """The labeled set every unit of eval-size and cv-folds shares: ``size``
+    draws from the single sampler on path (0, 0), with the exact accuracy of
+    the model fitted on all of it."""
+    labeled = synthdata.draw_labeled(
+        spec.task, spec.samplers[0], size, derive_substream(spec.master_seed, (0, 0))
+    )
+    model = parzen.fit_arrays(labeled.xs, labeled.ys, spec.classifier)
+    return labeled, estimators.true_baseline(model, spec.task)
 
 
-def _eval_size_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
-    truth, rep = unit
+def _eval_size_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
+    """One fixed classifier, evaluated on a fresh set of each size: the budget
+    column carries the size, and each accuracy value is a
+    Binomial(size, accuracy) / size draw."""
+    (_, truth), (_, rep) = shared, unit
     records = []
     for i, size in enumerate(spec.budgets):
         rng = derive_substream(spec.master_seed, (1, rep, i))
@@ -378,29 +340,10 @@ def _eval_size_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
     return records
 
 
-# ---------------------------------------------------------------------------
-# Scenario: cv-folds
-# ---------------------------------------------------------------------------
-
-
-def _cv_folds_units(spec: ExperimentSpec) -> list:
-    """Cross-validate one fixed labeled set with different fold counts: one
-    unit per repetition, all sharing the labeled set and its truth.
-
-    The labeled-set size is the single configured budget; the reference is
-    the true baseline of the model trained on all acquired labels.
-    """
-    labeled = synthdata.draw_labeled(
-        spec.task, spec.samplers[0], spec.budgets[0],
-        derive_substream(spec.master_seed, (0, 0)),
-    )
-    full_model = parzen.fit_arrays(labeled.xs, labeled.ys, spec.classifier)
-    truth = estimators.true_baseline(full_model, spec.task)
-    return [(labeled, truth, rep) for rep in range(spec.repetitions)]
-
-
-def _cv_folds_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
-    labeled, truth, rep = unit
+def _cv_folds_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
+    """Cross-validate the fixed labeled set, of the single budget's size, with
+    each configured fold count, against the model trained on all of it."""
+    (labeled, truth), (_, rep) = shared, unit
     records = []
     for e_idx, espec in enumerate(spec.estimators):
         rng = derive_substream(spec.master_seed, (1, rep, e_idx))
@@ -416,51 +359,31 @@ def _cv_folds_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
     return records
 
 
-# ---------------------------------------------------------------------------
-# Scenario: bias-sweep
-# ---------------------------------------------------------------------------
-
-
-def _bias_sweep_units(spec: ExperimentSpec) -> list:
-    """Sweep the acquisition distance d; per repetition, compare internal
-    CV against the fold-trained models' exact accuracy.
-
-    The labeled-set size is the single configured budget. The hold-out
-    truth averages the per-fold models so it refers to the same classifiers
-    the CV estimate was computed from.
-    """
-    return list(range(spec.repetitions))
-
-
-def _bias_sweep_unit(spec: ExperimentSpec, rep: int) -> list[RunRecord]:
-    espec = spec.estimators[0]
-    records = []
-    for d_idx, sampler in enumerate(spec.samplers):
-        labeled = synthdata.draw_labeled(
-            spec.task, sampler, spec.budgets[0],
-            derive_substream(spec.master_seed, (0, d_idx, rep)),
-        )
-        t0 = time.perf_counter()
-        detail = estimators.kfold_cv_detail(
-            labeled, espec.k, spec.classifier,
-            derive_substream(spec.master_seed, (1, d_idx, rep)),
-        )
-        # The hold-out truth is filled in after the record, so wall_ms stops
-        # at the estimate's summary.
-        record = _record(
-            spec.scenario, rep, sampler.label(), spec.budgets[0],
-            espec.estimator_id(), detail.estimate, math.nan, t0,
-        )
-        truth = float(
-            np.mean([estimators.true_baseline(m, spec.task) for m in detail.fold_models])
-        )
-        records.append(replace(record, true_baseline=truth))
-    return records
-
-
-# ---------------------------------------------------------------------------
-# Scenario: estimator-comparison
-# ---------------------------------------------------------------------------
+def _bias_sweep_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
+    """Internal CV of the single budget's labels, acquired at one distance d,
+    against the mean exact accuracy of the fold models: the classifiers the
+    CV estimate was computed from."""
+    d_idx, rep = unit
+    sampler, espec = spec.samplers[d_idx], spec.estimators[0]
+    labeled = synthdata.draw_labeled(
+        spec.task, sampler, spec.budgets[0],
+        derive_substream(spec.master_seed, (0, d_idx, rep)),
+    )
+    t0 = time.perf_counter()
+    detail = estimators.kfold_cv_detail(
+        labeled, espec.k, spec.classifier,
+        derive_substream(spec.master_seed, (1, d_idx, rep)),
+    )
+    # The hold-out truth is filled in after the record, so wall_ms stops at
+    # the estimate's summary.
+    record = _record(
+        spec.scenario, rep, sampler.label(), spec.budgets[0],
+        espec.estimator_id(), detail.estimate, math.nan, t0,
+    )
+    truth = float(
+        np.mean([estimators.true_baseline(m, spec.task) for m in detail.fold_models])
+    )
+    return [replace(record, true_baseline=truth)]
 
 
 def acquisition_sequence(
@@ -476,17 +399,9 @@ def acquisition_sequence(
     return synthdata.draw_labeled(spec.task, sampler, max(spec.budgets), rng)
 
 
-def _comparison_units(spec: ExperimentSpec) -> list:
-    """Apply every configured estimator to nested budget prefixes of one
-    acquisition sequence per (sampler, repetition) unit."""
-    return [
-        (s_idx, rep)
-        for s_idx in range(len(spec.samplers))
-        for rep in range(spec.repetitions)
-    ]
-
-
-def _comparison_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
+def _comparison_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
+    """Every configured estimator on each nested budget prefix of one
+    acquisition sequence."""
     s_idx, rep = unit
     sampler = spec.samplers[s_idx]
     sequence = acquisition_sequence(spec, s_idx, rep)
@@ -513,34 +428,34 @@ def _comparison_unit(spec: ExperimentSpec, unit) -> list[RunRecord]:
 
 # ---------------------------------------------------------------------------
 
-# scenario -> (units(spec), run_unit(spec, unit)). Units are independent and
-# each draws only from its own substreams, so they may run in any order on
-# any worker.
+# scenario -> (shared(spec), run_unit(spec, shared, unit)). Units are
+# independent and each draws only from its own substreams, so they may run
+# in any order on any worker.
 _SCENARIO_TABLE = {
     # The true baseline is exact and draws nothing. The paths it used to draw
     # on, (0, 1), (2, d, rep) and (2, s, rep, budget_index), are retired; the
     # others keep their numbers.
     # Substream paths: (0, 0) classifier training draws, (1, rep, size_index)
     # per-repetition evaluation (Binomial) draws.
-    EVAL_SIZE_DISTRIBUTION: (_eval_size_units, _eval_size_unit),
+    EVAL_SIZE_DISTRIBUTION: (lambda spec: _fixed_set(spec, spec.train_size), _eval_size_unit),
     # Substream paths: (0, 0) labeled-set acquisition, (1, rep,
     # estimator_index) fold assignment.
-    CV_FOLDS: (_cv_folds_units, _cv_folds_unit),
+    CV_FOLDS: (lambda spec: _fixed_set(spec, spec.budgets[0]), _cv_folds_unit),
     # Substream paths per (d_index, rep): (0, d, rep) acquisition,
     # (1, d, rep) fold assignment.
-    BIAS_SWEEP: (_bias_sweep_units, _bias_sweep_unit),
+    BIAS_SWEEP: (lambda spec: None, _bias_sweep_unit),
     # Substream paths per (sampler_index, rep): (0, s, rep) acquisition
     # sequence, (1, s, rep) pool draws, (3, s, rep, budget_index,
     # estimator_index) estimator stream.
-    ESTIMATOR_COMPARISON: (_comparison_units, _comparison_unit),
+    ESTIMATOR_COMPARISON: (lambda spec: None, _comparison_unit),
 }
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
     """Run the scenario configured in the spec and return sorted records."""
-    units, run_unit = _SCENARIO_TABLE[spec.scenario]
-    work = units(spec)
-    run = partial(run_unit, spec)
+    shared, run_unit = _SCENARIO_TABLE[spec.scenario]
+    work = [(s, rep) for s in range(len(spec.samplers)) for rep in range(spec.repetitions)]
+    run = partial(run_unit, spec, shared(spec))
     # A pool may fork all its workers at once: ask for no more than there are units.
     workers = min(workers, len(work))
     if workers <= 1:

@@ -1,4 +1,4 @@
-"""Serialization of run records: raw CSV, grouped summary JSON.
+"""Serialization of run records: raw CSV, and summary JSON of boxplot rows.
 
 The raw CSV is the contract everything downstream operates on; the summary
 is always reproducible from it alone. Writers and the reader refuse NaN/Inf
@@ -13,10 +13,13 @@ import math
 from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
-from typing import get_type_hints
+from typing import Sequence, get_type_hints
 
+import numpy as np
+
+from . import estimators
 from .errors import ValidationError
-from .harness import RunRecord, summarize
+from .harness import RunRecord
 
 # The raw CSV columns are the RunRecord fields, in order. Each column is
 # parsed by its field's type; float columns carry exactly 6 fractional digits.
@@ -25,23 +28,29 @@ _TYPES = tuple(get_type_hints(RunRecord)[name] for name in CSV_COLUMNS)
 _FLOAT_COLUMNS = tuple(n for n, t in zip(CSV_COLUMNS, _TYPES) if t is float)
 _ROW = ",".join("{:.6f}" if t is float else "{}" for t in _TYPES)
 _values = attrgetter(*CSV_COLUMNS)
+_UNWRITABLE = "refusing to serialize {bad} ({r.scenario}, rep {r.repetition}, {r.estimator})"
+
+# Summary rows are grouped by these record fields, in this order.
+_GROUP = ("scenario", "sampler", "budget", "estimator")
+_group_key = attrgetter(*_GROUP)
 
 
-def _check_finite(record: RunRecord) -> None:
+def _check_finite(record: RunRecord, where: str, **context) -> None:
+    """Refuse a record with a NaN or infinite float field. ``where`` is the
+    message, a format string given ``bad`` ("non-finite <field>=<value>"),
+    the record as ``r``, and ``context``."""
     for name in _FLOAT_COLUMNS:
         value = getattr(record, name)
         if not math.isfinite(value):
-            raise ValidationError(
-                f"refusing to serialize non-finite {name}={value!r} "
-                f"({record.scenario}, rep {record.repetition}, {record.estimator})"
-            )
+            bad = f"non-finite {name}={value!r}"
+            raise ValidationError(where.format(bad=bad, r=record, **context))
 
 
 def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
     """One row per record; floats carry exactly 6 fractional digits."""
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
-        _check_finite(r)
+        _check_finite(r, _UNWRITABLE)
         lines.append(_ROW.format(*_values(r)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -67,13 +76,33 @@ def read_records_csv(path: str | Path) -> list[RunRecord]:
                     records.append(RunRecord(*[parse(v) for parse, v in zip(_TYPES, row)]))
                 except ValueError as exc:
                     raise ValidationError(f"{path}: line {i}: {exc}") from exc
-                for name in _FLOAT_COLUMNS:
-                    value = getattr(records[-1], name)
-                    if not math.isfinite(value):
-                        raise ValidationError(f"{path}: line {i}: non-finite {name}={value!r}")
+                _check_finite(records[-1], "{path}: line {i}: {bad}", path=path, i=i)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     return records
+
+
+def summarize(values: Sequence[float]) -> dict:
+    """Boxplot statistics of ``values`` as one summary row, in ``summary.json``
+    order. Quartiles are linearly interpolated (``estimators.percentiles``,
+    equal to ``numpy.percentile`` bit for bit); the whiskers reach the
+    furthest datum within 1.5 IQR."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
+        raise ValidationError("cannot summarize an empty value list")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("cannot summarize non-finite values")
+    q25, median, q75 = estimators.percentiles(arr, (25.0, 50.0, 75.0))
+    iqr = q75 - q25
+    return {
+        "n": int(arr.size),
+        "mean": float(arr.mean()),
+        "median": median,
+        "q25": q25,
+        "q75": q75,
+        "whisker_low": float(arr[arr >= q25 - 1.5 * iqr].min()),
+        "whisker_high": float(arr[arr <= q75 + 1.5 * iqr].max()),
+    }
 
 
 def summarize_records(records: list[RunRecord]) -> list[dict]:
@@ -81,26 +110,15 @@ def summarize_records(records: list[RunRecord]) -> list[dict]:
     (scenario, sampler, budget, estimator), in canonical order."""
     groups: dict[tuple, list[RunRecord]] = {}
     for r in records:
-        groups.setdefault((r.scenario, r.sampler, r.budget, r.estimator), []).append(r)
+        groups.setdefault(_group_key(r), []).append(r)
     rows = []
     for key in sorted(groups):
         members = groups[key]
-        stats = summarize([r.estimate_mean for r in members])
-        truth = sum(r.true_baseline for r in members) / len(members)
         rows.append(
             {
-                "scenario": key[0],
-                "sampler": key[1],
-                "budget": key[2],
-                "estimator": key[3],
-                "n": stats.n,
-                "mean": stats.mean,
-                "median": stats.median,
-                "q25": stats.q25,
-                "q75": stats.q75,
-                "whisker_low": stats.whisker_low,
-                "whisker_high": stats.whisker_high,
-                "true_baseline_mean": truth,
+                **dict(zip(_GROUP, key)),
+                **summarize([r.estimate_mean for r in members]),
+                "true_baseline_mean": sum(r.true_baseline for r in members) / len(members),
             }
         )
     return rows

@@ -9,6 +9,9 @@ Output is deterministic for identical input.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 from .errors import ValidationError
 
 _MARGIN_LEFT = 58.0
@@ -36,8 +39,23 @@ def _escape(text: str) -> str:
     )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _fmt(v: float | str) -> str:
+    """A coordinate with two decimals; a string is written as given."""
+    return v if isinstance(v, str) else f"{v:.2f}"
+
+
+def _line(x1, y1, x2, y2, stroke: str, width: int, dash: str | None = None) -> str:
+    dash_attr = "" if dash is None else f' stroke-dasharray="{dash}"'
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"{dash_attr}/>'
+    )
+
+
+def _text(x, y, attrs: str, body: str) -> str:
+    """A text element; ``attrs`` follow x and y, and ``body`` is escaped."""
+    attrs = f" {attrs}" if attrs else ""
+    return f'<text x="{_fmt(x)}" y="{_fmt(y)}"{attrs}>{_escape(body)}</text>'
 
 
 def render_boxplots_svg(rows: list[dict]) -> str:
@@ -46,17 +64,13 @@ def render_boxplots_svg(rows: list[dict]) -> str:
     if not rows:
         raise ValidationError("nothing to plot: no summary groups")
 
-    panels: dict[tuple[str, str], list[dict]] = {}
-    for row in rows:
-        panels.setdefault((row["scenario"], row["sampler"]), []).append(row)
-    panel_keys = sorted(panels)
-    for key in panel_keys:
-        panels[key].sort(key=lambda r: (r["budget"], r["estimator"]))
+    ordered = sorted(rows, key=itemgetter("scenario", "sampler", "budget", "estimator"))
+    panels = {key: list(g) for key, g in groupby(ordered, key=itemgetter("scenario", "sampler"))}
 
     max_slots = max(len(items) for items in panels.values())
     width = _MARGIN_LEFT + max_slots * _SLOT_W + _MARGIN_RIGHT
     panel_height = _MARGIN_TOP + _PLOT_H + _MARGIN_BOTTOM
-    height = len(panel_keys) * panel_height + (len(panel_keys) - 1) * _PANEL_GAP + 20.0
+    height = len(panels) * panel_height + (len(panels) - 1) * _PANEL_GAP + 20.0
 
     out: list[str] = []
     out.append(
@@ -66,8 +80,7 @@ def render_boxplots_svg(rows: list[dict]) -> str:
     )
     out.append('<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>')
 
-    for p_idx, key in enumerate(panel_keys):
-        items = panels[key]
+    for p_idx, (key, items) in enumerate(panels.items()):
         top = 20.0 + p_idx * (panel_height + _PANEL_GAP) + _MARGIN_TOP
         bottom = top + _PLOT_H
         left = _MARGIN_LEFT
@@ -75,48 +88,28 @@ def render_boxplots_svg(rows: list[dict]) -> str:
         def y_px(v: float) -> float:
             return bottom - v * _PLOT_H
 
-        out.append(
-            f'<text x="{_fmt(left)}" y="{_fmt(top - 14.0)}" font-size="13">'
-            f"{_escape(key[0])} / {_escape(key[1])}</text>"
-        )
+        out.append(_text(left, top - 14.0, 'font-size="13"', f"{key[0]} / {key[1]}"))
 
         # y axis: [0,1] with ticks every 0.1
         for i in range(11):
             v = i / 10.0
             y = y_px(v)
-            out.append(
-                f'<line x1="{_fmt(left)}" y1="{_fmt(y)}" '
-                f'x2="{_fmt(left + len(items) * _SLOT_W)}" y2="{_fmt(y)}" '
-                f'stroke="#dddddd" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_fmt(left - 8.0)}" y="{_fmt(y + 3.5)}" '
-                f'text-anchor="end" font-size="10">{v:.1f}</text>'
-            )
-        out.append(
-            f'<line x1="{_fmt(left)}" y1="{_fmt(top)}" x2="{_fmt(left)}" '
-            f'y2="{_fmt(bottom)}" stroke="#2b2b2b" stroke-width="1"/>'
-        )
+            out.append(_line(left, y, left + len(items) * _SLOT_W, y, "#dddddd", 1))
+            out.append(_text(left - 8.0, y + 3.5, 'text-anchor="end" font-size="10"', f"{v:.1f}"))
+        out.append(_line(left, top, left, bottom, "#2b2b2b", 1))
 
         # budget clusters: dashed true-baseline segment plus a budget label
         start = 0
-        while start < len(items):
-            stop = start
-            while stop < len(items) and items[stop]["budget"] == items[start]["budget"]:
-                stop += 1
-            cluster = items[start:stop]
+        for budget, members in groupby(items, key=itemgetter("budget")):
+            cluster = list(members)
+            stop = start + len(cluster)
             x0 = left + start * _SLOT_W + 6.0
             x1 = left + stop * _SLOT_W - 6.0
             truth = sum(r["true_baseline_mean"] for r in cluster) / len(cluster)
+            out.append(_line(x0, y_px(truth), x1, y_px(truth), _BASELINE_COLOR, 1, "6,4"))
             out.append(
-                f'<line x1="{_fmt(x0)}" y1="{_fmt(y_px(truth))}" x2="{_fmt(x1)}" '
-                f'y2="{_fmt(y_px(truth))}" stroke="{_BASELINE_COLOR}" '
-                f'stroke-width="1" stroke-dasharray="6,4"/>'
-            )
-            out.append(
-                f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(bottom + 92.0)}" '
-                f'text-anchor="middle" font-size="11">budget {cluster[0]["budget"]}'
-                f"</text>"
+                _text((x0 + x1) / 2, bottom + 92.0, 'text-anchor="middle" font-size="11"',
+                      f"budget {budget}")
             )
             start = stop
 
@@ -124,17 +117,10 @@ def render_boxplots_svg(rows: list[dict]) -> str:
             cx = left + (i + 0.5) * _SLOT_W
             half = _BOX_W / 2.0
             # whiskers with caps
-            out.append(
-                f'<line x1="{_fmt(cx)}" y1="{_fmt(y_px(row["whisker_low"]))}" '
-                f'x2="{_fmt(cx)}" y2="{_fmt(y_px(row["whisker_high"]))}" '
-                f'stroke="{_BOX_STROKE}" stroke-width="1"/>'
-            )
-            for v in (row["whisker_low"], row["whisker_high"]):
-                out.append(
-                    f'<line x1="{_fmt(cx - half / 2)}" y1="{_fmt(y_px(v))}" '
-                    f'x2="{_fmt(cx + half / 2)}" y2="{_fmt(y_px(v))}" '
-                    f'stroke="{_BOX_STROKE}" stroke-width="1"/>'
-                )
+            low, high = y_px(row["whisker_low"]), y_px(row["whisker_high"])
+            out.append(_line(cx, low, cx, high, _BOX_STROKE, 1))
+            for y in (low, high):
+                out.append(_line(cx - half / 2, y, cx + half / 2, y, _BOX_STROKE, 1))
             # interquartile box
             out.append(
                 f'<rect x="{_fmt(cx - half)}" y="{_fmt(y_px(row["q75"]))}" '
@@ -143,38 +129,27 @@ def render_boxplots_svg(rows: list[dict]) -> str:
                 f'fill="{_BOX_FILL}" stroke="{_BOX_STROKE}" stroke-width="1"/>'
             )
             # median (red) and mean (green)
-            out.append(
-                f'<line x1="{_fmt(cx - half)}" y1="{_fmt(y_px(row["median"]))}" '
-                f'x2="{_fmt(cx + half)}" y2="{_fmt(y_px(row["median"]))}" '
-                f'stroke="{_MEDIAN_COLOR}" stroke-width="2"/>'
-            )
-            out.append(
-                f'<line x1="{_fmt(cx - half)}" y1="{_fmt(y_px(row["mean"]))}" '
-                f'x2="{_fmt(cx + half)}" y2="{_fmt(y_px(row["mean"]))}" '
-                f'stroke="{_MEAN_COLOR}" stroke-width="2" stroke-dasharray="3,2"/>'
-            )
+            median, mean = y_px(row["median"]), y_px(row["mean"])
+            out.append(_line(cx - half, median, cx + half, median, _MEDIAN_COLOR, 2))
+            out.append(_line(cx - half, mean, cx + half, mean, _MEAN_COLOR, 2, "3,2"))
             # estimator label, rotated to stay readable in narrow slots
             lx, ly = cx + 4.0, bottom + 10.0
             out.append(
-                f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="10" '
-                f'text-anchor="end" transform="rotate(-55 {_fmt(lx)} {_fmt(ly)})">'
-                f"{_escape(row['estimator'])}</text>"
+                _text(lx, ly, f'font-size="10" text-anchor="end" '
+                      f'transform="rotate(-55 {_fmt(lx)} {_fmt(ly)})"', row["estimator"])
             )
 
-    # legend
+    # legend; its y coordinates are written as given
     lx = _MARGIN_LEFT
     out.append(
-        f'<g font-size="10">'
-        f'<line x1="{_fmt(lx)}" y1="10" x2="{_fmt(lx + 16)}" y2="10" '
-        f'stroke="{_MEAN_COLOR}" stroke-width="2" stroke-dasharray="3,2"/>'
-        f'<text x="{_fmt(lx + 20)}" y="13">mean</text>'
-        f'<line x1="{_fmt(lx + 60)}" y1="10" x2="{_fmt(lx + 76)}" y2="10" '
-        f'stroke="{_MEDIAN_COLOR}" stroke-width="2"/>'
-        f'<text x="{_fmt(lx + 80)}" y="13">median</text>'
-        f'<line x1="{_fmt(lx + 130)}" y1="10" x2="{_fmt(lx + 146)}" y2="10" '
-        f'stroke="{_BASELINE_COLOR}" stroke-width="1" stroke-dasharray="6,4"/>'
-        f'<text x="{_fmt(lx + 150)}" y="13">true baseline</text>'
-        f"</g>"
+        '<g font-size="10">'
+        + _line(lx, "10", lx + 16, "10", _MEAN_COLOR, 2, "3,2")
+        + _text(lx + 20, "13", "", "mean")
+        + _line(lx + 60, "10", lx + 76, "10", _MEDIAN_COLOR, 2)
+        + _text(lx + 80, "13", "", "median")
+        + _line(lx + 130, "10", lx + 146, "10", _BASELINE_COLOR, 1, "6,4")
+        + _text(lx + 150, "13", "", "true baseline")
+        + "</g>"
     )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -23,7 +23,7 @@ from alperf.estimators import (
     subsample_baseline,
     true_baseline,
 )
-from alperf.harness import derive_substream, run_experiment, summarize
+from alperf.harness import derive_substream, run_experiment
 from alperf.parzen import (
     ClassifierConfig,
     accuracy_arrays,
@@ -31,6 +31,7 @@ from alperf.parzen import (
     posterior_batch,
     predict_batch,
 )
+from alperf.reporting import summarize
 from alperf.synthdata import (
     LabeledSet,
     bayes_accuracy,
@@ -104,7 +105,7 @@ def test_criterion_2_eval_size_distribution(task, fig2_model_and_a_true):
         iqrs = []
         for size in (5, 10, 20, 100):
             s = summarize([r.estimate_mean for r in records if r.budget == size])
-            iqrs.append(s.q75 - s.q25)
+            iqrs.append(s["q75"] - s["q25"])
         assert all(a > b for a, b in zip(iqrs, iqrs[1:])), f"IQRs not decreasing: {iqrs}"
         vals = np.array([r.estimate_mean for r in records if r.budget == 5])
         observed = np.mean((vals == 1.0) | (vals < 0.8))

@@ -11,7 +11,9 @@ percentile helper. The SHA-256 of ``bundle.json``, the resolved
 configuration with its applied defaults in order, is compared with a
 constant recorded before the scenario defaults moved into one table. The
 SHA-256 of ``alperf scenarios <name>``, the fully resolved configuration
-each built-in echoes, is compared the same way.
+each built-in echoes, is compared the same way. The SHA-256 of
+``alperf plot`` on each ``raw.csv`` was recorded before the SVG writer got
+one function per element kind.
 
 All sixteen constants were re-recorded together when the true baseline
 became the exact decision-region integral and the subsample baseline a
@@ -49,6 +51,14 @@ BUNDLE_JSON = {
     "fig3": "982d3c1f73fa65342d2937db00a9d444cf33ba22425b5dc39260f94e11b44c70",
     "fig5": "3a054a0dda1c01cf3e28da5b210519b85e24c5b3538fb0112207172bee34ddae",
     "fig6": "7f6937be79d13d352179922811f6fb661fc4ebdc62b3920986860be5856c507e",
+}
+
+# alperf plot of the same runs' raw.csv.
+PLOT_SVG = {
+    "fig2": "c218c8d9dfeb001c5d2e6fcd96bfe4011359ea9dc8c93b2c0c633602714cc4b1",
+    "fig3": "9789c5ff182daee262f2dc193d95be57d2e096cb3d1bba98601d3bdfa89ec38d",
+    "fig5": "398d4494392ff0d4eb1a4308153ce6bcd6eaf1bb3c33c671e71b883f3ef4845b",
+    "fig6": "88bd8ef13308ba09d31e316de9a2e9137de015b67b21ee291203217387788eb1",
 }
 
 SCENARIO_ECHO = {
@@ -100,6 +110,14 @@ def test_builtin_summary_json_digest(builtin_run, name):
 def test_builtin_bundle_json_digest(builtin_run, name):
     bundle = (builtin_run(name) / "bundle.json").read_bytes()
     assert hashlib.sha256(bundle).hexdigest() == BUNDLE_JSON[name]
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_SVG))
+def test_builtin_plot_svg_digest(builtin_run, name):
+    out = builtin_run(name)
+    assert cli_main(["plot", str(out / "raw.csv"), "--out", str(out / "plot.svg")]) == 0
+    svg = (out / "plot.svg").read_bytes()
+    assert hashlib.sha256(svg).hexdigest() == PLOT_SVG[name]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_ECHO))

@@ -34,7 +34,7 @@ def test_package_exports_its_imported_names():
     assert "run_experiment" in alperf.__all__ and "RunRecord" in alperf.__all__
     assert "harness" not in alperf.__all__ and "synthdata" not in alperf.__all__
     assert all(hasattr(alperf, name) for name in alperf.__all__)
-    assert len(alperf.__all__) == 34
+    assert len(alperf.__all__) == 33
 
 
 class TestScenarios:
@@ -147,6 +147,21 @@ class TestRun:
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and "not UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            '{"scenario": "cv-folds", "task": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        ],
+        ids=["alone", "task-value"],
+    )
+    def test_deeply_nested_config_is_validation_error(self, tmp_path, capsys, text):
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        assert cli_main(["run", "--config", str(deep), "--out", str(tmp_path / "o")]) == 1
+        assert "config nests too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_workers(self, tmp_path, config_path):
         assert cli_main(

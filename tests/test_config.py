@@ -3,11 +3,12 @@ import json
 
 import pytest
 
+from alperf import parzen
 from alperf.config import BUILTIN_SCENARIOS, parse_config, resolve_config
 from alperf.errors import ValidationError
 from alperf.harness import SCENARIOS, EstimatorSpec, ExperimentSpec
 from alperf.parzen import ClassifierConfig
-from alperf.synthdata import default_task, unbiased_sampler
+from alperf.synthdata import SamplingDistribution, default_task, unbiased_sampler
 
 
 def _resolve(cfg):
@@ -215,6 +216,46 @@ class TestValidation:
                       "samplers": [{"kind": "data-marginal"},
                                    {"kind": "symmetric-mixture", "d": 0.5,
                                     "priors": [nan, nan]}]})
+
+    def test_sampler_defaults_are_the_dataclass_defaults(self):
+        r = _resolve({"scenario": "estimator-comparison",
+                      "samplers": [{"kind": "symmetric-mixture", "d": 1.0}]})
+        (sampler,) = r.spec.samplers
+        assert sampler == SamplingDistribution(kind="symmetric-mixture", d=1.0)
+        assert r.document["samplers"] == [
+            {"kind": "symmetric-mixture", "d": 1.0,
+             "std": SamplingDistribution.component_std,
+             "priors": list(SamplingDistribution.component_priors)},
+        ]
+
+    @pytest.mark.parametrize(
+        "overrides, points",
+        [
+            ({"task": {"priors": [0.5, 0.5],
+                       "components": [[{"weight": 1.0, "mean": -1.5, "std": 1e4}],
+                                      [{"weight": 1.0, "mean": 1.5, "std": 1e4}]]}},
+             "16,000,301"),
+            ({"classifier": {"bandwidth": 1e-5}}, "40,000,001"),
+        ],
+        ids=["std-1e4", "bandwidth-1e-5"],
+    )
+    def test_oversized_truth_grid_rejected(self, monkeypatch, overrides, points):
+        # Rejected from the task span and the step alone: no rule is read.
+        def no_posterior(*args):
+            raise AssertionError("a posterior was computed")
+
+        monkeypatch.setattr(parzen, "posterior_batch", no_posterior)
+        with pytest.raises(ValidationError, match=f"take {points} grid points "
+                           r"\(at most 1,000,000\): the task spans \[.*\] and the step is"):
+            _resolve({"scenario": "cv-folds", **overrides})
+
+    def test_wide_task_within_grid_bound_resolves(self):
+        # std 100 at the default bandwidth: 160,301 grid points.
+        components = [[{"weight": 1.0, "mean": -1.5, "std": 100.0}],
+                      [{"weight": 1.0, "mean": 1.5, "std": 100.0}]]
+        r = _resolve({"scenario": "cv-folds",
+                      "task": {"priors": [0.5, 0.5], "components": components}})
+        assert r.spec.task.class_components[0][0].std == 100.0
 
     def test_task_validation_propagates(self):
         with pytest.raises(ValidationError, match="sum to 1"):

@@ -12,14 +12,13 @@ from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.errors import ValidationError
 from alperf.estimators import kfold_cv, kfold_cv_detail
 from alperf.harness import (
-    BoxplotStats,
     EstimatorSpec,
     ExperimentSpec,
     acquisition_sequence,
     derive_substream,
     run_experiment,
-    summarize,
 )
+from alperf.reporting import summarize
 
 
 def _strip_wall(records):
@@ -80,11 +79,12 @@ class TestDeriveSubstream:
 class TestSummarize:
     def test_singleton(self):
         s = summarize([0.5])
-        assert s == BoxplotStats(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1)
+        assert s == {"n": 1, "mean": 0.5, "median": 0.5, "q25": 0.5, "q75": 0.5,
+                     "whisker_low": 0.5, "whisker_high": 0.5}
 
     def test_interpolated_quartiles(self):
         s = summarize([0.0, 0.0, 1.0, 1.0])
-        assert (s.mean, s.median, s.q25, s.q75) == (0.5, 0.5, 0.0, 1.0)
+        assert (s["mean"], s["median"], s["q25"], s["q75"]) == (0.5, 0.5, 0.0, 1.0)
 
     def test_order_invariance(self):
         vals = [0.1, 0.9, 0.4, 0.4, 0.7, 0.2]
@@ -92,18 +92,18 @@ class TestSummarize:
 
     def test_whiskers_clip_outliers_to_data(self):
         s = summarize([0.0, 0.5, 0.5, 0.52, 0.55, 1.0])
-        iqr = s.q75 - s.q25
-        assert s.whisker_low >= s.q25 - 1.5 * iqr
-        assert s.whisker_high <= s.q75 + 1.5 * iqr
-        assert s.whisker_low == 0.5 and s.whisker_high == 0.55
+        iqr = s["q75"] - s["q25"]
+        assert s["whisker_low"] >= s["q25"] - 1.5 * iqr
+        assert s["whisker_high"] <= s["q75"] + 1.5 * iqr
+        assert s["whisker_low"] == 0.5 and s["whisker_high"] == 0.55
 
     def test_invariants_on_random_data(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
             vals = rng.random(rng.integers(1, 40))
             s = summarize(vals)
-            assert s.q25 <= s.median <= s.q75
-            assert vals.min() <= s.whisker_low <= s.whisker_high <= vals.max()
+            assert s["q25"] <= s["median"] <= s["q75"]
+            assert vals.min() <= s["whisker_low"] <= s["whisker_high"] <= vals.max()
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
@@ -229,7 +229,7 @@ class TestEvalSizeDistribution:
         iqr = {}
         for size in (5, 100):
             s = summarize([r.estimate_mean for r in records if r.budget == size])
-            iqr[size] = s.q75 - s.q25
+            iqr[size] = s["q75"] - s["q25"]
         assert iqr[100] < iqr[5]
 
 
@@ -378,7 +378,7 @@ class TestEstimatorComparison:
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(parzen, "fit_arrays", counting)
-        harness._comparison_unit(spec, (0, 0))
+        harness._comparison_unit(spec, None, (0, 0))
         assert len(fits) == len(spec.budgets) * (1 + sum(cv_folds))
 
     def test_rejects_k_above_smallest_budget(self):
@@ -407,6 +407,33 @@ class _InlinePool:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"scenario": "eval-size-distribution", "budgets": [5, 20]},
+            {"scenario": "cv-folds"},
+            {"scenario": "bias-sweep", "d_grid": [0.5, 1.0, 2.0], "repetitions": 2},
+            {},
+        ],
+        ids=["eval-size", "cv-folds", "bias-sweep", "comparison"],
+    )
+    def test_unit_records_are_its_rows(self, overrides):
+        # Every scenario's units are the (sampler_index, repetition) pairs, and
+        # one unit run alone writes exactly the rows with its sampler and
+        # repetition.
+        spec = _spec(overrides)
+        labels = [s.label() for s in spec.samplers]
+        groups = {}
+        for r in run_experiment(spec, workers=1):
+            groups.setdefault((labels.index(r.sampler), r.repetition), []).append(r)
+        assert sorted(groups) == [
+            (s, rep) for s in range(len(spec.samplers)) for rep in range(spec.repetitions)
+        ]
+        shared, run_unit = harness._SCENARIO_TABLE[spec.scenario]
+        for unit, rows in groups.items():
+            alone = sorted(run_unit(spec, shared(spec), unit), key=harness.RunRecord.sort_key)
+            assert _strip_wall(alone) == _strip_wall(rows)
+
     @pytest.mark.parametrize(
         "repetitions, workers, pool_workers",
         [(3, 64, [3]), (3, 2, [2]), (1, 64, []), (3, 1, [])],

@@ -8,6 +8,7 @@ from alperf.harness import RunRecord
 from alperf.reporting import (
     CSV_COLUMNS,
     read_records_csv,
+    summarize,
     summarize_records,
     write_records_csv,
     write_summary_json,
@@ -95,6 +96,23 @@ class TestCsv:
         with pytest.raises(ValidationError, match=f"line 3: non-finite {field}=inf"):
             read_records_csv(path)
 
+    def test_non_finite_messages_name_the_record_and_line(self, tmp_path):
+        # The writer names the record; the reader names the file and line,
+        # even when the path holds format braces.
+        with pytest.raises(ValidationError) as exc:
+            write_records_csv([_record(repetition=4, wall_ms=float("inf"))], tmp_path / "w.csv")
+        assert str(exc.value) == (
+            "refusing to serialize non-finite wall_ms=inf (estimator-comparison, rep 4, cv-3fold)"
+        )
+        folder = tmp_path / "a{b}"
+        folder.mkdir()
+        path = folder / "raw.csv"
+        write_records_csv([_record()], path)
+        path.write_text(path.read_text().replace("0.900000", "nan"))
+        with pytest.raises(ValidationError) as exc:
+            read_records_csv(path)
+        assert str(exc.value) == f"{path}: line 2: non-finite true_baseline=nan"
+
     def test_read_parses_each_column_by_field_type(self, tmp_path, records):
         path = tmp_path / "raw.csv"
         write_records_csv(records, path)
@@ -146,6 +164,16 @@ class TestSummary:
                 "median", "q25", "q75", "whisker_low", "whisker_high",
                 "true_baseline_mean",
             }
+
+    def test_row_is_group_key_then_summarize_then_truth(self, records):
+        stats = ["n", "mean", "median", "q25", "q75", "whisker_low", "whisker_high"]
+        assert list(summarize([0.4, 0.6])) == stats
+        row = summarize_records(records)[0]
+        assert list(row) == [
+            "scenario", "sampler", "budget", "estimator", *stats, "true_baseline_mean",
+        ]
+        members = [r for r in records if r.estimator == row["estimator"]]
+        assert {k: row[k] for k in stats} == summarize([r.estimate_mean for r in members])
 
     def test_summary_json_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValidationError, match="non-finite"):

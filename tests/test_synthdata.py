@@ -355,6 +355,17 @@ class TestBayesAccuracy:
         )
         assert bayes_accuracy(model) == pytest.approx(expected, abs=1e-9)
 
+    def test_decision_grid_size(self, task):
+        assert synthdata.decision_grid_size(task, 0.01) == (-10.0, 10.0, 2001)
+        assert synthdata.decision_grid_size(task, 2.5e-5) == (-10.0, 10.0, 800_001)
+
+    def test_oversized_grid_raises_before_reading_the_rule(self, task):
+        def scores(xs):
+            raise AssertionError("the rule was read")
+
+        with pytest.raises(ValidationError, match="1,000,001 grid points"):
+            synthdata.decision_accuracy(task, scores, 2e-5)
+
     def test_marginal_density_consistency(self, task):
         xs = np.linspace(-4, 4, 9)
         direct = sampling_density_batch(unbiased_sampler(), task, xs)
