@@ -89,10 +89,13 @@ def _cmd_run(args) -> int:
     if args.workers < 1:
         raise ValidationError(f"--workers must be >= 1, got {args.workers}")
 
-    records = run_experiment(spec, workers=args.workers)
-
+    # An unusable --out fails here, before the study runs, and an invalid
+    # config above leaves no directory behind.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    records = run_experiment(spec, workers=args.workers)
+
     raw_path = out_dir / "raw.csv"
     write_records_csv(records, raw_path)
     # Summarize from the serialized rows so the summary is always

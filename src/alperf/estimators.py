@@ -9,7 +9,9 @@ oracle access to the data-generating distribution and exist only to judge
 the estimators.
 
 Every estimator returns a PerformanceEstimate, an empirical sample (a point
-value is a one-value sample) or a Beta mixture, summarized uniformly.
+value is a one-value sample) or a Beta mixture, summarized uniformly. Only
+the Beta-mixture methods import ``scipy.special``, so a process that
+summarizes no Beta mixture never loads scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import parzen, synthdata
 from .errors import ValidationError
@@ -91,7 +92,7 @@ class PerformanceEstimate:
         if self.samples is not None:
             if len(self.samples) == 0:
                 raise ValidationError("empirical estimate needs at least one sample")
-            if not np.all((self.samples >= 0.0) & (self.samples <= 1.0)):
+            if not ((self.samples >= 0.0) & (self.samples <= 1.0)).all():
                 raise ValidationError("empirical samples must lie in [0,1]")
             self.samples.setflags(write=False)
         else:
@@ -122,6 +123,8 @@ class PerformanceEstimate:
     @cached_property
     def _beta(self) -> _BetaSetup:
         """Beta-mixture set-up, computed once per estimate."""
+        from scipy import special
+
         a, b = self.components[:, 0], self.components[:, 1]
         means = a / (a + b)
         mu = float(means.mean())
@@ -136,6 +139,8 @@ class PerformanceEstimate:
             return 0.0
         if t >= 1.0:
             return 1.0
+        from scipy import special
+
         beta = self._beta
         return float(special.betainc(beta.a, beta.b, t).mean())
 
@@ -162,6 +167,8 @@ class PerformanceEstimate:
             return 0.0
         if q == 1.0:
             return 1.0
+        from scipy import special
+
         _, _, am1, bm1, log_norm, mu, var = self._beta
         lo, hi = 0.0, 1.0
         t = mu + math.sqrt(max(var, 0.0)) * float(special.ndtri(q))
@@ -205,9 +212,14 @@ class PerformanceEstimate:
         quartiles from that sort (``percentiles``, equal to
         ``numpy.percentile`` bit for bit). For a Beta mixture each quartile
         is a ``quantile`` call; the set-up those solves share is computed
-        once per estimate.
+        once per estimate. A one-value sample is its own quartiles, and its
+        mean is that value plus 0.0, as ``ndarray.mean`` sums from 0.0 (a
+        -0.0 sample has mean 0.0).
         """
         if self.samples is not None:
+            if len(self.samples) == 1:
+                value = float(self.samples[0])
+                return {"mean": value + 0.0, "median": value, "q25": value, "q75": value}
             q25, median, q75 = percentiles(self.samples, (25.0, 50.0, 75.0))
         else:
             median, q25, q75 = self.median(), self.quantile(0.25), self.quantile(0.75)

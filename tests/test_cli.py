@@ -163,6 +163,19 @@ class TestRun:
         assert "config nests too deeply" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unusable_out_fails_before_the_study_runs(
+        self, tmp_path, config_path, monkeypatch, capsys
+    ):
+        def fail(spec, workers=1):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr("alperf.cli.run_experiment", fail)
+        regular = tmp_path / "file"
+        regular.write_text("")
+        argv = ["run", "--config", str(config_path), "--out", str(regular / "sub")]
+        assert cli_main(argv) == 2
+        assert "I/O error" in capsys.readouterr().err
+
     def test_invalid_workers(self, tmp_path, config_path):
         assert cli_main(
             ["run", "--config", str(config_path), "--out", str(tmp_path / "o"),

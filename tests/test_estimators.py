@@ -100,6 +100,17 @@ class TestPerformanceEstimate:
             for t in (v - 1e-12, v, v + 1e-12):
                 assert point.cdf(t) == sample.cdf(t) == (1.0 if t >= v else 0.0)
 
+    @pytest.mark.parametrize("v", [-0.0, 0.0, 5e-324, 0.1, 1.0 / 3.0, 0.7, 1.0 - 2.0**-53, 1.0])
+    def test_one_value_summary_is_numpy_bit_for_bit(self, v):
+        samples = np.array([v])
+        expected = {"mean": float(samples.mean())}
+        for key, p in (("median", 50.0), ("q25", 25.0), ("q75", 75.0)):
+            expected[key] = float(np.percentile(samples, p))
+        summary = PerformanceEstimate.empirical(samples).summary()
+        assert {k: x.hex() for k, x in summary.items()} == {
+            k: x.hex() for k, x in expected.items()
+        }
+
     def test_exactly_one_shape(self):
         with pytest.raises(ValidationError, match="either samples or Beta components"):
             PerformanceEstimate()

@@ -1,0 +1,83 @@
+"""Which commands load scipy, checked in fresh interpreters.
+
+Only the Beta-mixture methods of ``PerformanceEstimate`` import
+``scipy.special``. fig2, fig3 and fig5 summarize no Beta mixture, and
+``report``, ``plot`` and ``scenarios`` compute no estimate, so none of them
+may load scipy. The test process itself has scipy loaded, so every check
+runs its commands in a subprocess.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import alperf
+
+SRC = str(Path(alperf.__file__).resolve().parents[1])
+
+# argv: out directory, built-in name, repetitions, then one --workers count
+# per run. Runs the built-in once per count, into out/w<count>, and after the
+# first run also report, plot and scenarios. Prints the scipy modules loaded
+# after each step.
+SCRIPT = """
+import json, sys
+from pathlib import Path
+from alperf.cli import cli_main
+from alperf.config import BUILTIN_SCENARIOS
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out, name, reps = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+document = dict(BUILTIN_SCENARIOS[name].config, repetitions=reps)
+config = out / "config.json"
+config.write_text(json.dumps(document))
+loaded = {}
+for workers in sys.argv[4:]:
+    run = out / ("w" + workers)
+    argv = ["run", "--config", str(config), "--out", str(run), "--workers", workers]
+    assert cli_main(argv) == 0
+    loaded["run-w" + workers] = scipy_modules()
+    if workers == sys.argv[4]:
+        raw = str(run / "raw.csv")
+        assert cli_main(["report", raw, "--out", str(out / "s.json")]) == 0
+        assert cli_main(["plot", raw, "--out", str(out / "p.svg")]) == 0
+        assert cli_main(["scenarios"]) == 0
+        assert cli_main(["scenarios", name]) == 0
+        loaded["report-plot-scenarios"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def _run(tmp_path, name, reps, *workers):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path), name, str(reps), *map(str, workers)],
+        env=env, stdout=subprocess.PIPE, text=True, timeout=300, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _csv_without_wall(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig5"])
+def test_builtin_without_beta_mixture_never_loads_scipy(tmp_path, name):
+    assert _run(tmp_path, name, 2, 1) == {"run-w1": [], "report-plot-scenarios": []}
+
+
+def test_fig6_loads_scipy_in_its_workers_with_identical_output(tmp_path):
+    loaded = _run(tmp_path, "fig6", 2, 2, 1)
+    # On 2 workers the Beta mixtures are summarized in the worker processes,
+    # which import scipy themselves; on 1 worker this process does.
+    assert loaded["run-w2"] == loaded["report-plot-scenarios"] == []
+    assert "scipy.special" in loaded["run-w1"]
+    assert _csv_without_wall(tmp_path / "w2" / "raw.csv") == _csv_without_wall(
+        tmp_path / "w1" / "raw.csv"
+    )

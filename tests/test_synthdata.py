@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from alperf import synthdata
 from alperf.errors import ValidationError
@@ -311,6 +311,27 @@ class TestDraws:
         frac2 = np.mean(samples.ys[samples.xs > 0] == 2)
         expected = _post(task, 0.25)[1]
         assert abs(frac2 - expected) < 0.02
+
+
+class TestNormalCdf:
+    def test_matches_scipy_ndtr(self):
+        edge = [math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0]
+        edge += [math.nextafter(s, 0.0) for s in (1.0, -1.0)]
+        edge += [math.nextafter(s, 2.0 * s) for s in (1.0, -1.0)]
+        zs = np.concatenate(
+            [
+                edge,
+                np.linspace(-40.0, 40.0, 80_001),
+                np.random.default_rng(20).normal(0.0, 10.0, 10**5),
+            ]
+        )
+        ours, ndtr = np.array([synthdata._normal_cdf(z) for z in zs.tolist()]), special.ndtr(zs)
+        assert np.abs(ours - ndtr).max() <= 2.0**-52
+        # The lower tail comes from erfc, so it keeps its relative precision
+        # down to the smallest normal float (Phi(-37.5) ~ 4.6e-308).
+        tail = (zs > -37.5) & (zs < -1.0)
+        assert np.abs(ours[tail] / ndtr[tail] - 1.0).max() <= 1e-13
+        assert ours[:6].tolist() == [1.0, 0.0, 0.5, 0.5, 0.5, 0.5]
 
 
 class TestBayesAccuracy:
