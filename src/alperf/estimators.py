@@ -29,6 +29,9 @@ from .errors import ValidationError
 from .parzen import ClassifierConfig, ParzenModel
 from .synthdata import LabeledSet, TaskModel
 
+# A candidate pool: its points, or their kernel block under the model.
+Pool = np.ndarray | parzen.KernelBlock
+
 KERNEL_COUNT = "kernel"
 HARD_COUNT = "hard"
 
@@ -67,6 +70,15 @@ def percentiles(values: np.ndarray, percents: Sequence[float]) -> list[float]:
     return out
 
 
+class _Evaluation(NamedTuple):
+    """One point of a Beta-mixture quantile solve."""
+
+    t: float
+    cdf: float
+    density: float
+    slope: float  # of the density
+
+
 class _BetaSetup(NamedTuple):
     """What every quantile solve of one Beta mixture shares."""
 
@@ -76,7 +88,6 @@ class _BetaSetup(NamedTuple):
     bm1: np.ndarray
     log_norm: np.ndarray  # betaln(a, b)
     mean: float
-    var: float
 
 
 @dataclass(frozen=True)
@@ -127,9 +138,7 @@ class PerformanceEstimate:
 
         a, b = self.components[:, 0], self.components[:, 1]
         means = a / (a + b)
-        mu = float(means.mean())
-        var = float((means * (a + 1.0) / (a + b + 1.0)).mean()) - mu * mu
-        return _BetaSetup(a, b, a - 1.0, b - 1.0, special.betaln(a, b), mu, var)
+        return _BetaSetup(a, b, a - 1.0, b - 1.0, special.betaln(a, b), float(means.mean()))
 
     def cdf(self, t: float) -> float:
         """Empirical or mixture CDF (a point value's is a step function)."""
@@ -149,15 +158,13 @@ class PerformanceEstimate:
 
         An empirical quantile is numpy's "linear" percentile (see
         ``percentiles``). For a Beta mixture this solves F(t) = q, with
-        F = ``cdf``, by a safeguarded Halley iteration. It starts at the
-        quantile of the normal distribution with the mixture's mean and
-        variance. The mixture density and its derivative come from the
-        log-space Beta densities. Every CDF evaluation goes through ``cdf``
-        and shrinks a bracket that starts at [0, 1]; a step that would leave
-        the bracket is replaced by bisection. The solve stops when the
-        bracket is narrower than 1e-12, or after an accepted Halley step
-        shorter than 1e-5 of the local length scale (at most 1): convergence
-        is cubic, so the error left after such a step is far below 1e-12.
+        F = ``cdf``, by a safeguarded Halley iteration (``_halley``). The
+        median's solve comes first and is kept per estimate: it starts at
+        the mixture mean, the median of the normal distribution with the
+        mixture's mean and variance. Every other level starts from that
+        solve's evaluations: they bracket its root, and its first step is a
+        Halley step off the evaluation nearest to q in F. So a quantile
+        returns the same value whichever levels were asked for before it.
         """
         if not 0.0 <= q <= 1.0:
             raise ValidationError(f"quantile level must be in [0,1], got {q}")
@@ -167,33 +174,63 @@ class PerformanceEstimate:
             return 0.0
         if q == 1.0:
             return 1.0
-        from scipy import special
+        median, seen = self._median_solve
+        if q == 0.5:
+            return median
+        lo = max((e.t for e in seen if e.cdf < q), default=0.0)
+        hi = min((e.t for e in seen if e.cdf > q), default=1.0)
+        nearest = min(seen, key=lambda e: abs(e.cdf - q))
+        return self._halley(q, lo, hi, nearest, [])
 
-        _, _, am1, bm1, log_norm, mu, var = self._beta
-        lo, hi = 0.0, 1.0
-        t = mu + math.sqrt(max(var, 0.0)) * float(special.ndtri(q))
-        if not lo < t < hi:
-            t = 0.5
+    @cached_property
+    def _median_solve(self) -> tuple[float, tuple[_Evaluation, ...]]:
+        """The median of a Beta mixture, and the evaluations its solve made."""
+        mu = self._beta.mean
+        start = self._evaluate(mu if 0.0 < mu < 1.0 else 0.5)
+        seen = [start]
+        median = self._halley(0.5, 0.0, 1.0, start, seen)
+        return median, tuple(seen)
+
+    def _evaluate(self, t: float) -> _Evaluation:
+        """F(t) through ``cdf``, with the mixture density and its slope at t
+        from the log-space Beta densities."""
+        _, _, am1, bm1, log_norm, _ = self._beta
+        cdf = self.cdf(t)
+        pdf = np.exp(am1 * math.log(t) + bm1 * math.log1p(-t) - log_norm)
+        density = float(pdf.mean())
+        slope = float((pdf * (am1 / t - bm1 / (1.0 - t))).mean())
+        return _Evaluation(t, cdf, density, slope)
+
+    def _halley(
+        self, q: float, lo: float, hi: float, e: _Evaluation, seen: list[_Evaluation]
+    ) -> float:
+        """Solve F(t) = q from evaluation ``e`` inside the bracket [lo, hi].
+
+        Every evaluation, appended to ``seen``, shrinks the bracket; a step
+        that would leave the bracket is replaced by bisection. The solve
+        stops when the bracket is narrower than 1e-12, or after an accepted
+        Halley step shorter than 1e-5 of the local length scale (at most 1):
+        convergence is cubic, so the error left after such a step is far
+        below 1e-12.
+        """
         while True:
-            excess = self.cdf(t) - q
+            excess = e.cdf - q
             if excess == 0.0:
-                return t
+                return e.t
             if excess < 0.0:
-                lo = t
+                lo = max(lo, e.t)
             else:
-                hi = t
+                hi = min(hi, e.t)
             if hi - lo < _XTOL:
                 return 0.5 * (lo + hi)
-            pdf = np.exp(am1 * math.log(t) + bm1 * math.log1p(-t) - log_norm)
-            density = float(pdf.mean())
-            slope = float((pdf * (am1 / t - bm1 / (1.0 - t))).mean())
+            density, slope = e.density, e.slope
             try:
                 newton = excess / density
                 step = -newton / (1.0 - 0.5 * newton * slope / density)
             except ZeroDivisionError:
                 step = math.nan
-            if lo < t + step < hi:
-                t += step
+            if lo < e.t + step < hi:
+                t = e.t + step
                 # The step is measured against the local length scale, the
                 # smaller of 1, 1/density and density/|slope|, so a sharply
                 # peaked mixture is solved as finely as a flat one.
@@ -201,6 +238,8 @@ class PerformanceEstimate:
                     return t
             else:
                 t = 0.5 * (lo + hi)
+            e = self._evaluate(t)
+            seen.append(e)
 
     def median(self) -> float:
         return self.quantile(0.5)
@@ -211,10 +250,10 @@ class PerformanceEstimate:
         An empirical estimate sorts its samples once and reads all three
         quartiles from that sort (``percentiles``, equal to
         ``numpy.percentile`` bit for bit). For a Beta mixture each quartile
-        is a ``quantile`` call; the set-up those solves share is computed
-        once per estimate. A one-value sample is its own quartiles, and its
-        mean is that value plus 0.0, as ``ndarray.mean`` sums from 0.0 (a
-        -0.0 sample has mean 0.0).
+        is a ``quantile`` call; the set-up those solves share and the
+        median's solve are computed once per estimate. A one-value sample is
+        its own quartiles, and its mean is that value plus 0.0, as
+        ``ndarray.mean`` sums from 0.0 (a -0.0 sample has mean 0.0).
         """
         if self.samples is not None:
             if len(self.samples) == 1:
@@ -240,9 +279,21 @@ def _accuracy_from_posteriors(post: np.ndarray) -> float:
     return 1.0 - err / post.shape[0]
 
 
-def generalization_error_estimate(
-    m: ParzenModel, evaluation: np.ndarray
-) -> PerformanceEstimate:
+def _pool_block(m: ParzenModel, pool: Pool) -> parzen.KernelBlock:
+    """The pool's kernel block under ``m``: the block itself when the caller
+    passes one (the harness passes each budget's prefix of one block per
+    acquisition sequence), else one computed against m's training set."""
+    if not isinstance(pool, parzen.KernelBlock):
+        return parzen.kernel_block(pool, m.train_x, m.train_y, m.config)
+    if pool.weights.shape[1] != len(m.train_x):
+        raise ValidationError(
+            f"the pool's kernel block has {pool.weights.shape[1]} training columns, "
+            f"the model {len(m.train_x)} samples"
+        )
+    return pool
+
+
+def generalization_error_estimate(m: ParzenModel, evaluation: Pool) -> PerformanceEstimate:
     """Self-assessed accuracy from the classifier's own confidence.
 
     Sums one minus the maximal predicted posterior over the evaluation
@@ -251,7 +302,7 @@ def generalization_error_estimate(
     if len(evaluation) == 0:
         raise ValidationError("no evaluation instances")
     return PerformanceEstimate.point(
-        _accuracy_from_posteriors(parzen.posterior_batch(m, evaluation))
+        _accuracy_from_posteriors(_pool_block(m, evaluation).posterior)
     )
 
 
@@ -365,7 +416,7 @@ def kfold_cv(
 
 
 def self_label_cv(
-    m: ParzenModel, pool: np.ndarray, k: int, rng: np.random.Generator
+    m: ParzenModel, pool: Pool, k: int, rng: np.random.Generator
 ) -> PerformanceEstimate:
     """Cross-validation over the labeled set plus a self-labeled pool.
 
@@ -385,8 +436,9 @@ def self_label_cv(
         )
         correct, _ = _fold_predictions(m.train_x, m.train_y, k, m.config, rng)
     else:
-        union_xs = np.concatenate([m.train_x, pool])
-        union_ys = np.concatenate([m.train_y, parzen.predict_batch(m, pool)])
+        block = _pool_block(m, pool)
+        union_xs = np.concatenate([m.train_x, block.points])
+        union_ys = np.concatenate([m.train_y, np.argmax(block.posterior, axis=1) + 1])
         correct, _ = _fold_predictions(union_xs, union_ys, k, m.config, rng, train_size=n)
     return PerformanceEstimate.point(float(correct.mean()))
 
@@ -409,7 +461,7 @@ def beta_components_from_stats(
 
 
 def probabilistic_performance(
-    m: ParzenModel, evaluation: np.ndarray, count_mode: str = KERNEL_COUNT
+    m: ParzenModel, evaluation: Pool, count_mode: str = KERNEL_COUNT
 ) -> PerformanceEstimate:
     """Accuracy as an equal-prior mixture of per-instance Beta distributions.
 
@@ -429,11 +481,10 @@ def probabilistic_performance(
     if np.any((ys < 1) | (ys > 2)):
         raise ValidationError("local label statistics are defined for 2 classes only")
     if count_mode == KERNEL_COUNT:
-        weights = parzen.kernel_weights(evaluation, xs, bandwidth)
+        weights = _pool_block(m, evaluation).weights
     else:
-        weights = (
-            np.abs(evaluation[:, None] - xs[None, :]) <= bandwidth
-        ).astype(np.float64)
+        points = evaluation.points if isinstance(evaluation, parzen.KernelBlock) else evaluation
+        weights = (np.abs(points[:, None] - xs[None, :]) <= bandwidth).astype(np.float64)
     total = weights.sum(axis=1)
     class2 = weights[:, ys == 2].sum(axis=1)
     p_hat = np.where(total > 0.0, class2 / np.where(total > 0.0, total, 1.0), 0.5)
@@ -451,12 +502,31 @@ def truth_step(config: ClassifierConfig) -> float:
     return config.bandwidth / 20.0
 
 
-def true_baseline(m: ParzenModel, model: TaskModel) -> float:
+def truth_grid(model: TaskModel, config: ClassifierConfig) -> np.ndarray:
+    """The grid the true baseline reads a classifier's rule on."""
+    return synthdata.decision_grid(model, truth_step(config))
+
+
+def true_baseline(
+    m: ParzenModel, model: TaskModel, grid_labels: np.ndarray | None = None
+) -> float:
     """Exact accuracy of the classifier under the data-generating
-    distribution: ``synthdata.decision_accuracy`` of the class
-    ``parzen.predict_batch`` returns, read on a grid of ``truth_step``."""
-    return synthdata.decision_accuracy(
-        model, lambda xs: parzen.posterior_batch(m, xs), truth_step(m.config)
+    distribution: ``synthdata.region_accuracy`` of the class
+    ``parzen.predict_batch`` returns, read on ``truth_grid``.
+
+    ``grid_labels`` is the classifier's class (0-based) at each grid point,
+    as ``parzen.prefix_labels`` gives it; the harness reads every budget's
+    from one kernel block per acquisition sequence. Without it, it is read
+    the same way for ``m`` alone. Only the brackets around class changes go
+    through ``parzen.posterior_batch``.
+    """
+    grid = truth_grid(model, m.config)
+    if grid_labels is None:
+        (grid_labels,) = parzen.prefix_labels(
+            grid, m.train_x, m.train_y, m.config, (len(m.train_x),)
+        )
+    return synthdata.region_accuracy(
+        model, lambda xs: parzen.posterior_batch(m, xs), grid, grid_labels
     )
 
 

@@ -62,6 +62,7 @@ class EstimatorEntry(NamedTuple):
     reads: tuple[str, ...]  # the EstimatorSpec fields it reads
     id_template: str  # record id, formatted with k and the count-mode and cap tags
     run: Callable  # run(spec, espec, labeled, pool, model, budget, truth, rng)
+    draws: bool  # whether run reads rng; one that does not is passed None
 
 
 # Each run looks its function up in ``estimators`` at call time, so a wrapper
@@ -71,32 +72,38 @@ ESTIMATOR_TABLE = {
         (), "generalization-error",
         lambda spec, e, labeled, pool, model, budget, truth, rng:
             estimators.generalization_error_estimate(model, pool),
+        False,
     ),
     KFOLD_CV: EstimatorEntry(
         ("k",), "cv-{k}fold",
         lambda spec, e, labeled, pool, model, budget, truth, rng:
             estimators.kfold_cv(labeled, e.k, spec.classifier, rng),
+        True,
     ),
     REWEIGHTED_CV: EstimatorEntry(
         ("k", "weight_cap"), "reweighted-cv-{k}fold{cap}",
         lambda spec, e, labeled, pool, model, budget, truth, rng: estimators.kfold_cv(
             labeled, e.k, spec.classifier, rng, reweighted=True, weight_cap=e.weight_cap
         ),
+        True,
     ),
     SELF_LABEL_CV: EstimatorEntry(
         ("k",), "self-label-cv-{k}fold",
         lambda spec, e, labeled, pool, model, budget, truth, rng:
             estimators.self_label_cv(model, pool, e.k, rng),
+        True,
     ),
     PROBABILISTIC: EstimatorEntry(
         ("count_mode",), "probabilistic{count_mode}",
         lambda spec, e, labeled, pool, model, budget, truth, rng:
             estimators.probabilistic_performance(model, pool, e.count_mode),
+        False,
     ),
     SUBSAMPLE_BASELINE: EstimatorEntry(
         (), "subsample-baseline",
         lambda spec, e, labeled, pool, model, budget, truth, rng:
             estimators.subsample_baseline(truth, budget, spec.subsample_reps, rng),
+        True,
     ),
 }
 # How each count mode appears in a record id.
@@ -401,22 +408,36 @@ def acquisition_sequence(
 
 def _comparison_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
     """Every configured estimator on each nested budget prefix of one
-    acquisition sequence."""
+    acquisition sequence.
+
+    The pool and the truth grid are each read against the whole sequence
+    once: the pool as one ``parzen.KernelBlock`` whose prefixes serve the
+    pool estimators of every budget, the grid as every budget's predicted
+    classes (``parzen.prefix_labels``)."""
     s_idx, rep = unit
     sampler = spec.samplers[s_idx]
     sequence = acquisition_sequence(spec, s_idx, rep)
     pool_rng = derive_substream(spec.master_seed, (1, s_idx, rep))
     pool = synthdata.draw_unlabeled(spec.task, spec.pool_size, pool_rng)
+    pool_block = parzen.kernel_block(pool, sequence.xs, sequence.ys, spec.classifier)
+    grid_labels = parzen.prefix_labels(
+        estimators.truth_grid(spec.task, spec.classifier),
+        sequence.xs, sequence.ys, spec.classifier, spec.budgets,
+    )
     records = []
     for b_idx, budget in enumerate(spec.budgets):
         labeled = sequence[:budget]
         model = parzen.fit_arrays(labeled.xs, labeled.ys, spec.classifier)
-        truth = estimators.true_baseline(model, spec.task)
+        truth = estimators.true_baseline(model, spec.task, grid_labels[b_idx])
+        block = pool_block.prefix(budget)
         for e_idx, espec in enumerate(spec.estimators):
-            rng = derive_substream(spec.master_seed, (3, s_idx, rep, b_idx, e_idx))
-            run = ESTIMATOR_TABLE[espec.name].run
+            entry = ESTIMATOR_TABLE[espec.name]
+            rng = (
+                derive_substream(spec.master_seed, (3, s_idx, rep, b_idx, e_idx))
+                if entry.draws else None
+            )
             t0 = time.perf_counter()
-            estimate = run(spec, espec, labeled, pool, model, budget, truth, rng)
+            estimate = entry.run(spec, espec, labeled, block, model, budget, truth, rng)
             records.append(
                 _record(
                     spec.scenario, rep, sampler.label(), budget,
@@ -446,7 +467,8 @@ _SCENARIO_TABLE = {
     BIAS_SWEEP: (lambda spec: None, _bias_sweep_unit),
     # Substream paths per (sampler_index, rep): (0, s, rep) acquisition
     # sequence, (1, s, rep) pool draws, (3, s, rep, budget_index,
-    # estimator_index) estimator stream.
+    # estimator_index) estimator stream, derived only for an estimator that
+    # draws.
     ESTIMATOR_COMPARISON: (lambda spec: None, _comparison_unit),
 }
 
@@ -461,6 +483,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
     if workers <= 1:
         nested = [run(unit) for unit in work]
     else:
+        if PROBABILISTIC in (e.name for e in spec.estimators):
+            # Beta-mixture summaries need scipy.special: import it once here,
+            # so that forked workers inherit it instead of each importing it.
+            import scipy.special  # noqa: F401
         chunk = max(1, math.ceil(len(work) / (workers * 4)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(run, work, chunksize=chunk))

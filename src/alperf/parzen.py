@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -96,6 +98,13 @@ def kernel_weights(
     return np.exp(w, out=w)
 
 
+def _onehot(train_ys: np.ndarray, class_count: int) -> np.ndarray:
+    """Labels 1..C as rows of a (len(train_ys), C) one-hot matrix."""
+    onehot = np.zeros((len(train_ys), class_count))
+    onehot[np.arange(len(train_ys)), np.asarray(train_ys) - 1] = 1.0
+    return onehot
+
+
 def class_kernel_mass(
     query_xs: np.ndarray,
     train_xs: np.ndarray,
@@ -107,8 +116,7 @@ def class_kernel_mass(
     nq = len(query_xs)
     if len(train_xs) == 0:
         return np.zeros((nq, class_count))
-    onehot = np.zeros((len(train_xs), class_count))
-    onehot[np.arange(len(train_xs)), np.asarray(train_ys) - 1] = 1.0
+    onehot = _onehot(train_ys, class_count)
     out = np.empty((nq, class_count))
     for start in range(0, nq, _CHUNK):
         stop = min(start + _CHUNK, nq)
@@ -118,18 +126,16 @@ def class_kernel_mass(
     return out
 
 
-def posterior_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
-    """Posterior p(y|x) for each query; shape (len(xs), C).
+def posterior_from_masses(masses: np.ndarray, config: ClassifierConfig) -> np.ndarray:
+    """Posterior rows from per-class kernel masses, shape (n, C): each class
+    gets its mass plus ``prior_weight``, over the row total.
 
     With prior_weight == 0 and zero kernel mass at a query there is no
     evidence at all; a uniform vector is returned for those rows and a
     warning flags them as degenerate.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    c = m.config
-    masses = class_kernel_mass(xs, m.train_x, m.train_y, c.bandwidth, c.class_count)
-    eps = c.prior_weight
-    total = masses.sum(axis=1) + c.class_count * eps
+    eps = config.prior_weight
+    total = masses.sum(axis=1) + config.class_count * eps
     ok = total > 0.0  # every row when prior_weight > 0
     out = (masses + eps) / np.where(ok, total, 1.0)[:, None]
     if not ok.all():
@@ -137,9 +143,84 @@ def posterior_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
         warnings.warn(
             f"degenerate posterior at {degenerate} query point(s): "
             "zero kernel mass with prior_weight=0; returning uniform",
-            stacklevel=2,
+            stacklevel=3,
         )
-        out[~ok] = 1.0 / c.class_count
+        out[~ok] = 1.0 / config.class_count
+    return out
+
+
+def posterior_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
+    """Posterior p(y|x) for each query; shape (len(xs), C), by
+    ``posterior_from_masses``."""
+    xs = np.asarray(xs, dtype=np.float64)
+    c = m.config
+    return posterior_from_masses(
+        class_kernel_mass(xs, m.train_x, m.train_y, c.bandwidth, c.class_count), c
+    )
+
+
+@dataclass(frozen=True)
+class KernelBlock:
+    """Fixed query points with their kernel weights against a training
+    sequence, and the sequence's one-hot labels.
+
+    The block of a whole sequence holds the block of every prefix model: the
+    model fitted on the first B samples has class masses
+    ``weights[:, :B] @ onehot[:B]``, the same product ``class_kernel_mass``
+    forms for it. So ``prefix(B)`` serves every budget of an acquisition
+    sequence from one kernel evaluation.
+    """
+
+    points: np.ndarray  # (n,)
+    weights: np.ndarray  # (n, n_train)
+    onehot: np.ndarray  # (n_train, C)
+    config: ClassifierConfig
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def prefix(self, budget: int) -> KernelBlock:
+        """The block of the model fitted on the first ``budget`` samples."""
+        return KernelBlock(
+            self.points, self.weights[:, :budget], self.onehot[:budget], self.config
+        )
+
+    @cached_property
+    def posterior(self) -> np.ndarray:
+        """The model's posterior at the points, by ``posterior_from_masses``."""
+        return posterior_from_masses(self.weights @ self.onehot, self.config)
+
+
+def kernel_block(
+    points: np.ndarray, train_xs: np.ndarray, train_ys: np.ndarray, config: ClassifierConfig
+) -> KernelBlock:
+    """The kernel block of ``points`` against a training sequence."""
+    points = np.asarray(points, dtype=np.float64)
+    return KernelBlock(
+        points,
+        kernel_weights(points, train_xs, config.bandwidth),
+        _onehot(train_ys, config.class_count),
+        config,
+    )
+
+
+def prefix_labels(
+    points: np.ndarray,
+    train_xs: np.ndarray,
+    train_ys: np.ndarray,
+    config: ClassifierConfig,
+    budgets: Sequence[int],
+) -> np.ndarray:
+    """Predicted class (0-based) of each budget's prefix model at every point,
+    shape (len(budgets), len(points)). The points are read in chunks of
+    _CHUNK, each through one ``kernel_block`` against the whole sequence, so
+    memory stays bounded on a long grid."""
+    points = np.asarray(points, dtype=np.float64)
+    out = np.empty((len(budgets), len(points)), dtype=np.int64)
+    for start in range(0, len(points), _CHUNK):
+        block = kernel_block(points[start : start + _CHUNK], train_xs, train_ys, config)
+        for row, budget in enumerate(budgets):
+            out[row, start : start + _CHUNK] = np.argmax(block.prefix(budget).posterior, axis=1)
     return out
 
 

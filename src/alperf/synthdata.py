@@ -43,6 +43,9 @@ _PROB_TOL = 1e-12
 # bracket width at which a boundary is placed at its bracket's midpoint.
 _SECTIONS = 32
 _EDGE_TOL = 1e-9
+# bayes_accuracy reads a component narrower than the widest on its own grid:
+# mean +- _SUPPORT_STDS std at std / 20.
+_NARROW_POINTS = 2 * 20 * int(_SUPPORT_STDS) + 1
 
 DATA_MARGINAL = "data-marginal"
 SYMMETRIC_MIXTURE = "symmetric-mixture"
@@ -381,15 +384,33 @@ def decision_grid_size(model: TaskModel, step: float) -> tuple[float, float, int
     return lo, hi, points
 
 
+def decision_grid(model: TaskModel, step: float) -> np.ndarray:
+    """The ``decision_grid_size`` points, evenly spaced."""
+    return np.linspace(*decision_grid_size(model, step))
+
+
 def decision_accuracy(
     model: TaskModel, scores: Callable[[np.ndarray], np.ndarray], step: float
 ) -> float:
     """Exact accuracy under ``model`` of the rule that predicts the argmax of
     ``scores(xs)``, an (len(xs), C) array; ties go to the smallest class.
+    The rule is read on the ``decision_grid`` of ``step``, then integrated
+    by ``region_accuracy``."""
+    grid = decision_grid(model, step)
+    return region_accuracy(model, scores, grid, np.argmax(scores(grid), axis=1))
 
-    The rule is read on the ``decision_grid_size`` grid.
-    Each class change between neighbouring grid points is then bracketed
-    ever more tightly, all changes at once: every round reads the rule at
+
+def region_accuracy(
+    model: TaskModel,
+    scores: Callable[[np.ndarray], np.ndarray],
+    grid: np.ndarray,
+    labels: np.ndarray,
+) -> float:
+    """Exact accuracy under ``model`` of the argmax rule of ``scores``, given
+    its class (0-based) ``labels`` at each point of the increasing ``grid``.
+
+    Each class change between neighbouring grid points is bracketed ever
+    more tightly, all changes at once: every round reads the rule at
     _SECTIONS evenly spaced points inside each bracket, in one ``scores``
     call, and keeps the section where the class first changes, until every
     bracket is narrower than _EDGE_TOL. Refining the rule itself, not a
@@ -398,8 +419,6 @@ def decision_accuracy(
     class at its grid end, and the accuracy is the sum over intervals of
     prior * weight * (Phi(b) - Phi(a)) over the predicted class's components.
     """
-    grid = np.linspace(*decision_grid_size(model, step))
-    labels = np.argmax(scores(grid), axis=1)
     changes = np.nonzero(np.diff(labels))[0]
     left, right, before = grid[changes], grid[changes + 1], labels[changes]
     fractions = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
@@ -426,7 +445,24 @@ def decision_accuracy(
 
 
 def bayes_accuracy(model: TaskModel) -> float:
-    """Accuracy of the optimal decision rule, the argmax of prior(y) p(x|y),
-    read on a grid of 1/20 of the narrowest component's width."""
-    step = min(comp.std for comps in model.class_components for comp in comps) / 20.0
-    return decision_accuracy(model, lambda xs: _joint_density(model, xs), step)
+    """Accuracy of the optimal decision rule, the argmax of prior(y) p(x|y).
+
+    The rule is read on a union of grids: the ``decision_grid`` at 1/20 of
+    the widest component's std, plus, for each narrower component, a grid of
+    1/20 of its own std over its mean +- 8 std. Every component is thus read
+    at its own resolution where it has mass, and a task whose components
+    share one std is read on exactly the one grid of that step.
+    """
+    comps = [comp for per_class in model.class_components for comp in per_class]
+    widest = max(comp.std for comp in comps)
+    narrow = [
+        np.linspace(comp.mean - _SUPPORT_STDS * comp.std, comp.mean + _SUPPORT_STDS * comp.std,
+                    _NARROW_POINTS)
+        for comp in comps if comp.std < widest
+    ]
+    grid = np.unique(np.concatenate([decision_grid(model, widest / 20.0), *narrow]))
+
+    def joint(xs):
+        return _joint_density(model, xs)
+
+    return region_accuracy(model, joint, grid, np.argmax(joint(grid), axis=1))

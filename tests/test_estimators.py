@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from alperf import parzen
+from alperf import parzen, synthdata
 from alperf.errors import ValidationError
 from alperf.estimators import (
     PerformanceEstimate,
@@ -21,6 +21,7 @@ from alperf.estimators import (
     self_label_cv,
     subsample_baseline,
     true_baseline,
+    truth_grid,
 )
 from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.harness import acquisition_sequence, derive_substream
@@ -229,6 +230,40 @@ class TestBetaQuantile:
                 e = probabilistic_performance(_fit(labeled), pool, mode)
                 for q in (0.25, 0.5, 0.75):
                     assert abs(e.quantile(q) - self._brentq(e, q)) <= 2e-12
+
+    def test_quantile_is_the_same_whichever_levels_came_first(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.uniform(0.5, 30.0, 300), rng.uniform(0.5, 30.0, 300)
+        summary = PerformanceEstimate.beta_mixture(a, b).summary()
+        for q, key in ((0.75, "q75"), (0.25, "q25")):
+            # a bare quantile on a fresh estimate, before any median
+            assert PerformanceEstimate.beta_mixture(a, b).quantile(q) == summary[key]
+
+    def test_fig6_summaries_average_few_cdf_calls(self, monkeypatch):
+        # The quartile solves start inside the median solve's brackets.
+        calls = []
+        cdf = PerformanceEstimate.cdf
+
+        def counting(self, t):
+            calls.append(t)
+            return cdf(self, t)
+
+        monkeypatch.setattr(PerformanceEstimate, "cdf", counting)
+        spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
+        summaries = 0
+        for s_idx in range(3):
+            for rep in range(2):
+                sequence = acquisition_sequence(spec, s_idx, rep)
+                pool = draw_unlabeled(
+                    spec.task, spec.pool_size,
+                    derive_substream(spec.master_seed, (1, s_idx, rep)),
+                )
+                for budget in spec.budgets:
+                    model = fit_arrays(sequence.xs[:budget], sequence.ys[:budget], spec.classifier)
+                    probabilistic_performance(model, pool).summary()
+                    summaries += 1
+        assert summaries == 18
+        assert len(calls) / summaries <= 7.2
 
     def test_solves_through_cdf_in_few_evaluations(self, monkeypatch):
         e = PerformanceEstimate.beta_mixture(np.array([5.0, 2.0]), np.array([2.0, 2.0]))
@@ -508,11 +543,62 @@ def _fig6_models():
                 yield fit_arrays(labeled.xs, labeled.ys, spec.classifier)
 
 
+class TestPoolKernelBlock:
+    """The harness passes each budget's prefix of one pool kernel block; the
+    pool estimators must give what they give for the pool's points."""
+
+    def test_estimators_on_a_prefix_block_match_the_points(self, task):
+        labeled = draw_labeled(task, unbiased_sampler(), 40, derive_substream(8, (0,)))
+        pool = draw_unlabeled(task, 200, derive_substream(8, (1,)))
+        block = parzen.kernel_block(pool, labeled.xs, labeled.ys, CFG)
+        for budget in (5, 23, 40):
+            m = _fit(labeled[:budget])
+            prefix = block.prefix(budget)
+            assert (
+                generalization_error_estimate(m, prefix).mean()
+                == generalization_error_estimate(m, pool).mean()
+            )
+            for mode in ("kernel", "hard"):
+                assert np.array_equal(
+                    probabilistic_performance(m, prefix, mode).components,
+                    probabilistic_performance(m, pool, mode).components,
+                )
+            assert (
+                self_label_cv(m, prefix, 3, derive_substream(8, (2,))).mean()
+                == self_label_cv(m, pool, 3, derive_substream(8, (2,))).mean()
+            )
+
+    def test_block_of_another_budget_rejected(self, task):
+        labeled = draw_labeled(task, unbiased_sampler(), 20, derive_substream(8, (0,)))
+        block = parzen.kernel_block(np.array([0.0, 1.0]), labeled.xs, labeled.ys, CFG)
+        with pytest.raises(ValidationError, match="19 training columns, the model 20"):
+            generalization_error_estimate(_fit(labeled), block.prefix(19))
+
+
 class TestTrueBaseline:
     def test_sign_rule_hits_bayes_accuracy(self, task, sign_rule_model):
         tb = true_baseline(sign_rule_model, task)
         phi15 = 0.5 * (1 + math.erf(1.5 / math.sqrt(2)))
         assert tb == pytest.approx(phi15, abs=1e-9)
+
+    def test_prefix_truth_equals_the_refit_model_at_every_budget(self, task):
+        spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
+        grid = truth_grid(spec.task, spec.classifier)
+        budgets = tuple(range(1, 51))
+        for s_idx in range(3):
+            sequence = acquisition_sequence(spec, s_idx, 0)
+            labels = parzen.prefix_labels(
+                grid, sequence.xs, sequence.ys, spec.classifier, budgets
+            )
+            for budget, row in zip(budgets, labels):
+                m = fit_arrays(sequence.xs[:budget], sequence.ys[:budget], spec.classifier)
+                # The refit model's rule read on the grid through posterior_batch.
+                refit = synthdata.decision_accuracy(
+                    task, lambda xs: parzen.posterior_batch(m, xs), spec.classifier.bandwidth / 20
+                )
+                assert true_baseline(m, task, row) == true_baseline(m, task) == refit, (
+                    s_idx, budget,
+                )
 
     def test_constant_classifier_is_a_coin_flip(self, task):
         m = _fit(_labeled([(0.0, 1)]), prior_weight=0.0)

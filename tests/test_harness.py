@@ -381,6 +381,30 @@ class TestEstimatorComparison:
         harness._comparison_unit(spec, None, (0, 0))
         assert len(fits) == len(spec.budgets) * (1 + sum(cv_folds))
 
+    def test_one_unit_derives_streams_only_for_drawing_estimators(self, monkeypatch):
+        # The acquisition sequence and the pool, then one stream per budget
+        # for each estimator that draws: the three CV estimators and the
+        # subsample baseline, not generalization error or probabilistic.
+        spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
+        paths = []
+        derive = harness.derive_substream
+
+        def counting(seed, path):
+            paths.append(tuple(path))
+            return derive(seed, path)
+
+        monkeypatch.setattr(harness, "derive_substream", counting)
+        harness._comparison_unit(spec, None, (1, 4))
+        drawing = [
+            e_idx for e_idx, e in enumerate(spec.estimators)
+            if harness.ESTIMATOR_TABLE[e.name].draws
+        ]
+        assert len(paths) == 2 + len(spec.budgets) * 4 == 2 + len(spec.budgets) * len(drawing)
+        assert paths == [(0, 1, 4), (1, 1, 4)] + [
+            (3, 1, 4, b_idx, e_idx)
+            for b_idx in range(len(spec.budgets)) for e_idx in drawing
+        ]
+
     def test_rejects_k_above_smallest_budget(self):
         spec = _spec()
         with pytest.raises(ValidationError, match="smallest budget"):

@@ -1,21 +1,27 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from alperf import parzen
+from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.errors import ValidationError
-from alperf.harness import derive_substream
+from alperf.harness import acquisition_sequence, derive_substream
 from alperf.parzen import (
     ClassifierConfig,
     accuracy_arrays,
     class_kernel_mass,
     fit_arrays,
+    kernel_block,
     kernel_weights,
     posterior_batch,
     predict_batch,
+    prefix_labels,
 )
 from alperf.estimators import true_baseline
-from alperf.synthdata import draw_labeled, unbiased_sampler
+from alperf.synthdata import draw_labeled, draw_unlabeled, unbiased_sampler
 
 
 def _arrays(pairs):
@@ -226,3 +232,73 @@ class TestTrainedModelQuality:
         )
         tb = true_baseline(m, task)
         assert 0.88 <= tb <= 0.945
+
+
+def _fig6_sequences():
+    """(xs, ys, pool, config) of fig6 units: 3 samplers x repetitions 0-2,
+    each with its own pool draw."""
+    spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
+    for s_idx in range(3):
+        for rep in range(3):
+            sequence = acquisition_sequence(spec, s_idx, rep)
+            pool = draw_unlabeled(
+                spec.task, spec.pool_size, derive_substream(spec.master_seed, (1, s_idx, rep))
+            )
+            yield sequence.xs, sequence.ys, pool, spec.classifier
+
+
+def _random_sequences():
+    """Random sequences over 3 classes, with prior_weight 0.01 and 0."""
+    rng = np.random.default_rng(31)
+    for prior_weight in (0.01, 0.0):
+        config = ClassifierConfig(bandwidth=0.3, prior_weight=prior_weight, class_count=3)
+        yield rng.normal(0, 2, 40), rng.integers(1, 4, 40), rng.uniform(-9, 9, 300), config
+
+
+def _with_warnings(fn):
+    """fn() and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, [str(w.message) for w in caught]
+
+
+class TestKernelBlock:
+    @pytest.mark.parametrize("source", [_fig6_sequences, _random_sequences])
+    def test_every_prefix_equals_the_refit_model_bit_for_bit(self, source):
+        for xs, ys, pool, config in source():
+            block = kernel_block(pool, xs, ys, config)
+            # Budget 0 has no kernel mass at all: with prior_weight 0 every
+            # row is degenerate, and both paths must warn and go uniform.
+            for budget in range(len(xs) + 1):
+                refit = fit_arrays(xs[:budget], ys[:budget], config)
+                prefix = block.prefix(budget)
+                expected, warned = _with_warnings(lambda: posterior_batch(refit, pool))
+                got, warned_prefix = _with_warnings(lambda: prefix.posterior)
+                assert np.array_equal(got, expected)
+                assert warned_prefix == warned
+                labels, _ = _with_warnings(lambda: predict_batch(refit, pool))
+                assert np.array_equal(np.argmax(prefix.posterior, axis=1) + 1, labels)
+                assert np.array_equal(
+                    prefix.weights, kernel_weights(pool, xs[:budget], config.bandwidth)
+                )
+                assert len(prefix) == len(pool)
+
+    def test_degenerate_rows_are_uniform_and_flagged(self):
+        config = ClassifierConfig(bandwidth=0.2, prior_weight=0.0)
+        block = kernel_block(np.array([-1.0, 3.0]), np.array([0.0]), np.array([2]), config)
+        with pytest.warns(UserWarning, match="degenerate posterior at 2 query"):
+            post = block.prefix(0).posterior
+        np.testing.assert_array_equal(post, 0.5)
+
+    def test_prefix_labels_read_in_chunks_match_posterior_batch(self, monkeypatch):
+        monkeypatch.setattr(parzen, "_CHUNK", 7)
+        rng = np.random.default_rng(8)
+        config = ClassifierConfig(bandwidth=0.25, prior_weight=0.01, class_count=3)
+        xs, ys, points = rng.normal(0, 2, 30), rng.integers(1, 4, 30), np.linspace(-6, 6, 101)
+        budgets = (1, 5, 17, 30)
+        labels = prefix_labels(points, xs, ys, config, budgets)
+        assert labels.shape == (len(budgets), len(points))
+        for row, budget in zip(labels, budgets):
+            refit = fit_arrays(xs[:budget], ys[:budget], config)
+            assert np.array_equal(row, np.argmax(posterior_batch(refit, points), axis=1))

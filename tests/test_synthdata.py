@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from alperf import synthdata
+from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.errors import ValidationError
 from alperf.harness import derive_substream
 from alperf.synthdata import (
@@ -375,6 +377,48 @@ class TestBayesAccuracy:
             class_components=tuple((GaussianComponent(1.0, m, 1.0),) for m in means),
         )
         assert bayes_accuracy(model) == pytest.approx(expected, abs=1e-9)
+
+    # At -1.512 no point of the span's grid (step 0.05) falls inside the
+    # narrow class-1 region, so only the narrow component's own grid finds it.
+    @pytest.mark.parametrize("m1", [-1.5, -1.512])
+    def test_narrow_component_matches_closed_form(self, m1):
+        # N(m1, 1e-4) against N(1.5, 1) at equal priors: one grid step of
+        # the narrow std over [-10, 10] would take 4,000,001 points. Class 1
+        # wins where the log-density difference, a quadratic a x^2 + b x + c
+        # that opens downward, is positive: between its two roots.
+        (s1, m2, s2) = (1e-4, 1.5, 1.0)
+        model = TaskModel(
+            class_priors=(0.5, 0.5),
+            class_components=(
+                (GaussianComponent(1.0, m1, s1),), (GaussianComponent(1.0, m2, s2),),
+            ),
+        )
+        a = 0.5 / s2**2 - 0.5 / s1**2
+        b = m1 / s1**2 - m2 / s2**2
+        c = 0.5 * m2**2 / s2**2 - 0.5 * m1**2 / s1**2 + math.log(s2 / s1)
+        # The stable pair of quadratic roots.
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        r1, r2 = sorted((q / a, c / q))
+        assert r1 < m1 < r2 < m1 + 8 * s1
+        expected = 0.5 * (_phi((r2 - m1) / s1) - _phi((r1 - m1) / s1)) + 0.5 * (
+            1.0 - _phi((r2 - m2) / s2) + _phi((r1 - m2) / s2)
+        )
+        assert bayes_accuracy(model) == pytest.approx(expected, abs=1e-9)
+
+    def test_builtin_tasks_unchanged_bit_for_bit(self):
+        # Every built-in task's components share one std, so the union grid
+        # is the one grid the rule was read on at the narrowest std / 20.
+        tasks = {
+            name: resolve_config(json.dumps(builtin.config)).spec.task
+            for name, builtin in BUILTIN_SCENARIOS.items()
+        }
+        assert set(tasks) == {"fig2", "fig3", "fig5", "fig6"}
+        for name, model in tasks.items():
+            narrowest = min(c.std for comps in model.class_components for c in comps)
+            on_one_grid = synthdata.decision_accuracy(
+                model, lambda xs: synthdata._joint_density(model, xs), narrowest / 20.0
+            )
+            assert bayes_accuracy(model) == on_one_grid, name
 
     def test_decision_grid_size(self, task):
         assert synthdata.decision_grid_size(task, 0.01) == (-10.0, 10.0, 2001)
