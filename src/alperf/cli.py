@@ -98,9 +98,9 @@ def _cmd_run(args) -> int:
 
     raw_path = out_dir / "raw.csv"
     write_records_csv(records, raw_path)
-    # Summarize from the serialized rows so the summary is always
-    # reproducible from the raw CSV alone.
-    rows = summarize_records(read_records_csv(raw_path))
+    # summarize_records takes each value as raw.csv holds it, so this equals
+    # the summary of raw.csv itself, without reading it back.
+    rows = summarize_records(records)
     summary_path = out_dir / "summary.json"
     write_summary_json(rows, summary_path)
     bundle = {

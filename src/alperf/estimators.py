@@ -211,7 +211,8 @@ class PerformanceEstimate:
         stops when the bracket is narrower than 1e-12, or after an accepted
         Halley step shorter than 1e-5 of the local length scale (at most 1):
         convergence is cubic, so the error left after such a step is far
-        below 1e-12.
+        below 1e-12. A step below the float resolution at t, which would
+        land on t itself, stops the solve at t.
         """
         while True:
             excess = e.cdf - q
@@ -229,6 +230,8 @@ class PerformanceEstimate:
                 step = -newton / (1.0 - 0.5 * newton * slope / density)
             except ZeroDivisionError:
                 step = math.nan
+            if e.t + step == e.t:
+                return e.t
             if lo < e.t + step < hi:
                 t = e.t + step
                 # The step is measured against the local length scale, the

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -483,6 +482,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
     if workers <= 1:
         nested = [run(unit) for unit in work]
     else:
+        # Imported here: the pool pulls in multiprocessing, which a
+        # one-worker run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         if PROBABILISTIC in (e.name for e in spec.estimators):
             # Beta-mixture summaries need scipy.special: import it once here,
             # so that forked workers inherit it instead of each importing it.

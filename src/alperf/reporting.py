@@ -22,17 +22,28 @@ from .errors import ValidationError
 from .harness import RunRecord
 
 # The raw CSV columns are the RunRecord fields, in order. Each column is
-# parsed by its field's type; float columns carry exactly 6 fractional digits.
+# parsed by its field's type; float columns carry exactly 6 fractional digits,
+# in the format _FLOAT, which the writer and the summary both use.
 CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 _TYPES = tuple(get_type_hints(RunRecord)[name] for name in CSV_COLUMNS)
 _FLOAT_COLUMNS = tuple(n for n, t in zip(CSV_COLUMNS, _TYPES) if t is float)
-_ROW = ",".join("{:.6f}" if t is float else "{}" for t in _TYPES)
+_FLOAT = ".6f"
+_ROW = ",".join("{:" + _FLOAT + "}" if t is float else "{}" for t in _TYPES)
 _values = attrgetter(*CSV_COLUMNS)
 _UNWRITABLE = "refusing to serialize {bad} ({r.scenario}, rep {r.repetition}, {r.estimator})"
 
 # Summary rows are grouped by these record fields, in this order.
 _GROUP = ("scenario", "sampler", "budget", "estimator")
 _group_key = attrgetter(*_GROUP)
+
+
+def _as_written(values: list[float]) -> list[float]:
+    """``values`` as raw.csv holds them: written in the _FLOAT format and
+    parsed back, which is what ``read_records_csv`` returns for that text.
+    Each distinct value is formatted once. A zero is its own rounding, and
+    keeps its sign: 0.0 and -0.0 are one dict key."""
+    rounded = {v: float(format(v, _FLOAT)) for v in set(values)}
+    return [rounded[v] if v else v for v in values]
 
 
 def _check_finite(record: RunRecord, where: str, **context) -> None:
@@ -55,7 +66,40 @@ def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _raise_first_bad_row(path, rows: list[list[str]]) -> None:
+    """Raise the error of the first bad row of ``rows`` (file line 2 on), if
+    any: a wrong field count, an unparsable field, or a non-finite float."""
+    for i, row in enumerate(rows, start=2):
+        if len(row) != len(CSV_COLUMNS):
+            raise ValidationError(f"{path}: line {i} has {len(row)} fields")
+        try:
+            record = RunRecord(*[parse(v) for parse, v in zip(_TYPES, row)])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {i}: {exc}") from exc
+        _check_finite(record, "{path}: line {i}: {bad}", path=path, i=i)
+
+
+def _parse_columns(rows: list[list[str]]) -> list[list] | None:
+    """The columns of ``rows``, each parsed by its field's type, or None if
+    a row has the wrong field count, an unparsable field or a non-finite
+    float."""
+    if set(map(len, rows)) != {len(CSV_COLUMNS)}:
+        return None
+    try:
+        columns = [
+            col if parse is str else list(map(parse, col))
+            for parse, col in zip(_TYPES, zip(*rows))
+        ]
+    except ValueError:
+        return None
+    floats = (col for parse, col in zip(_TYPES, columns) if parse is float)
+    return columns if all(all(map(math.isfinite, col)) for col in floats) else None
+
+
 def read_records_csv(path: str | Path) -> list[RunRecord]:
+    """The records of a raw CSV, parsed column by column. A bad row is
+    reported as the first one in file order, by line and field."""
+    rows: list[list[str]] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -68,18 +112,20 @@ def read_records_csv(path: str | Path) -> list[RunRecord]:
                     f"{path}: unexpected CSV header {header!r}; "
                     f"expected {','.join(CSV_COLUMNS)}"
                 )
-            records = []
-            for i, row in enumerate(reader, start=2):
-                if len(row) != len(CSV_COLUMNS):
-                    raise ValidationError(f"{path}: line {i} has {len(row)} fields")
-                try:
-                    records.append(RunRecord(*[parse(v) for parse, v in zip(_TYPES, row)]))
-                except ValueError as exc:
-                    raise ValidationError(f"{path}: line {i}: {exc}") from exc
-                _check_finite(records[-1], "{path}: line {i}: {bad}", path=path, i=i)
+            # extend keeps the rows read before a decoding error, and a bad
+            # one among them is reported first.
+            rows.extend(reader)
     except UnicodeDecodeError as exc:
+        _raise_first_bad_row(path, rows)
         raise ValidationError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    return records
+    if not rows:
+        return []
+    columns = _parse_columns(rows)
+    if columns is None:
+        _raise_first_bad_row(path, rows)
+    # Free the parsed fields' text before the records are built.
+    rows.clear()
+    return list(map(RunRecord, *columns))
 
 
 def summarize(values: Sequence[float]) -> dict:
@@ -107,18 +153,21 @@ def summarize(values: Sequence[float]) -> dict:
 
 def summarize_records(records: list[RunRecord]) -> list[dict]:
     """Boxplot statistics of the estimate means, grouped by
-    (scenario, sampler, budget, estimator), in canonical order."""
+    (scenario, sampler, budget, estimator), in canonical order. Each value
+    is taken as raw.csv holds it, so the summary of the records a run
+    writes equals the summary of its raw.csv."""
     groups: dict[tuple, list[RunRecord]] = {}
     for r in records:
         groups.setdefault(_group_key(r), []).append(r)
     rows = []
     for key in sorted(groups):
         members = groups[key]
+        truths = _as_written([r.true_baseline for r in members])
         rows.append(
             {
                 **dict(zip(_GROUP, key)),
-                **summarize([r.estimate_mean for r in members]),
-                "true_baseline_mean": sum(r.true_baseline for r in members) / len(members),
+                **summarize(_as_written([r.estimate_mean for r in members])),
+                "true_baseline_mean": sum(truths) / len(truths),
             }
         )
     return rows

@@ -43,8 +43,10 @@ _PROB_TOL = 1e-12
 # bracket width at which a boundary is placed at its bracket's midpoint.
 _SECTIONS = 32
 _EDGE_TOL = 1e-9
-# bayes_accuracy reads a component narrower than the widest on its own grid:
-# mean +- _SUPPORT_STDS std at std / 20.
+# bayes_accuracy reads the span on at most about _SPAN_POINTS points, and a
+# component it reads more coarsely than std / 20 on its own grid: mean +-
+# _SUPPORT_STDS std at std / 20.
+_SPAN_POINTS = 100_001
 _NARROW_POINTS = 2 * 20 * int(_SUPPORT_STDS) + 1
 
 DATA_MARGINAL = "data-marginal"
@@ -366,14 +368,20 @@ def draw_unlabeled(model: TaskModel, n: int, rng: np.random.Generator) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def decision_grid_size(model: TaskModel, step: float) -> tuple[float, float, int]:
-    """The interval ``decision_accuracy`` reads a rule on under ``model``,
-    SUPPORT widened to cover mean +- 8 std of every component, and the
-    number of points with spacing at most ``step`` on it. Raises
-    ValidationError beyond MAX_GRID_POINTS, before anything is allocated."""
+def _task_span(model: TaskModel) -> tuple[float, float]:
+    """SUPPORT widened to cover mean +- 8 std of every component."""
     comps = [comp for per_class in model.class_components for comp in per_class]
     lo = min(SUPPORT[0], *(comp.mean - _SUPPORT_STDS * comp.std for comp in comps))
     hi = max(SUPPORT[1], *(comp.mean + _SUPPORT_STDS * comp.std for comp in comps))
+    return lo, hi
+
+
+def decision_grid_size(model: TaskModel, step: float) -> tuple[float, float, int]:
+    """The interval ``decision_accuracy`` reads a rule on under ``model``,
+    ``_task_span``, and the number of points with spacing at most ``step``
+    on it. Raises ValidationError beyond MAX_GRID_POINTS, before anything
+    is allocated."""
+    lo, hi = _task_span(model)
     points = math.ceil((hi - lo) / step) + 1
     if points > MAX_GRID_POINTS:
         raise ValidationError(
@@ -448,19 +456,24 @@ def bayes_accuracy(model: TaskModel) -> float:
     """Accuracy of the optimal decision rule, the argmax of prior(y) p(x|y).
 
     The rule is read on a union of grids: the ``decision_grid`` at 1/20 of
-    the widest component's std, plus, for each narrower component, a grid of
-    1/20 of its own std over its mean +- 8 std. Every component is thus read
-    at its own resolution where it has mass, and a task whose components
-    share one std is read on exactly the one grid of that step.
+    a scale, plus, for each component narrower than that scale, a grid of
+    1/20 of its own std over its mean +- 8 std. The scale is the widest
+    component's std, or more where the task's span would take over
+    _SPAN_POINTS points at that step: there only the components' grids see
+    their mass, and the span's grid the tails between them. Every component
+    is thus read at its own resolution where it has mass, and a task whose
+    components share one std within a short span is read on exactly the one
+    grid of that step.
     """
     comps = [comp for per_class in model.class_components for comp in per_class]
-    widest = max(comp.std for comp in comps)
+    lo, hi = _task_span(model)
+    scale = max(max(comp.std for comp in comps), 20.0 * (hi - lo) / (_SPAN_POINTS - 1))
     narrow = [
         np.linspace(comp.mean - _SUPPORT_STDS * comp.std, comp.mean + _SUPPORT_STDS * comp.std,
                     _NARROW_POINTS)
-        for comp in comps if comp.std < widest
+        for comp in comps if comp.std < scale
     ]
-    grid = np.unique(np.concatenate([decision_grid(model, widest / 20.0), *narrow]))
+    grid = np.unique(np.concatenate([decision_grid(model, scale / 20.0), *narrow]))
 
     def joint(xs):
         return _joint_density(model, xs)

@@ -281,6 +281,26 @@ class TestBetaQuantile:
         assert all(0.0 < t < 1.0 for t in calls)
 
 
+    def test_step_below_float_resolution_ends_the_solve(self, monkeypatch):
+        # alpha-1e5's q75 solve reaches a Halley step that rounds away at t;
+        # it stops there instead of bisecting its bracket down to 1e-12.
+        alphas, betas = _BETA_BATTERY["alpha-1e5"]
+        e = PerformanceEstimate.beta_mixture(np.array(alphas), np.array(betas))
+        e.median()
+        calls = []
+        cdf = PerformanceEstimate.cdf
+
+        def counting(self, t):
+            calls.append(t)
+            return cdf(self, t)
+
+        monkeypatch.setattr(PerformanceEstimate, "cdf", counting)
+        q75 = e.quantile(0.75)
+        assert len(calls) <= 4
+        monkeypatch.undo()
+        assert abs(q75 - self._brentq(e, 0.75)) <= 5e-13
+
+
 class TestGeneralizationError:
     def test_error_arithmetic(self):
         post = np.array([[0.9, 0.1], [0.6, 0.4], [1.0, 0.0]])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -468,7 +469,9 @@ class TestRunExperiment:
         # cv-folds has one unit per repetition.
         spec = _spec({"scenario": "cv-folds", "repetitions": repetitions})
         serial = run_experiment(spec, workers=1)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+        # run_experiment imports the pool class from concurrent.futures when
+        # it needs one, so the stand-in is installed there.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(_InlinePool, "asked", [])
         records = run_experiment(spec, workers=workers)
         assert _InlinePool.asked == pool_workers

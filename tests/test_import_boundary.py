@@ -1,11 +1,12 @@
-"""Which commands load scipy, checked in fresh interpreters.
+"""Which commands load scipy and the process pool, checked in fresh interpreters.
 
 Only the Beta-mixture methods of ``PerformanceEstimate`` import
 ``scipy.special``, and ``run_experiment`` before it forks workers for a
 study with the probabilistic estimator. fig2, fig3 and fig5 summarize no Beta mixture, and
 ``report``, ``plot`` and ``scenarios`` compute no estimate, so none of them
-may load scipy. The test process itself has scipy loaded, so every check
-runs its commands in a subprocess.
+may load scipy. Only ``run_experiment`` on two or more workers imports
+``concurrent.futures``, and with it ``multiprocessing``. The test process
+itself has these loaded, so every check runs its commands in a subprocess.
 """
 
 import json
@@ -22,34 +23,37 @@ SRC = str(Path(alperf.__file__).resolve().parents[1])
 
 # argv: out directory, built-in name, repetitions, then one --workers count
 # per run. Runs the built-in once per count, into out/w<count>, and after the
-# first run also report, plot and scenarios. Prints the scipy modules loaded
-# after each step.
+# first run also report, plot and scenarios. Prints the scipy, concurrent and
+# multiprocessing modules loaded after importing alperf.cli and after each step.
 SCRIPT = """
 import json, sys
 from pathlib import Path
 from alperf.cli import cli_main
 from alperf.config import BUILTIN_SCENARIOS
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+WATCHED = ("scipy", "concurrent", "multiprocessing")
+
+def watched_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in WATCHED)
+
+loaded = {"import": watched_modules()}
 
 out, name, reps = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
 document = dict(BUILTIN_SCENARIOS[name].config, repetitions=reps)
 config = out / "config.json"
 config.write_text(json.dumps(document))
-loaded = {}
 for workers in sys.argv[4:]:
     run = out / ("w" + workers)
     argv = ["run", "--config", str(config), "--out", str(run), "--workers", workers]
     assert cli_main(argv) == 0
-    loaded["run-w" + workers] = scipy_modules()
+    loaded["run-w" + workers] = watched_modules()
     if workers == sys.argv[4]:
         raw = str(run / "raw.csv")
         assert cli_main(["report", raw, "--out", str(out / "s.json")]) == 0
         assert cli_main(["plot", raw, "--out", str(out / "p.svg")]) == 0
         assert cli_main(["scenarios"]) == 0
         assert cli_main(["scenarios", name]) == 0
-        loaded["report-plot-scenarios"] = scipy_modules()
+        loaded["report-plot-scenarios"] = watched_modules()
 print(json.dumps(loaded))
 """
 
@@ -70,7 +74,19 @@ def _csv_without_wall(path):
 
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig5"])
 def test_builtin_without_beta_mixture_never_loads_scipy(tmp_path, name):
-    assert _run(tmp_path, name, 2, 1) == {"run-w1": [], "report-plot-scenarios": []}
+    assert _run(tmp_path, name, 2, 1) == {
+        "import": [], "run-w1": [], "report-plot-scenarios": [],
+    }
+
+
+def test_fig2_loads_the_process_pool_only_on_two_workers(tmp_path):
+    loaded = _run(tmp_path, "fig2", 2, 1, 2)
+    assert loaded["import"] == loaded["run-w1"] == loaded["report-plot-scenarios"] == []
+    assert {"concurrent.futures", "multiprocessing"} <= set(loaded["run-w2"])
+    assert not any(m.split(".")[0] == "scipy" for m in loaded["run-w2"])
+    assert _csv_without_wall(tmp_path / "w2" / "raw.csv") == _csv_without_wall(
+        tmp_path / "w1" / "raw.csv"
+    )
 
 
 def test_fig6_loads_scipy_in_its_workers_with_identical_output(tmp_path):

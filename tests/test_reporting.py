@@ -126,6 +126,49 @@ class TestCsv:
         with pytest.raises(ValidationError, match="header"):
             read_records_csv(path)
 
+    @pytest.mark.parametrize(
+        "line2, line3, message",
+        [
+            ("true_baseline=nan", "estimate_q25=oops", "line 2: non-finite true_baseline=nan"),
+            ("estimate_q25=oops", "true_baseline=nan",
+             "line 2: could not convert string to float: 'oops'"),
+            ("budget=1.5", "drop", "line 2: invalid literal for int() with base 10: '1.5'"),
+            ("drop", "wall_ms=inf", "line 2 has 10 fields"),
+            ("wall_ms=-inf", "drop", "line 2: non-finite wall_ms=-inf"),
+        ],
+    )
+    def test_first_bad_line_in_file_order_is_reported(self, tmp_path, line2, line3, message):
+        # Columns are parsed whole; an error still names the first bad line.
+        path = tmp_path / "raw.csv"
+        write_records_csv([_record(), _record(repetition=1), _record(repetition=2)], path)
+        lines = path.read_text().splitlines()
+        for index, change in ((1, line2), (2, line3)):
+            cells = lines[index].split(",")
+            if change == "drop":
+                cells.pop()
+            else:
+                field, value = change.split("=")
+                cells[CSV_COLUMNS.index(field)] = value
+            lines[index] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            read_records_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_rows_before_a_decoding_error_are_checked_first(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        write_records_csv([_record(), _record(repetition=1)], path)
+        text = path.read_text().replace("0.900000", "nan", 1)
+        path.write_bytes(text.encode() + b"x" * 20_000 + b"\xff\n")
+        with pytest.raises(ValidationError) as exc:
+            read_records_csv(path)
+        assert str(exc.value) == f"{path}: line 2: non-finite true_baseline=nan"
+
+    def test_empty_body_reads_no_records(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        write_records_csv([], path)
+        assert read_records_csv(path) == []
+
     def test_rejects_bad_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\nx,0,u,10,e,0.1,0.1,0.1,0.1,oops,1\n")
@@ -174,6 +217,35 @@ class TestSummary:
         ]
         members = [r for r in records if r.estimator == row["estimator"]]
         assert {k: row[k] for k in stats} == summarize([r.estimate_mean for r in members])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # 6-decimal half-way points, as decimals: each float lies just
+            # above or below the half and rounds accordingly.
+            (0.1234565, 0.0000005, 0.9999995, 0.0000015, 0.5000005),
+            (-0.0, 1e-7, -1e-7, 0.0, 4e-7),
+            (-0.0, -0.0, -1e-7, -0.0, -4e-7),
+        ],
+        ids=["half-way", "zeros", "negative-zeros"],
+    )
+    def test_in_memory_summary_equals_summary_of_written_csv(self, tmp_path, values):
+        # The summary `alperf run` writes comes from the records in memory;
+        # it must equal, byte for byte, the summary of the raw.csv it wrote.
+        records = [
+            _record(repetition=i, estimate_mean=v, true_baseline=values[-1 - i])
+            for i, v in enumerate(values)
+        ]
+        csv_path = tmp_path / "raw.csv"
+        write_records_csv(records, csv_path)
+        in_memory = summarize_records(records)
+        assert in_memory == summarize_records(read_records_csv(csv_path))
+        write_summary_json(in_memory, tmp_path / "run.json")
+        write_summary_json(summarize_records(read_records_csv(csv_path)), tmp_path / "report.json")
+        assert (tmp_path / "run.json").read_bytes() == (tmp_path / "report.json").read_bytes()
+        # The values are rounded as written, not summarized as they came.
+        unrounded = summarize(list(values))
+        assert {k: in_memory[0][k] for k in unrounded} != unrounded
 
     def test_summary_json_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValidationError, match="non-finite"):

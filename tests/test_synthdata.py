@@ -405,6 +405,20 @@ class TestBayesAccuracy:
         )
         assert bayes_accuracy(model) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("means", [(-1.5, 1.5), (0.0, 3e-4)], ids=["apart", "overlapping"])
+    def test_all_narrow_components_match_closed_form(self, means):
+        # Both classes N(m, 1e-4): at the widest std / 20 the span [-10, 10]
+        # would take 4,000,001 points. It is read at a coarser step, and
+        # each component on its own grid. At equal priors and equal stds
+        # the boundary is the midpoint, and the accuracy Phi(gap / 2 std).
+        std = 1e-4
+        model = TaskModel(
+            class_priors=(0.5, 0.5),
+            class_components=tuple((GaussianComponent(1.0, m, std),) for m in means),
+        )
+        expected = _phi((means[1] - means[0]) / (2.0 * std))
+        assert bayes_accuracy(model) == pytest.approx(expected, abs=1e-12)
+
     def test_builtin_tasks_unchanged_bit_for_bit(self):
         # Every built-in task's components share one std, so the union grid
         # is the one grid the rule was read on at the narrowest std / 20.
