@@ -103,7 +103,8 @@ class PerformanceEstimate:
         if self.samples is not None:
             if len(self.samples) == 0:
                 raise ValidationError("empirical estimate needs at least one sample")
-            if not ((self.samples >= 0.0) & (self.samples <= 1.0)).all():
+            # min and max propagate NaN, so a NaN sample fails too.
+            if not (self.samples.min() >= 0.0 and self.samples.max() <= 1.0):
                 raise ValidationError("empirical samples must lie in [0,1]")
             self.samples.setflags(write=False)
         else:

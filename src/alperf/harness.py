@@ -29,8 +29,9 @@ bit-identical.
 from __future__ import annotations
 
 import math
+import operator
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -109,19 +110,40 @@ ESTIMATOR_TABLE = {
 _COUNT_MODE_ID = {estimators.KERNEL_COUNT: "", estimators.HARD_COUNT: "-hard"}
 
 
+def _words(n: int) -> list[int]:
+    """The 32-bit words of ``n >= 0``, least significant first, as numpy
+    splits an int for a SeedSequence (0 is one word)."""
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
 def derive_substream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
     """Deterministic, collision-resistant stream for a (seed, path) pair.
 
     Identical (seed, path) always yields the identical stream; distinct
-    paths behave independently. Backed by counter-style seed-sequence
-    mixing of the path into the master seed.
+    paths behave independently. The stream is that of
+    ``np.random.SeedSequence(master_seed, spawn_key=path)``, built from the
+    uint32 entropy words numpy assembles for that pair: the seed's words,
+    zero-padded to the pool size 4 when the path is non-empty, then each
+    path entry's words. Passing them as one uint32 array gives the same
+    pool while skipping numpy's per-int conversion.
     """
     if master_seed < 0:
         raise ValidationError(f"master_seed must be >= 0, got {master_seed}")
-    key = tuple(int(p) for p in path)
-    if any(p < 0 for p in key):
+    key = tuple(map(int, path))
+    if key and min(key) < 0:
         raise ValidationError(f"substream path entries must be >= 0, got {key}")
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+    entropy = _words(operator.index(master_seed))
+    if key:
+        entropy += [0] * (4 - len(entropy))
+        for p in key:
+            # Most entries are one word; a call per entry would cost more.
+            entropy += _words(p) if p >> 32 else (p,)
+    return np.random.default_rng(np.random.SeedSequence(np.array(entropy, dtype=np.uint32)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +285,9 @@ class ExperimentSpec:
                 )
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One estimator evaluation inside one repetition."""
+class RunRecord(NamedTuple):
+    """One estimator evaluation inside one repetition. Immutable; derive a
+    changed copy with ``_replace``. ``_fields`` lists the fields in order."""
 
     scenario: str
     repetition: int
@@ -297,17 +319,9 @@ def _record(
     estimator call; the summary is taken here, so ``wall_ms`` covers both."""
     summary = estimate.summary()
     return RunRecord(
-        scenario=scenario,
-        repetition=repetition,
-        sampler=sampler,
-        budget=budget,
-        estimator=estimator,
-        estimate_mean=summary["mean"],
-        estimate_median=summary["median"],
-        estimate_q25=summary["q25"],
-        estimate_q75=summary["q75"],
-        true_baseline=true_baseline,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
+        scenario, repetition, sampler, budget, estimator,
+        summary["mean"], summary["median"], summary["q25"], summary["q75"],
+        true_baseline, (time.perf_counter() - t0) * 1000.0,
     )
 
 
@@ -332,16 +346,14 @@ def _eval_size_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
     column carries the size, and each accuracy value is a
     Binomial(size, accuracy) / size draw."""
     (_, truth), (_, rep) = shared, unit
+    label = spec.samplers[0].label()
     records = []
     for i, size in enumerate(spec.budgets):
         rng = derive_substream(spec.master_seed, (1, rep, i))
         t0 = time.perf_counter()
         estimate = estimators.subsample_baseline(truth, size, 1, rng)
         records.append(
-            _record(
-                spec.scenario, rep, spec.samplers[0].label(), size,
-                SUBSAMPLE_BASELINE, estimate, truth, t0,
-            )
+            _record(spec.scenario, rep, label, size, SUBSAMPLE_BASELINE, estimate, truth, t0)
         )
     return records
 
@@ -389,7 +401,7 @@ def _bias_sweep_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
     truth = float(
         np.mean([estimators.true_baseline(m, spec.task) for m in detail.fold_models])
     )
-    return [replace(record, true_baseline=truth)]
+    return [record._replace(true_baseline=truth)]
 
 
 def acquisition_sequence(
@@ -414,7 +426,8 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
     pool estimators of every budget, the grid as every budget's predicted
     classes (``parzen.prefix_labels``)."""
     s_idx, rep = unit
-    sampler = spec.samplers[s_idx]
+    label = spec.samplers[s_idx].label()
+    ids = [espec.estimator_id() for espec in spec.estimators]
     sequence = acquisition_sequence(spec, s_idx, rep)
     pool_rng = derive_substream(spec.master_seed, (1, s_idx, rep))
     pool = synthdata.draw_unlabeled(spec.task, spec.pool_size, pool_rng)
@@ -438,10 +451,7 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
             t0 = time.perf_counter()
             estimate = entry.run(spec, espec, labeled, block, model, budget, truth, rng)
             records.append(
-                _record(
-                    spec.scenario, rep, sampler.label(), budget,
-                    espec.estimator_id(), estimate, truth, t0,
-                )
+                _record(spec.scenario, rep, label, budget, ids[e_idx], estimate, truth, t0)
             )
     return records
 

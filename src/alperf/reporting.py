@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence, get_type_hints
@@ -24,12 +23,11 @@ from .harness import RunRecord
 # The raw CSV columns are the RunRecord fields, in order. Each column is
 # parsed by its field's type; float columns carry exactly 6 fractional digits,
 # in the format _FLOAT, which the writer and the summary both use.
-CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
+CSV_COLUMNS = RunRecord._fields
 _TYPES = tuple(get_type_hints(RunRecord)[name] for name in CSV_COLUMNS)
 _FLOAT_COLUMNS = tuple(n for n, t in zip(CSV_COLUMNS, _TYPES) if t is float)
 _FLOAT = ".6f"
 _ROW = ",".join("{:" + _FLOAT + "}" if t is float else "{}" for t in _TYPES)
-_values = attrgetter(*CSV_COLUMNS)
 _UNWRITABLE = "refusing to serialize {bad} ({r.scenario}, rep {r.repetition}, {r.estimator})"
 
 # Summary rows are grouped by these record fields, in this order.
@@ -62,7 +60,7 @@ def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
         _check_finite(r, _UNWRITABLE)
-        lines.append(_ROW.format(*_values(r)))
+        lines.append(_ROW.format(*r))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -98,7 +96,8 @@ def _parse_columns(rows: list[list[str]]) -> list[list] | None:
 
 def read_records_csv(path: str | Path) -> list[RunRecord]:
     """The records of a raw CSV, parsed column by column. A bad row is
-    reported as the first one in file order, by line and field."""
+    reported as the first one in file order, by line and field; the rows
+    read before a decoding or CSV syntax error are checked first."""
     rows: list[list[str]] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -112,12 +111,20 @@ def read_records_csv(path: str | Path) -> list[RunRecord]:
                     f"{path}: unexpected CSV header {header!r}; "
                     f"expected {','.join(CSV_COLUMNS)}"
                 )
-            # extend keeps the rows read before a decoding error, and a bad
-            # one among them is reported first.
+            # extend keeps the rows read before an error.
             rows.extend(reader)
     except UnicodeDecodeError as exc:
         _raise_first_bad_row(path, rows)
+        # exc.start counts from the start of the decoder's read chunk; the
+        # whole file, decoded at once, gives the offset in the file.
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise ValidationError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except csv.Error as exc:
+        _raise_first_bad_row(path, rows)
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         return []
     columns = _parse_columns(rows)

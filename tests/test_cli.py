@@ -232,6 +232,50 @@ class TestReportAndPlot:
         err = capsys.readouterr().err
         assert str(raw) in err and "not UTF-8" in err
 
+    def test_non_utf8_csv_names_the_offset_in_the_file(self, tmp_path, config_path, capsys):
+        out = tmp_path / "r"
+        cli_main(["run", "--config", str(config_path), "--out", str(out)])
+        raw = out / "raw.csv"
+        header, body = raw.read_bytes().split(b"\n", 1)
+        data = header + b"\n" + body * (30_000 // len(body) + 1)
+        offset = data.index(b"unbiased", 20_000) + len(b"unbiased")
+        raw.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        capsys.readouterr()
+        assert cli_main(["report", str(raw), "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"{raw}: not UTF-8 (invalid start byte at byte {offset})" in err
+
+    def test_rows_before_a_non_utf8_byte_are_checked_first(self, tmp_path, config_path, capsys):
+        out = tmp_path / "r"
+        cli_main(["run", "--config", str(config_path), "--out", str(out)])
+        raw = out / "raw.csv"
+        lines = raw.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[9] = "nan"  # true_baseline
+        lines[1] = ",".join(fields)
+        raw.write_bytes(("\n".join(lines) + "\n").encode() + b"x" * 20_000 + b"\xff\n")
+        capsys.readouterr()
+        assert cli_main(["report", str(raw), "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"{raw}: line 2: non-finite true_baseline=nan" in err
+
+    @pytest.mark.parametrize("command", ["report", "plot"])
+    def test_oversized_csv_field_is_validation_error(
+        self, tmp_path, config_path, capsys, command
+    ):
+        out = tmp_path / "r"
+        cli_main(["run", "--config", str(config_path), "--out", str(out)])
+        raw = out / "raw.csv"
+        lines = raw.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[2] = "u" * 140_000  # sampler, over the csv module's field limit
+        lines[4] = ",".join(fields)
+        raw.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main([command, str(raw), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"{raw}: line 5: field larger than field limit" in err
+
     def test_report_missing_csv_is_io_error(self, tmp_path):
         assert cli_main(
             ["report", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "s.json")]

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import pickle
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from alperf.estimators import kfold_cv, kfold_cv_detail
 from alperf.harness import (
     EstimatorSpec,
     ExperimentSpec,
+    RunRecord,
     acquisition_sequence,
     derive_substream,
     run_experiment,
@@ -75,6 +77,63 @@ class TestDeriveSubstream:
             derive_substream(-1, (0,))
         with pytest.raises(ValidationError):
             derive_substream(1, (-2,))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130])
+    @pytest.mark.parametrize(
+        "path",
+        [(), (0,), (1, 7, 3), (3, 2, 9, 1, 4), (2**32,), (1, 2**40 + 3, 0, 2**70)],
+    )
+    def test_same_stream_as_numpy_spawn_key(self, seed, path):
+        # The entropy words are the ones numpy assembles for this pair, so
+        # the pool, the state and every draw are numpy's own.
+        got = derive_substream(seed, path)
+        want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+        assert got.bit_generator.state == want.bit_generator.state
+        np.testing.assert_array_equal(got.random(8), want.random(8))
+        np.testing.assert_array_equal(got.integers(0, 2**62, 8), want.integers(0, 2**62, 8))
+
+    @pytest.mark.parametrize(
+        "seed, path, words",
+        [
+            (0, (), [0]),
+            (2**32 + 5, (), [5, 1]),
+            (7, (2**32, 3), [7, 0, 0, 0, 0, 1, 3]),
+            (2**130, (1,), [0, 0, 0, 0, 4, 1]),
+        ],
+    )
+    def test_entropy_words(self, seed, path, words):
+        # Padding an empty path's seed words with zeros would leave the pool
+        # as it is, so only the words themselves show that it is not padded.
+        entropy = derive_substream(seed, path).bit_generator.seed_seq.entropy
+        assert entropy.dtype == np.uint32 and entropy.tolist() == words
+
+
+class TestRunRecord:
+    def _record(self):
+        return RunRecord(
+            "eval-size-distribution", 3, "unbiased", 20, "subsample-baseline",
+            0.85, 0.85, 0.85, 0.85, 0.8625, 0.125,
+        )
+
+    def test_fields_are_the_csv_header(self):
+        assert ",".join(RunRecord._fields) == (
+            "scenario,repetition,sampler,budget,estimator,estimate_mean,"
+            "estimate_median,estimate_q25,estimate_q75,true_baseline,wall_ms"
+        )
+
+    def test_refuses_assignment(self):
+        record = self._record()
+        with pytest.raises(AttributeError):
+            record.true_baseline = 0.5
+
+    def test_pickle_and_replace_round_trip(self):
+        record = self._record()
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and type(again) is RunRecord
+        changed = record._replace(true_baseline=0.5)
+        assert changed.true_baseline == 0.5 and record.true_baseline == 0.8625
+        assert changed._replace(true_baseline=0.8625) == record
+        assert record.sort_key() == (3, "unbiased", 20, "subsample-baseline")
 
 
 class TestSummarize:

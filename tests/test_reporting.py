@@ -117,7 +117,7 @@ class TestCsv:
         path = tmp_path / "raw.csv"
         write_records_csv(records, path)
         parsed = read_records_csv(path)
-        assert parsed == records
+        assert parsed == records and all(type(r) is RunRecord for r in parsed)
         assert all(type(r.repetition) is int and type(r.budget) is int for r in parsed)
 
     def test_rejects_wrong_header(self, tmp_path):
