@@ -283,6 +283,16 @@ class ExperimentSpec:
                     f"estimators[{i}] ({ids[i]}): k={e.k} exceeds the smallest budget "
                     f"({min(self.budgets)})"
                 )
+        # A symmetric-mixture sampler sits about x = 0, so the Bayes rule
+        # must change class there.
+        if any(s.kind == synthdata.SYMMETRIC_MIXTURE for s in self.samplers):
+            joint = synthdata._joint_density(self.task, np.array([-1e-9, 1e-9]))
+            below, above = np.argmax(joint, axis=1)
+            if below == above:
+                raise ValidationError(
+                    "symmetric-mixture samplers are placed about x = 0, but the task's "
+                    f"Bayes rule predicts class {below + 1} on both sides of it"
+                )
 
 
 class RunRecord(NamedTuple):
@@ -383,10 +393,7 @@ def _bias_sweep_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
     CV estimate was computed from."""
     d_idx, rep = unit
     sampler, espec = spec.samplers[d_idx], spec.estimators[0]
-    labeled = synthdata.draw_labeled(
-        spec.task, sampler, spec.budgets[0],
-        derive_substream(spec.master_seed, (0, d_idx, rep)),
-    )
+    labeled = acquisition_sequence(spec, d_idx, rep)
     t0 = time.perf_counter()
     detail = estimators.kfold_cv_detail(
         labeled, espec.k, spec.classifier,
@@ -410,7 +417,8 @@ def acquisition_sequence(
     """The full fixed acquisition sequence for one (sampler, repetition).
 
     Budget prefixes are nested by construction: the budget-B labeled set is
-    exactly the first B entries of this sequence.
+    exactly the first B entries of this sequence. Bias-sweep's single budget
+    takes all of it.
     """
     sampler = spec.samplers[sampler_index]
     rng = derive_substream(spec.master_seed, (0, sampler_index, rep))

@@ -26,6 +26,7 @@ from .harness import RunRecord
 CSV_COLUMNS = RunRecord._fields
 _TYPES = tuple(get_type_hints(RunRecord)[name] for name in CSV_COLUMNS)
 _FLOAT_COLUMNS = tuple(n for n, t in zip(CSV_COLUMNS, _TYPES) if t is float)
+_STR_COLUMNS = tuple(n for n, t in zip(CSV_COLUMNS, _TYPES) if t is str)
 _FLOAT = ".6f"
 _ROW = ",".join("{:" + _FLOAT + "}" if t is float else "{}" for t in _TYPES)
 _UNWRITABLE = "refusing to serialize {bad} ({r.scenario}, rep {r.repetition}, {r.estimator})"
@@ -56,7 +57,13 @@ def _check_finite(record: RunRecord, where: str, **context) -> None:
 
 
 def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
-    """One row per record; floats carry exactly 6 fractional digits."""
+    """One row per record; floats carry exactly 6 fractional digits. Fields
+    are unquoted, so a string holding a comma, quote or line break is refused."""
+    for name in _STR_COLUMNS:
+        for value in set(map(attrgetter(name), records)):
+            if any(ch in value for ch in ',"\r\n'):
+                raise ValidationError(f"refusing to serialize {name}={value!r}: "
+                                      "it holds a comma, quote or line break")
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
         _check_finite(r, _UNWRITABLE)
@@ -64,23 +71,10 @@ def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _raise_first_bad_row(path, rows: list[list[str]]) -> None:
-    """Raise the error of the first bad row of ``rows`` (file line 2 on), if
-    any: a wrong field count, an unparsable field, or a non-finite float."""
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(CSV_COLUMNS):
-            raise ValidationError(f"{path}: line {i} has {len(row)} fields")
-        try:
-            record = RunRecord(*[parse(v) for parse, v in zip(_TYPES, row)])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: line {i}: {exc}") from exc
-        _check_finite(record, "{path}: line {i}: {bad}", path=path, i=i)
-
-
 def _parse_columns(rows: list[list[str]]) -> list[list] | None:
     """The columns of ``rows``, each parsed by its field's type, or None if
-    a row has the wrong field count, an unparsable field or a non-finite
-    float."""
+    there are none or a row has the wrong field count, an unparsable field
+    or a non-finite float."""
     if set(map(len, rows)) != {len(CSV_COLUMNS)}:
         return None
     try:
@@ -94,27 +88,32 @@ def _parse_columns(rows: list[list[str]]) -> list[list] | None:
     return columns if all(all(map(math.isfinite, col)) for col in floats) else None
 
 
-def read_records_csv(path: str | Path) -> list[RunRecord]:
-    """The records of a raw CSV, parsed column by column. A bad row is
-    reported as the first one in file order, by line and field; the rows
-    read before a decoding or CSV syntax error are checked first."""
-    rows: list[list[str]] = []
+def _read_rows(path) -> list[RunRecord]:
+    """The records of a raw CSV, read row by row: the first error in file
+    order is raised, a bad row named by the physical line it starts on."""
+    records, line = [], 1
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
+            header = next(reader, None)
+            if header is None:
                 raise ValidationError(f"{path}: empty file, expected a CSV header")
             if tuple(header) != CSV_COLUMNS:
                 raise ValidationError(
-                    f"{path}: unexpected CSV header {header!r}; "
-                    f"expected {','.join(CSV_COLUMNS)}"
+                    f"{path}: unexpected CSV header {header!r}; expected {','.join(CSV_COLUMNS)}"
                 )
-            # extend keeps the rows read before an error.
-            rows.extend(reader)
+            line = reader.line_num + 1
+            for row in reader:
+                if len(row) != len(CSV_COLUMNS):
+                    raise ValidationError(f"{path}: line {line} has {len(row)} fields")
+                try:
+                    record = RunRecord(*[parse(v) for parse, v in zip(_TYPES, row)])
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: line {line}: {exc}") from exc
+                _check_finite(record, "{path}: line {i}: {bad}", path=path, i=line)
+                records.append(record)
+                line = reader.line_num + 1
     except UnicodeDecodeError as exc:
-        _raise_first_bad_row(path, rows)
         # exc.start counts from the start of the decoder's read chunk; the
         # whole file, decoded at once, gives the offset in the file.
         try:
@@ -123,16 +122,24 @@ def read_records_csv(path: str | Path) -> list[RunRecord]:
             exc = whole
         raise ValidationError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     except csv.Error as exc:
-        _raise_first_bad_row(path, rows)
-        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
-        return []
-    columns = _parse_columns(rows)
-    if columns is None:
-        _raise_first_bad_row(path, rows)
+        raise ValidationError(f"{path}: line {line}: {exc}") from None
+    return records
+
+
+def read_records_csv(path: str | Path) -> list[RunRecord]:
+    """The records of a raw CSV, parsed column by column. Where that fails
+    (a bad header or row, a decoding or CSV syntax error) or finds no rows,
+    the file is read again row by row, which raises the first error in file
+    order."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error):
+        return _read_rows(path)
+    columns = _parse_columns(rows[1:]) if rows[:1] == [list(CSV_COLUMNS)] else None
     # Free the parsed fields' text before the records are built.
     rows.clear()
-    return list(map(RunRecord, *columns))
+    return _read_rows(path) if columns is None else list(map(RunRecord, *columns))
 
 
 def summarize(values: Sequence[float]) -> dict:

@@ -9,8 +9,10 @@ informed selection strategy. Labels come from a stochastic oracle that
 draws from the true class posterior, so label noise near the boundary is
 preserved.
 
-Closed-form quantities (posterior, marginal density, Bayes accuracy) are
-exposed so they can serve as reference values elsewhere. The accuracy of
+Both densities are one ``Mixture`` of Gaussians held as arrays: the task's
+(``TaskModel.mixture``) and the sampler's (``SamplingDistribution.mixture``).
+Closed-form quantities (posterior, densities, Bayes accuracy) are exposed
+so they can serve as reference values elsewhere. The accuracy of
 any one-dimensional decision rule under a task is exact: ``decision_accuracy``
 splits the line into the rule's decision regions and sums the closed-form
 Gaussian mass of each.
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,6 +73,40 @@ class GaussianComponent:
             raise ValidationError(f"component mean must be finite, got {self.mean}")
 
 
+class Mixture(NamedTuple):
+    """A weighted sum of Gaussians as parallel arrays: component k is
+    ``weights[k] * N(means[k], stds[k]^2)`` and belongs to the 0-based class
+    ``classes[k]`` (-1 for a sampler's own components). ``TaskModel.mixture``
+    and ``SamplingDistribution.mixture`` build one; every density, draw and
+    exact-accuracy sum of this module reads one."""
+
+    means: np.ndarray
+    stds: np.ndarray
+    weights: np.ndarray
+    classes: np.ndarray
+
+    def densities(self, xs: np.ndarray) -> np.ndarray:
+        """weight * N(x; mean, std) of every component; shape (len(xs), K)."""
+        z = (np.asarray(xs, dtype=np.float64)[:, None] - self.means) / self.stds
+        return self.weights * (np.exp(-0.5 * z * z) / (self.stds * _SQRT_2PI))
+
+    def density(self, xs: np.ndarray) -> np.ndarray:
+        """The mixture density at each x: the row sums of ``densities``."""
+        return self.densities(xs).sum(axis=1)
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws: the components first, then each component's normals, in
+        component order (a component drawn 0 times consumes no draws)."""
+        if n < 0:
+            raise ValidationError(f"sample count must be >= 0, got {n}")
+        idx = rng.choice(len(self.means), size=n, p=self.weights)
+        out = np.empty(n, dtype=np.float64)
+        for k in range(len(self.means)):
+            sel = idx == k
+            out[sel] = rng.normal(self.means[k], self.stds[k], size=int(sel.sum()))
+        return out
+
+
 @dataclass(frozen=True)
 class TaskModel:
     """Data-generating distribution: class priors plus per-class Gaussian mixtures.
@@ -107,6 +144,18 @@ class TaskModel:
     @property
     def class_count(self) -> int:
         return len(self.class_priors)
+
+    @cached_property
+    def mixture(self) -> Mixture:
+        """Every component, class by class, weighted prior * component weight:
+        the data marginal p(x), and prior(y) p(x|y) summed per class."""
+        rows = [
+            (comp.mean, comp.std, prior * comp.weight, c)
+            for c, (prior, comps) in enumerate(zip(self.class_priors, self.class_components))
+            for comp in comps
+        ]
+        means, stds, weights, classes = map(np.array, zip(*rows))
+        return Mixture(means, stds, weights, classes)
 
 
 def default_task() -> TaskModel:
@@ -159,9 +208,17 @@ class SamplingDistribution:
 
     def label(self) -> str:
         """Stable identifier used in run records and file outputs."""
+        return "unbiased" if self.kind == DATA_MARGINAL else f"biased-d{self.d:g}"
+
+    def mixture(self, model: TaskModel) -> Mixture:
+        """q(x) as a Mixture: the task's own, or the two components at -d and +d."""
         if self.kind == DATA_MARGINAL:
-            return "unbiased"
-        return f"biased-d{self.d:g}"
+            return model.mixture
+        std = self.component_std
+        return Mixture(
+            np.array([-self.d, self.d]), np.array([std, std]),
+            np.asarray(self.component_priors, dtype=np.float64), np.array([-1, -1]),
+        )
 
 
 def unbiased_sampler() -> SamplingDistribution:
@@ -214,23 +271,6 @@ class LabeledSet:
 # ---------------------------------------------------------------------------
 
 
-def _normal_pdf(xs: np.ndarray, mean: float, std: float) -> np.ndarray:
-    z = (xs - mean) / std
-    return np.exp(-0.5 * z * z) / (std * _SQRT_2PI)
-
-
-def class_conditional_density(model: TaskModel, xs: np.ndarray) -> np.ndarray:
-    """p(x|y) for every class; returns an array of shape (len(xs), C)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    out = np.empty((xs.shape[0], model.class_count))
-    for c, comps in enumerate(model.class_components):
-        acc = np.zeros_like(xs)
-        for comp in comps:
-            acc += comp.weight * _normal_pdf(xs, comp.mean, comp.std)
-        out[:, c] = acc
-    return out
-
-
 def _normal_cdf(z: float) -> float:
     """Standard normal CDF by the split of cephes ``ndtr``: 0.5 + 0.5 erf(x)
     with x = z/sqrt(2) for |z| < 1, and 0.5 erfc(|x|) beyond (one minus
@@ -244,13 +284,11 @@ def _normal_cdf(z: float) -> float:
 
 
 def _joint_density(model: TaskModel, xs: np.ndarray) -> np.ndarray:
-    """prior(y) * p(x|y), shape (len(xs), C)."""
-    return class_conditional_density(model, xs) * np.asarray(model.class_priors)
-
-
-def marginal_density(model: TaskModel, xs: np.ndarray) -> np.ndarray:
-    """The data marginal sum_y prior(y) p(x|y)."""
-    return _joint_density(model, np.asarray(xs, dtype=np.float64)).sum(axis=1)
+    """prior(y) * p(x|y), shape (len(xs), C): the task mixture's component
+    densities summed per class."""
+    m = model.mixture
+    starts = np.searchsorted(m.classes, np.arange(model.class_count))
+    return np.add.reduceat(m.densities(xs), starts, axis=1)
 
 
 def bayes_posterior_batch(model: TaskModel, xs: np.ndarray) -> np.ndarray:
@@ -259,7 +297,7 @@ def bayes_posterior_batch(model: TaskModel, xs: np.ndarray) -> np.ndarray:
     Where every class-conditional density underflows to zero the prior
     vector is returned for that row (documented fallback).
     """
-    joint = _joint_density(model, np.asarray(xs, dtype=np.float64))
+    joint = _joint_density(model, xs)
     total = joint.sum(axis=1)
     ok = total > 0.0
     out = joint / np.where(ok, total, 1.0)[:, None]
@@ -271,61 +309,13 @@ def bayes_posterior_batch(model: TaskModel, xs: np.ndarray) -> np.ndarray:
 def sampling_density_batch(
     s: SamplingDistribution, model: TaskModel, xs: np.ndarray
 ) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    if s.kind == DATA_MARGINAL:
-        return marginal_density(model, xs)
-    w_lo, w_hi = s.component_priors
-    return w_lo * _normal_pdf(xs, -s.d, s.component_std) + w_hi * _normal_pdf(
-        xs, s.d, s.component_std
-    )
+    """The acquisition density q(x) at each x."""
+    return s.mixture(model).density(xs)
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-
-def _sample_gaussian_mixture(
-    means: np.ndarray,
-    stds: np.ndarray,
-    weights: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    idx = rng.choice(len(means), size=n, p=weights)
-    out = np.empty(n, dtype=np.float64)
-    for k in range(len(means)):
-        sel = idx == k
-        cnt = int(sel.sum())
-        if cnt:
-            out[sel] = rng.normal(means[k], stds[k], size=cnt)
-    return out
-
-
-def _marginal_mixture(model: TaskModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten the class mixtures into one mixture over all components."""
-    means, stds, weights = [], [], []
-    for prior, comps in zip(model.class_priors, model.class_components):
-        for comp in comps:
-            means.append(comp.mean)
-            stds.append(comp.std)
-            weights.append(prior * comp.weight)
-    return np.array(means), np.array(stds), np.array(weights)
-
-
-def draw_x(
-    s: SamplingDistribution, model: TaskModel, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw n feature values from the acquisition distribution q."""
-    if n < 0:
-        raise ValidationError(f"sample count must be >= 0, got {n}")
-    if s.kind == DATA_MARGINAL:
-        means, stds, weights = _marginal_mixture(model)
-    else:
-        means = np.array([-s.d, s.d])
-        stds = np.array([s.component_std, s.component_std])
-        weights = np.asarray(s.component_priors, dtype=np.float64)
-    return _sample_gaussian_mixture(means, stds, weights, n, rng)
 
 
 def oracle_labels(
@@ -344,23 +334,22 @@ def draw_oracle_arrays(
     model: TaskModel, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unbiased draws with oracle labels, as raw (x, y) arrays."""
-    xs = draw_x(unbiased_sampler(), model, n, rng)
-    ys = oracle_labels(model, xs, rng)
-    return xs, ys
+    xs = model.mixture.draw(n, rng)
+    return xs, oracle_labels(model, xs, rng)
 
 
 def draw_labeled(
     model: TaskModel, s: SamplingDistribution, n: int, rng: np.random.Generator
 ) -> LabeledSet:
     """Draw n labeled samples: x from q, y from the true posterior at x."""
-    xs = draw_x(s, model, n, rng)
-    ys = oracle_labels(model, xs, rng)
-    return LabeledSet(xs, ys, sampling_density_batch(s, model, xs))
+    q = s.mixture(model)
+    xs = q.draw(n, rng)
+    return LabeledSet(xs, oracle_labels(model, xs, rng), q.density(xs))
 
 
 def draw_unlabeled(model: TaskModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n unlabeled feature values from the data marginal."""
-    return draw_x(unbiased_sampler(), model, n, rng)
+    return model.mixture.draw(n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +359,9 @@ def draw_unlabeled(model: TaskModel, n: int, rng: np.random.Generator) -> np.nda
 
 def _task_span(model: TaskModel) -> tuple[float, float]:
     """SUPPORT widened to cover mean +- 8 std of every component."""
-    comps = [comp for per_class in model.class_components for comp in per_class]
-    lo = min(SUPPORT[0], *(comp.mean - _SUPPORT_STDS * comp.std for comp in comps))
-    hi = max(SUPPORT[1], *(comp.mean + _SUPPORT_STDS * comp.std for comp in comps))
+    m = model.mixture
+    lo = min(SUPPORT[0], float((m.means - _SUPPORT_STDS * m.stds).min()))
+    hi = max(SUPPORT[1], float((m.means + _SUPPORT_STDS * m.stds).max()))
     return lo, hi
 
 
@@ -442,13 +431,12 @@ def region_accuracy(
         left, right = ends[rows, first], ends[rows, first + 1]
     edges = np.r_[-math.inf, 0.5 * (left + right), math.inf]
     predicted = labels[np.r_[0, changes + 1]]  # the class of each interval
+    m = model.mixture
+    z = (edges[:, None] - m.means) / m.stds
+    mass = np.diff(np.reshape([_normal_cdf(v) for v in z.ravel().tolist()], z.shape), axis=0)
     total = 0.0
-    for c, (prior, comps) in enumerate(zip(model.class_priors, model.class_components)):
-        mine = predicted == c
-        for comp in comps:
-            cdf = [_normal_cdf(z) for z in ((edges - comp.mean) / comp.std).tolist()]
-            mass = np.diff(cdf)
-            total += prior * comp.weight * float(mass[mine].sum())
+    for k, weight in enumerate(m.weights.tolist()):
+        total += weight * float(mass[predicted == m.classes[k], k].sum())
     return total
 
 
@@ -465,17 +453,13 @@ def bayes_accuracy(model: TaskModel) -> float:
     components share one std within a short span is read on exactly the one
     grid of that step.
     """
-    comps = [comp for per_class in model.class_components for comp in per_class]
+    m = model.mixture
     lo, hi = _task_span(model)
-    scale = max(max(comp.std for comp in comps), 20.0 * (hi - lo) / (_SPAN_POINTS - 1))
+    scale = max(float(m.stds.max()), 20.0 * (hi - lo) / (_SPAN_POINTS - 1))
     narrow = [
-        np.linspace(comp.mean - _SUPPORT_STDS * comp.std, comp.mean + _SUPPORT_STDS * comp.std,
-                    _NARROW_POINTS)
-        for comp in comps if comp.std < scale
+        np.linspace(mean - _SUPPORT_STDS * std, mean + _SUPPORT_STDS * std, _NARROW_POINTS)
+        for mean, std in zip(m.means.tolist(), m.stds.tolist()) if std < scale
     ]
     grid = np.unique(np.concatenate([decision_grid(model, scale / 20.0), *narrow]))
-
-    def joint(xs):
-        return _joint_density(model, xs)
-
+    joint = partial(_joint_density, model)
     return region_accuracy(model, joint, grid, np.argmax(joint(grid), axis=1))

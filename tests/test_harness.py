@@ -236,6 +236,20 @@ class TestSpecs:
         with pytest.raises(ValidationError, match="2-class task"):
             _spec({"task": three_classes})
 
+    def test_symmetric_sampler_needs_a_boundary_at_zero(self):
+        # The default task's Bayes boundary is x = 0: its samplers are accepted.
+        spec = _spec()
+        assert synthdata.SYMMETRIC_MIXTURE in {s.kind for s in spec.samplers}
+        shifted = {
+            "priors": [0.5, 0.5],
+            "components": [[{"weight": 1.0, "mean": m, "std": 1.0}] for m in (-0.5, 2.5)],
+        }
+        with pytest.raises(ValidationError, match="predicts class 1 on both sides"):
+            _spec({"task": shifted})
+        # The data marginal is placed nowhere, so it needs no boundary.
+        unbiased = _spec({"task": shifted, "samplers": [{"kind": "data-marginal"}]})
+        assert [s.label() for s in unbiased.samplers] == ["unbiased"]
+
     def test_replace_rejects_duplicate_estimator_ids(self):
         spec = _spec()
         with pytest.raises(ValidationError, match="duplicate"):

@@ -164,6 +164,29 @@ class TestCsv:
             read_records_csv(path)
         assert str(exc.value) == f"{path}: line 2: non-finite true_baseline=nan"
 
+    def test_bad_row_is_named_by_its_physical_line(self, tmp_path):
+        # A quoted field with a line break makes the row on line 2 span lines
+        # 2 and 3, so the next row starts on line 4.
+        path = tmp_path / "raw.csv"
+        write_records_csv([_record(), _record(repetition=1)], path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace("unbiased", '"un\nbiased"')
+        lines[2] = lines[2].replace("0.900000", "nan")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            read_records_csv(path)
+        assert str(exc.value) == f"{path}: line 4: non-finite true_baseline=nan"
+
+    @pytest.mark.parametrize("field", ["scenario", "sampler", "estimator"])
+    @pytest.mark.parametrize("value", ["a,b", 'say "x"', "a\nb", "a\rb"])
+    def test_write_refuses_unquotable_strings(self, tmp_path, field, value):
+        # Fields are written unquoted, so such a value could not be read back.
+        path = tmp_path / "raw.csv"
+        with pytest.raises(ValidationError) as exc:
+            write_records_csv([_record(), _record(**{field: value})], path)
+        assert str(exc.value).startswith(f"refusing to serialize {field}={value!r}")
+        assert not path.exists()
+
     def test_empty_body_reads_no_records(self, tmp_path):
         path = tmp_path / "raw.csv"
         write_records_csv([], path)

@@ -21,7 +21,6 @@ from alperf.synthdata import (
     default_task,
     draw_labeled,
     draw_unlabeled,
-    marginal_density,
     sampling_density_batch,
     unbiased_sampler,
 )
@@ -240,6 +239,91 @@ class TestSamplingDensity:
         assert SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.3).label() == "biased-d0.3"
 
 
+_PINNED_SAMPLERS = [
+    unbiased_sampler(),
+    SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.3, component_priors=(0.25, 0.75)),
+]
+
+
+def _components(s):
+    """(mean, std, weight) of q's components on the default task, written out."""
+    if s.kind == DATA_MARGINAL:
+        return [(-1.5, 1.0, 0.5 * 1.0), (1.5, 1.0, 0.5 * 1.0)]
+    return [(-s.d, s.component_std, s.component_priors[0]),
+            (s.d, s.component_std, s.component_priors[1])]
+
+
+def _explicit_q(s, xs):
+    """q(x) as the left-to-right sum of weight * N(x; mean, std)."""
+    total = np.zeros_like(xs)
+    for mean, std, weight in _components(s):
+        z = (xs - mean) / std
+        total = total + weight * (np.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi)))
+    return total
+
+
+class TestMixture:
+    def test_task_mixture_lists_components_class_by_class(self):
+        task = TaskModel(
+            class_priors=(0.3, 0.7),
+            class_components=(
+                (GaussianComponent(1.0, -1.0, 0.5),),
+                (GaussianComponent(0.6, 1.0, 0.8), GaussianComponent(0.4, 2.5, 0.3)),
+            ),
+        )
+        m = task.mixture
+        assert m.means.tolist() == [-1.0, 1.0, 2.5]
+        assert m.stds.tolist() == [0.5, 0.8, 0.3]
+        assert m.weights.tolist() == [0.3 * 1.0, 0.7 * 0.6, 0.7 * 0.4]
+        assert m.classes.tolist() == [0, 1, 1]
+        assert task.mixture is m
+        # Summed per class it is prior(y) p(x|y).
+        xs = np.linspace(-3.0, 4.0, 15)
+        joint = synthdata._joint_density(task, xs)
+        np.testing.assert_allclose(
+            joint[:, 1],
+            [0.7 * (0.6 * _npdf(x, 1.0, 0.8) + 0.4 * _npdf(x, 2.5, 0.3)) for x in xs],
+            rtol=1e-14,
+        )
+
+    def test_symmetric_sampler_mixture(self, task):
+        s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.7, component_std=0.4)
+        m = s.mixture(task)
+        assert (m.means.tolist(), m.stds.tolist(), m.weights.tolist()) == (
+            [-0.7, 0.7], [0.4, 0.4], [0.5, 0.5]
+        )
+        assert unbiased_sampler().mixture(task) is task.mixture
+
+    def test_component_drawn_zero_times_consumes_no_draws(self, task):
+        s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.5, component_priors=(0.0, 1.0))
+        rng = derive_substream(6, (2,))
+        rng.choice(2, size=40, p=[0.0, 1.0])
+        expected = rng.normal(0.5, 0.25, size=40)
+        assert np.array_equal(s.mixture(task).draw(40, derive_substream(6, (2,))), expected)
+
+    def test_negative_count_rejected(self, task):
+        with pytest.raises(ValidationError, match="sample count must be >= 0"):
+            task.mixture.draw(-1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("s", _PINNED_SAMPLERS, ids=lambda s: s.label())
+    def test_density_equals_explicit_formula(self, task, s):
+        xs = np.linspace(-6.0, 6.0, 241)
+        assert np.array_equal(sampling_density_batch(s, task, xs), _explicit_q(s, xs))
+
+    @pytest.mark.parametrize("s", _PINNED_SAMPLERS, ids=lambda s: s.label())
+    def test_draws_equal_explicit_formula(self, task, s):
+        # Components are drawn first, then each component's normals in order.
+        n, comps = 300, _components(s)
+        rng = derive_substream(4, (0, 1))
+        idx = rng.choice(len(comps), size=n, p=[w for _, _, w in comps])
+        xs = np.empty(n)
+        for k, (mean, std, _) in enumerate(comps):
+            xs[idx == k] = rng.normal(mean, std, size=int((idx == k).sum()))
+        labeled = draw_labeled(task, s, n, derive_substream(4, (0, 1)))
+        assert np.array_equal(labeled.xs, xs)
+        assert np.array_equal(labeled.qs, _explicit_q(s, xs))
+
+
 class TestDraws:
     def test_empty_draws(self, task):
         rng = derive_substream(0, (0,))
@@ -446,6 +530,15 @@ class TestBayesAccuracy:
             synthdata.decision_accuracy(task, scores, 2e-5)
 
     def test_marginal_density_consistency(self, task):
+        # The unbiased sampler's q is the data marginal, sum_y prior(y) p(x|y).
         xs = np.linspace(-4, 4, 9)
         direct = sampling_density_batch(unbiased_sampler(), task, xs)
-        np.testing.assert_allclose(direct, marginal_density(task, xs), rtol=1e-14)
+        explicit = [
+            sum(
+                prior * comp.weight * _npdf(x, comp.mean, comp.std)
+                for prior, comps in zip(task.class_priors, task.class_components)
+                for comp in comps
+            )
+            for x in xs
+        ]
+        np.testing.assert_allclose(direct, explicit, rtol=1e-14)
