@@ -17,7 +17,6 @@ summarizes no Beta mixture never loads scipy.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -26,11 +25,8 @@ import numpy as np
 
 from . import parzen, synthdata
 from .errors import ValidationError
-from .parzen import ClassifierConfig, ParzenModel
+from .parzen import ClassifierConfig, KernelBlock, ParzenModel
 from .synthdata import LabeledSet, TaskModel
-
-# A candidate pool: its points, or their kernel block under the model.
-Pool = np.ndarray | parzen.KernelBlock
 
 KERNEL_COUNT = "kernel"
 HARD_COUNT = "hard"
@@ -283,31 +279,15 @@ def _accuracy_from_posteriors(post: np.ndarray) -> float:
     return 1.0 - err / post.shape[0]
 
 
-def _pool_block(m: ParzenModel, pool: Pool) -> parzen.KernelBlock:
-    """The pool's kernel block under ``m``: the block itself when the caller
-    passes one (the harness passes each budget's prefix of one block per
-    acquisition sequence), else one computed against m's training set."""
-    if not isinstance(pool, parzen.KernelBlock):
-        return parzen.kernel_block(pool, m.train_x, m.train_y, m.config)
-    if pool.weights.shape[1] != len(m.train_x):
-        raise ValidationError(
-            f"the pool's kernel block has {pool.weights.shape[1]} training columns, "
-            f"the model {len(m.train_x)} samples"
-        )
-    return pool
-
-
-def generalization_error_estimate(m: ParzenModel, evaluation: Pool) -> PerformanceEstimate:
+def generalization_error_estimate(pool: KernelBlock) -> PerformanceEstimate:
     """Self-assessed accuracy from the classifier's own confidence.
 
-    Sums one minus the maximal predicted posterior over the evaluation
-    instances and reports accuracy = 1 - error / |evaluation|.
+    Sums one minus the maximal posterior of ``pool.model`` over the pool's
+    points and reports accuracy = 1 - error / |pool|.
     """
-    if len(evaluation) == 0:
+    if len(pool) == 0:
         raise ValidationError("no evaluation instances")
-    return PerformanceEstimate.point(
-        _accuracy_from_posteriors(_pool_block(m, evaluation).posterior)
-    )
+    return PerformanceEstimate.point(_accuracy_from_posteriors(pool.posterior))
 
 
 # ---------------------------------------------------------------------------
@@ -419,31 +399,26 @@ def kfold_cv(
     return kfold_cv_detail(labeled, k, config, rng, reweighted, weight_cap).estimate
 
 
-def self_label_cv(
-    m: ParzenModel, pool: Pool, k: int, rng: np.random.Generator
-) -> PerformanceEstimate:
+def self_label_cv(pool: KernelBlock, k: int, rng: np.random.Generator) -> PerformanceEstimate:
     """Cross-validation over the labeled set plus a self-labeled pool.
 
-    The classifier ``m`` labels the candidate pool; those predictions are
-    then treated as ground truth. To keep the training sets comparable to
-    the labeled set ``m`` was fitted on, each fold fits ``m.config`` to a
-    uniform random subset of size min(|labeled|, instances outside the fold).
+    The classifier ``m = pool.model`` labels the pool's points; those
+    predictions are then treated as ground truth. To keep the training sets
+    comparable to the labeled set ``m`` was fitted on, each fold fits
+    ``m.config`` to a uniform random subset of size min(|labeled|, instances
+    outside the fold).
     """
+    if len(pool) == 0:
+        raise ValidationError("no evaluation instances")
+    m = pool.model
     n = len(m.train_x)
     if n == 0:
         raise ValidationError("no labeled instances")
     if k < 2:
         raise ValidationError(f"fold count must be >= 2, got {k}")
-    if len(pool) == 0:
-        warnings.warn(
-            "empty candidate pool: falling back to plain k-fold CV", stacklevel=2
-        )
-        correct, _ = _fold_predictions(m.train_x, m.train_y, k, m.config, rng)
-    else:
-        block = _pool_block(m, pool)
-        union_xs = np.concatenate([m.train_x, block.points])
-        union_ys = np.concatenate([m.train_y, np.argmax(block.posterior, axis=1) + 1])
-        correct, _ = _fold_predictions(union_xs, union_ys, k, m.config, rng, train_size=n)
+    union_xs = np.concatenate([m.train_x, pool.points])
+    union_ys = np.concatenate([m.train_y, np.argmax(pool.posterior, axis=1) + 1])
+    correct, _ = _fold_predictions(union_xs, union_ys, k, m.config, rng, train_size=n)
     return PerformanceEstimate.point(float(correct.mean()))
 
 
@@ -465,30 +440,29 @@ def beta_components_from_stats(
 
 
 def probabilistic_performance(
-    m: ParzenModel, evaluation: Pool, count_mode: str = KERNEL_COUNT
+    pool: KernelBlock, count_mode: str = KERNEL_COUNT
 ) -> PerformanceEstimate:
     """Accuracy as an equal-prior mixture of per-instance Beta distributions.
 
-    Each evaluation instance contributes one Beta component derived from
-    the local statistics of the two-class labels ``m`` was fitted on: the
+    Each pool point contributes one Beta component derived from the local
+    statistics of the two-class labels ``pool.model`` was fitted on: the
     nearby-label count n and the local class-2 fraction p_hat. The count is
-    a soft kernel mass by default; ``count_mode="hard"`` switches to
-    counting instances within one bandwidth of ``m.config``. With no mass
+    a soft kernel mass (the block's weights) by default; ``count_mode="hard"``
+    switches to counting instances within one bandwidth. With no mass
     p_hat defaults to 1/2, so instances with no nearby labels contribute
     the uniform Beta(1, 1).
     """
-    if len(evaluation) == 0:
+    if len(pool) == 0:
         raise ValidationError("no evaluation instances")
     if count_mode not in (KERNEL_COUNT, HARD_COUNT):
         raise ValidationError(f"unknown count mode {count_mode!r}")
-    xs, ys, bandwidth = m.train_x, m.train_y, m.config.bandwidth
+    xs, ys, bandwidth = pool.model.train_x, pool.model.train_y, pool.model.config.bandwidth
     if np.any((ys < 1) | (ys > 2)):
         raise ValidationError("local label statistics are defined for 2 classes only")
     if count_mode == KERNEL_COUNT:
-        weights = _pool_block(m, evaluation).weights
+        weights = pool.weights
     else:
-        points = evaluation.points if isinstance(evaluation, parzen.KernelBlock) else evaluation
-        weights = (np.abs(points[:, None] - xs[None, :]) <= bandwidth).astype(np.float64)
+        weights = (np.abs(pool.points[:, None] - xs[None, :]) <= bandwidth).astype(np.float64)
     total = weights.sum(axis=1)
     class2 = weights[:, ys == 2].sum(axis=1)
     p_hat = np.where(total > 0.0, class2 / np.where(total > 0.0, total, 1.0), 0.5)
@@ -526,9 +500,7 @@ def true_baseline(
     """
     grid = truth_grid(model, m.config)
     if grid_labels is None:
-        (grid_labels,) = parzen.prefix_labels(
-            grid, m.train_x, m.train_y, m.config, (len(m.train_x),)
-        )
+        (grid_labels,) = parzen.prefix_labels(grid, m, (len(m.train_x),))
     return synthdata.region_accuracy(
         model, lambda xs: parzen.posterior_batch(m, xs), grid, grid_labels
     )

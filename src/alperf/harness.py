@@ -61,7 +61,7 @@ class EstimatorEntry(NamedTuple):
 
     reads: tuple[str, ...]  # the EstimatorSpec fields it reads
     id_template: str  # record id, formatted with k and the count-mode and cap tags
-    run: Callable  # run(spec, espec, labeled, pool, model, budget, truth, rng)
+    run: Callable  # run(spec, espec, labeled, pool, budget, truth, rng)
     draws: bool  # whether run reads rng; one that does not is passed None
 
 
@@ -70,38 +70,38 @@ class EstimatorEntry(NamedTuple):
 ESTIMATOR_TABLE = {
     GENERALIZATION_ERROR: EstimatorEntry(
         (), "generalization-error",
-        lambda spec, e, labeled, pool, model, budget, truth, rng:
-            estimators.generalization_error_estimate(model, pool),
+        lambda spec, e, labeled, pool, budget, truth, rng:
+            estimators.generalization_error_estimate(pool),
         False,
     ),
     KFOLD_CV: EstimatorEntry(
         ("k",), "cv-{k}fold",
-        lambda spec, e, labeled, pool, model, budget, truth, rng:
+        lambda spec, e, labeled, pool, budget, truth, rng:
             estimators.kfold_cv(labeled, e.k, spec.classifier, rng),
         True,
     ),
     REWEIGHTED_CV: EstimatorEntry(
         ("k", "weight_cap"), "reweighted-cv-{k}fold{cap}",
-        lambda spec, e, labeled, pool, model, budget, truth, rng: estimators.kfold_cv(
+        lambda spec, e, labeled, pool, budget, truth, rng: estimators.kfold_cv(
             labeled, e.k, spec.classifier, rng, reweighted=True, weight_cap=e.weight_cap
         ),
         True,
     ),
     SELF_LABEL_CV: EstimatorEntry(
         ("k",), "self-label-cv-{k}fold",
-        lambda spec, e, labeled, pool, model, budget, truth, rng:
-            estimators.self_label_cv(model, pool, e.k, rng),
+        lambda spec, e, labeled, pool, budget, truth, rng:
+            estimators.self_label_cv(pool, e.k, rng),
         True,
     ),
     PROBABILISTIC: EstimatorEntry(
         ("count_mode",), "probabilistic{count_mode}",
-        lambda spec, e, labeled, pool, model, budget, truth, rng:
-            estimators.probabilistic_performance(model, pool, e.count_mode),
+        lambda spec, e, labeled, pool, budget, truth, rng:
+            estimators.probabilistic_performance(pool, e.count_mode),
         False,
     ),
     SUBSAMPLE_BASELINE: EstimatorEntry(
         (), "subsample-baseline",
-        lambda spec, e, labeled, pool, model, budget, truth, rng:
+        lambda spec, e, labeled, pool, budget, truth, rng:
             estimators.subsample_baseline(truth, budget, spec.subsample_reps, rng),
         True,
     ),
@@ -377,7 +377,7 @@ def _cv_folds_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
         rng = derive_substream(spec.master_seed, (1, rep, e_idx))
         run = ESTIMATOR_TABLE[espec.name].run
         t0 = time.perf_counter()
-        estimate = run(spec, espec, labeled, None, None, spec.budgets[0], truth, rng)
+        estimate = run(spec, espec, labeled, None, spec.budgets[0], truth, rng)
         records.append(
             _record(
                 spec.scenario, rep, spec.samplers[0].label(), spec.budgets[0],
@@ -429,27 +429,25 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
     """Every configured estimator on each nested budget prefix of one
     acquisition sequence.
 
-    The pool and the truth grid are each read against the whole sequence
-    once: the pool as one ``parzen.KernelBlock`` whose prefixes serve the
-    pool estimators of every budget, the grid as every budget's predicted
-    classes (``parzen.prefix_labels``)."""
+    The sequence is fitted once, and the pool and the truth grid are each
+    read under that model once: the pool as one ``parzen.KernelBlock`` whose
+    prefixes hold every budget's model and serve its pool estimators, the
+    grid as every budget's predicted classes (``parzen.prefix_labels``)."""
     s_idx, rep = unit
     label = spec.samplers[s_idx].label()
     ids = [espec.estimator_id() for espec in spec.estimators]
     sequence = acquisition_sequence(spec, s_idx, rep)
+    model = parzen.fit_arrays(sequence.xs, sequence.ys, spec.classifier)
     pool_rng = derive_substream(spec.master_seed, (1, s_idx, rep))
     pool = synthdata.draw_unlabeled(spec.task, spec.pool_size, pool_rng)
-    pool_block = parzen.kernel_block(pool, sequence.xs, sequence.ys, spec.classifier)
-    grid_labels = parzen.prefix_labels(
-        estimators.truth_grid(spec.task, spec.classifier),
-        sequence.xs, sequence.ys, spec.classifier, spec.budgets,
-    )
+    pool_block = parzen.kernel_block(pool, model)
+    grid = estimators.truth_grid(spec.task, spec.classifier)
+    grid_labels = parzen.prefix_labels(grid, model, spec.budgets)
     records = []
     for b_idx, budget in enumerate(spec.budgets):
         labeled = sequence[:budget]
-        model = parzen.fit_arrays(labeled.xs, labeled.ys, spec.classifier)
-        truth = estimators.true_baseline(model, spec.task, grid_labels[b_idx])
         block = pool_block.prefix(budget)
+        truth = estimators.true_baseline(block.model, spec.task, grid_labels[b_idx])
         for e_idx, espec in enumerate(spec.estimators):
             entry = ESTIMATOR_TABLE[espec.name]
             rng = (
@@ -457,7 +455,7 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
                 if entry.draws else None
             )
             t0 = time.perf_counter()
-            estimate = entry.run(spec, espec, labeled, block, model, budget, truth, rng)
+            estimate = entry.run(spec, espec, labeled, block, budget, truth, rng)
             records.append(
                 _record(spec.scenario, rep, label, budget, ids[e_idx], estimate, truth, t0)
             )

@@ -161,64 +161,70 @@ def posterior_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelBlock:
-    """Fixed query points with their kernel weights against a training
-    sequence, and the sequence's one-hot labels.
+    """Fixed query points with their kernel weights against the training
+    samples of ``model``, and those samples' one-hot labels.
 
-    The block of a whole sequence holds the block of every prefix model: the
-    model fitted on the first B samples has class masses
+    The block of a model holds the block of every prefix model: the model
+    fitted on its first B samples has class masses
     ``weights[:, :B] @ onehot[:B]``, the same product ``class_kernel_mass``
     forms for it. So ``prefix(B)`` serves every budget of an acquisition
-    sequence from one kernel evaluation.
+    sequence from one kernel evaluation and one fit.
     """
 
-    points: np.ndarray  # (n,)
-    weights: np.ndarray  # (n, n_train)
-    onehot: np.ndarray  # (n_train, C)
-    config: ClassifierConfig
+    points: np.ndarray  # (n_points,)
+    weights: np.ndarray  # (n_points, n)
+    onehot: np.ndarray  # (n, C)
+    model: ParzenModel  # fitted on n samples
+
+    def __post_init__(self):
+        n, c = len(self.model.train_x), self.model.config.class_count
+        if self.weights.shape != (len(self.points), n) or self.onehot.shape != (n, c):
+            raise ValidationError(
+                f"kernel weights {self.weights.shape} and one-hot labels {self.onehot.shape} "
+                f"do not fit {len(self.points)} points and a {n}-sample, {c}-class model"
+            )
 
     def __len__(self) -> int:
         return len(self.points)
 
     def prefix(self, budget: int) -> KernelBlock:
-        """The block of the model fitted on the first ``budget`` samples."""
-        return KernelBlock(
-            self.points, self.weights[:, :budget], self.onehot[:budget], self.config
-        )
+        """The block of the model fitted on the first ``budget`` samples. Its
+        model holds views of this model's arrays: nothing is refitted."""
+        m = self.model
+        if not 0 <= budget <= len(m.train_x):
+            raise ValidationError(f"prefix budget must be in 0..{len(m.train_x)}, got {budget}")
+        model = ParzenModel(m.train_x[:budget], m.train_y[:budget], m.config)
+        return KernelBlock(self.points, self.weights[:, :budget], self.onehot[:budget], model)
 
     @cached_property
     def posterior(self) -> np.ndarray:
         """The model's posterior at the points, by ``posterior_from_masses``."""
-        return posterior_from_masses(self.weights @ self.onehot, self.config)
+        return posterior_from_masses(self.weights @ self.onehot, self.model.config)
 
 
-def kernel_block(
-    points: np.ndarray, train_xs: np.ndarray, train_ys: np.ndarray, config: ClassifierConfig
-) -> KernelBlock:
-    """The kernel block of ``points`` against a training sequence."""
+def kernel_block(points: np.ndarray, model: ParzenModel) -> KernelBlock:
+    """The kernel block of ``points`` under ``model``."""
     points = np.asarray(points, dtype=np.float64)
+    c = model.config
     return KernelBlock(
         points,
-        kernel_weights(points, train_xs, config.bandwidth),
-        _onehot(train_ys, config.class_count),
-        config,
+        kernel_weights(points, model.train_x, c.bandwidth),
+        _onehot(model.train_y, c.class_count),
+        model,
     )
 
 
 def prefix_labels(
-    points: np.ndarray,
-    train_xs: np.ndarray,
-    train_ys: np.ndarray,
-    config: ClassifierConfig,
-    budgets: Sequence[int],
+    points: np.ndarray, model: ParzenModel, budgets: Sequence[int]
 ) -> np.ndarray:
     """Predicted class (0-based) of each budget's prefix model at every point,
     shape (len(budgets), len(points)). The points are read in chunks of
-    _CHUNK, each through one ``kernel_block`` against the whole sequence, so
-    memory stays bounded on a long grid."""
+    _CHUNK, each through one ``kernel_block`` under ``model``, so memory
+    stays bounded on a long grid."""
     points = np.asarray(points, dtype=np.float64)
     out = np.empty((len(budgets), len(points)), dtype=np.int64)
     for start in range(0, len(points), _CHUNK):
-        block = kernel_block(points[start : start + _CHUNK], train_xs, train_ys, config)
+        block = kernel_block(points[start : start + _CHUNK], model)
         for row, budget in enumerate(budgets):
             out[row, start : start + _CHUNK] = np.argmax(block.prefix(budget).posterior, axis=1)
     return out

@@ -25,7 +25,9 @@ from alperf.estimators import (
 )
 from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.harness import acquisition_sequence, derive_substream
-from alperf.parzen import ClassifierConfig, accuracy_arrays, fit_arrays, predict_batch
+from alperf.parzen import (
+    ClassifierConfig, accuracy_arrays, fit_arrays, kernel_block, predict_batch,
+)
 from alperf.synthdata import (
     GaussianComponent,
     LabeledSet,
@@ -55,7 +57,7 @@ def _local_stats(labeled, x, bandwidth, count_mode="kernel", class_count=2):
     probabilistic estimator builds from it for a single evaluation point;
     n = alpha + beta - 2."""
     m = _fit(labeled, bandwidth=bandwidth, class_count=class_count)
-    est = probabilistic_performance(m, np.array([x]), count_mode)
+    est = probabilistic_performance(kernel_block(np.array([x]), m), count_mode)
     alpha, beta = est.components[0]
     n = alpha + beta - 2.0
     return n, alpha, beta
@@ -227,7 +229,7 @@ class TestBetaQuantile:
             labeled = _labeled([(x, 1 + int(x > 0)) for x in xs])
             pool = rng.normal(0.0, 2.0, 1000)
             for mode in ("kernel", "hard"):
-                e = probabilistic_performance(_fit(labeled), pool, mode)
+                e = probabilistic_performance(kernel_block(pool, _fit(labeled)), mode)
                 for q in (0.25, 0.5, 0.75):
                     assert abs(e.quantile(q) - self._brentq(e, q)) <= 2e-12
 
@@ -258,9 +260,9 @@ class TestBetaQuantile:
                     spec.task, spec.pool_size,
                     derive_substream(spec.master_seed, (1, s_idx, rep)),
                 )
+                block = kernel_block(pool, fit_arrays(sequence.xs, sequence.ys, spec.classifier))
                 for budget in spec.budgets:
-                    model = fit_arrays(sequence.xs[:budget], sequence.ys[:budget], spec.classifier)
-                    probabilistic_performance(model, pool).summary()
+                    probabilistic_performance(block.prefix(budget)).summary()
                     summaries += 1
         assert summaries == 18
         assert len(calls) / summaries <= 7.2
@@ -311,32 +313,32 @@ class TestGeneralizationError:
     def test_uniform_posteriors_give_half(self):
         m = _fit(NO_LABELS, prior_weight=0.01, class_count=2)
         evaluation = np.array([-2.0, -1.0, 1.0, 2.0])
-        assert generalization_error_estimate(m, evaluation).mean() == 0.5
+        assert generalization_error_estimate(kernel_block(evaluation, m)).mean() == 0.5
 
     def test_uniform_posteriors_c_classes(self):
         for c in (2, 3, 5):
             m = _fit(NO_LABELS, prior_weight=0.01, class_count=c)
             evaluation = np.arange(4, dtype=np.float64)
-            est = generalization_error_estimate(m, evaluation)
+            est = generalization_error_estimate(kernel_block(evaluation, m))
             assert est.mean() == pytest.approx(1.0 / c, abs=1e-15)
 
     def test_fully_confident_model(self):
         m = _fit(_labeled([(0.0, 1)]), prior_weight=0.0)
         evaluation = np.array([-1.0, 0.0, 2.0])
-        assert generalization_error_estimate(m, evaluation).mean() == 1.0
+        assert generalization_error_estimate(kernel_block(evaluation, m)).mean() == 1.0
 
     def test_permutation_invariance_is_exact(self, two_point_model):
         rng = np.random.default_rng(8)
         evaluation = rng.normal(0, 2, 500)
         shuffled = evaluation.copy()
         rng.shuffle(shuffled)
-        a = generalization_error_estimate(two_point_model, evaluation).mean()
-        b = generalization_error_estimate(two_point_model, shuffled).mean()
+        a = generalization_error_estimate(kernel_block(evaluation, two_point_model)).mean()
+        b = generalization_error_estimate(kernel_block(shuffled, two_point_model)).mean()
         assert a == b
 
     def test_empty_evaluation_rejected(self, two_point_model):
         with pytest.raises(ValidationError, match="no evaluation"):
-            generalization_error_estimate(two_point_model, np.array([]))
+            generalization_error_estimate(kernel_block(np.array([]), two_point_model))
 
 
 class TestRandomFolds:
@@ -443,24 +445,15 @@ class TestSelfLabelCV:
         pool = np.linspace(60.0, 70.0, 30)
         base = fit_arrays(labeled.xs, labeled.ys, CFG)
         assert np.all(predict_batch(base, pool) == 1)
-        est = self_label_cv(base, pool, 3, derive_substream(0, (0,)))
+        est = self_label_cv(kernel_block(pool, base), 3, derive_substream(0, (0,)))
         assert 0.0 <= est.mean() <= 1.0
-
-    def test_empty_pool_falls_back_to_plain_cv(self, task):
-        labeled = draw_labeled(task, unbiased_sampler(), 9, derive_substream(1, (0,)))
-        with pytest.warns(UserWarning, match="empty candidate pool"):
-            fallback = self_label_cv(
-                _fit(labeled), np.array([]), 3, derive_substream(1, (1,))
-            )
-        plain = kfold_cv(labeled, 3, CFG, derive_substream(1, (1,)))
-        assert fallback.mean() == plain.mean()
 
     def test_agreeing_self_labels_match_union_cv(self, task):
         # pool at the labeled x values, self-labels agree with the truth,
         # so the estimate equals the subset-restricted CV over the union
         labeled = _labeled([(-2.0, 1), (-1.0, 1), (1.0, 2), (2.0, 2)])
         pool = labeled.xs
-        est = self_label_cv(_fit(labeled), pool, 3, derive_substream(2, (0,)))
+        est = self_label_cv(kernel_block(pool, _fit(labeled)), 3, derive_substream(2, (0,)))
         union_x = np.tile(labeled.xs, 2)
         union_y = np.tile(labeled.ys, 2)
         correct, _ = _fold_predictions(
@@ -476,7 +469,7 @@ class TestSelfLabelCV:
         wins = 0
         for seed in range(50):
             pool = draw_unlabeled(task, 100, derive_substream(seed, (0,)))
-            sl = self_label_cv(m, pool, 3, derive_substream(seed, (1,)))
+            sl = self_label_cv(kernel_block(pool, m), 3, derive_substream(seed, (1,)))
             cv = kfold_cv(labeled, 2, CFG, derive_substream(seed, (2,)))
             wins += sl.mean() >= cv.mean()
         assert wins >= 45
@@ -523,14 +516,14 @@ class TestProbabilisticPerformance:
 
     def test_no_evidence_gives_uniform_mixture(self):
         evaluation = np.arange(5, dtype=np.float64)
-        est = probabilistic_performance(_fit(NO_LABELS), evaluation)
+        est = probabilistic_performance(kernel_block(evaluation, _fit(NO_LABELS)))
         np.testing.assert_allclose(est.components, 1.0)
         assert est.mean() == 0.5
 
     def test_component_matches_local_statistics(self):
         labeled = _labeled([(-0.2, 1), (0.1, 2), (0.15, 2)])
         x = 0.05
-        est = probabilistic_performance(_fit(labeled), np.array([x]))
+        est = probabilistic_performance(kernel_block(np.array([x]), _fit(labeled)))
         # local statistics computed directly from the kernel definition
         w = np.exp(-((x - labeled.xs) ** 2) / (2 * 0.2**2))
         n = w.sum()
@@ -540,7 +533,7 @@ class TestProbabilisticPerformance:
 
     def test_empty_evaluation_rejected(self):
         with pytest.raises(ValidationError, match="no evaluation"):
-            probabilistic_performance(_fit(NO_LABELS), np.array([]))
+            probabilistic_performance(kernel_block(np.array([]), _fit(NO_LABELS)))
 
 
 def _monte_carlo(m, task, seed, n=200_000):
@@ -565,34 +558,37 @@ def _fig6_models():
 
 class TestPoolKernelBlock:
     """The harness passes each budget's prefix of one pool kernel block; the
-    pool estimators must give what they give for the pool's points."""
+    pool estimators must give what they give for the refit model's block."""
 
     def test_estimators_on_a_prefix_block_match_the_points(self, task):
         labeled = draw_labeled(task, unbiased_sampler(), 40, derive_substream(8, (0,)))
         pool = draw_unlabeled(task, 200, derive_substream(8, (1,)))
-        block = parzen.kernel_block(pool, labeled.xs, labeled.ys, CFG)
+        block = kernel_block(pool, _fit(labeled))
         for budget in (5, 23, 40):
-            m = _fit(labeled[:budget])
-            prefix = block.prefix(budget)
+            prefix, refit = block.prefix(budget), kernel_block(pool, _fit(labeled[:budget]))
             assert (
-                generalization_error_estimate(m, prefix).mean()
-                == generalization_error_estimate(m, pool).mean()
+                generalization_error_estimate(prefix).mean()
+                == generalization_error_estimate(refit).mean()
             )
             for mode in ("kernel", "hard"):
                 assert np.array_equal(
-                    probabilistic_performance(m, prefix, mode).components,
-                    probabilistic_performance(m, pool, mode).components,
+                    probabilistic_performance(prefix, mode).components,
+                    probabilistic_performance(refit, mode).components,
                 )
             assert (
-                self_label_cv(m, prefix, 3, derive_substream(8, (2,))).mean()
-                == self_label_cv(m, pool, 3, derive_substream(8, (2,))).mean()
+                self_label_cv(prefix, 3, derive_substream(8, (2,))).mean()
+                == self_label_cv(refit, 3, derive_substream(8, (2,))).mean()
             )
 
-    def test_block_of_another_budget_rejected(self, task):
-        labeled = draw_labeled(task, unbiased_sampler(), 20, derive_substream(8, (0,)))
-        block = parzen.kernel_block(np.array([0.0, 1.0]), labeled.xs, labeled.ys, CFG)
-        with pytest.raises(ValidationError, match="19 training columns, the model 20"):
-            generalization_error_estimate(_fit(labeled), block.prefix(19))
+    @pytest.mark.parametrize("estimate", [
+        generalization_error_estimate,
+        lambda pool: self_label_cv(pool, 3, derive_substream(1, (1,))),
+        probabilistic_performance,
+    ], ids=["generalization-error", "self-label-cv", "probabilistic"])
+    def test_empty_block_rejected(self, estimate):
+        model = _fit(_labeled([(-1.0, 1), (0.0, 1), (1.0, 2)]))
+        with pytest.raises(ValidationError, match="no evaluation instances"):
+            estimate(kernel_block(np.array([]), model))
 
 
 class TestTrueBaseline:
@@ -607,9 +603,8 @@ class TestTrueBaseline:
         budgets = tuple(range(1, 51))
         for s_idx in range(3):
             sequence = acquisition_sequence(spec, s_idx, 0)
-            labels = parzen.prefix_labels(
-                grid, sequence.xs, sequence.ys, spec.classifier, budgets
-            )
+            whole = fit_arrays(sequence.xs, sequence.ys, spec.classifier)
+            labels = parzen.prefix_labels(grid, whole, budgets)
             for budget, row in zip(budgets, labels):
                 m = fit_arrays(sequence.xs[:budget], sequence.ys[:budget], spec.classifier)
                 # The refit model's rule read on the grid through posterior_batch.
@@ -748,12 +743,13 @@ class TestDeterminism:
         labeled = draw_labeled(task, unbiased_sampler(), 20, derive_substream(5, (0,)))
         pool = draw_unlabeled(task, 60, derive_substream(5, (1,)))
         m = fit_arrays(labeled.xs, labeled.ys, CFG)
+        block = kernel_block(pool, m)
         runs = {
-            "generalization-error": lambda r: generalization_error_estimate(m, pool),
+            "generalization-error": lambda r: generalization_error_estimate(block),
             "kfold": lambda r: kfold_cv(labeled, 3, CFG, r),
             "reweighted": lambda r: kfold_cv(labeled, 3, CFG, r, reweighted=True),
-            "self-label": lambda r: self_label_cv(m, pool, 3, r),
-            "probabilistic": lambda r: probabilistic_performance(m, pool),
+            "self-label": lambda r: self_label_cv(block, 3, r),
+            "probabilistic": lambda r: probabilistic_performance(block),
             "subsample": lambda r: subsample_baseline(true_baseline(m, task), 10, 50, r),
         }
         for name, run in runs.items():

@@ -436,9 +436,10 @@ class TestEstimatorComparison:
         assert keys == sorted(keys)
 
     def test_one_unit_fits_each_model_once(self, monkeypatch):
-        # Per budget: the unit's model, plus k fold models per CV estimator.
-        # Self-label CV labels the pool with the unit's model, so it adds no
-        # refit of its own.
+        # The acquisition sequence once, whose pool block's prefixes hold
+        # every budget's model, then per budget k fold models per CV
+        # estimator. Self-label CV labels the pool with the prefix model, so
+        # it adds no refit of its own.
         spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
         cv_folds = [
             e.k for e in spec.estimators if "k" in harness.ESTIMATOR_TABLE[e.name].reads
@@ -453,7 +454,7 @@ class TestEstimatorComparison:
 
         monkeypatch.setattr(parzen, "fit_arrays", counting)
         harness._comparison_unit(spec, None, (0, 0))
-        assert len(fits) == len(spec.budgets) * (1 + sum(cv_folds))
+        assert len(fits) == 1 + len(spec.budgets) * sum(cv_folds) == 28
 
     def test_one_unit_derives_streams_only_for_drawing_estimators(self, monkeypatch):
         # The acquisition sequence and the pool, then one stream per budget

@@ -11,6 +11,7 @@ from alperf.errors import ValidationError
 from alperf.harness import acquisition_sequence, derive_substream
 from alperf.parzen import (
     ClassifierConfig,
+    KernelBlock,
     accuracy_arrays,
     class_kernel_mass,
     fit_arrays,
@@ -267,16 +268,21 @@ class TestKernelBlock:
     @pytest.mark.parametrize("source", [_fig6_sequences, _random_sequences])
     def test_every_prefix_equals_the_refit_model_bit_for_bit(self, source):
         for xs, ys, pool, config in source():
-            block = kernel_block(pool, xs, ys, config)
+            block = kernel_block(pool, fit_arrays(xs, ys, config))
             # Budget 0 has no kernel mass at all: with prior_weight 0 every
             # row is degenerate, and both paths must warn and go uniform.
             for budget in range(len(xs) + 1):
                 refit = fit_arrays(xs[:budget], ys[:budget], config)
                 prefix = block.prefix(budget)
+                # The prefix model is the refit, read from views of the block's.
+                assert np.array_equal(prefix.model.train_x, refit.train_x)
+                assert np.array_equal(prefix.model.train_y, refit.train_y)
+                assert prefix.model.config == refit.config
                 expected, warned = _with_warnings(lambda: posterior_batch(refit, pool))
-                got, warned_prefix = _with_warnings(lambda: prefix.posterior)
-                assert np.array_equal(got, expected)
-                assert warned_prefix == warned
+                for read in (lambda: posterior_batch(prefix.model, pool), lambda: prefix.posterior):
+                    got, warned_prefix = _with_warnings(read)
+                    assert np.array_equal(got, expected)
+                    assert warned_prefix == warned
                 labels, _ = _with_warnings(lambda: predict_batch(refit, pool))
                 assert np.array_equal(np.argmax(prefix.posterior, axis=1) + 1, labels)
                 assert np.array_equal(
@@ -286,7 +292,8 @@ class TestKernelBlock:
 
     def test_degenerate_rows_are_uniform_and_flagged(self):
         config = ClassifierConfig(bandwidth=0.2, prior_weight=0.0)
-        block = kernel_block(np.array([-1.0, 3.0]), np.array([0.0]), np.array([2]), config)
+        model = fit_arrays(np.array([0.0]), np.array([2]), config)
+        block = kernel_block(np.array([-1.0, 3.0]), model)
         with pytest.warns(UserWarning, match="degenerate posterior at 2 query"):
             post = block.prefix(0).posterior
         np.testing.assert_array_equal(post, 0.5)
@@ -297,8 +304,31 @@ class TestKernelBlock:
         config = ClassifierConfig(bandwidth=0.25, prior_weight=0.01, class_count=3)
         xs, ys, points = rng.normal(0, 2, 30), rng.integers(1, 4, 30), np.linspace(-6, 6, 101)
         budgets = (1, 5, 17, 30)
-        labels = prefix_labels(points, xs, ys, config, budgets)
+        labels = prefix_labels(points, fit_arrays(xs, ys, config), budgets)
         assert labels.shape == (len(budgets), len(points))
         for row, budget in zip(labels, budgets):
             refit = fit_arrays(xs[:budget], ys[:budget], config)
             assert np.array_equal(row, np.argmax(posterior_batch(refit, points), axis=1))
+
+    def test_prefix_budget_outside_0_to_n_rejected(self):
+        model = fit_arrays(np.array([-1.0, 0.5, 2.0]), np.array([1, 2, 2]))
+        block = kernel_block(np.array([0.0, 1.0]), model)
+        for budget in (-1, 4):
+            with pytest.raises(ValidationError, match=r"prefix budget must be in 0\.\.3, got "):
+                block.prefix(budget)
+        assert block.prefix(0).weights.shape == (2, 0) and len(block.prefix(0).model.train_x) == 0
+        assert np.array_equal(block.prefix(3).weights, block.weights)
+
+    def test_block_that_disagrees_with_its_model_rejected(self):
+        points = np.array([0.0, 1.0])
+        block = kernel_block(points, fit_arrays(np.array([-1.0, 0.5, 2.0]), np.array([1, 2, 2])))
+        two = block.prefix(2)
+        for weights, onehot, model in (
+            (block.weights, two.onehot, two.model),  # weights of 3 samples
+            (two.weights, block.onehot, two.model),  # one-hot rows of 3 samples
+            (two.weights, two.onehot, block.model),  # a model of 3 samples
+            (two.weights[:1], two.onehot, two.model),  # weights of 1 point
+            (two.weights, two.onehot[:, :1], two.model),  # one-hot of 1 class
+        ):
+            with pytest.raises(ValidationError, match="do not fit 2 points and a"):
+                KernelBlock(points, weights, onehot, model)
