@@ -16,14 +16,13 @@ from .synthdata import (
     default_task,
     draw_labeled,
     draw_unlabeled,
-    sampling_density_batch,
     unbiased_sampler,
 )
 from .parzen import (
     ClassifierConfig,
     ParzenModel,
-    accuracy_arrays,
     fit_arrays,
+    kernel_block,
     posterior_batch,
     predict_batch,
 )
@@ -44,7 +43,7 @@ from .harness import (
     run_experiment,
 )
 from .reporting import summarize
-from .config import parse_config, resolve_config
+from .config import resolve_config
 
 # The public API is every name imported above.
 __all__ = [

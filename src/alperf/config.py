@@ -397,8 +397,3 @@ def resolve_config(text: str) -> ResolvedConfig:
     return ResolvedConfig(
         spec=spec, document=document, defaults_applied=tuple(applied)
     )
-
-
-def parse_config(text: str) -> ExperimentSpec:
-    """Parse and validate a JSON configuration into an ExperimentSpec."""
-    return resolve_config(text).spec

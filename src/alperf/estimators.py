@@ -414,8 +414,6 @@ def self_label_cv(pool: KernelBlock, k: int, rng: np.random.Generator) -> Perfor
     n = len(m.train_x)
     if n == 0:
         raise ValidationError("no labeled instances")
-    if k < 2:
-        raise ValidationError(f"fold count must be >= 2, got {k}")
     union_xs = np.concatenate([m.train_x, pool.points])
     union_ys = np.concatenate([m.train_y, np.argmax(pool.posterior, axis=1) + 1])
     correct, _ = _fold_predictions(union_xs, union_ys, k, m.config, rng, train_size=n)

@@ -114,8 +114,6 @@ def class_kernel_mass(
 ) -> np.ndarray:
     """Per-class kernel mass at each query point, shape (n_query, C)."""
     nq = len(query_xs)
-    if len(train_xs) == 0:
-        return np.zeros((nq, class_count))
     onehot = _onehot(train_ys, class_count)
     out = np.empty((nq, class_count))
     for start in range(0, nq, _CHUNK):
@@ -233,11 +231,3 @@ def prefix_labels(
 def predict_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
     """Most probable class per query; ties break toward the smallest index."""
     return np.argmax(posterior_batch(m, xs), axis=1) + 1
-
-
-def accuracy_arrays(m: ParzenModel, xs: np.ndarray, ys: np.ndarray) -> float:
-    """Fraction of correct predictions."""
-    if len(xs) == 0:
-        raise ValidationError("no evaluation instances")
-    return float((predict_batch(m, xs) == np.asarray(ys)).mean())
-

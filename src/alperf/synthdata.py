@@ -306,13 +306,6 @@ def bayes_posterior_batch(model: TaskModel, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def sampling_density_batch(
-    s: SamplingDistribution, model: TaskModel, xs: np.ndarray
-) -> np.ndarray:
-    """The acquisition density q(x) at each x."""
-    return s.mixture(model).density(xs)
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------

@@ -1,10 +1,32 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import alperf
 from alperf import __version__
 from alperf.cli import cli_main
+
+# Every public name: the specs and data types, one call per computation, and
+# the kernel-block constructor the pool estimators need.
+PUBLIC_NAMES = {
+    "ValidationError",
+    "GaussianComponent", "LabeledSet", "SamplingDistribution", "TaskModel",
+    "bayes_accuracy", "bayes_posterior_batch", "default_task", "draw_labeled",
+    "draw_unlabeled", "unbiased_sampler",
+    "ClassifierConfig", "ParzenModel", "fit_arrays", "kernel_block",
+    "posterior_batch", "predict_batch",
+    "PerformanceEstimate", "generalization_error_estimate", "kfold_cv",
+    "probabilistic_performance", "self_label_cv", "subsample_baseline",
+    "true_baseline",
+    "EstimatorSpec", "ExperimentSpec", "RunRecord", "derive_substream",
+    "run_experiment",
+    "summarize", "resolve_config",
+}
 
 TINY_CONFIG = {
     "scenario": "estimator-comparison",
@@ -29,12 +51,28 @@ def _csv_without_wall(path):
 
 
 def test_package_exports_its_imported_names():
-    import alperf
-
-    assert "run_experiment" in alperf.__all__ and "RunRecord" in alperf.__all__
-    assert "harness" not in alperf.__all__ and "synthdata" not in alperf.__all__
+    assert set(alperf.__all__) == PUBLIC_NAMES
     assert all(hasattr(alperf, name) for name in alperf.__all__)
-    assert len(alperf.__all__) == 33
+
+
+def _python_m_cli(*argv):
+    env = dict(os.environ)
+    src = str(Path(alperf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "alperf.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_python_m_runs_the_cli(capsys):
+    proc = _python_m_cli("scenarios", "fig3")
+    assert proc.returncode == 0, proc.stderr
+    assert cli_main(["scenarios", "fig3"]) == 0
+    assert proc.stdout == capsys.readouterr().out != ""
+    unknown = _python_m_cli("scenarios", "fig9")
+    assert unknown.returncode == 1
+    assert "unknown scenario 'fig9'" in unknown.stderr
 
 
 class TestScenarios:

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from alperf import parzen
-from alperf.config import BUILTIN_SCENARIOS, parse_config, resolve_config
+from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.errors import ValidationError
 from alperf.harness import SCENARIOS, EstimatorSpec, ExperimentSpec
 from alperf.parzen import ClassifierConfig
@@ -66,7 +66,7 @@ class TestDefaults:
             )
 
     def test_default_task_shape(self):
-        spec = parse_config('{"scenario": "estimator-comparison"}')
+        spec = resolve_config('{"scenario": "estimator-comparison"}').spec
         assert spec.task.class_priors == (0.5, 0.5)
         means = [c[0].mean for c in spec.task.class_components]
         assert means == [-1.5, 1.5]
@@ -126,15 +126,15 @@ class TestDefaults:
 class TestValidation:
     def test_malformed_json_reports_position(self):
         with pytest.raises(ValidationError, match=r"line 1, column"):
-            parse_config("{nope}")
+            resolve_config("{nope}")
 
     def test_scenario_required(self):
         with pytest.raises(ValidationError, match="scenario"):
-            parse_config("{}")
+            resolve_config("{}")
 
     def test_unknown_scenario(self):
         with pytest.raises(ValidationError, match="scenario must be one of"):
-            parse_config('{"scenario": "grid-search"}')
+            resolve_config('{"scenario": "grid-search"}')
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown configuration key"):

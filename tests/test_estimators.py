@@ -26,7 +26,7 @@ from alperf.estimators import (
 from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.harness import acquisition_sequence, derive_substream
 from alperf.parzen import (
-    ClassifierConfig, accuracy_arrays, fit_arrays, kernel_block, predict_batch,
+    ClassifierConfig, fit_arrays, kernel_block, predict_batch,
 )
 from alperf.synthdata import (
     GaussianComponent,
@@ -474,6 +474,15 @@ class TestSelfLabelCV:
             wins += sl.mean() >= cv.mean()
         assert wins >= 45
 
+    def test_single_fold_rejected_before_any_draw(self):
+        labeled = _labeled([(-2.0, 1), (-1.0, 1), (1.0, 2), (2.0, 2)])
+        block = kernel_block(np.linspace(-3.0, 3.0, 7), _fit(labeled))
+        rng = derive_substream(5, (0,))
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=r"fold count must be >= 2, got 1$"):
+            self_label_cv(block, 1, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestLocalLabelStatistics:
     # Local statistics (n, p_hat) enter the estimate as the Beta component
@@ -540,7 +549,7 @@ def _monte_carlo(m, task, seed, n=200_000):
     """Accuracy on n fresh oracle draws: an oracle independent of the exact
     integrator, with its own standard error."""
     xs, ys = draw_oracle_arrays(task, n, derive_substream(seed, (77,)))
-    a = accuracy_arrays(m, xs, ys)
+    a = float((predict_batch(m, xs) == ys).mean())
     return a, math.sqrt(a * (1.0 - a) / n)
 
 

@@ -12,7 +12,6 @@ from alperf.harness import acquisition_sequence, derive_substream
 from alperf.parzen import (
     ClassifierConfig,
     KernelBlock,
-    accuracy_arrays,
     class_kernel_mass,
     fit_arrays,
     kernel_block,
@@ -188,6 +187,13 @@ class TestPosterior:
         total = sum(math.exp(-((0.3 - x) ** 2) / (2 * 0.2**2)) for x in (-1.0, 1.0))
         assert total == pytest.approx(per_class.sum(), abs=1e-12)
 
+    def test_no_training_samples_give_exact_zero_masses(self):
+        # an (n, 0) kernel matrix times a (0, C) one-hot matrix, chunk by chunk
+        m = fit_arrays(*_EMPTY, ClassifierConfig(class_count=3))
+        for n in (0, 5, parzen._CHUNK + 3):
+            xs = np.linspace(-4.0, 4.0, n)
+            assert np.array_equal(_masses(m, xs), np.zeros((n, 3)))
+
 
 class TestPredict:
     def test_nearest_evidence_wins(self, two_point_model):
@@ -212,11 +218,8 @@ class TestPredict:
 class TestAccuracy:
     def test_always_right(self, two_point_model):
         evaluation = _arrays([(-1.2, 1), (-0.3, 1), (0.4, 2), (2.0, 2)])
-        assert accuracy_arrays(two_point_model, *evaluation) == 1.0
-
-    def test_empty_evaluation_rejected(self, two_point_model):
-        with pytest.raises(ValidationError, match="no evaluation instances"):
-            accuracy_arrays(two_point_model, *_EMPTY)
+        xs, ys = evaluation
+        assert (predict_batch(two_point_model, xs) == ys).mean() == 1.0
 
 
 class TestTrainedModelQuality:

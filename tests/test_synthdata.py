@@ -21,7 +21,6 @@ from alperf.synthdata import (
     default_task,
     draw_labeled,
     draw_unlabeled,
-    sampling_density_batch,
     unbiased_sampler,
 )
 
@@ -36,7 +35,7 @@ def _post(task, x):
 
 
 def _q(s, task, x):
-    return sampling_density_batch(s, task, np.array([x]))[0]
+    return s.mixture(task).density(np.array([x]))[0]
 
 
 def _npdf(x, mean, std):
@@ -211,8 +210,8 @@ class TestSamplingDensity:
             s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=d)
             xs = rng.uniform(-6, 6, 200)
             np.testing.assert_allclose(
-                sampling_density_batch(s, task, xs),
-                sampling_density_batch(s, task, -xs),
+                s.mixture(task).density(xs),
+                s.mixture(task).density(-xs),
                 rtol=1e-12,
             )
 
@@ -308,7 +307,7 @@ class TestMixture:
     @pytest.mark.parametrize("s", _PINNED_SAMPLERS, ids=lambda s: s.label())
     def test_density_equals_explicit_formula(self, task, s):
         xs = np.linspace(-6.0, 6.0, 241)
-        assert np.array_equal(sampling_density_batch(s, task, xs), _explicit_q(s, xs))
+        assert np.array_equal(s.mixture(task).density(xs), _explicit_q(s, xs))
 
     @pytest.mark.parametrize("s", _PINNED_SAMPLERS, ids=lambda s: s.label())
     def test_draws_equal_explicit_formula(self, task, s):
@@ -367,7 +366,7 @@ class TestDraws:
         s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.5)
         samples = draw_labeled(task, s, 50, derive_substream(2, (0,)))
         np.testing.assert_allclose(
-            samples.qs, sampling_density_batch(s, task, samples.xs), rtol=1e-12, atol=0
+            samples.qs, s.mixture(task).density(samples.xs), rtol=1e-12, atol=0
         )
 
     def test_marginal_moments(self, task):
@@ -532,7 +531,7 @@ class TestBayesAccuracy:
     def test_marginal_density_consistency(self, task):
         # The unbiased sampler's q is the data marginal, sum_y prior(y) p(x|y).
         xs = np.linspace(-4, 4, 9)
-        direct = sampling_density_batch(unbiased_sampler(), task, xs)
+        direct = unbiased_sampler().mixture(task).density(xs)
         explicit = [
             sum(
                 prior * comp.weight * _npdf(x, comp.mean, comp.std)
