@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -8,9 +9,11 @@ from scipy import optimize, stats
 from alperf import parzen, synthdata
 from alperf.errors import ValidationError
 from alperf.estimators import (
+    _QUADRATURE_NODES,
     PerformanceEstimate,
     _accuracy_from_posteriors,
     _fold_predictions,
+    _gauss_legendre,
     beta_components_from_stats,
     generalization_error_estimate,
     kfold_cv,
@@ -209,6 +212,36 @@ _BETA_BATTERY = {
 }
 
 
+def _fig6_mixtures():
+    """The Beta mixtures of shipped fig6's first units: 3 samplers x 2
+    repetitions x budgets 10/30/50."""
+    spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
+    for s_idx in range(3):
+        for rep in range(2):
+            sequence = acquisition_sequence(spec, s_idx, rep)
+            pool = draw_unlabeled(
+                spec.task, spec.pool_size,
+                derive_substream(spec.master_seed, (1, s_idx, rep)),
+            )
+            block = kernel_block(pool, fit_arrays(sequence.xs, sequence.ys, spec.classifier))
+            for budget in spec.budgets:
+                yield probabilistic_performance(block.prefix(budget))
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``PerformanceEstimate.<name>``; returns the list its calls'
+    first arguments are appended to."""
+    calls = []
+    method = getattr(PerformanceEstimate, name)
+
+    def counting(self, t, *args):
+        calls.append(t)
+        return method(self, t, *args)
+
+    monkeypatch.setattr(PerformanceEstimate, name, counting)
+    return calls
+
+
 class TestBetaQuantile:
     @staticmethod
     def _brentq(e, q):
@@ -242,46 +275,109 @@ class TestBetaQuantile:
             assert PerformanceEstimate.beta_mixture(a, b).quantile(q) == summary[key]
 
     def test_fig6_summaries_average_few_cdf_calls(self, monkeypatch):
-        # The quartile solves start inside the median solve's brackets.
-        calls = []
-        cdf = PerformanceEstimate.cdf
-
-        def counting(self, t):
-            calls.append(t)
-            return cdf(self, t)
-
-        monkeypatch.setattr(PerformanceEstimate, "cdf", counting)
-        spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
+        # The quartile solves start inside the median solve's brackets, and
+        # only a solve's first evaluation must call cdf.
+        calls = _count_calls(monkeypatch, "cdf")
         summaries = 0
-        for s_idx in range(3):
-            for rep in range(2):
-                sequence = acquisition_sequence(spec, s_idx, rep)
-                pool = draw_unlabeled(
-                    spec.task, spec.pool_size,
-                    derive_substream(spec.master_seed, (1, s_idx, rep)),
-                )
-                block = kernel_block(pool, fit_arrays(sequence.xs, sequence.ys, spec.classifier))
-                for budget in spec.budgets:
-                    probabilistic_performance(block.prefix(budget)).summary()
-                    summaries += 1
+        for e in _fig6_mixtures():
+            e.summary()
+            summaries += 1
         assert summaries == 18
-        assert len(calls) / summaries <= 7.2
+        assert len(calls) / summaries <= 2.0
 
     def test_solves_through_cdf_in_few_evaluations(self, monkeypatch):
-        e = PerformanceEstimate.beta_mixture(np.array([5.0, 2.0]), np.array([2.0, 2.0]))
-        expected = e.quantile(0.3)
-        calls = []
-        cdf = PerformanceEstimate.cdf
+        # After the median, a solve on a mixture of bounded densities takes
+        # F by quadrature alone; one with an unbounded density (alpha < 1)
+        # still solves through cdf. Both equal the bare quantile.
+        for alphas, min_calls, max_calls in (([5.0, 2.0], 0, 0), ([0.5, 2.0], 1, 4)):
+            a, b = np.array(alphas), np.array([2.0, 2.0])
+            expected = PerformanceEstimate.beta_mixture(a, b).quantile(0.3)
+            e = PerformanceEstimate.beta_mixture(a, b)
+            e.median()
+            calls = _count_calls(monkeypatch, "cdf")
+            assert e.quantile(0.3) == expected
+            assert min_calls <= len(calls) <= max_calls
+            assert all(0.0 < t < 1.0 for t in calls)
+            monkeypatch.undo()
 
-        def counting(self, t):
-            calls.append(t)
-            return cdf(self, t)
+    def test_plateau_of_near_zero_density_is_bisected(self, monkeypatch):
+        # bimodal-peaked's q25 solve starts on the F = 0.5 plateau, where
+        # the density is about 1e-120 and each Halley step moves ~0.0015.
+        alphas, betas = _BETA_BATTERY["bimodal-peaked"]
+        e = PerformanceEstimate.beta_mixture(np.array(alphas), np.array(betas))
+        evaluations = _count_calls(monkeypatch, "_evaluate")
+        for q in (0.5, 0.01, 0.25, 0.75, 0.99):
+            evaluations.clear()
+            e.quantile(q)
+            assert len(evaluations) <= 20, q
 
-        monkeypatch.setattr(PerformanceEstimate, "cdf", counting)
-        assert e.quantile(0.3) == expected
-        assert 1 <= len(calls) <= 4
-        assert all(0.0 < t < 1.0 for t in calls)
+    @pytest.mark.parametrize("n", [n for _, n in _QUADRATURE_NODES])
+    def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1(self, n):
+        nodes, weights = _gauss_legendre(n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(weights @ nodes**k - exact) <= 2e-15, k
 
+    def test_quadrature_at_each_reach_bound(self, monkeypatch):
+        # A hop whose reach sits at a node count's bound, on single
+        # components, upward from several points: the rule is used and is
+        # within 1e-14 of cdf.
+        for (alpha, beta), t0 in itertools.product(
+            [(1.0, 1.0), (2.0, 30.0), (31.0, 1.0), (16.0, 16.0), (1.5, 1.0)],
+            [0.02, 0.3, 0.5, 0.7, 0.95],
+        ):
+            e = PerformanceEstimate.beta_mixture(np.array([alpha]), np.array([beta]))
+            base = e._evaluate(t0)
+
+            def reach(hop):
+                return alpha * math.log1p(hop / t0) + beta * math.log1p(hop / (1.0 - t0 - hop))
+
+            for bound, _ in _QUADRATURE_NODES:
+                lo, hi = 0.0, min(t0, (1.0 - t0) / 2.0)
+                if reach(hi) <= bound:
+                    continue
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if reach(mid) <= bound else (lo, mid)
+                t = t0 + lo * (1.0 - 1e-9)  # inside the bound despite rounding
+                calls = _count_calls(monkeypatch, "cdf")
+                value = e._cdf_from(base, t)
+                monkeypatch.undo()
+                assert not calls
+                assert abs(value - e.cdf(t)) <= 1e-14, (alpha, beta, t0, bound)
+
+    def test_quadrature_cdf_matches_betainc(self, monkeypatch):
+        # Every F a solve takes from the evaluation before it, by quadrature
+        # or through cdf, is within 1e-14 of cdf at the same point.
+        cdf, cdf_from = PerformanceEstimate.cdf, PerformanceEstimate._cdf_from
+        hops, errors = [], []
+
+        def checked(self, base, t):
+            value = cdf_from(self, base, t)
+            hops.append(t)
+            errors.append(abs(value - cdf(self, t)))
+            return value
+
+        rng = np.random.default_rng(18)
+        mixtures = [(np.array(a), np.array(b)) for a, b in _BETA_BATTERY.values()]
+        for _ in range(200):
+            k = int(rng.integers(1, 300))
+            scale_a, scale_b = rng.choice([0.3, 1.0, 3.0, 10.0], 2)
+            a = 1.0 + rng.exponential(scale_a, k) * (rng.random(k) < 0.8)
+            b = 1.0 + rng.exponential(scale_b, k) * (rng.random(k) < 0.8)
+            mixtures.append((a, b))
+        estimates = [PerformanceEstimate.beta_mixture(a, b) for a, b in mixtures]
+        estimates += list(_fig6_mixtures())
+        monkeypatch.setattr(PerformanceEstimate, "_cdf_from", checked)
+        cdf_calls = _count_calls(monkeypatch, "cdf")
+        for e in estimates:
+            e.summary()
+            e.quantile(0.01), e.quantile(0.99)
+        assert max(errors) <= 1e-14
+        # cdf was called for each median solve's first evaluation and for
+        # each hop the rule left to it; the rest were integrated.
+        quadrature_hops = len(hops) + len(estimates) - len(cdf_calls)
+        assert quadrature_hops >= len(hops) / 3
 
     def test_step_below_float_resolution_ends_the_solve(self, monkeypatch):
         # alpha-1e5's q75 solve reaches a Halley step that rounds away at t;
@@ -543,6 +639,12 @@ class TestProbabilisticPerformance:
     def test_empty_evaluation_rejected(self):
         with pytest.raises(ValidationError, match="no evaluation"):
             probabilistic_performance(kernel_block(np.array([]), _fit(NO_LABELS)))
+
+    def test_every_beta_at_least_one(self):
+        # Where nearly all kernel mass is class 2, its sum can exceed the
+        # total by rounding; p_hat is clamped, so no beta falls below 1.
+        for e in _fig6_mixtures():
+            assert e.components.min() >= 1.0
 
 
 def _monte_carlo(m, task, seed, n=200_000):
