@@ -273,19 +273,13 @@ def _build_estimator(obj, field: str) -> EstimatorSpec:
     kwargs = {}
     if "k" in params:
         kwargs["k"] = _as_int(params["k"], f"{field}.params.k")
-    if "weight_cap" in params and params["weight_cap"] is not None:
-        kwargs["weight_cap"] = _as_number(
-            params["weight_cap"], f"{field}.params.weight_cap"
-        )
-    if "count_mode" in params:
-        kwargs["count_mode"] = params["count_mode"]
     with _at(field):
         return EstimatorSpec(name=name, **kwargs)
 
 
 def _estimator_document(e: EstimatorSpec) -> dict:
-    values = {f: getattr(e, f) for f in harness.ESTIMATOR_TABLE[e.name].reads}
-    return {"name": e.name, "params": {f: v for f, v in values.items() if v is not None}}
+    params = {f: getattr(e, f) for f in harness.ESTIMATOR_TABLE[e.name].reads}
+    return {"name": e.name, "params": params}
 
 
 def resolve_config(text: str) -> ResolvedConfig:

@@ -28,9 +28,6 @@ from .errors import ValidationError
 from .parzen import ClassifierConfig, KernelBlock, ParzenModel
 from .synthdata import LabeledSet, TaskModel
 
-KERNEL_COUNT = "kernel"
-HARD_COUNT = "hard"
-
 # Beta-mixture quantiles: bracket width at which the solve stops, and the
 # Halley step, relative to the local length scale min(1, 1/density,
 # density/|slope|), below which the next iterate is returned.
@@ -449,18 +446,13 @@ def kfold_cv_detail(
     config: ClassifierConfig,
     rng: np.random.Generator,
     reweighted: bool = False,
-    weight_cap: float | None = None,
 ) -> KFoldDetail:
     if len(labeled) == 0:
         raise ValidationError("no labeled instances")
-    if weight_cap is not None and not weight_cap > 0.0:
-        raise ValidationError(f"weight_cap must be > 0, got {weight_cap}")
     correct, models = _fold_predictions(labeled.xs, labeled.ys, k, config, rng)
     acc = float(correct.mean())
     if reweighted:
         w = 1.0 / labeled.qs
-        if weight_cap is not None:
-            w = np.minimum(w, weight_cap)
         # Constant weights give the unweighted mean by identity; keeping that
         # value, not the weighted sum, makes the equality exact.
         if np.ptp(w) != 0.0:
@@ -474,7 +466,6 @@ def kfold_cv(
     config: ClassifierConfig,
     rng: np.random.Generator,
     reweighted: bool = False,
-    weight_cap: float | None = None,
 ) -> PerformanceEstimate:
     """k-fold cross-validation accuracy over the labeled set.
 
@@ -484,7 +475,7 @@ def kfold_cv(
     estimate toward the data-generating distribution.
     """
     # reweighted stays the 5th positional argument: tracing names the span by it.
-    return kfold_cv_detail(labeled, k, config, rng, reweighted, weight_cap).estimate
+    return kfold_cv_detail(labeled, k, config, rng, reweighted).estimate
 
 
 def self_label_cv(pool: KernelBlock, k: int, rng: np.random.Generator) -> PerformanceEstimate:
@@ -525,30 +516,20 @@ def beta_components_from_stats(
     return 1.0 + majority, 1.0 + minority
 
 
-def probabilistic_performance(
-    pool: KernelBlock, count_mode: str = KERNEL_COUNT
-) -> PerformanceEstimate:
+def probabilistic_performance(pool: KernelBlock) -> PerformanceEstimate:
     """Accuracy as an equal-prior mixture of per-instance Beta distributions.
 
     Each pool point contributes one Beta component derived from the local
     statistics of the two-class labels ``pool.model`` was fitted on: the
-    nearby-label count n and the local class-2 fraction p_hat. The count is
-    a soft kernel mass (the block's weights) by default; ``count_mode="hard"``
-    switches to counting instances within one bandwidth. With no mass
-    p_hat defaults to 1/2, so instances with no nearby labels contribute
-    the uniform Beta(1, 1).
+    nearby-label count n, a soft kernel mass (the block's weights), and the
+    local class-2 fraction p_hat. With no mass p_hat defaults to 1/2, so
+    instances with no nearby labels contribute the uniform Beta(1, 1).
     """
     if len(pool) == 0:
         raise ValidationError("no evaluation instances")
-    if count_mode not in (KERNEL_COUNT, HARD_COUNT):
-        raise ValidationError(f"unknown count mode {count_mode!r}")
-    xs, ys, bandwidth = pool.model.train_x, pool.model.train_y, pool.model.config.bandwidth
+    ys, weights = pool.model.train_y, pool.weights
     if np.any((ys < 1) | (ys > 2)):
         raise ValidationError("local label statistics are defined for 2 classes only")
-    if count_mode == KERNEL_COUNT:
-        weights = pool.weights
-    else:
-        weights = (np.abs(pool.points[:, None] - xs[None, :]) <= bandwidth).astype(np.float64)
     total = weights.sum(axis=1)
     class2 = weights[:, ys == 2].sum(axis=1)
     p_hat = np.where(total > 0.0, class2 / np.where(total > 0.0, total, 1.0), 0.5)

@@ -60,7 +60,7 @@ class EstimatorEntry(NamedTuple):
     """What the harness knows about one estimator."""
 
     reads: tuple[str, ...]  # the EstimatorSpec fields it reads
-    id_template: str  # record id, formatted with k and the count-mode and cap tags
+    id_template: str  # record id, formatted with k
     run: Callable  # run(spec, espec, labeled, pool, budget, truth, rng)
     draws: bool  # whether run reads rng; one that does not is passed None
 
@@ -81,10 +81,9 @@ ESTIMATOR_TABLE = {
         True,
     ),
     REWEIGHTED_CV: EstimatorEntry(
-        ("k", "weight_cap"), "reweighted-cv-{k}fold{cap}",
-        lambda spec, e, labeled, pool, budget, truth, rng: estimators.kfold_cv(
-            labeled, e.k, spec.classifier, rng, reweighted=True, weight_cap=e.weight_cap
-        ),
+        ("k",), "reweighted-cv-{k}fold",
+        lambda spec, e, labeled, pool, budget, truth, rng:
+            estimators.kfold_cv(labeled, e.k, spec.classifier, rng, reweighted=True),
         True,
     ),
     SELF_LABEL_CV: EstimatorEntry(
@@ -94,9 +93,9 @@ ESTIMATOR_TABLE = {
         True,
     ),
     PROBABILISTIC: EstimatorEntry(
-        ("count_mode",), "probabilistic{count_mode}",
+        (), "probabilistic",
         lambda spec, e, labeled, pool, budget, truth, rng:
-            estimators.probabilistic_performance(pool, e.count_mode),
+            estimators.probabilistic_performance(pool),
         False,
     ),
     SUBSAMPLE_BASELINE: EstimatorEntry(
@@ -106,8 +105,6 @@ ESTIMATOR_TABLE = {
         True,
     ),
 }
-# How each count mode appears in a record id.
-_COUNT_MODE_ID = {estimators.KERNEL_COUNT: "", estimators.HARD_COUNT: "-hard"}
 
 
 def _words(n: int) -> list[int]:
@@ -134,7 +131,7 @@ def derive_substream(master_seed: int, path: Sequence[int]) -> np.random.Generat
     """
     if master_seed < 0:
         raise ValidationError(f"master_seed must be >= 0, got {master_seed}")
-    key = tuple(map(int, path))
+    key = tuple(map(operator.index, path))
     if key and min(key) < 0:
         raise ValidationError(f"substream path entries must be >= 0, got {key}")
     entropy = _words(operator.index(master_seed))
@@ -151,42 +148,34 @@ def derive_substream(master_seed: int, path: Sequence[int]) -> np.random.Generat
 # ---------------------------------------------------------------------------
 
 
+def _integer(value, field: str) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """One estimator to run, with its parameters."""
+    """One estimator to run: its name and, for the CV estimators, the fold count."""
 
     name: str
     k: int = 3
-    weight_cap: float | None = None
-    count_mode: str = estimators.KERNEL_COUNT
 
     def __post_init__(self):
         if self.name not in ESTIMATOR_TABLE:
             raise ValidationError(f"unknown estimator {self.name!r}")
+        object.__setattr__(self, "k", _integer(self.k, f"estimator {self.name}: k"))
         reads = ESTIMATOR_TABLE[self.name].reads
         for f in fields(self):
             if f.name not in ("name", *reads) and getattr(self, f.name) != f.default:
                 raise ValidationError(f"estimator {self.name} does not take {f.name}")
         if "k" in reads and self.k < 2:
             raise ValidationError(f"estimator {self.name}: k must be >= 2, got {self.k}")
-        if self.weight_cap is not None and not self.weight_cap > 0.0:
-            raise ValidationError(
-                f"estimator {self.name}: weight_cap must be > 0, got {self.weight_cap}"
-            )
-        if not isinstance(self.count_mode, str) or self.count_mode not in _COUNT_MODE_ID:
-            raise ValidationError(
-                f"estimator {self.name}: unknown count_mode {self.count_mode!r}"
-            )
 
     def estimator_id(self) -> str:
         """Stable identifier used in records, files and plots."""
-        template = ESTIMATOR_TABLE[self.name].id_template
-        # An uncapped estimator has no cap tag; a capped one ends in e.g. "-cap5".
-        cap = (
-            "" if self.weight_cap is None
-            else "-cap" + repr(float(self.weight_cap)).removesuffix(".0")
-        )
-        return template.format(k=self.k, count_mode=_COUNT_MODE_ID[self.count_mode], cap=cap)
+        return ESTIMATOR_TABLE[self.name].id_template.format(k=self.k)
 
 
 @dataclass(frozen=True)
@@ -214,6 +203,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
+        for name in ("repetitions", "train_size", "pool_size", "subsample_reps", "master_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        budgets = tuple(_integer(b, f"budgets[{i}]") for i, b in enumerate(self.budgets))
+        object.__setattr__(self, "budgets", budgets)
         for name in ("repetitions", "train_size", "pool_size", "subsample_reps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -20,6 +20,10 @@ became the exact decision-region integral and the subsample baseline a
 Binomial draw of it: that changed the ``true_baseline`` column and the
 subsample-baseline rows, and dropped ``true_eval_size`` from the resolved
 configuration. Every other ``raw.csv`` field stayed byte-identical.
+
+fig6's ``bundle.json`` and ``scenarios`` echo were re-recorded when the
+probabilistic estimator lost its count-mode option: its ``params`` went
+from ``{"count_mode": "kernel"}`` to ``{}``, and nothing else changed.
 """
 
 import hashlib
@@ -50,7 +54,7 @@ BUNDLE_JSON = {
     "fig2": "6dc13d3a422d361d6f3aa1bb8e65d52bccf910c1bd7be2c9443086c087f62457",
     "fig3": "982d3c1f73fa65342d2937db00a9d444cf33ba22425b5dc39260f94e11b44c70",
     "fig5": "3a054a0dda1c01cf3e28da5b210519b85e24c5b3538fb0112207172bee34ddae",
-    "fig6": "7f6937be79d13d352179922811f6fb661fc4ebdc62b3920986860be5856c507e",
+    "fig6": "7cf465649ae1f388a55b4264b6e35312db76e86a1b30f375ce5af07522ce21d0",
 }
 
 # alperf plot of the same runs' raw.csv.
@@ -65,7 +69,7 @@ SCENARIO_ECHO = {
     "fig2": "c63968ebf7d5953c7ab79a6d16404053d5071973a9a9f6dc702218e0631a776a",
     "fig3": "61257ac476bf4bf3543e5d55f339798d3c011f32f3e5ec7bee6b9a8cdbfcc6ea",
     "fig5": "d16487f142011daf9568d101e51ab5e26602c805a51737e4372a40256fc82ca5",
-    "fig6": "0f5b32691f800e5181eafc0593cd8d52fec6dfe8dab597a6856e2f232d7e88f3",
+    "fig6": "16e5501fc00620586b36faba4c1d3576790c0fd6a39ec7e814d295f1e9d2ec16",
 }
 
 

@@ -164,12 +164,13 @@ class TestRun:
         [
             ({"name": ["kfold-cv"]}, "estimators[0].name"),
             ({"name": {"kfold-cv": 3}}, "estimators[0].name"),
-            ({"name": "probabilistic", "params": {"count_mode": ["hard"]}},
-             "estimators[0]: estimator probabilistic: unknown count_mode"),
-            ({"name": "probabilistic", "params": {"count_mode": {"hard": 1}}},
-             "estimators[0]: estimator probabilistic: unknown count_mode"),
+            # Keys of estimator options that no longer exist.
+            ({"name": "reweighted-cv", "params": {"k": 3, "weight_cap": 5.0}},
+             "estimators[0].params has unknown key(s): weight_cap"),
+            ({"name": "probabilistic", "params": {"count_mode": "kernel"}},
+             "estimators[0].params has unknown key(s): count_mode"),
         ],
-        ids=["name-list", "name-object", "count-mode-list", "count-mode-object"],
+        ids=["name-list", "name-object", "removed-weight-cap", "removed-count-mode"],
     )
     def test_non_string_estimator_field_is_validation_error(
         self, tmp_path, capsys, estimator, field

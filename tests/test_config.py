@@ -97,8 +97,8 @@ class TestDefaults:
             {"scenario": "estimator-comparison", "master_seed": 9, "pool_size": 300,
              "subsample_reps": 30,
              "estimators": [
-                 {"name": "reweighted-cv", "params": {"k": 3, "weight_cap": 5.0}},
-                 {"name": "probabilistic", "params": {"count_mode": "hard"}},
+                 {"name": "reweighted-cv", "params": {"k": 5}},
+                 {"name": "probabilistic", "params": {}},
              ]},
         ],
         ids=lambda cfg: cfg["scenario"],

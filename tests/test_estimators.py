@@ -55,15 +55,26 @@ def _fit(labeled, **config):
     return fit_arrays(labeled.xs, labeled.ys, ClassifierConfig(**config))
 
 
-def _local_stats(labeled, x, bandwidth, count_mode="kernel", class_count=2):
+def _local_stats(labeled, x, bandwidth, class_count=2):
     """Label mass n at x with the Beta component (alpha, beta) that the
     probabilistic estimator builds from it for a single evaluation point;
     n = alpha + beta - 2."""
     m = _fit(labeled, bandwidth=bandwidth, class_count=class_count)
-    est = probabilistic_performance(kernel_block(np.array([x]), m), count_mode)
+    est = probabilistic_performance(kernel_block(np.array([x]), m))
     alpha, beta = est.components[0]
     n = alpha + beta - 2.0
     return n, alpha, beta
+
+
+def _count_mixture(block):
+    """The Beta mixture of integer label counts: at each of the block's
+    points, the labels within one bandwidth of it and the class-2 fraction
+    among them (1/2 where there are none)."""
+    m = block.model
+    near = np.abs(block.points[:, None] - m.train_x[None, :]) <= m.config.bandwidth
+    total = near.sum(axis=1)
+    p_hat = np.where(total > 0, near[:, m.train_y == 2].sum(axis=1) / np.maximum(total, 1), 0.5)
+    return PerformanceEstimate.beta_mixture(*beta_components_from_stats(total, p_hat))
 
 
 class TestPercentiles:
@@ -261,8 +272,8 @@ class TestBetaQuantile:
             xs = rng.normal(0.0, 1.5, budget)
             labeled = _labeled([(x, 1 + int(x > 0)) for x in xs])
             pool = rng.normal(0.0, 2.0, 1000)
-            for mode in ("kernel", "hard"):
-                e = probabilistic_performance(kernel_block(pool, _fit(labeled)), mode)
+            block = kernel_block(pool, _fit(labeled))
+            for e in (probabilistic_performance(block), _count_mixture(block)):
                 for q in (0.25, 0.5, 0.75):
                     assert abs(e.quantile(q) - self._brentq(e, q)) <= 2e-12
 
@@ -480,38 +491,6 @@ class TestKFoldCV:
         # same folds, different weighting; equality would be a near-miracle
         assert rew.mean() != plain.mean()
 
-    def test_weight_cap(self, task):
-        labeled = draw_labeled(
-            task, unbiased_sampler(), 30, derive_substream(6, (0,))
-        )
-        uncapped = kfold_cv(
-            labeled, 3, CFG, derive_substream(6, (1,)), reweighted=True
-        )
-        capped = kfold_cv(
-            labeled, 3, CFG, derive_substream(6, (1,)), reweighted=True, weight_cap=1.0
-        )
-        assert capped.mean() != uncapped.mean()
-        with pytest.raises(ValidationError, match="weight_cap"):
-            kfold_cv(
-                labeled, 3, CFG, derive_substream(6, (2,)),
-                reweighted=True, weight_cap=0.0,
-            )
-
-    def test_nan_weight_cap_rejected_before_any_fit(self, task, monkeypatch):
-        labeled = draw_labeled(
-            task, unbiased_sampler(), 30, derive_substream(6, (0,))
-        )
-
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a fold model was fitted")
-
-        monkeypatch.setattr(parzen, "fit_arrays", no_fit)
-        with pytest.raises(ValidationError, match="weight_cap must be > 0"):
-            kfold_cv(
-                labeled, 3, CFG, derive_substream(6, (2,)),
-                reweighted=True, weight_cap=float("nan"),
-            )
-
     def test_too_many_folds_rejected(self):
         labeled = _labeled([(0.0, 1), (1.0, 2)])
         with pytest.raises(ValidationError, match="folds"):
@@ -599,18 +578,9 @@ class TestLocalLabelStatistics:
         assert n == pytest.approx(2.0 * math.exp(-0.5), abs=1e-12)
         assert alpha == pytest.approx(beta, abs=1e-12)  # p_hat = 1/2
 
-    def test_hard_count_mode(self):
-        labeled = _labeled([(-0.1, 1), (0.1, 2), (0.5, 2)])
-        n, alpha, beta = _local_stats(labeled, 0.0, 0.2, count_mode="hard")
-        assert n == 2.0 and alpha == beta == 2.0  # p_hat = 1/2
-
     def test_rejects_more_than_two_classes(self):
         with pytest.raises(ValidationError, match="2 classes"):
             _local_stats(_labeled([(0.0, 3)]), 0.0, 0.2, class_count=3)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValidationError, match="count mode"):
-            _local_stats(NO_LABELS, 0.0, 0.2, count_mode="soft")
 
 
 class TestProbabilisticPerformance:
@@ -681,10 +651,9 @@ class TestPoolKernelBlock:
                 generalization_error_estimate(prefix).mean()
                 == generalization_error_estimate(refit).mean()
             )
-            for mode in ("kernel", "hard"):
+            for mixture in (probabilistic_performance, _count_mixture):
                 assert np.array_equal(
-                    probabilistic_performance(prefix, mode).components,
-                    probabilistic_performance(refit, mode).components,
+                    mixture(prefix).components, mixture(refit).components
                 )
             assert (
                 self_label_cv(prefix, 3, derive_substream(8, (2,))).mean()

@@ -78,6 +78,13 @@ class TestDeriveSubstream:
         with pytest.raises(ValidationError):
             derive_substream(1, (-2,))
 
+    def test_path_entries_must_be_integers(self):
+        # A fractional entry is refused, not truncated onto another path's stream.
+        with pytest.raises(TypeError):
+            derive_substream(0, (1.5, 2))
+        want = derive_substream(0, (1, 2)).bit_generator.state
+        assert derive_substream(0, (np.int64(1), np.uint32(2))).bit_generator.state == want
+
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130])
     @pytest.mark.parametrize(
         "path",
@@ -178,42 +185,17 @@ class TestSpecs:
         assert EstimatorSpec("reweighted-cv", k=3).estimator_id() == "reweighted-cv-3fold"
         assert EstimatorSpec("self-label-cv", k=2).estimator_id() == "self-label-cv-2fold"
         assert EstimatorSpec("probabilistic").estimator_id() == "probabilistic"
-        assert (
-            EstimatorSpec("probabilistic", count_mode="hard").estimator_id()
-            == "probabilistic-hard"
-        )
-        capped = EstimatorSpec("reweighted-cv", k=3, weight_cap=5.0)
-        assert capped.estimator_id() == "reweighted-cv-3fold-cap5"
-        assert EstimatorSpec("reweighted-cv", weight_cap=2.5).estimator_id() == (
-            "reweighted-cv-3fold-cap2.5"
-        )
 
-    def test_capped_and_uncapped_reweighted_cv_run_together(self):
-        spec = _spec({
-            "repetitions": 1,
-            "estimators": [
-                {"name": "reweighted-cv", "params": {"k": 3}},
-                {"name": "reweighted-cv", "params": {"k": 3, "weight_cap": 5.0}},
-            ],
-        })
-        records = run_experiment(spec, workers=1)
-        assert {r.estimator for r in records} == {
-            "reweighted-cv-3fold", "reweighted-cv-3fold-cap5",
-        }
+    def test_estimator_spec_is_a_name_and_a_fold_count(self):
+        assert [f.name for f in dataclasses.fields(EstimatorSpec)] == ["name", "k"]
 
     def test_estimator_validation(self):
         with pytest.raises(ValidationError, match="unknown estimator"):
             EstimatorSpec("bootstrap")
         with pytest.raises(ValidationError, match="k must be >= 2"):
             EstimatorSpec("kfold-cv", k=1)
-        with pytest.raises(ValidationError, match="weight_cap"):
-            EstimatorSpec("kfold-cv", weight_cap=2.0)
-        with pytest.raises(ValidationError, match="weight_cap must be > 0"):
-            EstimatorSpec("reweighted-cv", weight_cap=float("nan"))
         with pytest.raises(ValidationError, match="generalization-error does not take k"):
             EstimatorSpec("generalization-error", k=5)
-        with pytest.raises(ValidationError, match="kfold-cv does not take count_mode"):
-            EstimatorSpec("kfold-cv", count_mode="hard")
 
     def test_experiment_spec_validation(self):
         spec = _spec()
@@ -263,6 +245,49 @@ class TestSpecs:
     def test_counts_must_be_positive(self, field):
         with pytest.raises(ValidationError, match=f"^{field} must be >= 1, got 0$"):
             dataclasses.replace(_spec(), **{field: 0})
+
+    @pytest.mark.parametrize(
+        "replace, message",
+        [
+            ({"repetitions": 2.5}, "repetitions must be an integer, got 2.5"),
+            ({"repetitions": True}, "repetitions must be an integer, got True"),
+            ({"train_size": 100.0}, "train_size must be an integer, got 100.0"),
+            ({"pool_size": "150"}, "pool_size must be an integer, got '150'"),
+            ({"subsample_reps": np.float64(20)}, "subsample_reps must be an integer"),
+            ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+            ({"budgets": (10, 20.5)}, r"budgets\[1\] must be an integer, got 20.5"),
+            ({"budgets": (True, 30)}, r"budgets\[0\] must be an integer, got True"),
+        ],
+        ids=[
+            "repetitions-float", "repetitions-bool", "train_size-float", "pool_size-str",
+            "subsample_reps-numpy-float", "master_seed-float", "budget-float", "budget-bool",
+        ],
+    )
+    def test_integer_fields_reject_other_types(self, replace, message):
+        # A spec built in Python is checked like one parsed from JSON: the
+        # wrong type is a ValidationError naming the field, before any work.
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            dataclasses.replace(_spec(), **replace)
+
+    @pytest.mark.parametrize(
+        "k", [2.5, 3.0, True, "3"], ids=["float", "whole-float", "bool", "str"]
+    )
+    def test_fold_count_must_be_an_integer(self, k):
+        with pytest.raises(ValidationError, match="^estimator kfold-cv: k must be an integer"):
+            EstimatorSpec("kfold-cv", k=k)
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        spec = dataclasses.replace(
+            _spec({"repetitions": 1}),
+            repetitions=np.int64(1), budgets=(np.int32(10), np.uint16(30)),
+            master_seed=np.uint64(7), pool_size=np.int64(150),
+            estimators=(EstimatorSpec("kfold-cv", k=np.int8(3)),),
+        )
+        assert spec == dataclasses.replace(
+            _spec({"repetitions": 1}), estimators=(EstimatorSpec("kfold-cv", k=3),)
+        )
+        values = [spec.repetitions, *spec.budgets, spec.master_seed, spec.estimators[0].k]
+        assert all(type(v) is int for v in values)
 
     def test_eval_size_rejects_kfold_estimator(self):
         spec = _spec({"scenario": "eval-size-distribution", "budgets": [5, 10]})
