@@ -410,34 +410,50 @@ def _fold_predictions(
     config: ClassifierConfig,
     rng: np.random.Generator,
     train_size: int | None = None,
-) -> tuple[np.ndarray, list[ParzenModel]]:
+) -> tuple[np.ndarray, ParzenModel, np.ndarray]:
     """Held-out correctness (1.0 or 0.0) of each instance under k-fold CV
-    over (xs, ys), and the fold models. Each fold's model trains on the
-    instances outside the fold or, with ``train_size``, on a fresh uniform
-    subset of at most that many of them."""
+    over (xs, ys), the model of all of it and each instance's fold. A fold
+    trains on the instances outside it or, with ``train_size``, on a fresh
+    uniform subset of at most that many of them; no fold model is fitted."""
     n = len(xs)
     folds = random_folds(n, k, rng)
-    correct = np.empty(n, dtype=np.float64)
-    models = []
-    for fold in folds:
-        train = np.ones(n, dtype=bool)
-        train[fold] = False
-        if train_size is not None:
-            outside = np.flatnonzero(train)
+    whole = parzen.fit_arrays(xs, ys, config)  # the one label check
+    xs, ys, h, c = whole.train_x, whole.train_y, config.bandwidth, config.class_count
+    fold_of = np.empty(n, dtype=np.int64)
+    for i, fold in enumerate(folds):
+        fold_of[fold] = i
+    masses = np.empty((n, c))
+    if train_size is None:
+        onehot = parzen._onehot(ys, c)
+        for start in range(0, n, parzen._CHUNK):
+            rows = slice(start, start + parzen._CHUNK)
+            weights = parzen.kernel_weights(xs[rows], xs, h)
+            weights[fold_of[rows, None] == fold_of] = 0.0
+            masses[rows] = weights @ onehot
+    else:
+        for i, fold in enumerate(folds):
+            outside = np.flatnonzero(fold_of != i)
             train = rng.choice(outside, size=min(train_size, len(outside)), replace=False)
-        model = parzen.fit_arrays(xs[train], ys[train], config)
-        models.append(model)
-        correct[fold] = parzen.predict_batch(model, xs[fold]) == ys[fold]
-    return correct, models
+            masses[fold] = parzen.class_kernel_mass(xs[fold], xs[train], ys[train], h, c)
+    predicted = np.argmax(parzen.posterior_from_masses(masses, config), axis=1) + 1
+    return (predicted == ys).astype(np.float64), whole, fold_of
 
 
 @dataclass(frozen=True)
 class KFoldDetail:
-    """Cross-validation output plus the per-fold models, for callers that
-    also want to evaluate the fold-trained classifiers elsewhere."""
+    """Cross-validation output plus the per-fold models, built on first use
+    from ``model`` (of the whole labeled set) and each instance's fold."""
 
     estimate: PerformanceEstimate
-    fold_models: list[ParzenModel]
+    model: ParzenModel
+    fold_of: np.ndarray
+
+    @cached_property
+    def fold_models(self) -> list[ParzenModel]:
+        """Per fold, the model of the instances outside it, in ascending order."""
+        m = self.model
+        outside = [self.fold_of != i for i in range(self.fold_of.max() + 1)]
+        return [ParzenModel(m.train_x[o], m.train_y[o], m.config) for o in outside]
 
 
 def kfold_cv_detail(
@@ -449,7 +465,7 @@ def kfold_cv_detail(
 ) -> KFoldDetail:
     if len(labeled) == 0:
         raise ValidationError("no labeled instances")
-    correct, models = _fold_predictions(labeled.xs, labeled.ys, k, config, rng)
+    correct, model, fold_of = _fold_predictions(labeled.xs, labeled.ys, k, config, rng)
     acc = float(correct.mean())
     if reweighted:
         w = 1.0 / labeled.qs
@@ -457,7 +473,7 @@ def kfold_cv_detail(
         # value, not the weighted sum, makes the equality exact.
         if np.ptp(w) != 0.0:
             acc = float((w * correct).sum() / w.sum())
-    return KFoldDetail(PerformanceEstimate.point(acc), models)
+    return KFoldDetail(PerformanceEstimate.point(acc), model, fold_of)
 
 
 def kfold_cv(
@@ -483,9 +499,9 @@ def self_label_cv(pool: KernelBlock, k: int, rng: np.random.Generator) -> Perfor
 
     The classifier ``m = pool.model`` labels the pool's points; those
     predictions are then treated as ground truth. To keep the training sets
-    comparable to the labeled set ``m`` was fitted on, each fold fits
-    ``m.config`` to a uniform random subset of size min(|labeled|, instances
-    outside the fold).
+    comparable to the labeled set ``m`` was fitted on, each fold's classifier
+    (``m.config``) trains on a uniform random subset of size min(|labeled|,
+    instances outside the fold).
     """
     if len(pool) == 0:
         raise ValidationError("no evaluation instances")
@@ -495,7 +511,7 @@ def self_label_cv(pool: KernelBlock, k: int, rng: np.random.Generator) -> Perfor
         raise ValidationError("no labeled instances")
     union_xs = np.concatenate([m.train_x, pool.points])
     union_ys = np.concatenate([m.train_y, np.argmax(pool.posterior, axis=1) + 1])
-    correct, _ = _fold_predictions(union_xs, union_ys, k, m.config, rng, train_size=n)
+    correct = _fold_predictions(union_xs, union_ys, k, m.config, rng, train_size=n)[0]
     return PerformanceEstimate.point(float(correct.mean()))
 
 
@@ -527,15 +543,12 @@ def probabilistic_performance(pool: KernelBlock) -> PerformanceEstimate:
     """
     if len(pool) == 0:
         raise ValidationError("no evaluation instances")
-    ys, weights = pool.model.train_y, pool.weights
+    ys = pool.model.train_y
     if np.any((ys < 1) | (ys > 2)):
         raise ValidationError("local label statistics are defined for 2 classes only")
-    total = weights.sum(axis=1)
-    class2 = weights[:, ys == 2].sum(axis=1)
+    # Masses are >= 0, so class2 <= total after rounding too, and every beta >= 1.
+    total, class2 = pool.masses.sum(axis=1), pool.masses[:, 1]
     p_hat = np.where(total > 0.0, class2 / np.where(total > 0.0, total, 1.0), 0.5)
-    # class2 can exceed total by rounding where nearly all mass is class 2;
-    # the clamp keeps every beta >= 1.
-    p_hat = np.minimum(p_hat, 1.0)
     alphas, betas = beta_components_from_stats(total, p_hat)
     return PerformanceEstimate.beta_mixture(alphas, betas)
 
@@ -556,24 +569,23 @@ def truth_grid(model: TaskModel, config: ClassifierConfig) -> np.ndarray:
 
 
 def true_baseline(
-    m: ParzenModel, model: TaskModel, grid_labels: np.ndarray | None = None
+    m: ParzenModel, model: TaskModel, grid_read: tuple[np.ndarray, np.ndarray] | None = None
 ) -> float:
     """Exact accuracy of the classifier under the data-generating
     distribution: ``synthdata.region_accuracy`` of the class
     ``parzen.predict_batch`` returns, read on ``truth_grid``.
 
-    ``grid_labels`` is the classifier's class (0-based) at each grid point,
-    as ``parzen.prefix_labels`` gives it; the harness reads every budget's
-    from one kernel block per acquisition sequence. Without it, it is read
-    the same way for ``m`` alone. Only the brackets around class changes go
-    through ``parzen.posterior_batch``.
+    ``grid_read`` is ``(grid, labels)``: ``truth_grid`` and the classifier's
+    class (0-based) at each of its points, as ``parzen.prefix_labels`` gives
+    it; the harness builds the grid once per acquisition sequence and reads
+    every budget's labels from one kernel block. Without it, both are built
+    for ``m`` alone. Only the brackets around class changes go through
+    ``parzen.posterior_batch``.
     """
-    grid = truth_grid(model, m.config)
-    if grid_labels is None:
-        (grid_labels,) = parzen.prefix_labels(grid, m, (len(m.train_x),))
-    return synthdata.region_accuracy(
-        model, lambda xs: parzen.posterior_batch(m, xs), grid, grid_labels
-    )
+    if grid_read is None:
+        grid = truth_grid(model, m.config)
+        grid_read = grid, parzen.prefix_labels(grid, m, (len(m.train_x),))[0]
+    return synthdata.region_accuracy(model, lambda xs: parzen.posterior_batch(m, xs), *grid_read)
 
 
 def subsample_baseline(

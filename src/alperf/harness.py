@@ -205,6 +205,14 @@ class ExperimentSpec:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
         for name in ("repetitions", "train_size", "pool_size", "subsample_reps", "master_seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        # A list becomes a tuple, so the spec stays hashable.
+        for name, kind in (("samplers", SamplingDistribution), ("estimators", EstimatorSpec)):
+            items = getattr(self, name)
+            if not isinstance(items, (tuple, list)) or not all(isinstance(v, kind) for v in items):
+                raise ValidationError(f"{name} must be a tuple of {kind.__name__}, got {items!r}")
+            object.__setattr__(self, name, tuple(items))
+        if not isinstance(self.budgets, (tuple, list)):
+            raise ValidationError(f"budgets must be a tuple of integers, got {self.budgets!r}")
         budgets = tuple(_integer(b, f"budgets[{i}]") for i, b in enumerate(self.budgets))
         object.__setattr__(self, "budgets", budgets)
         for name in ("repetitions", "train_size", "pool_size", "subsample_reps"):
@@ -440,7 +448,7 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
     for b_idx, budget in enumerate(spec.budgets):
         labeled = sequence[:budget]
         block = pool_block.prefix(budget)
-        truth = estimators.true_baseline(block.model, spec.task, grid_labels[b_idx])
+        truth = estimators.true_baseline(block.model, spec.task, (grid, grid_labels[b_idx]))
         for e_idx, espec in enumerate(spec.estimators):
             entry = ESTIMATOR_TABLE[espec.name]
             rng = (

@@ -113,14 +113,11 @@ def class_kernel_mass(
     class_count: int,
 ) -> np.ndarray:
     """Per-class kernel mass at each query point, shape (n_query, C)."""
-    nq = len(query_xs)
     onehot = _onehot(train_ys, class_count)
-    out = np.empty((nq, class_count))
-    for start in range(0, nq, _CHUNK):
-        stop = min(start + _CHUNK, nq)
-        out[start:stop] = kernel_weights(
-            query_xs[start:stop], train_xs, bandwidth
-        ) @ onehot
+    out = np.empty((len(query_xs), class_count))
+    for start in range(0, len(query_xs), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        out[rows] = kernel_weights(query_xs[rows], train_xs, bandwidth) @ onehot
     return out
 
 
@@ -195,9 +192,14 @@ class KernelBlock:
         return KernelBlock(self.points, self.weights[:, :budget], self.onehot[:budget], model)
 
     @cached_property
+    def masses(self) -> np.ndarray:
+        """Per-class kernel mass at each point, shape (n_points, C)."""
+        return self.weights @ self.onehot
+
+    @cached_property
     def posterior(self) -> np.ndarray:
         """The model's posterior at the points, by ``posterior_from_masses``."""
-        return posterior_from_masses(self.weights @ self.onehot, self.model.config)
+        return posterior_from_masses(self.masses, self.model.config)
 
 
 def kernel_block(points: np.ndarray, model: ParzenModel) -> KernelBlock:

@@ -223,8 +223,8 @@ _BETA_BATTERY = {
 }
 
 
-def _fig6_mixtures():
-    """The Beta mixtures of shipped fig6's first units: 3 samplers x 2
+def _fig6_blocks():
+    """The pool blocks of shipped fig6's first units: 3 samplers x 2
     repetitions x budgets 10/30/50."""
     spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
     for s_idx in range(3):
@@ -236,7 +236,12 @@ def _fig6_mixtures():
             )
             block = kernel_block(pool, fit_arrays(sequence.xs, sequence.ys, spec.classifier))
             for budget in spec.budgets:
-                yield probabilistic_performance(block.prefix(budget))
+                yield block.prefix(budget)
+
+
+def _fig6_mixtures():
+    """The Beta mixtures of ``_fig6_blocks``."""
+    return (probabilistic_performance(block) for block in _fig6_blocks())
 
 
 def _count_calls(monkeypatch, name):
@@ -514,6 +519,96 @@ class TestKFoldCV:
         assert len(detail.fold_models) == 3
 
 
+def _refit_fold_predictions(xs, ys, k, config, rng, train_size=None):
+    """The per-fold reference for ``_fold_predictions``: each fold's model is
+    fitted by ``fit_arrays`` and read by ``predict_batch``. Returns the
+    held-out correctness, each instance's held-out class masses and the fold
+    models."""
+    n = len(xs)
+    correct = np.empty(n)
+    masses = np.empty((n, config.class_count))
+    models = []
+    for fold in random_folds(n, k, rng):
+        train = np.ones(n, dtype=bool)
+        train[fold] = False
+        if train_size is not None:
+            outside = np.flatnonzero(train)
+            train = rng.choice(outside, size=min(train_size, len(outside)), replace=False)
+        model = fit_arrays(xs[train], ys[train], config)
+        models.append(model)
+        correct[fold] = predict_batch(model, xs[fold]) == ys[fold]
+        masses[fold] = parzen.class_kernel_mass(
+            xs[fold], model.train_x, model.train_y, config.bandwidth, config.class_count
+        )
+    return correct, masses, models
+
+
+def _three_class_set(n=45):
+    """Three classes in bands along x, a fifth of the labels redrawn."""
+    rng = derive_substream(12, (0,))
+    xs = rng.uniform(-3.0, 3.0, n)
+    ys = np.digitize(xs, [-1.0, 1.0]) + 1
+    noisy = rng.random(n) < 0.2
+    ys[noisy] = rng.integers(1, 4, int(noisy.sum()))
+    return xs, ys
+
+
+class TestFoldPredictions:
+    """One kernel evaluation per CV estimate gives what per-fold refits give:
+    the same held-out 0/1 vector and fold models, and class masses within
+    n * 2**-52 relative (the masked product sums in another order)."""
+
+    @pytest.mark.parametrize("k, train_size, classes", [
+        (2, None, 2), (3, None, 2), (5, None, 2), ("n", None, 2),
+        (3, 12, 2), (3, None, 3), (4, 12, 3),
+    ], ids=["k2", "k3", "k5", "loo", "train-size", "3-class", "3-class-train-size"])
+    def test_matches_per_fold_refits(self, task, monkeypatch, k, train_size, classes):
+        if classes == 2:
+            labeled = draw_labeled(task, unbiased_sampler(), 40, derive_substream(6, (0,)))
+            xs, ys = labeled.xs, labeled.ys
+        else:
+            xs, ys = _three_class_set()
+        n, config = len(xs), ClassifierConfig(class_count=classes)
+        k = n if k == "n" else k
+        ref_correct, ref_masses, ref_models = _refit_fold_predictions(
+            xs, ys, k, config, derive_substream(9, (k,)), train_size
+        )
+        if train_size is None:
+            labeled = LabeledSet(xs, ys, np.ones(n))
+            models = kfold_cv_detail(labeled, k, config, derive_substream(9, (k,))).fold_models
+            assert len(models) == len(ref_models) == k
+            for model, ref in zip(models, ref_models):
+                assert np.array_equal(model.train_x, ref.train_x)
+                assert np.array_equal(model.train_y, ref.train_y)
+                assert model.config == ref.config
+        seen = []
+        posterior = parzen.posterior_from_masses
+        monkeypatch.setattr(
+            parzen, "posterior_from_masses",
+            lambda masses, c: seen.append(masses) or posterior(masses, c),
+        )
+        correct, whole, fold_of = _fold_predictions(
+            xs, ys, k, config, derive_substream(9, (k,)), train_size
+        )
+        assert correct.dtype == np.float64 and np.array_equal(correct, ref_correct)
+        assert 0.0 < correct.mean() < 1.0
+        (masses,) = seen
+        assert np.all(np.abs(masses - ref_masses) <= n * 2.0**-52 * ref_masses)
+        assert np.array_equal(whole.train_x, xs) and np.array_equal(whole.train_y, ys)
+        for i, fold in enumerate(random_folds(n, k, derive_substream(9, (k,)))):
+            assert np.all(fold_of[fold] == i)
+
+    def test_labels_are_checked_once_and_no_fold_is_fitted(self, monkeypatch):
+        xs, ys = _three_class_set()
+        fits = []
+        fit = parzen.fit_arrays
+        monkeypatch.setattr(parzen, "fit_arrays", lambda *a: fits.append(a) or fit(*a))
+        _fold_predictions(xs, ys, 5, ClassifierConfig(class_count=3), derive_substream(1, (0,)))
+        assert len(fits) == 1
+        with pytest.raises(ValidationError, match="outside 1..2"):
+            _fold_predictions(xs, ys, 5, CFG, derive_substream(1, (0,)))
+
+
 class TestSelfLabelCV:
     def test_far_pool_gets_tie_break_labels(self, task):
         labeled = _labeled([(-1.0, 1), (1.0, 2)])
@@ -531,9 +626,9 @@ class TestSelfLabelCV:
         est = self_label_cv(kernel_block(pool, _fit(labeled)), 3, derive_substream(2, (0,)))
         union_x = np.tile(labeled.xs, 2)
         union_y = np.tile(labeled.ys, 2)
-        correct, _ = _fold_predictions(
+        correct = _fold_predictions(
             union_x, union_y, 3, CFG, derive_substream(2, (0,)), train_size=len(labeled)
-        )
+        )[0]
         assert est.mean() == float(correct.mean())
 
     def test_overestimates_sparse_labeled_sets(self, task):
@@ -610,9 +705,21 @@ class TestProbabilisticPerformance:
         with pytest.raises(ValidationError, match="no evaluation"):
             probabilistic_performance(kernel_block(np.array([]), _fit(NO_LABELS)))
 
+    def test_components_from_cached_masses_match_the_weight_sums(self):
+        # The definition: n is the row sum of the block's weights, p_hat the
+        # class-2 columns' sum over it (1/2 with no mass, at most 1).
+        for block in _fig6_blocks():
+            ys, weights = block.model.train_y, block.weights
+            total = weights.sum(axis=1)
+            class2 = weights[:, ys == 2].sum(axis=1)
+            p_hat = np.where(total > 0.0, class2 / np.where(total > 0.0, total, 1.0), 0.5)
+            expected = np.column_stack(beta_components_from_stats(total, np.minimum(p_hat, 1.0)))
+            got = probabilistic_performance(block).components
+            assert np.all(np.abs(got - expected) <= len(ys) * 2.0**-52 * expected)
+
     def test_every_beta_at_least_one(self):
-        # Where nearly all kernel mass is class 2, its sum can exceed the
-        # total by rounding; p_hat is clamped, so no beta falls below 1.
+        # Class masses are nonnegative, so class 2's never exceeds their
+        # sum after rounding either, and no beta falls below 1.
         for e in _fig6_mixtures():
             assert e.components.min() >= 1.0
 
@@ -691,7 +798,7 @@ class TestTrueBaseline:
                 refit = synthdata.decision_accuracy(
                     task, lambda xs: parzen.posterior_batch(m, xs), spec.classifier.bandwidth / 20
                 )
-                assert true_baseline(m, task, row) == true_baseline(m, task) == refit, (
+                assert true_baseline(m, task, (grid, row)) == true_baseline(m, task) == refit, (
                     s_idx, budget,
                 )
 

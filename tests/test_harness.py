@@ -270,6 +270,35 @@ class TestSpecs:
             dataclasses.replace(_spec(), **replace)
 
     @pytest.mark.parametrize(
+        "replace, message",
+        [
+            ({"budgets": 20}, "budgets must be a tuple of integers, got 20"),
+            (
+                {"estimators": ("kfold-cv",)},
+                r"estimators must be a tuple of EstimatorSpec, got \('kfold-cv',\)",
+            ),
+            (
+                {"samplers": ("unbiased",)},
+                r"samplers must be a tuple of SamplingDistribution, got \('unbiased',\)",
+            ),
+        ],
+        ids=["budgets-int", "estimators-names", "samplers-labels"],
+    )
+    def test_collection_fields_reject_other_types(self, replace, message):
+        # As in JSON, where these are arrays of integers and of objects.
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            dataclasses.replace(_spec(), **replace)
+
+    def test_lists_become_tuples(self):
+        spec = _spec()
+        listed = dataclasses.replace(
+            spec, samplers=list(spec.samplers), estimators=list(spec.estimators),
+            budgets=list(spec.budgets),
+        )
+        assert listed == spec and hash(listed) == hash(spec)
+        assert all(type(getattr(listed, f)) is tuple for f in ("samplers", "estimators", "budgets"))
+
+    @pytest.mark.parametrize(
         "k", [2.5, 3.0, True, "3"], ids=["float", "whole-float", "bool", "str"]
     )
     def test_fold_count_must_be_an_integer(self, k):
@@ -462,9 +491,10 @@ class TestEstimatorComparison:
 
     def test_one_unit_fits_each_model_once(self, monkeypatch):
         # The acquisition sequence once, whose pool block's prefixes hold
-        # every budget's model, then per budget k fold models per CV
-        # estimator. Self-label CV labels the pool with the prefix model, so
-        # it adds no refit of its own.
+        # every budget's model, then per budget one label check per CV
+        # estimator: its fold predictions come from kernel masses, with no
+        # fold model fitted. Self-label CV labels the pool with the prefix
+        # model, so it adds no refit of its own.
         spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
         cv_folds = [
             e.k for e in spec.estimators if "k" in harness.ESTIMATOR_TABLE[e.name].reads
@@ -479,7 +509,7 @@ class TestEstimatorComparison:
 
         monkeypatch.setattr(parzen, "fit_arrays", counting)
         harness._comparison_unit(spec, None, (0, 0))
-        assert len(fits) == 1 + len(spec.budgets) * sum(cv_folds) == 28
+        assert len(fits) == 1 + len(spec.budgets) * len(cv_folds) == 10
 
     def test_one_unit_derives_streams_only_for_drawing_estimators(self, monkeypatch):
         # The acquisition sequence and the pool, then one stream per budget
