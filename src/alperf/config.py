@@ -1,19 +1,23 @@
-"""JSON experiment configuration: schema, validation, defaults, builtins.
+"""JSON experiment configuration: schema, defaults, builtins.
 
-The configuration document mirrors ExperimentSpec. This module checks the
-JSON itself: types and unknown keys. Every range and cross-field rule lives
-in the dataclass that owns the field (TaskModel, SamplingDistribution,
-ClassifierConfig, EstimatorSpec, ExperimentSpec), so it is checked before
-any computation starts and names the offending field's path. Every default
-that gets applied is reported back so a run can echo its fully resolved
-configuration.
+The configuration document mirrors ExperimentSpec. This module checks only
+the JSON's shape: objects, the arrays it walks, unknown keys and missing
+keys, and the scenario and estimator names that decide which keys are
+allowed. It passes every value on as given, and the dataclass that owns the
+field (GaussianComponent, TaskModel, SamplingDistribution, ClassifierConfig,
+EstimatorSpec, ExperimentSpec) checks its type, its range and every
+cross-field rule, as it does for a spec built in Python, before any
+computation starts; the message names the offending field's path. The
+resolved document is read back from the built spec, and every default that
+gets applied is reported, so a run can echo its fully resolved configuration.
 
 What differs between scenarios lives in one table, ``_SCENARIO_DEFAULTS``:
 each scenario's default repetitions and estimators, and its own JSON keys
-with their defaults. Only bias-sweep maps its keys onto the spec
+for the labels with their defaults; the ExperimentSpec sizes it takes are
+``harness.SCENARIO_SIZES``. Only bias-sweep maps its keys onto the spec
 (``labeled_size`` is its single budget, ``d_grid`` its samplers). A default
-that is the same for every scenario is read from its dataclass field
-(ExperimentSpec, ClassifierConfig), not repeated here.
+that is the same for every scenario is read from its dataclass field, not
+repeated here.
 """
 
 from __future__ import annotations
@@ -52,11 +56,7 @@ _SCENARIO_DEFAULTS = {
     harness.EVAL_SIZE_DISTRIBUTION: _ScenarioDefaults(
         1000,
         [{"name": harness.SUBSAMPLE_BASELINE, "params": {}}],
-        {
-            "samplers": _UNBIASED,
-            "budgets": [5, 10, 20, 100],
-            "train_size": ExperimentSpec.train_size,
-        },
+        {"samplers": _UNBIASED, "budgets": [5, 10, 20, 100]},
     ),
     harness.CV_FOLDS: _ScenarioDefaults(
         50,
@@ -90,14 +90,12 @@ _SCENARIO_DEFAULTS = {
                 {"kind": synthdata.SYMMETRIC_MIXTURE, "d": 2.0},
             ],
             "budgets": [10, 30, 50],
-            "pool_size": ExperimentSpec.pool_size,
-            "subsample_reps": ExperimentSpec.subsample_reps,
         },
     ),
 }
-_CLASSIFIER_DEFAULTS = {
-    "bandwidth": ClassifierConfig.bandwidth, "epsilon": ClassifierConfig.prior_weight,
-}
+# The JSON keys of a classifier and of a sampler, each with the field it sets.
+_CLASSIFIER_FIELDS = {"bandwidth": "bandwidth", "epsilon": "prior_weight"}
+_SAMPLER_FIELDS = {"kind": "kind", "d": "d", "std": "component_std", "priors": "component_priors"}
 
 
 @dataclass(frozen=True)
@@ -155,22 +153,6 @@ def _at(field: str):
         raise ValidationError(f"{field}: {exc}") from None
 
 
-def _as_int(value, field: str) -> int:
-    _expect(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"{field} must be an integer",
-    )
-    return value
-
-
-def _as_number(value, field: str) -> float:
-    _expect(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{field} must be a number",
-    )
-    return float(value)
-
-
 def _as_list(value, field: str):
     _expect(isinstance(value, list), f"{field} must be a list")
     return value
@@ -186,31 +168,17 @@ def _as_object(value, field: str, allowed: set[str]) -> dict:
 def _build_task(obj) -> TaskModel:
     obj = _as_object(obj, "task", {"priors", "components"})
     _expect("priors" in obj and "components" in obj, "task needs priors and components")
-    priors = [_as_number(p, "task.priors[]") for p in _as_list(obj["priors"], "task.priors")]
-    comps_raw = _as_list(obj["components"], "task.components")
     components = []
-    for c, comp_list in enumerate(comps_raw):
-        comp_list = _as_list(comp_list, f"task.components[{c}]")
-        built = []
-        for j, comp in enumerate(comp_list):
-            comp = _as_object(
-                comp, f"task.components[{c}][{j}]", {"weight", "mean", "std"}
-            )
-            _expect(
-                {"weight", "mean", "std"} <= set(comp),
-                f"task.components[{c}][{j}] needs weight, mean and std",
-            )
-            with _at(f"task.components[{c}][{j}]"):
-                built.append(
-                    GaussianComponent(
-                        _as_number(comp["weight"], "weight"),
-                        _as_number(comp["mean"], "mean"),
-                        _as_number(comp["std"], "std"),
-                    )
-                )
-        components.append(tuple(built))
+    for c, comps in enumerate(_as_list(obj["components"], "task.components")):
+        components.append([])
+        for j, comp in enumerate(_as_list(comps, f"task.components[{c}]")):
+            field = f"task.components[{c}][{j}]"
+            comp = _as_object(comp, field, {"weight", "mean", "std"})
+            _expect(len(comp) == 3, f"{field} needs weight, mean and std")
+            with _at(field):
+                components[-1].append(GaussianComponent(**comp))
     with _at("task"):
-        return TaskModel(class_priors=tuple(priors), class_components=tuple(components))
+        return TaskModel(class_priors=obj["priors"], class_components=components)
 
 
 def _task_document(task: TaskModel) -> dict:
@@ -224,40 +192,21 @@ def _task_document(task: TaskModel) -> dict:
 
 
 def _build_sampler(obj, field: str) -> SamplingDistribution:
-    obj = _as_object(obj, field, {"kind", "d", "std", "priors"})
+    obj = _as_object(obj, field, set(_SAMPLER_FIELDS))
     _expect("kind" in obj, f"{field} needs a kind")
-    kind = obj["kind"]
-    if kind == synthdata.DATA_MARGINAL:
-        _expect(
-            set(obj) == {"kind"},
-            f"{field}: data-marginal takes no further parameters",
-        )
-        return SamplingDistribution(kind=kind)
-    _expect(
-        kind == synthdata.SYMMETRIC_MIXTURE,
-        f"{field}.kind must be one of {synthdata.DATA_MARGINAL!r}, "
-        f"{synthdata.SYMMETRIC_MIXTURE!r}",
-    )
-    _expect("d" in obj, f"{field}: symmetric-mixture needs d")
-    d = _as_number(obj["d"], f"{field}.d")
-    std = _as_number(obj.get("std", SamplingDistribution.component_std), f"{field}.std")
-    priors = obj.get("priors", list(SamplingDistribution.component_priors))
-    priors = tuple(_as_number(p, f"{field}.priors[]") for p in _as_list(priors, f"{field}.priors"))
+    if obj["kind"] == synthdata.DATA_MARGINAL:
+        _expect(len(obj) == 1, f"{field}: data-marginal takes no further parameters")
+    elif obj["kind"] == synthdata.SYMMETRIC_MIXTURE:
+        _expect("d" in obj, f"{field}: symmetric-mixture needs d")
     with _at(field):
-        return SamplingDistribution(
-            kind=kind, d=d, component_std=std, component_priors=priors
-        )
+        return SamplingDistribution(**{_SAMPLER_FIELDS[k]: v for k, v in obj.items()})
 
 
 def _sampler_document(s: SamplingDistribution) -> dict:
     if s.kind == synthdata.DATA_MARGINAL:
         return {"kind": s.kind}
-    return {
-        "kind": s.kind,
-        "d": s.d,
-        "std": s.component_std,
-        "priors": list(s.component_priors),
-    }
+    document = {key: getattr(s, field) for key, field in _SAMPLER_FIELDS.items()}
+    return dict(document, priors=list(s.component_priors))
 
 
 def _build_estimator(obj, field: str) -> EstimatorSpec:
@@ -270,11 +219,8 @@ def _build_estimator(obj, field: str) -> EstimatorSpec:
     )
     reads = set(harness.ESTIMATOR_TABLE[name].reads)
     params = _as_object(obj.get("params", {}), f"{field}.params", reads)
-    kwargs = {}
-    if "k" in params:
-        kwargs["k"] = _as_int(params["k"], f"{field}.params.k")
     with _at(field):
-        return EstimatorSpec(name=name, **kwargs)
+        return EstimatorSpec(name=name, **params)
 
 
 def _estimator_document(e: EstimatorSpec) -> dict:
@@ -299,9 +245,8 @@ def resolve_config(text: str) -> ResolvedConfig:
         scenario in harness.SCENARIOS,
         f"scenario must be one of {', '.join(harness.SCENARIOS)}, got {scenario!r}",
     )
-    defaults = _SCENARIO_DEFAULTS[scenario]
-    allowed = _BASE_KEYS | set(defaults.keys)
-    unknown = sorted(set(raw) - allowed)
+    defaults, sizes = _SCENARIO_DEFAULTS[scenario], harness.SCENARIO_SIZES[scenario]
+    unknown = sorted(set(raw) - _BASE_KEYS - set(defaults.keys) - set(sizes))
     _expect(
         not unknown,
         f"unknown configuration key(s) for scenario {scenario}: {', '.join(unknown)}",
@@ -315,56 +260,39 @@ def resolve_config(text: str) -> ResolvedConfig:
         applied.append(path + key)
         return default
 
-    master_seed = _as_int(take("master_seed", ExperimentSpec.master_seed), "master_seed")
+    master_seed = take("master_seed", ExperimentSpec.master_seed)
     task = _build_task(take("task", _task_document(synthdata.default_task())))
-
-    classifier_raw = _as_object(
-        raw.get("classifier", {}), "classifier", set(_CLASSIFIER_DEFAULTS)
-    )
-    classifier_doc = {
-        key: _as_number(take(key, default, classifier_raw, "classifier."), f"classifier.{key}")
-        for key, default in _CLASSIFIER_DEFAULTS.items()
-    }
+    classifier_raw = _as_object(raw.get("classifier", {}), "classifier", set(_CLASSIFIER_FIELDS))
     with _at("classifier"):
         classifier = ClassifierConfig(
-            bandwidth=classifier_doc["bandwidth"],
-            prior_weight=classifier_doc["epsilon"],
             class_count=task.class_count,
+            **{
+                field: take(key, getattr(ClassifierConfig, field), classifier_raw, "classifier.")
+                for key, field in _CLASSIFIER_FIELDS.items()
+            },
         )
-
     estimators_raw = _as_list(take("estimators", defaults.estimators), "estimators")
     estimator_specs = tuple(
         _build_estimator(e, f"estimators[{i}]") for i, e in enumerate(estimators_raw)
     )
-    repetitions = _as_int(take("repetitions", defaults.repetitions), "repetitions")
+    repetitions = take("repetitions", defaults.repetitions)
 
-    # The scenario's own keys: how labels are drawn (echoed before the
-    # classifier, or last for bias-sweep), then ExperimentSpec sizes.
-    own = dict(defaults.keys)
+    # The scenario's own keys: how labels are drawn, then ExperimentSpec sizes.
+    own = defaults.keys
     if scenario == harness.BIAS_SWEEP:
-        d_grid_raw = _as_list(take("d_grid", own.pop("d_grid")), "d_grid")
-        d_grid = tuple(_as_number(d, "d_grid[]") for d in d_grid_raw)
+        d_grid = _as_list(take("d_grid", own["d_grid"]), "d_grid")
         # labeled_size is bias-sweep's single budget.
-        budgets = (_as_int(take("labeled_size", own.pop("labeled_size")), "labeled_size"),)
-        with _at("d_grid"):
-            samplers = tuple(
-                SamplingDistribution(kind=synthdata.SYMMETRIC_MIXTURE, d=d) for d in d_grid
-            )
-        echo_first, echo_last = {}, {"labeled_size": budgets[0], "d_grid": list(d_grid)}
+        budgets = (take("labeled_size", own["labeled_size"]),)
+        samplers = tuple(
+            _build_sampler({"kind": synthdata.SYMMETRIC_MIXTURE, "d": d}, f"d_grid[{i}]")
+            for i, d in enumerate(d_grid)
+        )
     else:
-        samplers_raw = _as_list(take("samplers", own.pop("samplers")), "samplers")
+        samplers_raw = _as_list(take("samplers", own["samplers"]), "samplers")
         samplers = tuple(
             _build_sampler(s, f"samplers[{i}]") for i, s in enumerate(samplers_raw)
         )
-        budgets_raw = _as_list(take("budgets", own.pop("budgets")), "budgets")
-        budgets = tuple(_as_int(b, "budgets[]") for b in budgets_raw)
-        echo_first = {
-            "samplers": [_sampler_document(s) for s in samplers],
-            "budgets": list(budgets),
-        }
-        echo_last = {}
-    sizes = {key: _as_int(take(key, default), key) for key, default in own.items()}
-
+        budgets = take("budgets", own["budgets"])
     spec = ExperimentSpec(
         scenario=scenario,
         task=task,
@@ -374,19 +302,26 @@ def resolve_config(text: str) -> ResolvedConfig:
         budgets=budgets,
         repetitions=repetitions,
         master_seed=master_seed,
-        **sizes,
+        **{key: take(key, getattr(ExperimentSpec, key)) for key in sizes},
     )
 
+    # The resolved document is read back from the spec. The labels' keys are
+    # echoed before the classifier, or last for bias-sweep.
+    if scenario == harness.BIAS_SWEEP:
+        first, last = {}, {"labeled_size": spec.budgets[0], "d_grid": [s.d for s in samplers]}
+    else:
+        samplers_doc = [_sampler_document(s) for s in samplers]
+        first, last = {"samplers": samplers_doc, "budgets": list(spec.budgets)}, {}
     document = {
         "scenario": scenario,
-        "master_seed": master_seed,
+        "master_seed": spec.master_seed,
         "task": _task_document(task),
-        **echo_first,
-        "classifier": classifier_doc,
+        **first,
+        "classifier": {k: getattr(classifier, f) for k, f in _CLASSIFIER_FIELDS.items()},
         "estimators": [_estimator_document(e) for e in estimator_specs],
-        "repetitions": repetitions,
-        **sizes,
-        **echo_last,
+        "repetitions": spec.repetitions,
+        **{key: getattr(spec, key) for key in sizes},
+        **last,
     }
     return ResolvedConfig(
         spec=spec, document=document, defaults_applied=tuple(applied)

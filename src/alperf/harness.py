@@ -31,14 +31,14 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import estimators, parzen, synthdata
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .parzen import ClassifierConfig
 from .synthdata import LabeledSet, SamplingDistribution, TaskModel
 
@@ -47,6 +47,14 @@ CV_FOLDS = "cv-folds"
 BIAS_SWEEP = "bias-sweep"
 ESTIMATOR_COMPARISON = "estimator-comparison"
 SCENARIOS = (EVAL_SIZE_DISTRIBUTION, CV_FOLDS, BIAS_SWEEP, ESTIMATOR_COMPARISON)
+# The ExperimentSpec sizes each scenario reads; a spec refuses any other size
+# set away from its default.
+SCENARIO_SIZES = {
+    EVAL_SIZE_DISTRIBUTION: ("train_size",),
+    CV_FOLDS: (),
+    BIAS_SWEEP: (),
+    ESTIMATOR_COMPARISON: ("pool_size", "subsample_reps"),
+}
 
 GENERALIZATION_ERROR = "generalization-error"
 KFOLD_CV = "kfold-cv"
@@ -148,13 +156,6 @@ def derive_substream(master_seed: int, path: Sequence[int]) -> np.random.Generat
 # ---------------------------------------------------------------------------
 
 
-def _integer(value, field: str) -> int:
-    """``value`` as an int: a Python or numpy integer, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{field} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class EstimatorSpec:
     """One estimator to run: its name and, for the CV estimators, the fold count."""
@@ -163,14 +164,13 @@ class EstimatorSpec:
     k: int = 3
 
     def __post_init__(self):
-        if self.name not in ESTIMATOR_TABLE:
+        if not isinstance(self.name, str) or self.name not in ESTIMATOR_TABLE:
             raise ValidationError(f"unknown estimator {self.name!r}")
-        object.__setattr__(self, "k", _integer(self.k, f"estimator {self.name}: k"))
-        reads = ESTIMATOR_TABLE[self.name].reads
-        for f in fields(self):
-            if f.name not in ("name", *reads) and getattr(self, f.name) != f.default:
-                raise ValidationError(f"estimator {self.name} does not take {f.name}")
-        if "k" in reads and self.k < 2:
+        object.__setattr__(self, "k", integer(self.k, f"estimator {self.name}: k"))
+        reads_k = "k" in ESTIMATOR_TABLE[self.name].reads
+        if not reads_k and self.k != EstimatorSpec.k:
+            raise ValidationError(f"estimator {self.name} does not take k")
+        if reads_k and self.k < 2:
             raise ValidationError(f"estimator {self.name}: k must be >= 2, got {self.k}")
 
     def estimator_id(self) -> str:
@@ -182,9 +182,9 @@ class EstimatorSpec:
 class ExperimentSpec:
     """Everything needed to reproduce one experiment run.
 
-    Construction checks every range and cross-field rule, so an invalid
-    spec fails before any computation, whether it comes from a JSON config
-    or from Python. ``budgets`` and ``repetitions`` differ by scenario, so
+    Construction checks every type, range and cross-field rule, so an
+    invalid spec fails before any computation, whether it comes from a JSON
+    config or from Python. ``budgets`` and ``repetitions`` differ by scenario, so
     they have no default here; the other defaults hold for every scenario.
     """
 
@@ -204,7 +204,11 @@ class ExperimentSpec:
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
         for name in ("repetitions", "train_size", "pool_size", "subsample_reps", "master_seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            object.__setattr__(self, name, integer(getattr(self, name), name))
+        for name, kind in (("task", TaskModel), ("classifier", ClassifierConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
         # A list becomes a tuple, so the spec stays hashable.
         for name, kind in (("samplers", SamplingDistribution), ("estimators", EstimatorSpec)):
             items = getattr(self, name)
@@ -213,11 +217,16 @@ class ExperimentSpec:
             object.__setattr__(self, name, tuple(items))
         if not isinstance(self.budgets, (tuple, list)):
             raise ValidationError(f"budgets must be a tuple of integers, got {self.budgets!r}")
-        budgets = tuple(_integer(b, f"budgets[{i}]") for i, b in enumerate(self.budgets))
+        budgets = tuple(integer(b, f"budgets[{i}]") for i, b in enumerate(self.budgets))
         object.__setattr__(self, "budgets", budgets)
         for name in ("repetitions", "train_size", "pool_size", "subsample_reps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("train_size", "pool_size", "subsample_reps"):
+            if name not in SCENARIO_SIZES[self.scenario] and (
+                getattr(self, name) != getattr(ExperimentSpec, name)
+            ):
+                raise ValidationError(f"{self.scenario} does not take {name}")
         if not self.budgets:
             raise ValidationError("budgets must be nonempty")
         if any(b < 1 for b in self.budgets):

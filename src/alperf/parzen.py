@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer, number
 
 # Kernel exponents are clamped here before exponentiation.
 _EXP_CLAMP = -700.0
@@ -38,6 +38,9 @@ class ClassifierConfig:
     class_count: int = 2
 
     def __post_init__(self):
+        object.__setattr__(self, "bandwidth", number(self.bandwidth, "bandwidth"))
+        object.__setattr__(self, "prior_weight", number(self.prior_weight, "prior_weight"))
+        object.__setattr__(self, "class_count", integer(self.class_count, "class_count"))
         if not (self.bandwidth > 0.0 and math.isfinite(self.bandwidth)):
             raise ValidationError(f"bandwidth must be > 0, got {self.bandwidth}")
         if self.prior_weight < 0.0 or not math.isfinite(self.prior_weight):

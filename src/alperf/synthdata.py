@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, number
 
 # Decision rules are read on this interval, widened for each task to cover
 # mean +- _SUPPORT_STDS std of every component; each tail beyond the interval
@@ -65,6 +65,8 @@ class GaussianComponent:
     std: float
 
     def __post_init__(self):
+        for name in ("weight", "mean", "std"):
+            object.__setattr__(self, name, number(getattr(self, name), f"component {name}"))
         if not (0.0 <= self.weight <= 1.0):
             raise ValidationError(f"component weight must be in [0,1], got {self.weight}")
         if not (self.std > 0.0 and math.isfinite(self.std)):
@@ -118,6 +120,20 @@ class TaskModel:
     class_components: tuple[tuple[GaussianComponent, ...], ...]
 
     def __post_init__(self):
+        priors, comps = self.class_priors, self.class_components
+        if not isinstance(priors, (tuple, list)):
+            raise ValidationError(f"class_priors must be a tuple of numbers, got {priors!r}")
+        if not isinstance(comps, (tuple, list)) or not all(
+            isinstance(c, (tuple, list)) and all(isinstance(g, GaussianComponent) for g in c)
+            for c in comps
+        ):
+            raise ValidationError(
+                f"class_components must be a tuple of tuples of GaussianComponent, got {comps!r}"
+            )
+        # Lists become tuples, so the task stays hashable.
+        priors = tuple(number(p, f"class_priors[{i}]") for i, p in enumerate(priors))
+        object.__setattr__(self, "class_priors", priors)
+        object.__setattr__(self, "class_components", tuple(map(tuple, comps)))
         if len(self.class_priors) < 2:
             raise ValidationError("a task needs at least 2 classes")
         if len(self.class_components) != len(self.class_priors):
@@ -187,6 +203,13 @@ class SamplingDistribution:
     def __post_init__(self):
         if self.kind not in (DATA_MARGINAL, SYMMETRIC_MIXTURE):
             raise ValidationError(f"unknown sampling distribution kind {self.kind!r}")
+        for name in ("d", "component_std"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
+        priors = self.component_priors
+        if not isinstance(priors, (tuple, list)):
+            raise ValidationError(f"component_priors must be a pair of numbers, got {priors!r}")
+        priors = tuple(number(p, f"component_priors[{i}]") for i, p in enumerate(priors))
+        object.__setattr__(self, "component_priors", priors)
         if self.kind == SYMMETRIC_MIXTURE:
             if not (self.component_std > 0.0 and math.isfinite(self.component_std)):
                 raise ValidationError(

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 
 from alperf import parzen
@@ -8,7 +10,13 @@ from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.errors import ValidationError
 from alperf.harness import SCENARIOS, EstimatorSpec, ExperimentSpec
 from alperf.parzen import ClassifierConfig
-from alperf.synthdata import SamplingDistribution, default_task, unbiased_sampler
+from alperf.synthdata import (
+    GaussianComponent,
+    SamplingDistribution,
+    TaskModel,
+    default_task,
+    unbiased_sampler,
+)
 
 
 def _resolve(cfg):
@@ -264,6 +272,139 @@ class TestValidation:
                                "components": [
                                    [{"weight": 1.0, "mean": 0.0, "std": 1.0}],
                                    [{"weight": 1.0, "mean": 1.0, "std": 1.0}]]}})
+
+
+_UNIT = GaussianComponent(1.0, 0.0, 1.0)
+_SYMMETRIC = "symmetric-mixture"
+
+# Every number field of a spec dataclass: a build with the field set to v (0.5
+# is valid for each), a read of the held value, and the field the message names.
+_NUMBER_FIELDS = {
+    "component-weight": (lambda v: GaussianComponent(v, 0.0, 1.0), lambda o: o.weight,
+                         "component weight"),
+    "component-mean": (lambda v: GaussianComponent(1.0, v, 1.0), lambda o: o.mean,
+                       "component mean"),
+    "component-std": (lambda v: GaussianComponent(1.0, 0.0, v), lambda o: o.std,
+                      "component std"),
+    "class-prior": (lambda v: TaskModel((0.5, v), ((_UNIT,), (_UNIT,))),
+                    lambda o: o.class_priors[1], r"class_priors\[1\]"),
+    "sampler-d": (lambda v: SamplingDistribution(_SYMMETRIC, d=v), lambda o: o.d, "d"),
+    "sampler-std": (lambda v: SamplingDistribution(_SYMMETRIC, d=1.0, component_std=v),
+                    lambda o: o.component_std, "component_std"),
+    "sampler-prior": (lambda v: SamplingDistribution(_SYMMETRIC, d=1.0, component_priors=(v, 0.5)),
+                      lambda o: o.component_priors[0], r"component_priors\[0\]"),
+    "bandwidth": (lambda v: ClassifierConfig(bandwidth=v), lambda o: o.bandwidth, "bandwidth"),
+    "prior_weight": (lambda v: ClassifierConfig(prior_weight=v), lambda o: o.prior_weight,
+                     "prior_weight"),
+}
+
+
+def _cv_folds_spec():
+    return _resolve({"scenario": "cv-folds"}).spec
+
+
+class TestValueTypes:
+    """Each spec dataclass checks the types of its own fields, so a spec built
+    in Python is checked exactly like one parsed from JSON."""
+
+    @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "str", "none"])
+    @pytest.mark.parametrize("field", _NUMBER_FIELDS)
+    def test_number_fields_reject_other_types(self, field, value):
+        build, _, name = _NUMBER_FIELDS[field]
+        message = f"^{name} must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValidationError, match=message):
+            build(value)
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5)],
+                             ids=["numpy-float32", "numpy-float64"])
+    @pytest.mark.parametrize("field", _NUMBER_FIELDS)
+    def test_number_fields_hold_floats(self, field, value):
+        build, read, _ = _NUMBER_FIELDS[field]
+        held = read(build(value))
+        assert type(held) is float and held == 0.5
+        assert build(value) == build(0.5)
+
+    @pytest.mark.parametrize("value", [2.5, True, "2", None], ids=["float", "bool", "str", "none"])
+    def test_class_count_must_be_an_integer(self, value):
+        message = f"^class_count must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValidationError, match=message):
+            ClassifierConfig(class_count=value)
+
+    def test_numpy_class_count_is_held_as_int(self):
+        assert type(ClassifierConfig(class_count=np.int64(3)).class_count) is int
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: dataclasses.replace(_cv_folds_spec(), task="x"),
+             "task must be a TaskModel, got 'x'"),
+            (lambda: dataclasses.replace(_cv_folds_spec(), classifier="x"),
+             "classifier must be a ClassifierConfig, got 'x'"),
+            (lambda: TaskModel((0.5, 0.5), (((1.0, 0.0, 1.0),), ((1.0, 0.0, 1.0),))),
+             "class_components must be a tuple of tuples of GaussianComponent, got"),
+            (lambda: TaskModel((0.5, 0.5), 0.5),
+             "class_components must be a tuple of tuples of GaussianComponent, got 0.5"),
+            (lambda: TaskModel(0.5, ((_UNIT,), (_UNIT,))),
+             "class_priors must be a tuple of numbers, got 0.5"),
+            (lambda: SamplingDistribution(_SYMMETRIC, d=1.0, component_priors=0.5),
+             "component_priors must be a pair of numbers, got 0.5"),
+            (lambda: EstimatorSpec(["kfold-cv"]), r"unknown estimator \['kfold-cv'\]"),
+            (lambda: dataclasses.replace(_cv_folds_spec(), pool_size=5),
+             "cv-folds does not take pool_size"),
+            (lambda: dataclasses.replace(_cv_folds_spec(), subsample_reps=5),
+             "cv-folds does not take subsample_reps"),
+            (lambda: dataclasses.replace(_cv_folds_spec(), train_size=5),
+             "cv-folds does not take train_size"),
+        ],
+        ids=[
+            "spec-task-str", "spec-classifier-str", "components-plain-tuples",
+            "components-float", "priors-float", "sampler-priors-float", "estimator-name-list",
+            "cv-folds-pool_size", "cv-folds-subsample_reps", "cv-folds-train_size",
+        ],
+    )
+    def test_wrong_values_name_their_field(self, build, message):
+        # A wrong number is covered above, for every number field.
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            build()
+
+    def test_each_scenario_takes_the_sizes_it_reads(self):
+        # A size at its default is no setting, so every scenario accepts it.
+        spec = _cv_folds_spec()
+        assert dataclasses.replace(spec, pool_size=ExperimentSpec.pool_size) == spec
+        eval_size = _resolve({"scenario": "eval-size-distribution", "train_size": 40}).spec
+        assert eval_size.train_size == 40
+        with pytest.raises(ValidationError, match="^eval-size-distribution does not take pool"):
+            dataclasses.replace(eval_size, pool_size=5)
+        comparison = _resolve({"scenario": "estimator-comparison"}).spec
+        with pytest.raises(ValidationError, match="^estimator-comparison does not take train"):
+            dataclasses.replace(comparison, train_size=5)
+
+    def test_task_lists_become_tuples(self):
+        listed = TaskModel([0.5, 0.5], [[_UNIT], [_UNIT]])
+        held = TaskModel((0.5, 0.5), ((_UNIT,), (_UNIT,)))
+        assert listed == held and hash(listed) == hash(held)
+        assert type(listed.class_priors) is tuple
+        assert all(type(comps) is tuple for comps in listed.class_components)
+
+    @pytest.mark.parametrize(
+        "overrides, build, path",
+        [
+            ({"classifier": {"bandwidth": "0.2"}}, lambda: ClassifierConfig(bandwidth="0.2"),
+             "classifier: "),
+            ({"samplers": [{"kind": _SYMMETRIC, "d": "0.3"}]},
+             lambda: SamplingDistribution(_SYMMETRIC, d="0.3"), "samplers[0]: "),
+            ({"budgets": [20.5]}, lambda: dataclasses.replace(_cv_folds_spec(), budgets=(20.5,)),
+             ""),
+        ],
+        ids=["bandwidth-str", "sampler-d-str", "budget-float"],
+    )
+    def test_json_and_python_give_one_message(self, overrides, build, path):
+        # The JSON message is the dataclass's own, after the field's path.
+        with pytest.raises(ValidationError) as from_python:
+            build()
+        with pytest.raises(ValidationError) as from_json:
+            _resolve({"scenario": "cv-folds", **overrides})
+        assert str(from_json.value) == f"{path}{from_python.value}"
 
 
 class TestBuiltins:
