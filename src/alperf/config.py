@@ -11,13 +11,11 @@ computation starts; the message names the offending field's path. The
 resolved document is read back from the built spec, and every default that
 gets applied is reported, so a run can echo its fully resolved configuration.
 
-What differs between scenarios lives in one table, ``_SCENARIO_DEFAULTS``:
-each scenario's default repetitions and estimators, and its own JSON keys
-for the labels with their defaults; the ExperimentSpec sizes it takes are
-``harness.SCENARIO_SIZES``. Only bias-sweep maps its keys onto the spec
-(``labeled_size`` is its single budget, ``d_grid`` its samplers). A default
-that is the same for every scenario is read from its dataclass field, not
-repeated here.
+Every scenario takes the same keys, plus the ExperimentSpec sizes its
+``harness.SCENARIO_TABLE`` row reads. A key that is not given takes the
+row's default (repetitions, estimators, samplers, budgets) or the default of
+the dataclass field it sets, as a spec value: no default is rebuilt from a
+JSON document.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import harness, synthdata
 from .errors import ValidationError
@@ -33,65 +30,10 @@ from .harness import EstimatorSpec, ExperimentSpec
 from .parzen import ClassifierConfig
 from .synthdata import GaussianComponent, SamplingDistribution, TaskModel
 
+# The keys every scenario takes; its row's sizes are the others.
 _BASE_KEYS = {
-    "scenario",
-    "master_seed",
-    "task",
-    "classifier",
-    "estimators",
-    "repetitions",
-}
-
-
-class _ScenarioDefaults(NamedTuple):
-    """What one scenario defaults to beyond the keys every scenario takes."""
-
-    repetitions: int
-    estimators: list  # estimator documents
-    keys: dict  # the scenario's own JSON keys with their defaults, in parse order
-
-
-_UNBIASED = [{"kind": synthdata.DATA_MARGINAL}]
-_SCENARIO_DEFAULTS = {
-    harness.EVAL_SIZE_DISTRIBUTION: _ScenarioDefaults(
-        1000,
-        [{"name": harness.SUBSAMPLE_BASELINE, "params": {}}],
-        {"samplers": _UNBIASED, "budgets": [5, 10, 20, 100]},
-    ),
-    harness.CV_FOLDS: _ScenarioDefaults(
-        50,
-        [{"name": harness.KFOLD_CV, "params": {"k": k}} for k in (2, 5, 10, 20)],
-        {"samplers": _UNBIASED, "budgets": [20]},
-    ),
-    harness.BIAS_SWEEP: _ScenarioDefaults(
-        50,
-        [{"name": harness.KFOLD_CV, "params": {"k": 3}}],
-        {
-            "d_grid": [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0],
-            "labeled_size": 30,
-        },
-    ),
-    harness.ESTIMATOR_COMPARISON: _ScenarioDefaults(
-        200,
-        [
-            {"name": harness.GENERALIZATION_ERROR, "params": {}},
-            {"name": harness.KFOLD_CV, "params": {"k": 3}},
-            {"name": harness.SELF_LABEL_CV, "params": {"k": 3}},
-            {"name": harness.REWEIGHTED_CV, "params": {"k": 3}},
-            {"name": harness.PROBABILISTIC, "params": {}},
-            {"name": harness.SUBSAMPLE_BASELINE, "params": {}},
-        ],
-        {
-            # The three acquisition regimes of the comparison scenario:
-            # unbiased, boundary-focused, and boundary-avoiding.
-            "samplers": [
-                *_UNBIASED,
-                {"kind": synthdata.SYMMETRIC_MIXTURE, "d": 0.3},
-                {"kind": synthdata.SYMMETRIC_MIXTURE, "d": 2.0},
-            ],
-            "budgets": [10, 30, 50],
-        },
-    ),
+    "scenario", "master_seed", "task", "classifier", "estimators", "repetitions",
+    "samplers", "budgets",
 }
 # The JSON keys of a classifier and of a sampler, each with the field it sets.
 _CLASSIFIER_FIELDS = {"bandwidth": "bandwidth", "epsilon": "prior_weight"}
@@ -194,10 +136,10 @@ def _task_document(task: TaskModel) -> dict:
 def _build_sampler(obj, field: str) -> SamplingDistribution:
     obj = _as_object(obj, field, set(_SAMPLER_FIELDS))
     _expect("kind" in obj, f"{field} needs a kind")
-    if obj["kind"] == synthdata.DATA_MARGINAL:
-        _expect(len(obj) == 1, f"{field}: data-marginal takes no further parameters")
-    elif obj["kind"] == synthdata.SYMMETRIC_MIXTURE:
-        _expect("d" in obj, f"{field}: symmetric-mixture needs d")
+    _expect(
+        obj["kind"] != synthdata.SYMMETRIC_MIXTURE or "d" in obj,
+        f"{field}: symmetric-mixture needs d",
+    )
     with _at(field):
         return SamplingDistribution(**{_SAMPLER_FIELDS[k]: v for k, v in obj.items()})
 
@@ -228,6 +170,13 @@ def _estimator_document(e: EstimatorSpec) -> dict:
     return {"name": e.name, "params": params}
 
 
+def _build_each(build, field: str):
+    """A builder of the JSON list ``field``, each entry built by ``build(entry, path)``."""
+    return lambda value: tuple(
+        build(v, f"{field}[{i}]") for i, v in enumerate(_as_list(value, field))
+    )
+
+
 def resolve_config(text: str) -> ResolvedConfig:
     """Parse, validate and default-fill a JSON configuration document."""
     try:
@@ -242,11 +191,11 @@ def resolve_config(text: str) -> ResolvedConfig:
     _expect("scenario" in raw, "config needs a scenario")
     scenario = raw["scenario"]
     _expect(
-        scenario in harness.SCENARIOS,
-        f"scenario must be one of {', '.join(harness.SCENARIOS)}, got {scenario!r}",
+        isinstance(scenario, str) and scenario in harness.SCENARIO_TABLE,
+        f"scenario must be one of {', '.join(harness.SCENARIO_TABLE)}, got {scenario!r}",
     )
-    defaults, sizes = _SCENARIO_DEFAULTS[scenario], harness.SCENARIO_SIZES[scenario]
-    unknown = sorted(set(raw) - _BASE_KEYS - set(defaults.keys) - set(sizes))
+    row = harness.SCENARIO_TABLE[scenario]
+    unknown = sorted(set(raw) - _BASE_KEYS - set(row.sizes))
     _expect(
         not unknown,
         f"unknown configuration key(s) for scenario {scenario}: {', '.join(unknown)}",
@@ -254,74 +203,48 @@ def resolve_config(text: str) -> ResolvedConfig:
 
     applied: list[str] = []
 
-    def take(key: str, default, obj=raw, path=""):
+    def take(key: str, default, build=lambda value: value, obj=raw, path=""):
+        """The value built from ``obj[key]`` if it is given, else ``default``."""
         if key in obj:
-            return obj[key]
+            return build(obj[key])
         applied.append(path + key)
         return default
 
     master_seed = take("master_seed", ExperimentSpec.master_seed)
-    task = _build_task(take("task", _task_document(synthdata.default_task())))
+    task = take("task", synthdata.default_task(), _build_task)
     classifier_raw = _as_object(raw.get("classifier", {}), "classifier", set(_CLASSIFIER_FIELDS))
     with _at("classifier"):
         classifier = ClassifierConfig(
             class_count=task.class_count,
             **{
-                field: take(key, getattr(ClassifierConfig, field), classifier_raw, "classifier.")
+                field: take(key, getattr(ClassifierConfig, field), obj=classifier_raw,
+                            path="classifier.")
                 for key, field in _CLASSIFIER_FIELDS.items()
             },
         )
-    estimators_raw = _as_list(take("estimators", defaults.estimators), "estimators")
-    estimator_specs = tuple(
-        _build_estimator(e, f"estimators[{i}]") for i, e in enumerate(estimators_raw)
-    )
-    repetitions = take("repetitions", defaults.repetitions)
-
-    # The scenario's own keys: how labels are drawn, then ExperimentSpec sizes.
-    own = defaults.keys
-    if scenario == harness.BIAS_SWEEP:
-        d_grid = _as_list(take("d_grid", own["d_grid"]), "d_grid")
-        # labeled_size is bias-sweep's single budget.
-        budgets = (take("labeled_size", own["labeled_size"]),)
-        samplers = tuple(
-            _build_sampler({"kind": synthdata.SYMMETRIC_MIXTURE, "d": d}, f"d_grid[{i}]")
-            for i, d in enumerate(d_grid)
-        )
-    else:
-        samplers_raw = _as_list(take("samplers", own["samplers"]), "samplers")
-        samplers = tuple(
-            _build_sampler(s, f"samplers[{i}]") for i, s in enumerate(samplers_raw)
-        )
-        budgets = take("budgets", own["budgets"])
     spec = ExperimentSpec(
         scenario=scenario,
         task=task,
-        samplers=samplers,
         classifier=classifier,
-        estimators=estimator_specs,
-        budgets=budgets,
-        repetitions=repetitions,
+        estimators=take("estimators", row.estimators, _build_each(_build_estimator, "estimators")),
+        repetitions=take("repetitions", row.repetitions),
+        samplers=take("samplers", row.samplers, _build_each(_build_sampler, "samplers")),
+        budgets=take("budgets", row.budgets),
         master_seed=master_seed,
-        **{key: take(key, getattr(ExperimentSpec, key)) for key in sizes},
+        **{key: take(key, getattr(ExperimentSpec, key)) for key in row.sizes},
     )
 
-    # The resolved document is read back from the spec. The labels' keys are
-    # echoed before the classifier, or last for bias-sweep.
-    if scenario == harness.BIAS_SWEEP:
-        first, last = {}, {"labeled_size": spec.budgets[0], "d_grid": [s.d for s in samplers]}
-    else:
-        samplers_doc = [_sampler_document(s) for s in samplers]
-        first, last = {"samplers": samplers_doc, "budgets": list(spec.budgets)}, {}
+    # The resolved document is read back from the spec.
     document = {
         "scenario": scenario,
         "master_seed": spec.master_seed,
         "task": _task_document(task),
-        **first,
+        "samplers": [_sampler_document(s) for s in spec.samplers],
+        "budgets": list(spec.budgets),
         "classifier": {k: getattr(classifier, f) for k, f in _CLASSIFIER_FIELDS.items()},
-        "estimators": [_estimator_document(e) for e in estimator_specs],
+        "estimators": [_estimator_document(e) for e in spec.estimators],
         "repetitions": spec.repetitions,
-        **{key: getattr(spec, key) for key in sizes},
-        **last,
+        **{key: getattr(spec, key) for key in row.sizes},
     }
     return ResolvedConfig(
         spec=spec, document=document, defaults_applied=tuple(applied)

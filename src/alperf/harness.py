@@ -16,9 +16,12 @@ Four scenarios are implemented:
 
 In every scenario a unit of work is one (sampler index, repetition) pair,
 whose records are exactly the rows with that sampler and repetition. Each
-scenario is one table entry: ``shared(spec)`` computes, once, what all its
-units share, and ``run_unit(spec, shared, unit)`` turns one unit into
-records. ``run_experiment`` runs any scenario through that table.
+scenario is one ``Scenario`` row of ``SCENARIO_TABLE``: ``shared(spec)``
+computes, once, what all its units share, and ``run_unit(spec, shared,
+unit)`` turns one unit into records; the row also names the spec sizes the
+scenario reads, the estimators it runs and the collections that hold exactly
+one entry, which ``ExperimentSpec`` checks, and the defaults a JSON config
+applies. ``run_experiment`` runs any scenario through that table.
 
 All randomness flows through ``derive_substream``: every unit of work owns
 a (master_seed, path) pair, so repetitions are independent, results do not
@@ -46,15 +49,6 @@ EVAL_SIZE_DISTRIBUTION = "eval-size-distribution"
 CV_FOLDS = "cv-folds"
 BIAS_SWEEP = "bias-sweep"
 ESTIMATOR_COMPARISON = "estimator-comparison"
-SCENARIOS = (EVAL_SIZE_DISTRIBUTION, CV_FOLDS, BIAS_SWEEP, ESTIMATOR_COMPARISON)
-# The ExperimentSpec sizes each scenario reads; a spec refuses any other size
-# set away from its default.
-SCENARIO_SIZES = {
-    EVAL_SIZE_DISTRIBUTION: ("train_size",),
-    CV_FOLDS: (),
-    BIAS_SWEEP: (),
-    ESTIMATOR_COMPARISON: ("pool_size", "subsample_reps"),
-}
 
 GENERALIZATION_ERROR = "generalization-error"
 KFOLD_CV = "kfold-cv"
@@ -113,6 +107,21 @@ ESTIMATOR_TABLE = {
         True,
     ),
 }
+
+
+class Scenario(NamedTuple):
+    """What the harness knows about one scenario."""
+
+    shared: Callable  # shared(spec): what all units share, computed once
+    run_unit: Callable  # run_unit(spec, shared, unit): one unit's records
+    # The defaults a JSON config applies.
+    repetitions: int
+    estimators: tuple[EstimatorSpec, ...]
+    samplers: tuple[SamplingDistribution, ...]
+    budgets: tuple[int, ...]
+    sizes: tuple[str, ...] = ()  # the ExperimentSpec sizes it reads
+    estimator_names: tuple[str, ...] = ()  # the estimators it runs; empty means any
+    single: tuple[str, ...] = ()  # the spec collections that hold exactly one entry
 
 
 def _words(n: int) -> list[int]:
@@ -184,8 +193,8 @@ class ExperimentSpec:
 
     Construction checks every type, range and cross-field rule, so an
     invalid spec fails before any computation, whether it comes from a JSON
-    config or from Python. ``budgets`` and ``repetitions`` differ by scenario, so
-    they have no default here; the other defaults hold for every scenario.
+    config or from Python. Its defaults hold for every scenario; ``budgets``
+    and ``repetitions`` differ by scenario, so ``SCENARIO_TABLE`` holds theirs.
     """
 
     scenario: str
@@ -201,8 +210,9 @@ class ExperimentSpec:
     train_size: int = 100
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIO_TABLE:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
+        row = SCENARIO_TABLE[self.scenario]
         for name in ("repetitions", "train_size", "pool_size", "subsample_reps", "master_seed"):
             object.__setattr__(self, name, integer(getattr(self, name), name))
         for name, kind in (("task", TaskModel), ("classifier", ClassifierConfig)):
@@ -223,9 +233,7 @@ class ExperimentSpec:
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("train_size", "pool_size", "subsample_reps"):
-            if name not in SCENARIO_SIZES[self.scenario] and (
-                getattr(self, name) != getattr(ExperimentSpec, name)
-            ):
+            if name not in row.sizes and getattr(self, name) != getattr(ExperimentSpec, name):
                 raise ValidationError(f"{self.scenario} does not take {name}")
         if not self.budgets:
             raise ValidationError("budgets must be nonempty")
@@ -257,26 +265,18 @@ class ExperimentSpec:
                 f"the {PROBABILISTIC} estimator needs a 2-class task, "
                 f"got {self.task.class_count} classes"
             )
-        if self.scenario in (EVAL_SIZE_DISTRIBUTION, CV_FOLDS) and len(self.samplers) != 1:
-            raise ValidationError(f"{self.scenario} uses exactly one sampler")
-        if self.scenario == EVAL_SIZE_DISTRIBUTION and ids != [SUBSAMPLE_BASELINE]:
+        for name in row.single:
+            count = len(getattr(self, name))
+            if count != 1:
+                raise ValidationError(f"{self.scenario} uses exactly one {name[:-1]}, got {count}")
+        names = row.estimator_names or ESTIMATOR_TABLE
+        bad = [e.name for e in self.estimators if e.name not in names]
+        if bad:
             raise ValidationError(
-                "eval-size-distribution supports only the subsample-baseline estimator"
+                f"{self.scenario} supports only the estimators "
+                f"{', '.join(row.estimator_names)}, got {bad}"
             )
-        if self.scenario in (CV_FOLDS, BIAS_SWEEP) and len(self.budgets) != 1:
-            raise ValidationError(
-                f"{self.scenario} uses exactly one budget (the labeled-set size)"
-            )
-        if self.scenario == CV_FOLDS:
-            bad = [e.name for e in self.estimators if e.name not in (KFOLD_CV, REWEIGHTED_CV)]
-            if bad:
-                raise ValidationError(
-                    f"cv-folds supports only the CV estimators {KFOLD_CV} and "
-                    f"{REWEIGHTED_CV}, got {bad}"
-                )
         if self.scenario == BIAS_SWEEP:
-            if [e.name for e in self.estimators] != [KFOLD_CV]:
-                raise ValidationError("bias-sweep runs exactly one kfold-cv estimator")
             ds = [s.d for s in self.samplers]
             if (
                 any(s.kind != synthdata.SYMMETRIC_MIXTURE for s in self.samplers)
@@ -284,8 +284,8 @@ class ExperimentSpec:
                 or any(a >= b for a, b in zip(ds, ds[1:]))
             ):
                 raise ValidationError(
-                    "bias-sweep needs symmetric-mixture samplers whose distances "
-                    f"(the d_grid) are positive and strictly increasing, got {labels}"
+                    "bias-sweep needs symmetric-mixture samplers whose distances d "
+                    f"are positive and strictly increasing, got {labels}"
                 )
         for i, e in enumerate(self.estimators):
             if "k" in ESTIMATOR_TABLE[e.name].reads and e.k > min(self.budgets):
@@ -474,35 +474,66 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
 
 # ---------------------------------------------------------------------------
 
-# scenario -> (shared(spec), run_unit(spec, shared, unit)). Units are
-# independent and each draws only from its own substreams, so they may run
-# in any order on any worker.
-_SCENARIO_TABLE = {
-    # The true baseline is exact and draws nothing. The paths it used to draw
-    # on, (0, 1), (2, d, rep) and (2, s, rep, budget_index), are retired; the
-    # others keep their numbers.
+# Units are independent and each draws only from its own substreams, so they
+# may run in any order on any worker. The true baseline is exact and draws
+# nothing. The paths it used to draw on, (0, 1), (2, d, rep) and (2, s, rep,
+# budget_index), are retired; the others keep their numbers.
+_UNBIASED = (synthdata.unbiased_sampler(),)
+
+
+def _mixtures(*ds: float) -> tuple[SamplingDistribution, ...]:
+    return tuple(SamplingDistribution(synthdata.SYMMETRIC_MIXTURE, d=d) for d in ds)
+
+
+SCENARIO_TABLE = {
     # Substream paths: (0, 0) classifier training draws, (1, rep, size_index)
     # per-repetition evaluation (Binomial) draws.
-    EVAL_SIZE_DISTRIBUTION: (lambda spec: _fixed_set(spec, spec.train_size), _eval_size_unit),
+    EVAL_SIZE_DISTRIBUTION: Scenario(
+        lambda spec: _fixed_set(spec, spec.train_size), _eval_size_unit,
+        repetitions=1000, estimators=(EstimatorSpec(SUBSAMPLE_BASELINE),),
+        samplers=_UNBIASED, budgets=(5, 10, 20, 100),
+        sizes=("train_size",), estimator_names=(SUBSAMPLE_BASELINE,), single=("samplers",),
+    ),
     # Substream paths: (0, 0) labeled-set acquisition, (1, rep,
     # estimator_index) fold assignment.
-    CV_FOLDS: (lambda spec: _fixed_set(spec, spec.budgets[0]), _cv_folds_unit),
+    CV_FOLDS: Scenario(
+        lambda spec: _fixed_set(spec, spec.budgets[0]), _cv_folds_unit,
+        repetitions=50, estimators=tuple(EstimatorSpec(KFOLD_CV, k) for k in (2, 5, 10, 20)),
+        samplers=_UNBIASED, budgets=(20,),
+        estimator_names=(KFOLD_CV, REWEIGHTED_CV), single=("samplers", "budgets"),
+    ),
     # Substream paths per (d_index, rep): (0, d, rep) acquisition,
     # (1, d, rep) fold assignment.
-    BIAS_SWEEP: (lambda spec: None, _bias_sweep_unit),
+    BIAS_SWEEP: Scenario(
+        lambda spec: None, _bias_sweep_unit,
+        repetitions=50, estimators=(EstimatorSpec(KFOLD_CV),),
+        samplers=_mixtures(0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0),
+        budgets=(30,),
+        estimator_names=(KFOLD_CV,), single=("budgets", "estimators"),
+    ),
     # Substream paths per (sampler_index, rep): (0, s, rep) acquisition
     # sequence, (1, s, rep) pool draws, (3, s, rep, budget_index,
     # estimator_index) estimator stream, derived only for an estimator that
-    # draws.
-    ESTIMATOR_COMPARISON: (lambda spec: None, _comparison_unit),
+    # draws. Its samplers are the three acquisition regimes: unbiased,
+    # boundary-focused and boundary-avoiding.
+    ESTIMATOR_COMPARISON: Scenario(
+        lambda spec: None, _comparison_unit,
+        repetitions=200,
+        estimators=tuple(map(EstimatorSpec, (
+            GENERALIZATION_ERROR, KFOLD_CV, SELF_LABEL_CV, REWEIGHTED_CV,
+            PROBABILISTIC, SUBSAMPLE_BASELINE,
+        ))),
+        samplers=_UNBIASED + _mixtures(0.3, 2.0), budgets=(10, 30, 50),
+        sizes=("pool_size", "subsample_reps"),
+    ),
 }
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
     """Run the scenario configured in the spec and return sorted records."""
-    shared, run_unit = _SCENARIO_TABLE[spec.scenario]
+    row = SCENARIO_TABLE[spec.scenario]
     work = [(s, rep) for s in range(len(spec.samplers)) for rep in range(spec.repetitions)]
-    run = partial(run_unit, spec, shared(spec))
+    run = partial(row.run_unit, spec, row.shared(spec))
     # A pool may fork all its workers at once: ask for no more than there are units.
     workers = min(workers, len(work))
     if workers <= 1:

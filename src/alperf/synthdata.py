@@ -210,7 +210,12 @@ class SamplingDistribution:
             raise ValidationError(f"component_priors must be a pair of numbers, got {priors!r}")
         priors = tuple(number(p, f"component_priors[{i}]") for i, p in enumerate(priors))
         object.__setattr__(self, "component_priors", priors)
-        if self.kind == SYMMETRIC_MIXTURE:
+        if self.kind == DATA_MARGINAL:
+            given = {n: getattr(self, n) for n in ("d", "component_std", "component_priors")
+                     if getattr(self, n) != getattr(SamplingDistribution, n)}
+            if given:
+                raise ValidationError(f"data-marginal takes no further parameters, got {given}")
+        else:
             if not (self.component_std > 0.0 and math.isfinite(self.component_std)):
                 raise ValidationError(
                     f"component_std must be > 0, got {self.component_std}"

@@ -24,6 +24,15 @@ configuration. Every other ``raw.csv`` field stayed byte-identical.
 fig6's ``bundle.json`` and ``scenarios`` echo were re-recorded when the
 probabilistic estimator lost its count-mode option: its ``params`` went
 from ``{"count_mode": "kernel"}`` to ``{}``, and nothing else changed.
+
+fig5's ``bundle.json`` and ``scenarios`` echo were re-recorded when
+bias-sweep lost its own keys ``d_grid`` and ``labeled_size`` and took
+``samplers`` and ``budgets`` like every other scenario: the resolved
+configuration lists each distance as a symmetric-mixture sampler with the
+default std and priors, and the single labeled-set size as ``budgets``, in
+the place every scenario gives them. ``test_fig5_echo_changed_only_its_keys``
+shows that the old document, rebuilt from the new one, hashes to the old
+constant, so nothing else changed.
 """
 
 import hashlib
@@ -53,7 +62,7 @@ SUMMARY_JSON = {
 BUNDLE_JSON = {
     "fig2": "6dc13d3a422d361d6f3aa1bb8e65d52bccf910c1bd7be2c9443086c087f62457",
     "fig3": "982d3c1f73fa65342d2937db00a9d444cf33ba22425b5dc39260f94e11b44c70",
-    "fig5": "3a054a0dda1c01cf3e28da5b210519b85e24c5b3538fb0112207172bee34ddae",
+    "fig5": "4afc7313b9f3836e5e4c7fa04c7f4912bfac325517bf7ff1e4aba64dd3a91a07",
     "fig6": "7cf465649ae1f388a55b4264b6e35312db76e86a1b30f375ce5af07522ce21d0",
 }
 
@@ -68,8 +77,15 @@ PLOT_SVG = {
 SCENARIO_ECHO = {
     "fig2": "c63968ebf7d5953c7ab79a6d16404053d5071973a9a9f6dc702218e0631a776a",
     "fig3": "61257ac476bf4bf3543e5d55f339798d3c011f32f3e5ec7bee6b9a8cdbfcc6ea",
-    "fig5": "d16487f142011daf9568d101e51ab5e26602c805a51737e4372a40256fc82ca5",
+    "fig5": "f4d5619b90a07e505f0fe26498e548c906f1e78ac47fbdbfbc28cda09b17a89e",
     "fig6": "16e5501fc00620586b36faba4c1d3576790c0fd6a39ec7e814d295f1e9d2ec16",
+}
+
+# fig5's bundle.json and scenarios echo while bias-sweep took d_grid and
+# labeled_size.
+FIG5_BEFORE = {
+    "bundle": "3a054a0dda1c01cf3e28da5b210519b85e24c5b3538fb0112207172bee34ddae",
+    "echo": "d16487f142011daf9568d101e51ab5e26602c805a51737e4372a40256fc82ca5",
 }
 
 
@@ -129,3 +145,29 @@ def test_builtin_scenario_echo_digest(capsys, name):
     assert cli_main(["scenarios", name]) == 0
     echo = capsys.readouterr().out
     assert hashlib.sha256(echo.encode("utf-8")).hexdigest() == SCENARIO_ECHO[name]
+
+
+def _fig5_document_before(document):
+    """fig5's resolved configuration as bias-sweep's own keys gave it: the
+    samplers' distances as ``d_grid`` and the single budget as
+    ``labeled_size``, both after every other key."""
+    assert all(
+        s == {"kind": "symmetric-mixture", "d": s["d"], "std": 0.25, "priors": [0.5, 0.5]}
+        for s in document["samplers"]
+    )
+    (labeled_size,) = document["budgets"]
+    before = {k: v for k, v in document.items() if k not in ("samplers", "budgets")}
+    return dict(before, labeled_size=labeled_size, d_grid=[s["d"] for s in document["samplers"]])
+
+
+def test_fig5_echo_changed_only_its_keys(builtin_run, capsys):
+    assert cli_main(["scenarios", "fig5"]) == 0
+    echo = json.loads(capsys.readouterr().out)
+    before = json.dumps(_fig5_document_before(echo), indent=2) + "\n"
+    assert hashlib.sha256(before.encode("utf-8")).hexdigest() == FIG5_BEFORE["echo"]
+    bundle = json.loads((builtin_run("fig5") / "bundle.json").read_text(encoding="utf-8"))
+    renamed = {"samplers": "d_grid", "budgets": "labeled_size"}
+    bundle["config"] = _fig5_document_before(bundle["config"])
+    bundle["defaults_applied"] = [renamed.get(k, k) for k in bundle["defaults_applied"]]
+    before = json.dumps(bundle, indent=2) + "\n"
+    assert hashlib.sha256(before.encode("utf-8")).hexdigest() == FIG5_BEFORE["bundle"]

@@ -8,7 +8,7 @@ import pytest
 from alperf import parzen
 from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.errors import ValidationError
-from alperf.harness import SCENARIOS, EstimatorSpec, ExperimentSpec
+from alperf.harness import SCENARIO_TABLE, EstimatorSpec, ExperimentSpec
 from alperf.parzen import ClassifierConfig
 from alperf.synthdata import (
     GaussianComponent,
@@ -46,7 +46,7 @@ class TestDefaults:
             assert key in r.defaults_applied
         assert "master_seed" not in r.defaults_applied
 
-    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("scenario", SCENARIO_TABLE)
     def test_json_defaults_are_the_dataclass_defaults(self, scenario):
         r = _resolve({"scenario": scenario})
         spec_defaults = {
@@ -89,9 +89,9 @@ class TestDefaults:
         assert [e.k for e in fig3.estimators] == [2, 5, 10, 20]
         fig5 = _resolve({"scenario": "bias-sweep"}).spec
         assert fig5.budgets == (30,)
-        d_grid = [s.d for s in fig5.samplers]
-        assert d_grid[0] == 0.25 and d_grid[-1] == 3.0
-        assert len(d_grid) == 12
+        distances = [s.d for s in fig5.samplers]
+        assert distances[0] == 0.25 and distances[-1] == 3.0
+        assert len(distances) == 12
 
     @pytest.mark.parametrize(
         "cfg",
@@ -100,8 +100,9 @@ class TestDefaults:
              "budgets": [5, 50]},
             {"scenario": "cv-folds", "master_seed": 4, "budgets": [24],
              "samplers": [{"kind": "symmetric-mixture", "d": 0.7}]},
-            {"scenario": "bias-sweep", "master_seed": 5, "labeled_size": 24,
-             "d_grid": [0.4, 1.6]},
+            {"scenario": "bias-sweep", "master_seed": 5, "budgets": [24],
+             "samplers": [{"kind": "symmetric-mixture", "d": 0.4},
+                          {"kind": "symmetric-mixture", "d": 1.6}]},
             {"scenario": "estimator-comparison", "master_seed": 9, "pool_size": 300,
              "subsample_reps": 30,
              "estimators": [
@@ -127,7 +128,7 @@ class TestDefaults:
         if "estimators" in cfg:
             assert r2.document["estimators"] == cfg["estimators"]
         if "samplers" in cfg:
-            assert [s["d"] for s in r2.document["samplers"]] == [0.7]
+            assert [s["d"] for s in r2.document["samplers"]] == [s["d"] for s in cfg["samplers"]]
         assert r2.spec.master_seed == cfg["master_seed"]
 
 
@@ -182,23 +183,31 @@ class TestValidation:
                       "estimators": [{"name": "probabilistic"},
                                      {"name": "probabilistic"}]})
 
-    def test_bias_sweep_rejects_samplers_and_budgets(self):
-        with pytest.raises(ValidationError, match="unknown configuration key"):
-            _resolve({"scenario": "bias-sweep",
-                      "samplers": [{"kind": "data-marginal"}]})
-        with pytest.raises(ValidationError, match="unknown configuration key"):
-            _resolve({"scenario": "bias-sweep", "budgets": [30]})
+    def test_bias_sweep_takes_samplers_and_budgets(self):
+        # bias-sweep takes the keys every scenario takes, and no dialect of
+        # its own: d_grid and labeled_size are unknown keys.
+        spec = _resolve({"scenario": "bias-sweep", "budgets": [24],
+                         "samplers": [{"kind": "symmetric-mixture", "d": 0.5}]}).spec
+        assert spec.budgets == (24,) and [s.label() for s in spec.samplers] == ["biased-d0.5"]
+        for key, value in (("d_grid", [0.5, 1.0]), ("labeled_size", 24)):
+            with pytest.raises(ValidationError, match=f"^unknown configuration key.*: {key}$"):
+                _resolve({"scenario": "bias-sweep", key: value})
+
+    def test_bias_sweep_budget_message_names_budgets(self):
+        with pytest.raises(ValidationError, match=r"^budgets\[0\] must be an integer, got 2.5$"):
+            _resolve({"scenario": "bias-sweep", "budgets": [2.5]})
 
     def test_bias_sweep_grid_must_increase(self):
-        with pytest.raises(ValidationError, match="d_grid"):
-            _resolve({"scenario": "bias-sweep", "d_grid": [1.0, 0.5]})
+        with pytest.raises(ValidationError, match="distances d are positive and strictly incr"):
+            _resolve({"scenario": "bias-sweep",
+                      "samplers": [{"kind": "symmetric-mixture", "d": 1.0},
+                                   {"kind": "symmetric-mixture", "d": 0.5}]})
 
     def test_cv_folds_k_within_budget(self):
         with pytest.raises(ValidationError, match="k=20 exceeds the smallest budget"):
             _resolve({"scenario": "cv-folds", "budgets": [10]})
-        # bias-sweep's single budget is its labeled_size
         with pytest.raises(ValidationError, match=r"k=5 exceeds the smallest budget \(4\)"):
-            _resolve({"scenario": "bias-sweep", "labeled_size": 4,
+            _resolve({"scenario": "bias-sweep", "budgets": [4],
                       "estimators": [{"name": "kfold-cv", "params": {"k": 5}}]})
 
     def test_sampler_validation(self):
@@ -405,6 +414,99 @@ class TestValueTypes:
         with pytest.raises(ValidationError) as from_json:
             _resolve({"scenario": "cv-folds", **overrides})
         assert str(from_json.value) == f"{path}{from_python.value}"
+
+
+_MARGINAL = {"kind": "data-marginal"}
+_MIXTURE = {"kind": _SYMMETRIC, "d": 0.5}
+_BOTH = (unbiased_sampler(), SamplingDistribution(_SYMMETRIC, d=0.5))
+
+# Each rule a scenario's row sets: the JSON setting that breaks it, the same
+# setting as spec values, and the message.
+_ROW_RULES = {
+    "eval-size-two-samplers": (
+        "eval-size-distribution", {"samplers": [_MARGINAL, _MIXTURE]}, {"samplers": _BOTH},
+        "eval-size-distribution uses exactly one sampler, got 2"),
+    "eval-size-kfold-cv": (
+        "eval-size-distribution", {"estimators": [{"name": "kfold-cv"}]},
+        {"estimators": (EstimatorSpec("kfold-cv"),)},
+        r"eval-size-distribution supports only the estimators subsample-baseline, "
+        r"got \['kfold-cv'\]"),
+    "cv-folds-two-samplers": (
+        "cv-folds", {"samplers": [_MARGINAL, _MIXTURE]}, {"samplers": _BOTH},
+        "cv-folds uses exactly one sampler, got 2"),
+    "cv-folds-two-budgets": (
+        "cv-folds", {"budgets": [20, 30]}, {"budgets": (20, 30)},
+        "cv-folds uses exactly one budget, got 2"),
+    "cv-folds-probabilistic": (
+        "cv-folds", {"estimators": [{"name": "probabilistic"}]},
+        {"estimators": (EstimatorSpec("probabilistic"),)},
+        r"cv-folds supports only the estimators kfold-cv, reweighted-cv, "
+        r"got \['probabilistic'\]"),
+    "bias-sweep-two-budgets": (
+        "bias-sweep", {"budgets": [20, 30]}, {"budgets": (20, 30)},
+        "bias-sweep uses exactly one budget, got 2"),
+    "bias-sweep-two-kfold-cv": (
+        "bias-sweep",
+        {"estimators": [{"name": "kfold-cv", "params": {"k": 3}},
+                        {"name": "kfold-cv", "params": {"k": 5}}]},
+        {"estimators": (EstimatorSpec("kfold-cv", k=3), EstimatorSpec("kfold-cv", k=5))},
+        "bias-sweep uses exactly one estimator, got 2"),
+    "bias-sweep-probabilistic": (
+        "bias-sweep", {"estimators": [{"name": "probabilistic"}]},
+        {"estimators": (EstimatorSpec("probabilistic"),)},
+        r"bias-sweep supports only the estimators kfold-cv, got \['probabilistic'\]"),
+    "bias-sweep-reweighted-cv": (
+        "bias-sweep", {"estimators": [{"name": "reweighted-cv", "params": {"k": 3}}]},
+        {"estimators": (EstimatorSpec("reweighted-cv"),)},
+        r"bias-sweep supports only the estimators kfold-cv, got \['reweighted-cv'\]"),
+}
+
+
+class TestScenarioRows:
+    """What a scenario is lives in its ``harness.SCENARIO_TABLE`` row: the
+    defaults a JSON config applies, and the rules a spec checks."""
+
+    @pytest.mark.parametrize("scenario", SCENARIO_TABLE)
+    def test_json_defaults_are_the_row_defaults(self, scenario):
+        row = SCENARIO_TABLE[scenario]
+        spec = _resolve({"scenario": scenario}).spec
+        assert spec.estimators == row.estimators
+        assert spec.samplers == row.samplers
+        assert spec.budgets == row.budgets
+        assert spec.repetitions == row.repetitions
+        assert spec.task == default_task()
+
+    @pytest.mark.parametrize("rule", _ROW_RULES)
+    def test_row_rules_hold_from_json_and_python(self, rule):
+        scenario, overrides, values, message = _ROW_RULES[rule]
+        with pytest.raises(ValidationError, match=f"^{message}$") as from_json:
+            _resolve({"scenario": scenario, **overrides})
+        spec = _resolve({"scenario": scenario}).spec
+        with pytest.raises(ValidationError) as from_python:
+            dataclasses.replace(spec, **values)
+        assert str(from_python.value) == str(from_json.value)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"d": 5.0}, {"component_std": 9.0}, {"component_priors": (0.2, 0.8)},
+         {"d": 5.0, "component_std": 9.0}],
+        ids=["d", "component_std", "component_priors", "d-and-std"],
+    )
+    def test_data_marginal_refuses_settings(self, settings):
+        with pytest.raises(ValidationError, match="^data-marginal takes no further parameters"):
+            SamplingDistribution("data-marginal", **settings)
+
+    def test_data_marginal_accepts_its_defaults(self):
+        given = SamplingDistribution("data-marginal", d=0, component_priors=[0.5, 0.5])
+        assert given == unbiased_sampler()
+
+    def test_data_marginal_message_from_json(self):
+        with pytest.raises(ValidationError) as from_python:
+            SamplingDistribution("data-marginal", d=1.0)
+        with pytest.raises(ValidationError) as from_json:
+            _resolve({"scenario": "estimator-comparison",
+                      "samplers": [{"kind": "data-marginal", "d": 1.0}]})
+        assert str(from_json.value) == f"samplers[0]: {from_python.value}"
 
 
 class TestBuiltins:

@@ -45,6 +45,11 @@ def _spec(overrides=None):
     return resolve_config(json.dumps(cfg)).spec
 
 
+def _mixtures(*ds):
+    """JSON samplers: one symmetric mixture at each distance d."""
+    return [{"kind": "symmetric-mixture", "d": d} for d in ds]
+
+
 class TestDeriveSubstream:
     def test_same_path_identical(self):
         a = derive_substream(42, (3, 7)).random(100)
@@ -205,8 +210,8 @@ class TestSpecs:
             dataclasses.replace(spec, repetitions=0)
         with pytest.raises(ValidationError, match="unknown scenario"):
             dataclasses.replace(spec, scenario="grid-search")
-        with pytest.raises(ValidationError, match="d_grid"):
-            _spec({"scenario": "bias-sweep", "d_grid": [float("nan")]})
+        with pytest.raises(ValidationError, match=r"^samplers\[0\]: d must be a finite distance"):
+            _spec({"scenario": "bias-sweep", "samplers": _mixtures(float("nan"))})
 
     def test_probabilistic_needs_two_classes(self):
         # the default comparison estimators include the probabilistic one,
@@ -320,7 +325,9 @@ class TestSpecs:
 
     def test_eval_size_rejects_kfold_estimator(self):
         spec = _spec({"scenario": "eval-size-distribution", "budgets": [5, 10]})
-        with pytest.raises(ValidationError, match="only the subsample-baseline"):
+        with pytest.raises(
+            ValidationError, match="supports only the estimators subsample-baseline"
+        ):
             dataclasses.replace(spec, estimators=(EstimatorSpec("kfold-cv", k=2),))
 
 
@@ -381,7 +388,9 @@ class TestCvFolds:
     def test_rejects_non_cv_estimators(self):
         spec = _spec({"scenario": "cv-folds", "budgets": [10], "repetitions": 2,
                       "estimators": [{"name": "kfold-cv", "params": {"k": 2}}]})
-        with pytest.raises(ValidationError, match="CV estimators"):
+        with pytest.raises(
+            ValidationError, match="supports only the estimators kfold-cv, reweighted-cv"
+        ):
             dataclasses.replace(spec, estimators=(EstimatorSpec("probabilistic"),))
 
     def test_rejects_k_above_label_count(self):
@@ -394,7 +403,7 @@ class TestCvFolds:
 class TestBiasSweep:
     def test_structure(self):
         spec = _spec({"scenario": "bias-sweep", "repetitions": 3,
-                      "d_grid": [0.25, 2.5], "labeled_size": 12})
+                      "samplers": _mixtures(0.25, 2.5), "budgets": [12]})
         records = run_experiment(spec, workers=1)
         assert len(records) == 6
         assert {r.sampler for r in records} == {"biased-d0.25", "biased-d2.5"}
@@ -405,14 +414,14 @@ class TestBiasSweep:
 
     def test_worker_invariance(self):
         spec = _spec({"scenario": "bias-sweep", "repetitions": 4,
-                      "d_grid": [0.5, 1.5], "labeled_size": 9})
+                      "samplers": _mixtures(0.5, 1.5), "budgets": [9]})
         r1 = run_experiment(spec, workers=1)
         r2 = run_experiment(spec, workers=4)
         assert _strip_wall(r1) == _strip_wall(r2)
 
     def test_uses_the_spec_samplers(self):
         spec = _spec({"scenario": "bias-sweep", "repetitions": 2,
-                      "d_grid": [0.5, 1.5], "labeled_size": 9})
+                      "samplers": _mixtures(0.5, 1.5), "budgets": [9]})
         wide = tuple(dataclasses.replace(s, component_std=1.0) for s in spec.samplers)
         # the labeled-set size is the spec's single budget
         wide_spec = dataclasses.replace(spec, samplers=wide, budgets=(12,))
@@ -434,7 +443,7 @@ class TestBiasSweep:
 
     def test_samplers_must_form_a_d_grid(self):
         spec = _spec({"scenario": "bias-sweep", "repetitions": 2,
-                      "d_grid": [0.5, 1.5], "labeled_size": 9})
+                      "samplers": _mixtures(0.5, 1.5), "budgets": [9]})
         with pytest.raises(ValidationError, match="strictly increasing"):
             dataclasses.replace(spec, samplers=spec.samplers[::-1])
         with pytest.raises(ValidationError, match="symmetric-mixture"):
@@ -566,7 +575,7 @@ class TestRunExperiment:
         [
             {"scenario": "eval-size-distribution", "budgets": [5, 20]},
             {"scenario": "cv-folds"},
-            {"scenario": "bias-sweep", "d_grid": [0.5, 1.0, 2.0], "repetitions": 2},
+            {"scenario": "bias-sweep", "samplers": _mixtures(0.5, 1.0, 2.0), "repetitions": 2},
             {},
         ],
         ids=["eval-size", "cv-folds", "bias-sweep", "comparison"],
@@ -583,9 +592,11 @@ class TestRunExperiment:
         assert sorted(groups) == [
             (s, rep) for s in range(len(spec.samplers)) for rep in range(spec.repetitions)
         ]
-        shared, run_unit = harness._SCENARIO_TABLE[spec.scenario]
+        row = harness.SCENARIO_TABLE[spec.scenario]
         for unit, rows in groups.items():
-            alone = sorted(run_unit(spec, shared(spec), unit), key=harness.RunRecord.sort_key)
+            alone = sorted(
+                row.run_unit(spec, row.shared(spec), unit), key=harness.RunRecord.sort_key
+            )
             assert _strip_wall(alone) == _strip_wall(rows)
 
     @pytest.mark.parametrize(
@@ -619,7 +630,8 @@ class TestRunExperiment:
             return exact(*args)
 
         monkeypatch.setattr(estimators, "true_baseline", slow_truth)
-        spec = _spec({"scenario": "bias-sweep", "d_grid": [0.5, 2.0], "repetitions": 1})
+        spec = _spec({"scenario": "bias-sweep", "samplers": _mixtures(0.5, 2.0),
+                      "repetitions": 1})
         for r in run_experiment(spec, workers=1):
             assert math.isfinite(r.true_baseline) and 0.0 <= r.true_baseline <= 1.0
             assert 0.0 <= r.wall_ms < 200.0
