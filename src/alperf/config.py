@@ -15,7 +15,9 @@ Every scenario takes the same keys, plus the ExperimentSpec sizes its
 ``harness.SCENARIO_TABLE`` row reads. A key that is not given takes the
 row's default (repetitions, estimators, samplers, budgets) or the default of
 the dataclass field it sets, as a spec value: no default is rebuilt from a
-JSON document.
+JSON document. A sampler object takes the keys ``kind`` and ``d``, the two
+fields of SamplingDistribution, and passes them on as they are; any other
+key is unknown.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ _BASE_KEYS = {
     "scenario", "master_seed", "task", "classifier", "estimators", "repetitions",
     "samplers", "budgets",
 }
-# The JSON keys of a classifier and of a sampler, each with the field it sets.
+# The JSON keys of a classifier, each with the field it sets.
 _CLASSIFIER_FIELDS = {"bandwidth": "bandwidth", "epsilon": "prior_weight"}
-_SAMPLER_FIELDS = {"kind": "kind", "d": "d", "std": "component_std", "priors": "component_priors"}
 
 
 @dataclass(frozen=True)
@@ -134,21 +135,20 @@ def _task_document(task: TaskModel) -> dict:
 
 
 def _build_sampler(obj, field: str) -> SamplingDistribution:
-    obj = _as_object(obj, field, set(_SAMPLER_FIELDS))
+    obj = _as_object(obj, field, {"kind", "d"})
     _expect("kind" in obj, f"{field} needs a kind")
     _expect(
         obj["kind"] != synthdata.SYMMETRIC_MIXTURE or "d" in obj,
         f"{field}: symmetric-mixture needs d",
     )
     with _at(field):
-        return SamplingDistribution(**{_SAMPLER_FIELDS[k]: v for k, v in obj.items()})
+        return SamplingDistribution(**obj)
 
 
 def _sampler_document(s: SamplingDistribution) -> dict:
     if s.kind == synthdata.DATA_MARGINAL:
         return {"kind": s.kind}
-    document = {key: getattr(s, field) for key, field in _SAMPLER_FIELDS.items()}
-    return dict(document, priors=list(s.component_priors))
+    return {"kind": s.kind, "d": s.d}
 
 
 def _build_estimator(obj, field: str) -> EstimatorSpec:

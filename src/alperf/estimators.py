@@ -490,7 +490,8 @@ def kfold_cv(
     the inverse of its recorded sampling density, which corrects the
     estimate toward the data-generating distribution.
     """
-    # reweighted stays the 5th positional argument: tracing names the span by it.
+    # Tracing wraps kfold_cv_detail and names its span by reweighted, read at
+    # position 4 or by keyword.
     return kfold_cv_detail(labeled, k, config, rng, reweighted).estimate
 
 

@@ -3,11 +3,11 @@
 The data-generating distribution is a set of class priors plus per-class
 Gaussian mixtures. Label acquisition is modelled by an explicit sampling
 distribution q(x): either the data marginal itself (unbiased acquisition)
-or a symmetric two-component Gaussian mixture placed at a distance ``d``
-on both sides of the optimal decision boundary, which stands in for an
-informed selection strategy. Labels come from a stochastic oracle that
-draws from the true class posterior, so label noise near the boundary is
-preserved.
+or two equally weighted Gaussians of std 1/4 placed at a distance ``d`` on
+both sides of the optimal decision boundary, which stands in for an
+informed selection strategy. A sampler is its kind and its ``d``, and its
+label records both. Labels come from a stochastic oracle that draws from
+the true class posterior, so label noise near the boundary is preserved.
 
 Both densities are one ``Mixture`` of Gaussians held as arrays: the task's
 (``TaskModel.mixture``) and the sampler's (``SamplingDistribution.mixture``).
@@ -54,6 +54,8 @@ _NARROW_POINTS = 2 * 20 * int(_SUPPORT_STDS) + 1
 
 DATA_MARGINAL = "data-marginal"
 SYMMETRIC_MIXTURE = "symmetric-mixture"
+# The std of each of a symmetric-mixture sampler's two components.
+SAMPLER_STD = 0.25
 
 
 @dataclass(frozen=True)
@@ -190,62 +192,42 @@ class SamplingDistribution:
     """Acquisition distribution q(x) standing in for a selection strategy.
 
     ``data-marginal`` reproduces unbiased sampling from the task marginal.
-    ``symmetric-mixture`` places two Gaussians at -d and +d (default width
-    1/4) around the optimal decision boundary; small d concentrates labels
-    in the ambiguous region, large d keeps them far from it.
+    ``symmetric-mixture`` places two equally weighted Gaussians of std
+    SAMPLER_STD at -d and +d around the optimal decision boundary; small d
+    concentrates labels in the ambiguous region, large d keeps them far from
+    it. The kind and d are all there is to a sampler, so ``label()`` names it.
     """
 
     kind: str
     d: float = 0.0
-    component_std: float = 0.25
-    component_priors: tuple[float, float] = (0.5, 0.5)
 
     def __post_init__(self):
         if self.kind not in (DATA_MARGINAL, SYMMETRIC_MIXTURE):
             raise ValidationError(f"unknown sampling distribution kind {self.kind!r}")
-        for name in ("d", "component_std"):
-            object.__setattr__(self, name, number(getattr(self, name), name))
-        priors = self.component_priors
-        if not isinstance(priors, (tuple, list)):
-            raise ValidationError(f"component_priors must be a pair of numbers, got {priors!r}")
-        priors = tuple(number(p, f"component_priors[{i}]") for i, p in enumerate(priors))
-        object.__setattr__(self, "component_priors", priors)
+        # + 0.0 turns -0.0 into the 0.0 it equals, so equal samplers share a label.
+        object.__setattr__(self, "d", number(self.d, "d") + 0.0)
         if self.kind == DATA_MARGINAL:
-            given = {n: getattr(self, n) for n in ("d", "component_std", "component_priors")
-                     if getattr(self, n) != getattr(SamplingDistribution, n)}
-            if given:
-                raise ValidationError(f"data-marginal takes no further parameters, got {given}")
-        else:
-            if not (self.component_std > 0.0 and math.isfinite(self.component_std)):
-                raise ValidationError(
-                    f"component_std must be > 0, got {self.component_std}"
-                )
-            if self.d < 0.0 or not math.isfinite(self.d):
-                raise ValidationError(f"d must be a finite distance >= 0, got {self.d}")
-            if len(self.component_priors) != 2 or not all(
-                p >= 0.0 and math.isfinite(p) for p in self.component_priors
-            ):
-                raise ValidationError(
-                    "component_priors must be a finite nonnegative pair, "
-                    f"got {self.component_priors!r}"
-                )
-            if abs(sum(self.component_priors) - 1.0) > _PROB_TOL:
-                raise ValidationError(
-                    f"component_priors must sum to 1, got {sum(self.component_priors)!r}"
-                )
+            if self.d != 0.0:
+                raise ValidationError(f"data-marginal takes no further parameters, got d={self.d}")
+        elif self.d < 0.0 or not math.isfinite(self.d):
+            raise ValidationError(f"d must be a finite distance >= 0, got {self.d}")
 
     def label(self) -> str:
-        """Stable identifier used in run records and file outputs."""
-        return "unbiased" if self.kind == DATA_MARGINAL else f"biased-d{self.d:g}"
+        """Stable identifier used in run records and file outputs: ``unbiased``,
+        or ``biased-d`` and d as ``%g`` writes it, or as ``repr`` does where
+        ``%g`` would round it, so two distinct samplers never share a label."""
+        if self.kind == DATA_MARGINAL:
+            return "unbiased"
+        short = f"{self.d:g}"
+        return f"biased-d{short if float(short) == self.d else repr(self.d)}"
 
     def mixture(self, model: TaskModel) -> Mixture:
         """q(x) as a Mixture: the task's own, or the two components at -d and +d."""
         if self.kind == DATA_MARGINAL:
             return model.mixture
-        std = self.component_std
         return Mixture(
-            np.array([-self.d, self.d]), np.array([std, std]),
-            np.asarray(self.component_priors, dtype=np.float64), np.array([-1, -1]),
+            np.array([-self.d, self.d]), np.full(2, SAMPLER_STD),
+            np.full(2, 0.5), np.array([-1, -1]),
         )
 
 

@@ -33,6 +33,16 @@ default std and priors, and the single labeled-set size as ``budgets``, in
 the place every scenario gives them. ``test_fig5_echo_changed_only_its_keys``
 shows that the old document, rebuilt from the new one, hashes to the old
 constant, so nothing else changed.
+
+fig5's and fig6's ``bundle.json`` and ``scenarios`` echo were re-recorded
+when a sampler became its kind and its distance: each symmetric-mixture
+sampler lost its ``"std": 0.25`` and ``"priors": [0.5, 0.5]``, the fixed
+width and weights that no sampler label recorded. The old values are kept
+as ``BUNDLE_JSON_BEFORE`` and ``SCENARIO_ECHO_BEFORE``, and
+``test_echo_changed_only_the_sampler_width`` shows that putting those two
+keys back hashes to them. fig2 and fig3 draw from the data marginal only,
+so their documents did not change. ``test_fig5_echo_changed_only_its_keys``
+starts from that rebuilt document.
 """
 
 import hashlib
@@ -62,8 +72,8 @@ SUMMARY_JSON = {
 BUNDLE_JSON = {
     "fig2": "6dc13d3a422d361d6f3aa1bb8e65d52bccf910c1bd7be2c9443086c087f62457",
     "fig3": "982d3c1f73fa65342d2937db00a9d444cf33ba22425b5dc39260f94e11b44c70",
-    "fig5": "4afc7313b9f3836e5e4c7fa04c7f4912bfac325517bf7ff1e4aba64dd3a91a07",
-    "fig6": "7cf465649ae1f388a55b4264b6e35312db76e86a1b30f375ce5af07522ce21d0",
+    "fig5": "2efcabfab5b6636aee169fb148477a6381177ac9dff21288a970d98154dfd7eb",
+    "fig6": "22a85df677628401be644bae2a365cf6a3ec1638b10dc13116cc4c52cc4df190",
 }
 
 # alperf plot of the same runs' raw.csv.
@@ -77,12 +87,23 @@ PLOT_SVG = {
 SCENARIO_ECHO = {
     "fig2": "c63968ebf7d5953c7ab79a6d16404053d5071973a9a9f6dc702218e0631a776a",
     "fig3": "61257ac476bf4bf3543e5d55f339798d3c011f32f3e5ec7bee6b9a8cdbfcc6ea",
+    "fig5": "faa6ec0cf522db5fb884c8e4759e0ab29bb80fd8715f542c8fc6a675af400238",
+    "fig6": "c4b746fca1dc3e376f1fff469fecc4d70dc0cdec42b3cfb4be7b82aeb7b3a99d",
+}
+
+# bundle.json and scenarios echo while a symmetric-mixture sampler also
+# echoed its std and priors.
+BUNDLE_JSON_BEFORE = {
+    "fig5": "4afc7313b9f3836e5e4c7fa04c7f4912bfac325517bf7ff1e4aba64dd3a91a07",
+    "fig6": "7cf465649ae1f388a55b4264b6e35312db76e86a1b30f375ce5af07522ce21d0",
+}
+SCENARIO_ECHO_BEFORE = {
     "fig5": "f4d5619b90a07e505f0fe26498e548c906f1e78ac47fbdbfbc28cda09b17a89e",
     "fig6": "16e5501fc00620586b36faba4c1d3576790c0fd6a39ec7e814d295f1e9d2ec16",
 }
 
 # fig5's bundle.json and scenarios echo while bias-sweep took d_grid and
-# labeled_size.
+# labeled_size (and a sampler its std and priors).
 FIG5_BEFORE = {
     "bundle": "3a054a0dda1c01cf3e28da5b210519b85e24c5b3538fb0112207172bee34ddae",
     "echo": "d16487f142011daf9568d101e51ab5e26602c805a51737e4372a40256fc82ca5",
@@ -147,6 +168,32 @@ def test_builtin_scenario_echo_digest(capsys, name):
     assert hashlib.sha256(echo.encode("utf-8")).hexdigest() == SCENARIO_ECHO[name]
 
 
+def _json_digest(document):
+    """SHA-256 of a document as the CLI writes it."""
+    return hashlib.sha256((json.dumps(document, indent=2) + "\n").encode("utf-8")).hexdigest()
+
+
+def _with_sampler_width(document):
+    """A resolved configuration as it read while a sampler also took ``std``
+    and ``priors``: each symmetric-mixture sampler with its fixed width and
+    equal weights after its kind and d."""
+    samplers = [
+        dict(s, std=0.25, priors=[0.5, 0.5]) if s["kind"] == "symmetric-mixture" else s
+        for s in document["samplers"]
+    ]
+    return dict(document, samplers=samplers)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_ECHO_BEFORE))
+def test_echo_changed_only_the_sampler_width(builtin_run, capsys, name):
+    assert cli_main(["scenarios", name]) == 0
+    echo = json.loads(capsys.readouterr().out)
+    assert _json_digest(_with_sampler_width(echo)) == SCENARIO_ECHO_BEFORE[name]
+    bundle = json.loads((builtin_run(name) / "bundle.json").read_text(encoding="utf-8"))
+    bundle["config"] = _with_sampler_width(bundle["config"])
+    assert _json_digest(bundle) == BUNDLE_JSON_BEFORE[name]
+
+
 def _fig5_document_before(document):
     """fig5's resolved configuration as bias-sweep's own keys gave it: the
     samplers' distances as ``d_grid`` and the single budget as
@@ -162,12 +209,10 @@ def _fig5_document_before(document):
 
 def test_fig5_echo_changed_only_its_keys(builtin_run, capsys):
     assert cli_main(["scenarios", "fig5"]) == 0
-    echo = json.loads(capsys.readouterr().out)
-    before = json.dumps(_fig5_document_before(echo), indent=2) + "\n"
-    assert hashlib.sha256(before.encode("utf-8")).hexdigest() == FIG5_BEFORE["echo"]
+    echo = _with_sampler_width(json.loads(capsys.readouterr().out))
+    assert _json_digest(_fig5_document_before(echo)) == FIG5_BEFORE["echo"]
     bundle = json.loads((builtin_run("fig5") / "bundle.json").read_text(encoding="utf-8"))
     renamed = {"samplers": "d_grid", "budgets": "labeled_size"}
-    bundle["config"] = _fig5_document_before(bundle["config"])
+    bundle["config"] = _fig5_document_before(_with_sampler_width(bundle["config"]))
     bundle["defaults_applied"] = [renamed.get(k, k) for k in bundle["defaults_applied"]]
-    before = json.dumps(bundle, indent=2) + "\n"
-    assert hashlib.sha256(before.encode("utf-8")).hexdigest() == FIG5_BEFORE["bundle"]
+    assert _json_digest(bundle) == FIG5_BEFORE["bundle"]

@@ -228,22 +228,22 @@ class TestValidation:
         with pytest.raises(ValidationError, match="^task: class priors must be finite"):
             _resolve({"scenario": "estimator-comparison",
                       "task": {"priors": [nan, nan], "components": components}})
-        with pytest.raises(ValidationError, match=r"^samplers\[1\]: component_priors"):
-            _resolve({"scenario": "estimator-comparison",
-                      "samplers": [{"kind": "data-marginal"},
-                                   {"kind": "symmetric-mixture", "d": 0.5,
-                                    "priors": [nan, nan]}]})
+
+    @pytest.mark.parametrize("key, value", [("std", 0.5), ("priors", [0.25, 0.75])])
+    def test_sampler_takes_only_kind_and_d(self, key, value):
+        # A sampler's width and weights are fixed; setting either is an unknown key.
+        for kind in ("data-marginal", "symmetric-mixture"):
+            with pytest.raises(ValidationError, match=rf"^samplers\[1\] has unknown key\(s\): {key}$"):
+                _resolve({"scenario": "estimator-comparison",
+                          "samplers": [{"kind": "data-marginal"},
+                                       {"kind": kind, "d": 0.0, key: value}]})
 
     def test_sampler_defaults_are_the_dataclass_defaults(self):
         r = _resolve({"scenario": "estimator-comparison",
                       "samplers": [{"kind": "symmetric-mixture", "d": 1.0}]})
         (sampler,) = r.spec.samplers
         assert sampler == SamplingDistribution(kind="symmetric-mixture", d=1.0)
-        assert r.document["samplers"] == [
-            {"kind": "symmetric-mixture", "d": 1.0,
-             "std": SamplingDistribution.component_std,
-             "priors": list(SamplingDistribution.component_priors)},
-        ]
+        assert r.document["samplers"] == [{"kind": "symmetric-mixture", "d": 1.0}]
 
     @pytest.mark.parametrize(
         "overrides, points",
@@ -298,10 +298,6 @@ _NUMBER_FIELDS = {
     "class-prior": (lambda v: TaskModel((0.5, v), ((_UNIT,), (_UNIT,))),
                     lambda o: o.class_priors[1], r"class_priors\[1\]"),
     "sampler-d": (lambda v: SamplingDistribution(_SYMMETRIC, d=v), lambda o: o.d, "d"),
-    "sampler-std": (lambda v: SamplingDistribution(_SYMMETRIC, d=1.0, component_std=v),
-                    lambda o: o.component_std, "component_std"),
-    "sampler-prior": (lambda v: SamplingDistribution(_SYMMETRIC, d=1.0, component_priors=(v, 0.5)),
-                      lambda o: o.component_priors[0], r"component_priors\[0\]"),
     "bandwidth": (lambda v: ClassifierConfig(bandwidth=v), lambda o: o.bandwidth, "bandwidth"),
     "prior_weight": (lambda v: ClassifierConfig(prior_weight=v), lambda o: o.prior_weight,
                      "prior_weight"),
@@ -355,8 +351,6 @@ class TestValueTypes:
              "class_components must be a tuple of tuples of GaussianComponent, got 0.5"),
             (lambda: TaskModel(0.5, ((_UNIT,), (_UNIT,))),
              "class_priors must be a tuple of numbers, got 0.5"),
-            (lambda: SamplingDistribution(_SYMMETRIC, d=1.0, component_priors=0.5),
-             "component_priors must be a pair of numbers, got 0.5"),
             (lambda: EstimatorSpec(["kfold-cv"]), r"unknown estimator \['kfold-cv'\]"),
             (lambda: dataclasses.replace(_cv_folds_spec(), pool_size=5),
              "cv-folds does not take pool_size"),
@@ -367,7 +361,7 @@ class TestValueTypes:
         ],
         ids=[
             "spec-task-str", "spec-classifier-str", "components-plain-tuples",
-            "components-float", "priors-float", "sampler-priors-float", "estimator-name-list",
+            "components-float", "priors-float", "estimator-name-list",
             "cv-folds-pool_size", "cv-folds-subsample_reps", "cv-folds-train_size",
         ],
     )
@@ -486,19 +480,16 @@ class TestScenarioRows:
             dataclasses.replace(spec, **values)
         assert str(from_python.value) == str(from_json.value)
 
-    @pytest.mark.parametrize(
-        "settings",
-        [{"d": 5.0}, {"component_std": 9.0}, {"component_priors": (0.2, 0.8)},
-         {"d": 5.0, "component_std": 9.0}],
-        ids=["d", "component_std", "component_priors", "d-and-std"],
-    )
+    @pytest.mark.parametrize("settings", [{"d": 5.0}], ids=["d"])
     def test_data_marginal_refuses_settings(self, settings):
         with pytest.raises(ValidationError, match="^data-marginal takes no further parameters"):
             SamplingDistribution("data-marginal", **settings)
 
     def test_data_marginal_accepts_its_defaults(self):
-        given = SamplingDistribution("data-marginal", d=0, component_priors=[0.5, 0.5])
-        assert given == unbiased_sampler()
+        assert SamplingDistribution("data-marginal", d=0) == unbiased_sampler()
+        r = _resolve({"scenario": "estimator-comparison",
+                      "samplers": [{"kind": "data-marginal", "d": 0.0}]})
+        assert r.spec.samplers == (unbiased_sampler(),)
 
     def test_data_marginal_message_from_json(self):
         with pytest.raises(ValidationError) as from_python:

@@ -422,17 +422,18 @@ class TestBiasSweep:
     def test_uses_the_spec_samplers(self):
         spec = _spec({"scenario": "bias-sweep", "repetitions": 2,
                       "samplers": _mixtures(0.5, 1.5), "budgets": [9]})
-        wide = tuple(dataclasses.replace(s, component_std=1.0) for s in spec.samplers)
+        other = tuple(dataclasses.replace(s, d=s.d + 0.25) for s in spec.samplers)
         # the labeled-set size is the spec's single budget
-        wide_spec = dataclasses.replace(spec, samplers=wide, budgets=(12,))
-        records = run_experiment(wide_spec, workers=1)
+        other_spec = dataclasses.replace(spec, samplers=other, budgets=(12,))
+        records = run_experiment(other_spec, workers=1)
         default_means = [r.estimate_mean for r in run_experiment(spec, workers=1)]
         assert [r.estimate_mean for r in records] != default_means
+        assert {r.sampler for r in records} == {"biased-d0.75", "biased-d1.75"}
         for r in records:
             assert r.budget == 12
-            d_idx = [s.label() for s in wide].index(r.sampler)
+            d_idx = [s.label() for s in other].index(r.sampler)
             labeled = synthdata.draw_labeled(
-                spec.task, wide[d_idx], 12,
+                spec.task, other[d_idx], 12,
                 derive_substream(spec.master_seed, (0, d_idx, r.repetition)),
             )
             expected = kfold_cv_detail(

@@ -66,13 +66,6 @@ class TestTaskModelValidation:
         with pytest.raises(ValidationError, match="component weight"):
             GaussianComponent(math.nan, 0.0, 1.0)
 
-    def test_sampler_component_priors_must_be_finite(self):
-        for priors in ((math.nan, math.nan), (math.nan, 1.0), (-0.5, 1.5)):
-            with pytest.raises(ValidationError, match="finite nonnegative pair"):
-                SamplingDistribution(
-                    kind=SYMMETRIC_MIXTURE, d=1.0, component_priors=priors
-                )
-
     def test_needs_two_classes(self):
         with pytest.raises(ValidationError, match="2 classes"):
             TaskModel(
@@ -197,7 +190,7 @@ class TestSamplingDensity:
         assert expected == pytest.approx(0.1295, abs=5e-5)
 
     def test_mixture_value(self, task):
-        s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.9, component_std=0.25)
+        s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.9)
         expected = 0.5 * stats.norm.pdf(0.9, 0.9, 0.25) + 0.5 * stats.norm.pdf(
             0.9, -0.9, 0.25
         )
@@ -220,7 +213,7 @@ class TestSamplingDensity:
         [
             SamplingDistribution(kind=DATA_MARGINAL),
             SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.9),
-            SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=2.5, component_std=0.25),
+            SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=2.5),
         ],
     )
     def test_density_integrates_to_one(self, task, s):
@@ -236,26 +229,45 @@ class TestSamplingDensity:
     def test_labels(self):
         assert unbiased_sampler().label() == "unbiased"
         assert SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.3).label() == "biased-d0.3"
+        assert SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=3).label() == "biased-d3"
+
+    def test_distinct_samplers_never_share_a_label(self):
+        # %g keeps 6 significant digits; a d it would round is written in full.
+        ds = [0.0, 0.25, 0.3, 0.3 + 1e-7, 0.30000000000000004, 1.0, 1.0000001, 3.0,
+              1e-7, 1.23456789e-7, 123456.7, 1234567.0, 1e300]
+        samplers = [unbiased_sampler()] + [
+            SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=d) for d in ds
+        ]
+        assert len(set(samplers)) == len(samplers)
+        assert len({s.label() for s in samplers}) == len(samplers)
+        assert samplers[4].label() == f"biased-d{0.3 + 1e-7!r}"
+        assert SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=-0.0).label() == "biased-d0"
 
 
-_PINNED_SAMPLERS = [
-    unbiased_sampler(),
-    SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.3, component_priors=(0.25, 0.75)),
-]
+# Each pinned q: a sampler, or a hand-built mixture with unequal weights; and
+# its (mean, std, weight) components on the default task, written out.
+_PINNED = {
+    "unbiased": (unbiased_sampler(), [(-1.5, 1.0, 0.5 * 1.0), (1.5, 1.0, 0.5 * 1.0)]),
+    "biased-d0.3": (SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.3),
+                    [(-0.3, 0.25, 0.5), (0.3, 0.25, 0.5)]),
+    "asymmetric": (None, [(-0.3, 0.25, 0.25), (0.3, 0.25, 0.75)]),
+}
 
 
-def _components(s):
-    """(mean, std, weight) of q's components on the default task, written out."""
-    if s.kind == DATA_MARGINAL:
-        return [(-1.5, 1.0, 0.5 * 1.0), (1.5, 1.0, 0.5 * 1.0)]
-    return [(-s.d, s.component_std, s.component_priors[0]),
-            (s.d, s.component_std, s.component_priors[1])]
+def _hand_built(components):
+    means, stds, weights = map(np.array, zip(*components))
+    return synthdata.Mixture(means, stds, weights, np.full(len(means), -1))
 
 
-def _explicit_q(s, xs):
+def _pinned_q(task, name):
+    s, components = _PINNED[name]
+    return _hand_built(components) if s is None else s.mixture(task)
+
+
+def _explicit_q(name, xs):
     """q(x) as the left-to-right sum of weight * N(x; mean, std)."""
     total = np.zeros_like(xs)
-    for mean, std, weight in _components(s):
+    for mean, std, weight in _PINNED[name][1]:
         z = (xs - mean) / std
         total = total + weight * (np.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi)))
     return total
@@ -286,41 +298,44 @@ class TestMixture:
         )
 
     def test_symmetric_sampler_mixture(self, task):
-        s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.7, component_std=0.4)
+        s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.7)
         m = s.mixture(task)
         assert (m.means.tolist(), m.stds.tolist(), m.weights.tolist()) == (
-            [-0.7, 0.7], [0.4, 0.4], [0.5, 0.5]
+            [-0.7, 0.7], [0.25, 0.25], [0.5, 0.5]
         )
         assert unbiased_sampler().mixture(task) is task.mixture
 
-    def test_component_drawn_zero_times_consumes_no_draws(self, task):
-        s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.5, component_priors=(0.0, 1.0))
+    def test_component_drawn_zero_times_consumes_no_draws(self):
+        m = _hand_built([(-0.5, 0.25, 0.0), (0.5, 0.25, 1.0)])
         rng = derive_substream(6, (2,))
         rng.choice(2, size=40, p=[0.0, 1.0])
         expected = rng.normal(0.5, 0.25, size=40)
-        assert np.array_equal(s.mixture(task).draw(40, derive_substream(6, (2,))), expected)
+        assert np.array_equal(m.draw(40, derive_substream(6, (2,))), expected)
 
     def test_negative_count_rejected(self, task):
         with pytest.raises(ValidationError, match="sample count must be >= 0"):
             task.mixture.draw(-1, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("s", _PINNED_SAMPLERS, ids=lambda s: s.label())
-    def test_density_equals_explicit_formula(self, task, s):
+    @pytest.mark.parametrize("name", _PINNED)
+    def test_density_equals_explicit_formula(self, task, name):
         xs = np.linspace(-6.0, 6.0, 241)
-        assert np.array_equal(s.mixture(task).density(xs), _explicit_q(s, xs))
+        assert np.array_equal(_pinned_q(task, name).density(xs), _explicit_q(name, xs))
 
-    @pytest.mark.parametrize("s", _PINNED_SAMPLERS, ids=lambda s: s.label())
-    def test_draws_equal_explicit_formula(self, task, s):
+    @pytest.mark.parametrize("name", _PINNED)
+    def test_draws_equal_explicit_formula(self, task, name):
         # Components are drawn first, then each component's normals in order.
-        n, comps = 300, _components(s)
+        n, (s, comps) = 300, _PINNED[name]
         rng = derive_substream(4, (0, 1))
         idx = rng.choice(len(comps), size=n, p=[w for _, _, w in comps])
         xs = np.empty(n)
         for k, (mean, std, _) in enumerate(comps):
             xs[idx == k] = rng.normal(mean, std, size=int((idx == k).sum()))
-        labeled = draw_labeled(task, s, n, derive_substream(4, (0, 1)))
-        assert np.array_equal(labeled.xs, xs)
-        assert np.array_equal(labeled.qs, _explicit_q(s, xs))
+        q = _pinned_q(task, name)
+        assert np.array_equal(q.draw(n, derive_substream(4, (0, 1))), xs)
+        if s is not None:
+            labeled = draw_labeled(task, s, n, derive_substream(4, (0, 1)))
+            assert np.array_equal(labeled.xs, xs)
+            assert np.array_equal(labeled.qs, _explicit_q(name, xs))
 
 
 class TestDraws:
@@ -348,7 +363,7 @@ class TestDraws:
 
     def test_far_sampler_label_noise_negligible(self, task):
         # oracle disagreement probability pinned by quadrature
-        s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=2.5, component_std=0.25)
+        s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=2.5)
         p_exact, _ = integrate.quad(
             lambda x: _q(s, task, x) * float(_post(task, x).min()),
             -10.0,
@@ -391,9 +406,8 @@ class TestDraws:
 
     def test_oracle_labels_follow_posterior(self, task):
         # near the boundary labels must be noisy at the posterior rate
-        s = SamplingDistribution(kind=SYMMETRIC_MIXTURE, d=0.25, component_std=0.01)
-        samples = draw_labeled(task, s, 20_000, derive_substream(17, (0,)))
-        frac2 = np.mean(samples.ys[samples.xs > 0] == 2)
+        ys = synthdata.oracle_labels(task, np.full(10_000, 0.25), derive_substream(17, (0,)))
+        frac2 = np.mean(ys == 2)
         expected = _post(task, 0.25)[1]
         assert abs(frac2 - expected) < 0.02
 
