@@ -17,16 +17,22 @@ Four scenarios are implemented:
 In every scenario a unit of work is one (sampler index, repetition) pair,
 whose records are exactly the rows with that sampler and repetition. Each
 scenario is one ``Scenario`` row of ``SCENARIO_TABLE``: ``shared(spec)``
-computes, once, what all its units share, and ``run_unit(spec, shared,
-unit)`` turns one unit into records; the row also names the spec sizes the
-scenario reads, the estimators it runs and the collections that hold exactly
-one entry, which ``ExperimentSpec`` checks, and the defaults a JSON config
-applies. ``run_experiment`` runs any scenario through that table.
+computes, once, what all its units share, ``paths(spec, unit)`` declares
+the substream paths a unit draws from, and ``run_unit(spec, shared, unit,
+rngs)`` turns one unit into records, reading one stream per declared path;
+the row also names the spec sizes the scenario reads, the estimators it runs
+and the collections that hold exactly one entry, which ``ExperimentSpec``
+checks, and the defaults a JSON config applies. ``run_experiment`` runs any
+scenario through that table.
 
-All randomness flows through ``derive_substream``: every unit of work owns
-a (master_seed, path) pair, so repetitions are independent, results do not
-depend on the worker count, and deleting one repetition leaves the others
-bit-identical.
+All randomness flows through (master_seed, path) substreams, each the
+stream of ``np.random.SeedSequence(master_seed, spawn_key=path)``.
+``run_experiment`` derives the seed states of every unit's paths in one
+vectorized ``derive_states`` pass before any unit runs, and each unit builds
+its generators from its own rows; ``derive_substream`` is that pass on one
+path. No two units share a path, so repetitions are independent, results do
+not depend on the worker count, and deleting one repetition leaves the
+others bit-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -113,7 +120,13 @@ class Scenario(NamedTuple):
     """What the harness knows about one scenario."""
 
     shared: Callable  # shared(spec): what all units share, computed once
-    run_unit: Callable  # run_unit(spec, shared, unit): one unit's records
+    # paths(spec, unit): the substream paths one unit draws from, in the
+    # order it reads them. Distinct units never share a path, and no unit
+    # draws from SHARED_PATH.
+    paths: Callable
+    # run_unit(spec, shared, unit, rngs): one unit's records, where rngs
+    # yields the stream of each of its paths in turn.
+    run_unit: Callable
     # The defaults a JSON config applies.
     repetitions: int
     estimators: tuple[EstimatorSpec, ...]
@@ -124,15 +137,149 @@ class Scenario(NamedTuple):
     single: tuple[str, ...] = ()  # the spec collections that hold exactly one entry
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): the pool size, the
+# multiplier chains of the entropy hash (A) and of the state output (B), and
+# the mix multipliers. Every chain value is fixed, whatever the data.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
 def _words(n: int) -> list[int]:
     """The 32-bit words of ``n >= 0``, least significant first, as numpy
     splits an int for a SeedSequence (0 is one word)."""
-    words = [n & 0xFFFFFFFF]
+    words = [n & _MASK32]
     n >>= 32
     while n:
-        words.append(n & 0xFFFFFFFF)
+        words.append(n & _MASK32)
         n >>= 32
     return words
+
+
+def _entropy_words(master_seed: int, path: Sequence[int]) -> list[int]:
+    """The uint32 entropy words numpy assembles for
+    ``SeedSequence(master_seed, spawn_key=path)``: the seed's words,
+    zero-padded to the pool size when the path is non-empty, then each path
+    entry's words."""
+    if master_seed < 0:
+        raise ValidationError(f"master_seed must be >= 0, got {master_seed}")
+    key = tuple(map(operator.index, path))
+    if key and min(key) < 0:
+        raise ValidationError(f"substream path entries must be >= 0, got {key}")
+    words = _words(operator.index(master_seed))
+    if key:
+        words += [0] * (_POOL_SIZE - len(words))
+        for p in key:
+            words += _words(p)
+    return words
+
+
+def _entropy_blocks(master_seed: int, paths: Sequence[Sequence[int]]):
+    """Yield (row indices, uint32 entropy words of shape (rows, words)) over
+    ``paths``. Paths of one length whose entries all fit one word form one
+    block, built by numpy; any other path is assembled by ``_entropy_words``."""
+    # The seed's words, padded, that precede every non-empty path's entries.
+    padded = np.array(_entropy_words(master_seed, (0,))[:-1], dtype=np.uint32)
+    by_length: dict[int, list[int]] = {}
+    for i, path in enumerate(paths):
+        by_length.setdefault(len(path), []).append(i)
+    for length, index in by_length.items():
+        entries = np.array([paths[i] for i in index])
+        if length and entries.dtype.kind in "iu" and 0 <= entries.min() <= entries.max() <= _MASK32:
+            seed = np.broadcast_to(padded, (len(index), len(padded)))
+            yield index, np.hstack([seed, entries.astype(np.uint32)])
+            continue
+        by_words: dict[int, tuple[list[int], list[list[int]]]] = {}
+        for i in index:
+            words = _entropy_words(master_seed, paths[i])
+            rows, block = by_words.setdefault(len(words), ([], []))
+            rows.append(i)
+            block.append(words)
+        for rows, block in by_words.values():
+            yield rows, np.array(block, dtype=np.uint32)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` of every row of uint32
+    ``entropy``, shape (rows, 4): numpy's pool mixing, one array operation
+    per hash step for all rows at once. uint32 arrays wrap as numpy's C
+    code does."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    rows, width = entropy.shape
+    zeros = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < width else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, width):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    out_const, words = _INIT_B, []
+    for i in range(8):  # 4 uint64 words, low half first
+        value = pool[i % _POOL_SIZE] ^ out_const
+        out_const = out_const * _MULT_B & _MASK32
+        value = value * out_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([lo | (hi << 32) for lo, hi in zip(words[::2], words[1::2])], axis=1)
+
+
+def derive_states(master_seed: int, paths: Sequence[Sequence[int]]) -> np.ndarray:
+    """The PCG64 seed states of the (master_seed, path) pairs in one pass.
+
+    Row i, shape (4,) uint64, is what
+    ``np.random.SeedSequence(master_seed, spawn_key=paths[i])`` hands
+    ``PCG64``, and ``_generator(row)`` is that pair's stream. Paths of equal
+    entropy word count are hashed together, as uint32 arrays.
+    """
+    states = np.empty((len(paths), 4), dtype=np.uint64)
+    for rows, entropy in _entropy_blocks(master_seed, paths):
+        states[rows] = _seed_states(entropy)
+    return states
+
+
+@cache
+def _state_seed_class():
+    """A ``numpy.random.bit_generator.ISeedSequence`` that hands a bit
+    generator a precomputed state. Made on first use, so that importing
+    alperf does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeed(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state  # PCG64 asks for 4 uint64 words
+
+        def __reduce__(self):  # so a Generator built on it pickles
+            return _state_seed, (self.state,)
+
+    return StateSeed
+
+
+def _state_seed(state):
+    return _state_seed_class()(state)
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    """The stream whose PCG64 is seeded with ``state``, a row of
+    ``derive_states``."""
+    return np.random.Generator(np.random.PCG64(_state_seed(state)))
 
 
 def derive_substream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
@@ -140,24 +287,10 @@ def derive_substream(master_seed: int, path: Sequence[int]) -> np.random.Generat
 
     Identical (seed, path) always yields the identical stream; distinct
     paths behave independently. The stream is that of
-    ``np.random.SeedSequence(master_seed, spawn_key=path)``, built from the
-    uint32 entropy words numpy assembles for that pair: the seed's words,
-    zero-padded to the pool size 4 when the path is non-empty, then each
-    path entry's words. Passing them as one uint32 array gives the same
-    pool while skipping numpy's per-int conversion.
+    ``np.random.SeedSequence(master_seed, spawn_key=path)``, from
+    ``derive_states`` on this one path.
     """
-    if master_seed < 0:
-        raise ValidationError(f"master_seed must be >= 0, got {master_seed}")
-    key = tuple(map(operator.index, path))
-    if key and min(key) < 0:
-        raise ValidationError(f"substream path entries must be >= 0, got {key}")
-    entropy = _words(operator.index(master_seed))
-    if key:
-        entropy += [0] * (4 - len(entropy))
-        for p in key:
-            # Most entries are one word; a call per entry would cost more.
-            entropy += _words(p) if p >> 32 else (p,)
-    return np.random.default_rng(np.random.SeedSequence(np.array(entropy, dtype=np.uint32)))
+    return _generator(derive_states(master_seed, [path])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -349,27 +482,29 @@ def _record(
 # Scenarios
 # ---------------------------------------------------------------------------
 
+# The path of the labeled set that every unit of eval-size and cv-folds shares.
+SHARED_PATH = (0, 0)
+
 
 def _fixed_set(spec: ExperimentSpec, size: int) -> tuple[LabeledSet, float]:
     """The labeled set every unit of eval-size and cv-folds shares: ``size``
-    draws from the single sampler on path (0, 0), with the exact accuracy of
-    the model fitted on all of it."""
+    draws from the single sampler on ``SHARED_PATH``, with the exact accuracy
+    of the model fitted on all of it."""
     labeled = synthdata.draw_labeled(
-        spec.task, spec.samplers[0], size, derive_substream(spec.master_seed, (0, 0))
+        spec.task, spec.samplers[0], size, derive_substream(spec.master_seed, SHARED_PATH)
     )
     model = parzen.fit_arrays(labeled.xs, labeled.ys, spec.classifier)
     return labeled, estimators.true_baseline(model, spec.task)
 
 
-def _eval_size_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
+def _eval_size_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
     """One fixed classifier, evaluated on a fresh set of each size: the budget
     column carries the size, and each accuracy value is a
     Binomial(size, accuracy) / size draw."""
     (_, truth), (_, rep) = shared, unit
     label = spec.samplers[0].label()
     records = []
-    for i, size in enumerate(spec.budgets):
-        rng = derive_substream(spec.master_seed, (1, rep, i))
+    for size, rng in zip(spec.budgets, rngs):
         t0 = time.perf_counter()
         estimate = estimators.subsample_baseline(truth, size, 1, rng)
         records.append(
@@ -378,13 +513,12 @@ def _eval_size_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
     return records
 
 
-def _cv_folds_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
+def _cv_folds_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
     """Cross-validate the fixed labeled set, of the single budget's size, with
     each configured fold count, against the model trained on all of it."""
     (labeled, truth), (_, rep) = shared, unit
     records = []
-    for e_idx, espec in enumerate(spec.estimators):
-        rng = derive_substream(spec.master_seed, (1, rep, e_idx))
+    for espec, rng in zip(spec.estimators, rngs):
         run = ESTIMATOR_TABLE[espec.name].run
         t0 = time.perf_counter()
         estimate = run(spec, espec, labeled, None, spec.budgets[0], truth, rng)
@@ -397,18 +531,15 @@ def _cv_folds_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
     return records
 
 
-def _bias_sweep_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
+def _bias_sweep_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
     """Internal CV of the single budget's labels, acquired at one distance d,
     against the mean exact accuracy of the fold models: the classifiers the
     CV estimate was computed from."""
     d_idx, rep = unit
     sampler, espec = spec.samplers[d_idx], spec.estimators[0]
-    labeled = acquisition_sequence(spec, d_idx, rep)
+    labeled = _sequence(spec, d_idx, next(rngs))
     t0 = time.perf_counter()
-    detail = estimators.kfold_cv_detail(
-        labeled, espec.k, spec.classifier,
-        derive_substream(spec.master_seed, (1, d_idx, rep)),
-    )
+    detail = estimators.kfold_cv_detail(labeled, espec.k, spec.classifier, next(rngs))
     # The hold-out truth is filled in after the record, so wall_ms stops at
     # the estimate's summary.
     record = _record(
@@ -421,21 +552,38 @@ def _bias_sweep_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
     return [record._replace(true_baseline=truth)]
 
 
+def _sequence(spec: ExperimentSpec, sampler_index: int, rng) -> LabeledSet:
+    """The acquisition sequence of one sampler, drawn from ``rng``."""
+    return synthdata.draw_labeled(
+        spec.task, spec.samplers[sampler_index], max(spec.budgets), rng
+    )
+
+
 def acquisition_sequence(
     spec: ExperimentSpec, sampler_index: int, rep: int
 ) -> LabeledSet:
-    """The full fixed acquisition sequence for one (sampler, repetition).
+    """The full fixed acquisition sequence for one (sampler, repetition) of
+    a bias-sweep or estimator-comparison spec, drawn on the unit's first path.
 
     Budget prefixes are nested by construction: the budget-B labeled set is
     exactly the first B entries of this sequence. Bias-sweep's single budget
     takes all of it.
     """
-    sampler = spec.samplers[sampler_index]
-    rng = derive_substream(spec.master_seed, (0, sampler_index, rep))
-    return synthdata.draw_labeled(spec.task, sampler, max(spec.budgets), rng)
+    path = SCENARIO_TABLE[spec.scenario].paths(spec, (sampler_index, rep))[0]
+    return _sequence(spec, sampler_index, derive_substream(spec.master_seed, path))
 
 
-def _comparison_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
+def _comparison_paths(spec: ExperimentSpec, unit) -> list[tuple]:
+    """The acquisition sequence, the pool, then per budget one stream for
+    each estimator that draws."""
+    s_idx, rep = unit
+    drawing = [e for e, espec in enumerate(spec.estimators) if ESTIMATOR_TABLE[espec.name].draws]
+    return [(0, s_idx, rep), (1, s_idx, rep)] + [
+        (3, s_idx, rep, b_idx, e_idx) for b_idx in range(len(spec.budgets)) for e_idx in drawing
+    ]
+
+
+def _comparison_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
     """Every configured estimator on each nested budget prefix of one
     acquisition sequence.
 
@@ -446,10 +594,9 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
     s_idx, rep = unit
     label = spec.samplers[s_idx].label()
     ids = [espec.estimator_id() for espec in spec.estimators]
-    sequence = acquisition_sequence(spec, s_idx, rep)
+    sequence = _sequence(spec, s_idx, next(rngs))
     model = parzen.fit_arrays(sequence.xs, sequence.ys, spec.classifier)
-    pool_rng = derive_substream(spec.master_seed, (1, s_idx, rep))
-    pool = synthdata.draw_unlabeled(spec.task, spec.pool_size, pool_rng)
+    pool = synthdata.draw_unlabeled(spec.task, spec.pool_size, next(rngs))
     pool_block = parzen.kernel_block(pool, model)
     grid = estimators.truth_grid(spec.task, spec.classifier)
     grid_labels = parzen.prefix_labels(grid, model, spec.budgets)
@@ -460,10 +607,7 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
         truth = estimators.true_baseline(block.model, spec.task, (grid, grid_labels[b_idx]))
         for e_idx, espec in enumerate(spec.estimators):
             entry = ESTIMATOR_TABLE[espec.name]
-            rng = (
-                derive_substream(spec.master_seed, (3, s_idx, rep, b_idx, e_idx))
-                if entry.draws else None
-            )
+            rng = next(rngs) if entry.draws else None
             t0 = time.perf_counter()
             estimate = entry.run(spec, espec, labeled, block, budget, truth, rng)
             records.append(
@@ -476,8 +620,8 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit) -> list[RunRecord]:
 
 # Units are independent and each draws only from its own substreams, so they
 # may run in any order on any worker. The true baseline is exact and draws
-# nothing. The paths it used to draw on, (0, 1), (2, d, rep) and (2, s, rep,
-# budget_index), are retired; the others keep their numbers.
+# nothing; the paths it used to draw on, (0, 1), (2, d, rep) and (2, s, rep,
+# budget_index), are retired.
 _UNBIASED = (synthdata.unbiased_sampler(),)
 
 
@@ -486,38 +630,38 @@ def _mixtures(*ds: float) -> tuple[SamplingDistribution, ...]:
 
 
 SCENARIO_TABLE = {
-    # Substream paths: (0, 0) classifier training draws, (1, rep, size_index)
-    # per-repetition evaluation (Binomial) draws.
     EVAL_SIZE_DISTRIBUTION: Scenario(
-        lambda spec: _fixed_set(spec, spec.train_size), _eval_size_unit,
+        lambda spec: _fixed_set(spec, spec.train_size),
+        # one evaluation stream per size
+        lambda spec, unit: [(1, unit[1], i) for i in range(len(spec.budgets))],
+        _eval_size_unit,
         repetitions=1000, estimators=(EstimatorSpec(SUBSAMPLE_BASELINE),),
         samplers=_UNBIASED, budgets=(5, 10, 20, 100),
         sizes=("train_size",), estimator_names=(SUBSAMPLE_BASELINE,), single=("samplers",),
     ),
-    # Substream paths: (0, 0) labeled-set acquisition, (1, rep,
-    # estimator_index) fold assignment.
     CV_FOLDS: Scenario(
-        lambda spec: _fixed_set(spec, spec.budgets[0]), _cv_folds_unit,
+        lambda spec: _fixed_set(spec, spec.budgets[0]),
+        # one fold-assignment stream per estimator
+        lambda spec, unit: [(1, unit[1], e) for e in range(len(spec.estimators))],
+        _cv_folds_unit,
         repetitions=50, estimators=tuple(EstimatorSpec(KFOLD_CV, k) for k in (2, 5, 10, 20)),
         samplers=_UNBIASED, budgets=(20,),
         estimator_names=(KFOLD_CV, REWEIGHTED_CV), single=("samplers", "budgets"),
     ),
-    # Substream paths per (d_index, rep): (0, d, rep) acquisition,
-    # (1, d, rep) fold assignment.
     BIAS_SWEEP: Scenario(
-        lambda spec: None, _bias_sweep_unit,
+        lambda spec: None,
+        # the acquisition, then the fold assignment
+        lambda spec, unit: [(0, *unit), (1, *unit)],
+        _bias_sweep_unit,
         repetitions=50, estimators=(EstimatorSpec(KFOLD_CV),),
         samplers=_mixtures(0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0),
         budgets=(30,),
         estimator_names=(KFOLD_CV,), single=("budgets", "estimators"),
     ),
-    # Substream paths per (sampler_index, rep): (0, s, rep) acquisition
-    # sequence, (1, s, rep) pool draws, (3, s, rep, budget_index,
-    # estimator_index) estimator stream, derived only for an estimator that
-    # draws. Its samplers are the three acquisition regimes: unbiased,
+    # Its samplers are the three acquisition regimes: unbiased,
     # boundary-focused and boundary-avoiding.
     ESTIMATOR_COMPARISON: Scenario(
-        lambda spec: None, _comparison_unit,
+        lambda spec: None, _comparison_paths, _comparison_unit,
         repetitions=200,
         estimators=tuple(map(EstimatorSpec, (
             GENERALIZATION_ERROR, KFOLD_CV, SELF_LABEL_CV, REWEIGHTED_CV,
@@ -529,15 +673,28 @@ SCENARIO_TABLE = {
 }
 
 
+def _run_unit(run_unit: Callable, spec: ExperimentSpec, shared, item) -> list[RunRecord]:
+    """One unit's records from its seed states, one row per declared path."""
+    unit, states = item
+    return run_unit(spec, shared, unit, map(_generator, states))
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
-    """Run the scenario configured in the spec and return sorted records."""
+    """Run the scenario configured in the spec and return sorted records.
+
+    The seed states of every unit's paths come from one ``derive_states``
+    pass before any unit runs; each unit gets its rows."""
     row = SCENARIO_TABLE[spec.scenario]
     work = [(s, rep) for s in range(len(spec.samplers)) for rep in range(spec.repetitions)]
-    run = partial(row.run_unit, spec, row.shared(spec))
+    paths = [row.paths(spec, unit) for unit in work]
+    states = derive_states(spec.master_seed, [p for unit_paths in paths for p in unit_paths])
+    ends = list(accumulate(map(len, paths)))
+    items = [(unit, states[end - len(p) : end]) for unit, p, end in zip(work, paths, ends)]
+    run = partial(_run_unit, row.run_unit, spec, row.shared(spec))
     # A pool may fork all its workers at once: ask for no more than there are units.
     workers = min(workers, len(work))
     if workers <= 1:
-        nested = [run(unit) for unit in work]
+        nested = [run(item) for item in items]
     else:
         # Imported here: the pool pulls in multiprocessing, which a
         # one-worker run never needs.
@@ -549,7 +706,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
             import scipy.special  # noqa: F401
         chunk = max(1, math.ceil(len(work) / (workers * 4)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(run, work, chunksize=chunk))
+            nested = list(pool.map(run, items, chunksize=chunk))
     records = [r for sub in nested for r in sub]
     records.sort(key=RunRecord.sort_key)
     return records

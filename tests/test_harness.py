@@ -116,8 +116,85 @@ class TestDeriveSubstream:
     def test_entropy_words(self, seed, path, words):
         # Padding an empty path's seed words with zeros would leave the pool
         # as it is, so only the words themselves show that it is not padded.
-        entropy = derive_substream(seed, path).bit_generator.seed_seq.entropy
-        assert entropy.dtype == np.uint32 and entropy.tolist() == words
+        assert harness._entropy_words(seed, path) == words
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130])
+    def test_one_shuffled_batch_is_numpy_and_the_single_path(self, seed):
+        # The grid's paths, and more of each length and word count, in one
+        # batch: equal-length paths of one-word entries share a numpy block,
+        # the rest are assembled path by path.
+        paths = [
+            (), (0,), (1, 7, 3), (3, 2, 9, 1, 4), (2**32,), (1, 2**40 + 3, 0, 2**70),
+            (5,), (2**32 - 1,), (1, 2**32, 3), (0, 0, 0), (7, 0, 1, 2, 3), (4, 4, 4, 4, 4),
+        ]
+        order = np.random.default_rng(seed % 97).permutation(len(paths))
+        batch = [paths[i] for i in order]
+        states = harness.derive_states(seed, batch)
+        assert states.shape == (len(batch), 4) and states.dtype == np.uint64
+        for path, state in zip(batch, states):
+            got = harness._generator(state)
+            want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+            single = derive_substream(seed, path)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert single.bit_generator.state == want.bit_generator.state
+            np.testing.assert_array_equal(got.random(8), want.random(8))
+            np.testing.assert_array_equal(got.integers(0, 2**62, 8), want.integers(0, 2**62, 8))
+
+    def test_empty_batch(self):
+        assert harness.derive_states(3, []).shape == (0, 4)
+
+    def test_batch_refuses_what_a_single_path_refuses(self):
+        with pytest.raises(ValidationError):
+            harness.derive_states(1, [(0,), (-2,)])
+        with pytest.raises(TypeError):
+            harness.derive_states(1, [(1, 2), (1.5, 2)])
+
+    def test_stream_pickles(self):
+        rng = derive_substream(5, (1, 2))
+        rng.random(3)
+        copy = pickle.loads(pickle.dumps(rng))
+        np.testing.assert_array_equal(copy.random(5), rng.random(5))
+
+
+class TestDeclaredPaths:
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig5", "fig6"])
+    def test_unit_paths_are_distinct_and_never_the_shared_path(self, name):
+        # Distinct entropy words, not only distinct tuples: (2**32,) and
+        # (0, 1) are one stream.
+        spec = resolve_config(json.dumps(BUILTIN_SCENARIOS[name].config)).spec
+        row = harness.SCENARIO_TABLE[spec.scenario]
+        words = [
+            tuple(harness._entropy_words(spec.master_seed, path))
+            for s in range(len(spec.samplers)) for rep in range(spec.repetitions)
+            for path in row.paths(spec, (s, rep))
+        ]
+        assert len(set(words)) == len(words)
+        assert tuple(harness._entropy_words(spec.master_seed, harness.SHARED_PATH)) not in words
+
+    @pytest.mark.parametrize(
+        "overrides, shared",
+        [
+            ({"scenario": "eval-size-distribution", "budgets": [5, 20]}, [harness.SHARED_PATH]),
+            ({"scenario": "cv-folds"}, [harness.SHARED_PATH]),
+            ({"scenario": "bias-sweep", "samplers": _mixtures(0.5, 2.0), "repetitions": 2}, []),
+            ({}, []),
+        ],
+        ids=["eval-size", "cv-folds", "bias-sweep", "comparison"],
+    )
+    def test_no_unit_calls_the_single_path_derivation(self, monkeypatch, overrides, shared):
+        # Only the shared labeled set is derived on its own; every unit's
+        # streams come from the run's one batch.
+        spec = _spec(overrides)
+        calls = []
+        derive = harness.derive_substream
+
+        def counting(seed, path):
+            calls.append(tuple(path))
+            return derive(seed, path)
+
+        monkeypatch.setattr(harness, "derive_substream", counting)
+        run_experiment(spec, workers=1)
+        assert calls == shared
 
 
 class TestRunRecord:
@@ -518,23 +595,17 @@ class TestEstimatorComparison:
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(parzen, "fit_arrays", counting)
-        harness._comparison_unit(spec, None, (0, 0))
+        paths = harness._comparison_paths(spec, (0, 0))
+        rngs = (derive_substream(spec.master_seed, p) for p in paths)
+        harness._comparison_unit(spec, None, (0, 0), rngs)
         assert len(fits) == 1 + len(spec.budgets) * len(cv_folds) == 10
 
-    def test_one_unit_derives_streams_only_for_drawing_estimators(self, monkeypatch):
+    def test_one_unit_derives_streams_only_for_drawing_estimators(self):
         # The acquisition sequence and the pool, then one stream per budget
         # for each estimator that draws: the three CV estimators and the
         # subsample baseline, not generalization error or probabilistic.
         spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
-        paths = []
-        derive = harness.derive_substream
-
-        def counting(seed, path):
-            paths.append(tuple(path))
-            return derive(seed, path)
-
-        monkeypatch.setattr(harness, "derive_substream", counting)
-        harness._comparison_unit(spec, None, (1, 4))
+        paths = harness.SCENARIO_TABLE[spec.scenario].paths(spec, (1, 4))
         drawing = [
             e_idx for e_idx, e in enumerate(spec.estimators)
             if harness.ESTIMATOR_TABLE[e.name].draws
@@ -583,8 +654,9 @@ class TestRunExperiment:
     )
     def test_unit_records_are_its_rows(self, overrides):
         # Every scenario's units are the (sampler_index, repetition) pairs, and
-        # one unit run alone writes exactly the rows with its sampler and
-        # repetition.
+        # one unit run alone, on streams derived path by path, writes exactly
+        # the rows with its sampler and repetition and reads every stream it
+        # declares.
         spec = _spec(overrides)
         labels = [s.label() for s in spec.samplers]
         groups = {}
@@ -595,10 +667,12 @@ class TestRunExperiment:
         ]
         row = harness.SCENARIO_TABLE[spec.scenario]
         for unit, rows in groups.items():
+            rngs = iter([derive_substream(spec.master_seed, p) for p in row.paths(spec, unit)])
             alone = sorted(
-                row.run_unit(spec, row.shared(spec), unit), key=harness.RunRecord.sort_key
+                row.run_unit(spec, row.shared(spec), unit, rngs), key=harness.RunRecord.sort_key
             )
             assert _strip_wall(alone) == _strip_wall(rows)
+            assert next(rngs, None) is None
 
     @pytest.mark.parametrize(
         "repetitions, workers, pool_workers",

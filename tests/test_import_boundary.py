@@ -1,4 +1,5 @@
-"""Which commands load scipy and the process pool, checked in fresh interpreters.
+"""Which commands load scipy, numpy.random and the process pool, checked in
+fresh interpreters.
 
 Only the Beta-mixture methods of ``PerformanceEstimate`` import
 ``scipy.special``, and ``run_experiment`` before it forks workers for a
@@ -7,6 +8,8 @@ study with the probabilistic estimator. fig2, fig3 and fig5 summarize no Beta mi
 may load scipy. Only ``run_experiment`` on two or more workers imports
 ``concurrent.futures``, and with it ``multiprocessing``. The test process
 itself has these loaded, so every check runs its commands in a subprocess.
+Importing the CLI loads no ``numpy.random`` module either: only the first
+random stream a run builds needs it.
 """
 
 import json
@@ -58,14 +61,27 @@ print(json.dumps(loaded))
 """
 
 
-def _run(tmp_path, name, reps, *workers):
+def _python(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path), name, str(reps), *map(str, workers)],
+        [sys.executable, *argv],
         env=env, stdout=subprocess.PIPE, text=True, timeout=300, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _run(tmp_path, name, reps, *workers):
+    return _python("-c", SCRIPT, str(tmp_path), name, str(reps), *map(str, workers))
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    loaded = _python(
+        "-c",
+        "import json, sys, alperf.cli; print(json.dumps(sorted(m for m in sys.modules"
+        " if m == 'numpy.random' or m.startswith('numpy.random.'))))",
+    )
+    assert loaded == []
 
 
 def _csv_without_wall(path):
