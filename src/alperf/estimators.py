@@ -359,8 +359,7 @@ def _accuracy_from_posteriors(post: np.ndarray) -> float:
     """1 - mean(1 - max posterior). Contributions are summed in sorted
     order so the result is exactly invariant under permutation of the
     evaluation set."""
-    top = np.maximum(post[:, 0], post[:, 1]) if post.shape[1] == 2 else post.max(axis=1)
-    contrib = 1.0 - top
+    contrib = 1.0 - post.max(axis=1)
     err = float(np.sort(contrib).sum())
     return 1.0 - err / post.shape[0]
 
@@ -436,7 +435,7 @@ def _fold_predictions(
             outside = np.flatnonzero(fold_of != i)
             train = rng.choice(outside, size=min(train_size, len(outside)), replace=False)
             masses[fold] = parzen.class_kernel_mass(xs[fold], xs[train], ys[train], h, c)
-    predicted = synthdata.argmax_rows(parzen.posterior_from_masses(masses, config)) + 1
+    predicted = np.argmax(parzen.posterior_from_masses(masses, config), axis=1) + 1
     return (predicted == ys).astype(np.float64), whole, fold_of
 
 
@@ -512,7 +511,7 @@ def self_label_cv(pool: KernelBlock, k: int, rng: np.random.Generator) -> Perfor
     if n == 0:
         raise ValidationError("no labeled instances")
     union_xs = np.concatenate([m.train_x, pool.points])
-    union_ys = np.concatenate([m.train_y, synthdata.argmax_rows(pool.posterior) + 1])
+    union_ys = np.concatenate([m.train_y, np.argmax(pool.posterior, axis=1) + 1])
     correct = _fold_predictions(union_xs, union_ys, k, m.config, rng, train_size=n)[0]
     return PerformanceEstimate.point(float(correct.mean()))
 
@@ -549,8 +548,7 @@ def probabilistic_performance(pool: KernelBlock) -> PerformanceEstimate:
     if np.any((ys < 1) | (ys > 2)):
         raise ValidationError("local label statistics are defined for 2 classes only")
     # Masses are >= 0, so class2 <= total after rounding too, and every beta >= 1.
-    class2 = pool.masses[:, 1]
-    total = pool.masses[:, 0] + class2  # numpy's row sum, bit for bit
+    total, class2 = pool.masses.sum(axis=1), pool.masses[:, 1]
     p_hat = np.where(total > 0.0, class2 / np.where(total > 0.0, total, 1.0), 0.5)
     alphas, betas = beta_components_from_stats(total, p_hat)
     return PerformanceEstimate.beta_mixture(alphas, betas)

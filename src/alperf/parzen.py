@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, integer, number
-from .synthdata import argmax_rows
 
 # Kernel exponents are clamped here before exponentiation.
 _EXP_CLAMP = -700.0
@@ -134,15 +133,7 @@ def posterior_from_masses(masses: np.ndarray, config: ClassifierConfig) -> np.nd
     warning flags them as degenerate.
     """
     eps = config.prior_weight
-    if masses.shape[1] < 8:
-        # Below 8 columns numpy sums a row left to right, so column adds give
-        # the same bits without its per-row reduction cost.
-        total = masses[:, 0] + masses[:, 1]
-        for column in masses.T[2:]:
-            total += column
-    else:
-        total = masses.sum(axis=1)
-    total += config.class_count * eps
+    total = masses.sum(axis=1) + config.class_count * eps
     ok = total > 0.0  # every row when prior_weight > 0
     out = (masses + eps) / np.where(ok, total, 1.0)[:, None]
     if not ok.all():
@@ -238,10 +229,10 @@ def prefix_labels(
     for start in range(0, len(points), _CHUNK):
         block = kernel_block(points[start : start + _CHUNK], model)
         for row, budget in enumerate(budgets):
-            out[row, start : start + _CHUNK] = argmax_rows(block.prefix(budget).posterior)
+            out[row, start : start + _CHUNK] = np.argmax(block.prefix(budget).posterior, axis=1)
     return out
 
 
 def predict_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
     """Most probable class per query; ties break toward the smallest index."""
-    return argmax_rows(posterior_batch(m, xs)) + 1
+    return np.argmax(posterior_batch(m, xs), axis=1) + 1

@@ -384,15 +384,6 @@ def decision_grid_size(model: TaskModel, step: float) -> tuple[float, float, int
     return lo, hi, points
 
 
-def argmax_rows(scores: np.ndarray) -> np.ndarray:
-    """``np.argmax(scores, axis=1)``: the class (0-based) of each row's
-    argmax rule, ties going to the smallest class. Two columns take one
-    comparison, without numpy's per-row reduction cost."""
-    if scores.shape[1] == 2:
-        return (scores[:, 1] > scores[:, 0]).astype(np.intp)
-    return np.argmax(scores, axis=1)
-
-
 def decision_grid(model: TaskModel, step: float) -> np.ndarray:
     """The ``decision_grid_size`` points, evenly spaced."""
     return np.linspace(*decision_grid_size(model, step))
@@ -406,7 +397,7 @@ def decision_accuracy(
     The rule is read on the ``decision_grid`` of ``step``, then integrated
     by ``region_accuracy``."""
     grid = decision_grid(model, step)
-    return region_accuracy(model, scores, grid, argmax_rows(scores(grid)))
+    return region_accuracy(model, scores, grid, np.argmax(scores(grid), axis=1))
 
 
 def region_accuracy(
@@ -434,7 +425,7 @@ def region_accuracy(
     rows = np.arange(len(changes))
     while len(changes) and (right - left).max() > _EDGE_TOL:
         points = left[:, None] + (right - left)[:, None] * fractions
-        inside = argmax_rows(scores(points.ravel())).reshape(points.shape)
+        inside = np.argmax(scores(points.ravel()), axis=1).reshape(points.shape)
         moved = inside != before[:, None]
         # points[:, j] is ends[:, j + 1]. The new bracket ends at the first
         # point whose class differs from the left end's, else at the old right end.
@@ -474,4 +465,4 @@ def bayes_accuracy(model: TaskModel) -> float:
     ]
     grid = np.unique(np.concatenate([decision_grid(model, scale / 20.0), *narrow]))
     joint = partial(_joint_density, model)
-    return region_accuracy(model, joint, grid, argmax_rows(joint(grid)))
+    return region_accuracy(model, joint, grid, np.argmax(joint(grid), axis=1))

@@ -180,15 +180,6 @@ class TestPosterior:
             masked[ok] = (masses[ok] + prior_weight) / total[ok, None]
             np.testing.assert_array_equal(posterior_batch(m, xs), masked)
 
-    @pytest.mark.parametrize("class_count", range(2, 10))
-    def test_row_total_is_numpys_row_sum(self, class_count):
-        # Column adds below 8 classes, numpy's sum from 8 on: the same bits.
-        rng = np.random.default_rng(class_count)
-        masses = rng.random((300, class_count)) * 10.0 ** rng.integers(-8, 8, (300, class_count))
-        config = ClassifierConfig(class_count=class_count)
-        want = (masses + 0.01) / (masses.sum(axis=1) + class_count * 0.01)[:, None]
-        np.testing.assert_array_equal(parzen.posterior_from_masses(masses, config), want)
-
     def test_kernel_stats_consistency(self, two_point_model):
         # per-class masses are nonnegative and add up to the direct kernel sum
         (per_class,) = _masses(two_point_model, np.array([0.3]))

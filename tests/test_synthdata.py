@@ -412,19 +412,6 @@ class TestDraws:
         assert abs(frac2 - expected) < 0.02
 
 
-class TestArgmaxRows:
-    @pytest.mark.parametrize("columns", [2, 3])
-    def test_equals_numpy_argmax_with_ties(self, columns):
-        # Values from a small set, so many rows tie; a tie goes to the
-        # smallest class either way.
-        rng = np.random.default_rng(columns)
-        scores = rng.integers(0, 3, (500, columns)) / 4.0
-        scores[:3] = [0.5] * columns
-        got = synthdata.argmax_rows(scores)
-        np.testing.assert_array_equal(got, np.argmax(scores, axis=1))
-        assert got[:3].tolist() == [0, 0, 0] and got.dtype == np.intp
-
-
 class TestNormalCdf:
     def test_matches_scipy_ndtr(self):
         edge = [math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0]
