@@ -93,6 +93,9 @@ def _cmd_run(args) -> int:
     # config above leaves no directory behind.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Written last: a directory holds a finished run exactly when it holds one.
+    bundle_path = out_dir / "bundle.json"
+    bundle_path.unlink(missing_ok=True)
 
     records = run_experiment(spec, workers=args.workers)
 
@@ -112,12 +115,12 @@ def _cmd_run(args) -> int:
         "version": __version__,
         "seed": spec.master_seed,
     }
-    (out_dir / "bundle.json").write_text(
-        json.dumps(bundle, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    temp = out_dir / "bundle.json.tmp"
+    temp.write_text(json.dumps(bundle, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    temp.replace(bundle_path)
     print(f"wrote {raw_path}")
     print(f"wrote {summary_path}")
-    print(f"wrote {out_dir / 'bundle.json'}")
+    print(f"wrote {bundle_path}")
     return 0
 
 

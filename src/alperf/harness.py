@@ -27,12 +27,12 @@ scenario through that table.
 
 All randomness flows through (master_seed, path) substreams, each the
 stream of ``np.random.SeedSequence(master_seed, spawn_key=path)``.
-``run_experiment`` derives the seed states of every unit's paths in one
-vectorized ``derive_states`` pass before any unit runs, and each unit builds
-its generators from its own rows; ``derive_substream`` is that pass on one
-path. No two units share a path, so repetitions are independent, results do
-not depend on the worker count, and deleting one repetition leaves the
-others bit-identical.
+``derive_substream`` is that numpy stream itself, for any path;
+``run_experiment`` derives the seed states of every unit's declared paths in
+one vectorized ``derive_states`` pass before any unit runs, and each unit
+builds its generators from its own rows. No two units share a path, so
+repetitions are independent, results do not depend on the worker count, and
+deleting one repetition leaves the others bit-identical.
 """
 
 from __future__ import annotations
@@ -158,51 +158,6 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _entropy_words(master_seed: int, path: Sequence[int]) -> list[int]:
-    """The uint32 entropy words numpy assembles for
-    ``SeedSequence(master_seed, spawn_key=path)``: the seed's words,
-    zero-padded to the pool size when the path is non-empty, then each path
-    entry's words."""
-    if master_seed < 0:
-        raise ValidationError(f"master_seed must be >= 0, got {master_seed}")
-    key = tuple(map(operator.index, path))
-    if key and min(key) < 0:
-        raise ValidationError(f"substream path entries must be >= 0, got {key}")
-    words = _words(operator.index(master_seed))
-    if key:
-        words += [0] * (_POOL_SIZE - len(words))
-        for p in key:
-            words += _words(p)
-    return words
-
-
-def _entropy_blocks(master_seed: int, paths: Sequence[Sequence[int]]):
-    """Yield (row indices, uint32 entropy words of shape (rows, words)) over
-    ``paths``. Paths of one length whose entries all fit one word form one
-    block, built by numpy; any other path is assembled by ``_entropy_words``.
-    Assembling every path that way would make an eval-size study run about
-    a fifth slower."""
-    # The seed's words, padded, that precede every non-empty path's entries.
-    padded = np.array(_entropy_words(master_seed, (0,))[:-1], dtype=np.uint32)
-    by_length: dict[int, list[int]] = {}
-    for i, path in enumerate(paths):
-        by_length.setdefault(len(path), []).append(i)
-    for length, index in by_length.items():
-        entries = np.array([paths[i] for i in index])
-        if length and entries.dtype.kind in "iu" and 0 <= entries.min() <= entries.max() <= _MASK32:
-            seed = np.broadcast_to(padded, (len(index), len(padded)))
-            yield index, np.hstack([seed, entries.astype(np.uint32)])
-            continue
-        by_words: dict[int, tuple[list[int], list[list[int]]]] = {}
-        for i in index:
-            words = _entropy_words(master_seed, paths[i])
-            rows, block = by_words.setdefault(len(words), ([], []))
-            rows.append(i)
-            block.append(words)
-        for rows, block in by_words.values():
-            yield rows, np.array(block, dtype=np.uint32)
-
-
 def _seed_states(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence.generate_state(4, np.uint64)`` of every row of uint32
     ``entropy``, shape (rows, 4): numpy's pool mixing, one array operation
@@ -241,16 +196,36 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
 
 
 def derive_states(master_seed: int, paths: Sequence[Sequence[int]]) -> np.ndarray:
-    """The PCG64 seed states of the (master_seed, path) pairs in one pass.
+    """The PCG64 seed states of a run's (master_seed, path) pairs in one pass.
 
     Row i, shape (4,) uint64, is what
     ``np.random.SeedSequence(master_seed, spawn_key=paths[i])`` hands
-    ``PCG64``, and ``_generator(row)`` is that pair's stream. Paths of equal
-    entropy word count are hashed together, as uint32 arrays.
+    ``PCG64``, and ``_generator(row)`` is that pair's stream. It takes the
+    paths a ``Scenario`` declares, non-empty and of entries in [0, 2**32),
+    each entry one entropy word; paths of one length are hashed together as
+    one uint32 block. Any other path is refused before any hashing.
     """
+    seed = operator.index(master_seed)
+    if seed < 0:
+        raise ValidationError(f"master_seed must be >= 0, got {seed}")
+    words = _words(seed)
+    # The seed's words, zero-padded to the pool size, precede every path's entries.
+    padded = np.array(words + [0] * (_POOL_SIZE - len(words)), dtype=np.uint32)
+    by_length: dict[int, list[int]] = {}
+    for i, path in enumerate(paths):
+        by_length.setdefault(len(path), []).append(i)
+    blocks = []
+    for length, index in by_length.items():
+        entries = np.array([paths[i] for i in index])
+        if entries.dtype.kind not in "iu":  # not one integer dtype: check each entry
+            entries = np.array([list(map(operator.index, paths[i])) for i in index], dtype=object)
+        if not length or not 0 <= entries.min() <= entries.max() <= _MASK32:
+            raise ValidationError("a run's substream paths are non-empty, of entries in [0, 2**32)")
+        seed_words = np.broadcast_to(padded, (len(index), len(padded)))
+        blocks.append((index, np.hstack([seed_words, entries.astype(np.uint32)])))
     states = np.empty((len(paths), 4), dtype=np.uint64)
-    for rows, entropy in _entropy_blocks(master_seed, paths):
-        states[rows] = _seed_states(entropy)
+    for index, entropy in blocks:
+        states[index] = _seed_states(entropy)
     return states
 
 
@@ -268,31 +243,27 @@ def _state_seed_class():
         def generate_state(self, n_words, dtype=np.uint32):
             return self.state  # PCG64 asks for 4 uint64 words
 
-        def __reduce__(self):  # so a Generator built on it pickles
-            return _state_seed, (self.state,)
-
     return StateSeed
-
-
-def _state_seed(state):
-    return _state_seed_class()(state)
 
 
 def _generator(state: np.ndarray) -> np.random.Generator:
     """The stream whose PCG64 is seeded with ``state``, a row of
     ``derive_states``."""
-    return np.random.Generator(np.random.PCG64(_state_seed(state)))
+    return np.random.Generator(np.random.PCG64(_state_seed_class()(state)))
 
 
 def derive_substream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
     """Deterministic, collision-resistant stream for a (seed, path) pair.
 
     Identical (seed, path) always yields the identical stream; distinct
-    paths behave independently. The stream is that of
-    ``np.random.SeedSequence(master_seed, spawn_key=path)``, from
-    ``derive_states`` on this one path.
+    paths behave independently. The stream is numpy's own, that of
+    ``np.random.SeedSequence(master_seed, spawn_key=path)``, so it can
+    ``spawn``; any path of integers >= 0 is taken, the empty one too.
     """
-    return _generator(derive_states(master_seed, [path])[0])
+    seed, key = operator.index(master_seed), tuple(map(operator.index, path))
+    if seed < 0 or min(key, default=0) < 0:
+        raise ValidationError(f"master_seed and path entries must be >= 0, got {seed}, {key}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 # ---------------------------------------------------------------------------

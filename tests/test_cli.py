@@ -129,6 +129,24 @@ class TestRun:
         assert bundle["config"]["master_seed"] == 11
         assert "classifier.bandwidth" in bundle["defaults_applied"]
 
+    def test_interrupted_rerun_leaves_no_bundle(self, tmp_path, config_path, monkeypatch):
+        # A directory holds a finished run exactly when it holds bundle.json:
+        # a rerun stopped after raw.csv must not leave the last run's bundle
+        # beside its own raw.csv.
+        out = tmp_path / "r"
+        run = ["run", "--config", str(config_path), "--out", str(out)]
+        assert cli_main([*run, "--seed", "1"]) == 0
+        assert json.loads((out / "bundle.json").read_text())["seed"] == 1
+
+        def interrupted(records):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("alperf.cli.summarize_records", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli_main([*run, "--seed", "2"])
+        assert (out / "raw.csv").exists()
+        assert not (out / "bundle.json").exists()
+
     def test_seed_flag_is_not_a_default(self, tmp_path):
         unseeded = {k: v for k, v in TINY_CONFIG.items() if k != "master_seed"}
         path = tmp_path / "unseeded.json"

@@ -104,28 +104,21 @@ class TestDeriveSubstream:
         np.testing.assert_array_equal(got.random(8), want.random(8))
         np.testing.assert_array_equal(got.integers(0, 2**62, 8), want.integers(0, 2**62, 8))
 
-    @pytest.mark.parametrize(
-        "seed, path, words",
-        [
-            (0, (), [0]),
-            (2**32 + 5, (), [5, 1]),
-            (7, (2**32, 3), [7, 0, 0, 0, 0, 1, 3]),
-            (2**130, (1,), [0, 0, 0, 0, 4, 1]),
-        ],
-    )
-    def test_entropy_words(self, seed, path, words):
-        # Padding an empty path's seed words with zeros would leave the pool
-        # as it is, so only the words themselves show that it is not padded.
-        assert harness._entropy_words(seed, path) == words
+    def test_spawn_is_numpys(self):
+        # The stream is numpy's own, so its children are SeedSequence's.
+        children = derive_substream(3, (1, 2)).spawn(2)
+        want = np.random.SeedSequence(3, spawn_key=(1, 2)).spawn(2)
+        assert len(children) == len(want) == 2
+        for got, seq in zip(children, want):
+            np.testing.assert_array_equal(got.random(8), np.random.default_rng(seq).random(8))
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130])
     def test_one_shuffled_batch_is_numpy_and_the_single_path(self, seed):
-        # The grid's paths, and more of each length and word count, in one
-        # batch: equal-length paths of one-word entries share a numpy block,
-        # the rest are assembled path by path.
+        # Paths of several lengths, each entry one word, in one batch: each
+        # length is one block.
         paths = [
-            (), (0,), (1, 7, 3), (3, 2, 9, 1, 4), (2**32,), (1, 2**40 + 3, 0, 2**70),
-            (5,), (2**32 - 1,), (1, 2**32, 3), (0, 0, 0), (7, 0, 1, 2, 3), (4, 4, 4, 4, 4),
+            (0,), (5,), (2**32 - 1,), (1, 7, 3), (0, 0, 0), (2**32 - 1, 0, 9),
+            (3, 2, 9, 1, 4), (7, 0, 1, 2, 3), (4, 4, 4, 4, 4), (0, 0), (1, 2**32 - 1),
         ]
         order = np.random.default_rng(seed % 97).permutation(len(paths))
         batch = [paths[i] for i in order]
@@ -145,9 +138,16 @@ class TestDeriveSubstream:
 
     def test_batch_refuses_what_a_single_path_refuses(self):
         with pytest.raises(ValidationError):
+            harness.derive_states(-1, [(0,)])
+        with pytest.raises(ValidationError):
             harness.derive_states(1, [(0,), (-2,)])
         with pytest.raises(TypeError):
             harness.derive_states(1, [(1, 2), (1.5, 2)])
+        # A row declares only non-empty paths of one-word entries; numpy's
+        # stream for any other path is derive_substream's.
+        for path in [(), (2**32,), (1, 2**70)]:
+            with pytest.raises(ValidationError):
+                harness.derive_states(1, [(0,), path])
 
     def test_stream_pickles(self):
         rng = derive_substream(5, (1, 2))
@@ -159,17 +159,18 @@ class TestDeriveSubstream:
 class TestDeclaredPaths:
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig5", "fig6"])
     def test_unit_paths_are_distinct_and_never_the_shared_path(self, name):
-        # Distinct entropy words, not only distinct tuples: (2**32,) and
-        # (0, 1) are one stream.
+        # Distinct seed states, not only distinct tuples, and each numpy's.
         spec = resolve_config(json.dumps(BUILTIN_SCENARIOS[name].config)).spec
         row = harness.SCENARIO_TABLE[spec.scenario]
-        words = [
-            tuple(harness._entropy_words(spec.master_seed, path))
-            for s in range(len(spec.samplers)) for rep in range(spec.repetitions)
+        paths = [
+            path for s in range(len(spec.samplers)) for rep in range(spec.repetitions)
             for path in row.paths(spec, (s, rep))
-        ]
-        assert len(set(words)) == len(words)
-        assert tuple(harness._entropy_words(spec.master_seed, harness.SHARED_PATH)) not in words
+        ] + [harness.SHARED_PATH]
+        states = harness.derive_states(spec.master_seed, paths)
+        assert len(np.unique(states, axis=0)) == len(paths)
+        for path, state in zip(paths, states):
+            seq = np.random.SeedSequence(spec.master_seed, spawn_key=path)
+            np.testing.assert_array_equal(state, seq.generate_state(4, np.uint64))
 
     @pytest.mark.parametrize(
         "overrides, shared",
