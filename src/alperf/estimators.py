@@ -336,18 +336,23 @@ class PerformanceEstimate:
         quartiles from that sort (``percentiles``, equal to
         ``numpy.percentile`` bit for bit). For a Beta mixture each quartile
         is a ``quantile`` call; the set-up those solves share and the
-        median's solve are computed once per estimate. A one-value sample is
-        its own quartiles, and its mean is that value plus 0.0, as
-        ``ndarray.mean`` sums from 0.0 (a -0.0 sample has mean 0.0).
+        median's solve are computed once per estimate. A one-value sample's
+        is ``point_summary``.
         """
         if self.samples is not None:
             if len(self.samples) == 1:
-                value = float(self.samples[0])
-                return {"mean": value + 0.0, "median": value, "q25": value, "q75": value}
+                return point_summary(float(self.samples[0]))
             q25, median, q75 = percentiles(self.samples, (25.0, 50.0, 75.0))
         else:
             median, q25, q75 = self.median(), self.quantile(0.25), self.quantile(0.75)
         return {"mean": self.mean(), "median": median, "q25": q25, "q75": q75}
+
+
+def point_summary(value: float) -> dict[str, float]:
+    """``PerformanceEstimate.summary`` of the one-value sample ``value``: the
+    value is its own quartiles, and its mean is the value plus 0.0, as
+    ``ndarray.mean`` sums from 0.0 (a -0.0 sample has mean 0.0)."""
+    return {"mean": value + 0.0, "median": value, "q25": value, "q75": value}
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +594,24 @@ def true_baseline(
     return synthdata.region_accuracy(model, lambda xs: parzen.posterior_batch(m, xs), *grid_read)
 
 
+def subsample_accuracy(
+    accuracy: float, budget: int, rng: np.random.Generator, reps: int | None = None
+) -> float | np.ndarray:
+    """Accuracy on a fresh unbiased oracle-labeled set of ``budget``
+    instances, for a classifier of true ``accuracy``: one
+    Binomial(budget, accuracy) / budget draw from ``rng``, a float; with
+    ``reps``, an array of ``reps`` such draws, whose first value is the
+    float a scalar draw from the same stream gives.
+    """
+    if budget < 1:
+        raise ValidationError(f"budget must be >= 1, got {budget}")
+    if reps is not None and reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
+    if not 0.0 <= accuracy <= 1.0:
+        raise ValidationError(f"accuracy must be in [0,1], got {accuracy}")
+    return rng.binomial(budget, accuracy, reps) / budget
+
+
 def subsample_baseline(
     accuracy: float, budget: int, reps: int, rng: np.random.Generator
 ) -> PerformanceEstimate:
@@ -597,12 +620,6 @@ def subsample_baseline(
     The classifier stays fixed and each repetition is a fresh unbiased
     oracle-labeled set of ``budget`` instances, so each accuracy value is
     Binomial(budget, accuracy) / budget, drawn directly from the classifier's
-    true ``accuracy``.
+    true ``accuracy`` (``subsample_accuracy``).
     """
-    if budget < 1:
-        raise ValidationError(f"budget must be >= 1, got {budget}")
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    if not 0.0 <= accuracy <= 1.0:
-        raise ValidationError(f"accuracy must be in [0,1], got {accuracy}")
-    return PerformanceEstimate.empirical(rng.binomial(budget, accuracy, reps) / budget)
+    return PerformanceEstimate.empirical(subsample_accuracy(accuracy, budget, rng, reps))

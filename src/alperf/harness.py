@@ -437,13 +437,13 @@ def _record(
     sampler: str,
     budget: int,
     estimator: str,
-    estimate: estimators.PerformanceEstimate,
+    summary: dict[str, float],
     true_baseline: float,
     t0: float,
 ) -> RunRecord:
-    """The record of one estimate. Callers take ``t0`` right before the
-    estimator call; the summary is taken here, so ``wall_ms`` covers both."""
-    summary = estimate.summary()
+    """The record of one estimate's ``summary``. Callers take ``t0`` right
+    before the estimator call and the summary after it, so ``wall_ms`` covers
+    both."""
     return RunRecord(
         scenario, repetition, sampler, budget, estimator,
         summary["mean"], summary["median"], summary["q25"], summary["q75"],
@@ -472,16 +472,20 @@ def _fixed_set(spec: ExperimentSpec, size: int) -> tuple[LabeledSet, float]:
 
 def _eval_size_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
     """One fixed classifier, evaluated on a fresh set of each size: the budget
-    column carries the size, and each accuracy value is a
-    Binomial(size, accuracy) / size draw."""
+    column carries the size. Each record is one scalar
+    Binomial(size, accuracy) / size draw on its own stream
+    (``estimators.subsample_accuracy``) and that value's
+    ``estimators.point_summary``: the record that
+    ``subsample_baseline(accuracy, size, 1, rng)`` would give, built without
+    an array or an estimate object."""
     (_, truth), (_, rep) = shared, unit
     label = spec.samplers[0].label()
     records = []
     for size, rng in zip(spec.budgets, rngs):
         t0 = time.perf_counter()
-        estimate = estimators.subsample_baseline(truth, size, 1, rng)
+        summary = estimators.point_summary(estimators.subsample_accuracy(truth, size, rng))
         records.append(
-            _record(spec.scenario, rep, label, size, SUBSAMPLE_BASELINE, estimate, truth, t0)
+            _record(spec.scenario, rep, label, size, SUBSAMPLE_BASELINE, summary, truth, t0)
         )
     return records
 
@@ -498,7 +502,7 @@ def _cv_folds_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
         records.append(
             _record(
                 spec.scenario, rep, spec.samplers[0].label(), spec.budgets[0],
-                espec.estimator_id(), estimate, truth, t0,
+                espec.estimator_id(), estimate.summary(), truth, t0,
             )
         )
     return records
@@ -517,7 +521,7 @@ def _bias_sweep_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord
     # the estimate's summary.
     record = _record(
         spec.scenario, rep, sampler.label(), spec.budgets[0],
-        espec.estimator_id(), detail.estimate, math.nan, t0,
+        espec.estimator_id(), detail.estimate.summary(), math.nan, t0,
     )
     truth = float(
         np.mean([estimators.true_baseline(m, spec.task) for m in detail.fold_models])
@@ -560,18 +564,18 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord
     """Every configured estimator on each nested budget prefix of one
     acquisition sequence.
 
-    The sequence is fitted once, and the pool and the truth grid are each
-    read under that model once: the pool as one ``parzen.KernelBlock`` whose
-    prefixes hold every budget's model and serve its pool estimators, the
-    grid as every budget's predicted classes (``parzen.prefix_labels``)."""
-    s_idx, rep = unit
+    The sequence is fitted once, and the pool and the truth grid (``shared``,
+    built once per run) are each read under that model once: the pool as
+    one ``parzen.KernelBlock`` whose prefixes hold every budget's model and
+    serve its pool estimators, the grid as every budget's predicted classes
+    (``parzen.prefix_labels``)."""
+    grid, (s_idx, rep) = shared, unit
     label = spec.samplers[s_idx].label()
     ids = [espec.estimator_id() for espec in spec.estimators]
     sequence = _sequence(spec, s_idx, next(rngs))
     model = parzen.fit_arrays(sequence.xs, sequence.ys, spec.classifier)
     pool = synthdata.draw_unlabeled(spec.task, spec.pool_size, next(rngs))
     pool_block = parzen.kernel_block(pool, model)
-    grid = estimators.truth_grid(spec.task, spec.classifier)
     grid_labels = parzen.prefix_labels(grid, model, spec.budgets)
     records = []
     for b_idx, budget in enumerate(spec.budgets):
@@ -584,7 +588,9 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord
             t0 = time.perf_counter()
             estimate = entry.run(spec, espec, labeled, block, budget, truth, rng)
             records.append(
-                _record(spec.scenario, rep, label, budget, ids[e_idx], estimate, truth, t0)
+                _record(
+                    spec.scenario, rep, label, budget, ids[e_idx], estimate.summary(), truth, t0
+                )
             )
     return records
 
@@ -634,7 +640,8 @@ SCENARIO_TABLE = {
     # Its samplers are the three acquisition regimes: unbiased,
     # boundary-focused and boundary-avoiding.
     ESTIMATOR_COMPARISON: Scenario(
-        lambda spec: None, _comparison_paths, _comparison_unit,
+        lambda spec: estimators.truth_grid(spec.task, spec.classifier),
+        _comparison_paths, _comparison_unit,
         repetitions=200,
         estimators=tuple(map(EstimatorSpec, (
             GENERALIZATION_ERROR, KFOLD_CV, SELF_LABEL_CV, REWEIGHTED_CV,

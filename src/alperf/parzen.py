@@ -89,14 +89,14 @@ def kernel_weights(
     """Unnormalized Gaussian kernel matrix of shape (n_query, n_train).
 
     Every step after the difference works in place on one buffer, in the
-    order exp(max(-(d * d) / (2 h^2), clamp)).
+    order exp(max((d * d) / -(2 h^2), clamp)); dividing by the negated
+    denominator is the same sign flip as negating the quotient, bit for bit.
     """
     w = np.subtract.outer(
         np.asarray(query_xs, dtype=np.float64), np.asarray(train_xs, dtype=np.float64)
     )
     np.multiply(w, w, out=w)
-    np.negative(w, out=w)
-    np.divide(w, 2.0 * bandwidth * bandwidth, out=w)
+    np.divide(w, -(2.0 * bandwidth * bandwidth), out=w)
     np.maximum(w, _EXP_CLAMP, out=w)
     return np.exp(w, out=w)
 

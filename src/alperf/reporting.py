@@ -22,13 +22,15 @@ from .harness import RunRecord
 
 # The raw CSV columns are the RunRecord fields, in order. Each column is
 # parsed by its field's type; float columns carry exactly 6 fractional digits,
-# in the format _FLOAT, which the writer and the summary both use.
+# in the format _FLOAT, which the writer and the summary both use. A row is
+# one printf-style _ROW, a conversion per field type: "%.6f" formats as
+# format(value, _FLOAT) does, -0.000000 included.
 CSV_COLUMNS = RunRecord._fields
 _TYPES = tuple(get_type_hints(RunRecord)[name] for name in CSV_COLUMNS)
 _FLOAT_COLUMNS = tuple(n for n, t in zip(CSV_COLUMNS, _TYPES) if t is float)
 _STR_COLUMNS = tuple(n for n, t in zip(CSV_COLUMNS, _TYPES) if t is str)
 _FLOAT = ".6f"
-_ROW = ",".join("{:" + _FLOAT + "}" if t is float else "{}" for t in _TYPES)
+_ROW = ",".join({float: "%" + _FLOAT, int: "%d", str: "%s"}[t] for t in _TYPES)
 _UNWRITABLE = "refusing to serialize {bad} ({r.scenario}, rep {r.repetition}, {r.estimator})"
 
 # Summary rows are grouped by these record fields, in this order.
@@ -67,7 +69,7 @@ def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
         _check_finite(r, _UNWRITABLE)
-        lines.append(_ROW.format(*r))
+        lines.append(_ROW % r)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -19,9 +19,11 @@ from alperf.estimators import (
     kfold_cv,
     kfold_cv_detail,
     percentiles,
+    point_summary,
     probabilistic_performance,
     random_folds,
     self_label_cv,
+    subsample_accuracy,
     subsample_baseline,
     true_baseline,
     truth_grid,
@@ -125,6 +127,9 @@ class TestPerformanceEstimate:
             expected[key] = float(np.percentile(samples, p))
         summary = PerformanceEstimate.empirical(samples).summary()
         assert {k: x.hex() for k, x in summary.items()} == {
+            k: x.hex() for k, x in expected.items()
+        }
+        assert {k: x.hex() for k, x in point_summary(v).items()} == {
             k: x.hex() for k, x in expected.items()
         }
 
@@ -923,6 +928,28 @@ class TestSubsampleBaseline:
         for bad in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValidationError, match="accuracy"):
                 subsample_baseline(bad, 10, 10, rng)
+        # the scalar draw refuses what the baseline refuses, with its messages
+        with pytest.raises(ValidationError, match="budget must be >= 1, got 0"):
+            subsample_accuracy(0.9, 0, rng)
+        with pytest.raises(ValidationError, match=r"accuracy must be in \[0,1\], got nan"):
+            subsample_accuracy(float("nan"), 10, rng)
+
+    # numpy draws a Binomial by inversion where n * min(p, 1-p) is at most 30
+    # and by BTPE elsewhere: (10, 0.93) and (7, 0.2) take the first, (100, 0.5)
+    # and (1000, 0.9) the second.
+    @pytest.mark.parametrize("budget, accuracy", [(10, 0.93), (7, 0.2), (100, 0.5), (1000, 0.9)])
+    def test_scalar_draw_is_the_one_value_sample(self, budget, accuracy):
+        for seed in range(50):
+            value = subsample_accuracy(accuracy, budget, derive_substream(seed, (1, 2)))
+            rng = derive_substream(seed, (1, 2))
+            assert value == rng.binomial(budget, accuracy) / budget
+            assert type(value) is float
+            est = subsample_baseline(accuracy, budget, 1, derive_substream(seed, (1, 2)))
+            assert est.samples.tolist() == [value]
+            assert point_summary(value) == est.summary()
+            # the first of several draws is the scalar draw too
+            many = subsample_accuracy(accuracy, budget, derive_substream(seed, (1, 2)), 5)
+            assert many[0] == value
 
 
 class TestDeterminism:

@@ -410,6 +410,40 @@ class TestSpecs:
 
 
 class TestEvalSizeDistribution:
+    @pytest.mark.parametrize("truth", [None, 0.0, 1.0])
+    def test_records_are_one_value_subsample_baselines(self, truth):
+        # Each record, in every field but wall_ms, is the one the estimate
+        # subsample_baseline(truth, size, 1, rng) gives on the record's own
+        # stream, bit for bit: a zero mean is +0.0 on both sides.
+        spec = _spec({"scenario": "eval-size-distribution", "repetitions": 20})
+        row = harness.SCENARIO_TABLE[spec.scenario]
+        labeled, exact = row.shared(spec)
+        accuracy = exact if truth is None else truth
+        seed = spec.master_seed
+
+        def bits(record):
+            return tuple(v.hex() if isinstance(v, float) else v for v in record[:-1])
+
+        for rep in range(spec.repetitions):
+            paths = row.paths(spec, (0, rep))
+            got = harness._eval_size_unit(
+                spec, (labeled, accuracy), (0, rep), (derive_substream(seed, p) for p in paths)
+            )
+            expected = [
+                harness._record(
+                    spec.scenario, rep, "unbiased", size, "subsample-baseline",
+                    estimators.subsample_baseline(
+                        accuracy, size, 1, derive_substream(seed, path)
+                    ).summary(),
+                    accuracy, 0.0,
+                )
+                for size, path in zip(spec.budgets, paths)
+            ]
+            assert list(map(bits, got)) == list(map(bits, expected))
+            assert all(math.copysign(1.0, r.estimate_mean) == 1.0 for r in got)
+            if truth == 0.0:
+                assert {r.estimate_mean for r in got} == {0.0}
+
     def test_structure_and_determinism(self):
         spec = _spec({"scenario": "eval-size-distribution", "budgets": [5, 10],
                       "repetitions": 6, "train_size": 30})
@@ -598,8 +632,22 @@ class TestEstimatorComparison:
         monkeypatch.setattr(parzen, "fit_arrays", counting)
         paths = harness._comparison_paths(spec, (0, 0))
         rngs = (derive_substream(spec.master_seed, p) for p in paths)
-        harness._comparison_unit(spec, None, (0, 0), rngs)
+        shared = harness.SCENARIO_TABLE[spec.scenario].shared(spec)
+        harness._comparison_unit(spec, shared, (0, 0), rngs)
         assert len(fits) == 1 + len(spec.budgets) * len(cv_folds) == 10
+
+    def test_truth_grid_is_built_once_per_run(self, monkeypatch):
+        grids = []
+        decision_grid = synthdata.decision_grid
+
+        def counting(*args):
+            grids.append(args)
+            return decision_grid(*args)
+
+        monkeypatch.setattr(synthdata, "decision_grid", counting)
+        records = run_experiment(_spec(), workers=1)
+        assert len({(r.sampler, r.repetition) for r in records}) == 9
+        assert len(grids) == 1
 
     def test_one_unit_derives_streams_only_for_drawing_estimators(self):
         # The acquisition sequence and the pool, then one stream per budget

@@ -63,6 +63,19 @@ class TestKernelWeights:
             np.testing.assert_array_equal(query, query_copy)
             np.testing.assert_array_equal(train, train_copy)
 
+    def test_signed_zero_and_clamp_bit_for_bit(self):
+        # Queries at +-0.0 and on the training points (a zero distance), and
+        # distances far enough to reach the clamp.
+        rng = np.random.default_rng(3)
+        train = np.concatenate([[0.0, -0.0, 1.5], rng.normal(0, 3, 47)])
+        query = np.concatenate([[0.0, -0.0], train, rng.normal(0, 30, 5000)])
+        for h in (1e-3, 0.05, 0.2, 3.0):
+            d = query[:, None] - train[None, :]
+            expected = np.exp(np.maximum(-(d * d) / (2 * h * h), -700.0))
+            got = kernel_weights(query, train, h)
+            assert got.tobytes() == expected.tobytes()
+            assert got.min() == np.exp(-700.0)
+
 
 class TestFit:
     def test_caller_arrays_stay_writeable(self):

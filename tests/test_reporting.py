@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.errors import ValidationError
-from alperf.harness import RunRecord
+from alperf.harness import RunRecord, run_experiment
 from alperf.reporting import (
     CSV_COLUMNS,
     read_records_csv,
@@ -57,6 +58,23 @@ class TestCsv:
         line = path.read_text().splitlines()[1]
         assert ",0.500000," in line
         assert line.endswith("1.250000")
+
+    @pytest.mark.parametrize("builtin, repetitions", [("fig2", 30), ("fig6", 1)])
+    def test_rows_are_each_field_formatted_by_its_type(self, tmp_path, builtin, repetitions):
+        # Each float field as format(value, ".6f") gives it, -0.000000
+        # included, each other field as str gives it.
+        config = dict(BUILTIN_SCENARIOS[builtin].config, repetitions=repetitions)
+        records = run_experiment(resolve_config(json.dumps(config)).spec)
+        records.append(records[0]._replace(estimate_q25=-0.0, wall_ms=-1e-9))
+        path = tmp_path / "raw.csv"
+        write_records_csv(records, path)
+        rows = [
+            ",".join(format(v, ".6f") if isinstance(v, float) else str(v) for v in r)
+            for r in records
+        ]
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == rows
+        assert rows[-1].endswith(",-0.000000")
+        assert ",-0.000000," in rows[-1]
 
     def test_roundtrip_summaries_are_stable(self, tmp_path, records):
         p1 = tmp_path / "a.csv"
