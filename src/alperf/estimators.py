@@ -9,9 +9,10 @@ oracle access to the data-generating distribution and exist only to judge
 the estimators.
 
 Every estimator returns a PerformanceEstimate, an empirical sample (a point
-value is a one-value sample) or a Beta mixture, summarized uniformly. Only
-the Beta-mixture methods import ``scipy.special``, so a process that
-summarizes no Beta mixture never loads scipy.
+value is a one-value sample) or a Beta mixture, summarized uniformly. A Beta
+mixture's CDF and quantiles need log B(alpha, beta) and the regularized
+incomplete Beta function; both are computed here with numpy alone
+(``_beta_centre``, ``_incomplete_beta``), so alperf needs no scipy.
 """
 
 from __future__ import annotations
@@ -35,15 +36,48 @@ _XTOL = 1e-12
 _HALLEY_STOP = 1e-5
 # A later evaluation of a solve takes F from the evaluation it steps from,
 # plus a Gauss-Legendre integral of the mixture density over the hop. The
-# rule has the fewest nodes whose bound the hop's reach (see ``_cdf_from``)
-# is within; past the last bound F comes from ``cdf``. At its bound, each
-# rule's relative error on a single Beta density stays below 1e-17 (measured
-# in 40-digit arithmetic over random densities and hops).
+# rule has the fewest nodes whose bound the reach of the hop's farthest piece
+# (see ``_cdf_from``) is within; a hop that reaches past the last bound is cut
+# into pieces. At its bound, each rule's relative error on a single Beta
+# density stays below 1e-17 (measured in 40-digit arithmetic over random
+# densities and hops).
 _QUADRATURE_NODES = ((1e-4, 2), (0.02, 4), (0.5, 8), (6.0, 12), (12.0, 16))
 # The rule is used only on mixtures whose every alpha + beta is at most this:
-# there the rounding of scipy's betaln, and so of each log-density, stays
-# below 1e-14 (it grows with alpha + beta, to ~1e-12 at 1e3).
+# there the rounding of ``_betaln``, and so of each log-density, stays below
+# 5e-15 (measured against 40-digit values at 1,500 random points). It grows
+# with alpha + beta, to ~2e-14 at 100 and ~2e-13 at 1e3.
 _QUADRATURE_SIZE = 32.0
+# Stirling's remainder D(z) = log Gamma(z) - ((z - 1/2) log z - z + log(2 pi)/2)
+# is, for z >= 2, p(t) / z with t = (2/z)^2 and p the polynomial whose
+# coefficient of t^(4i + j) is row i, column j below: its interpolant of
+# degree 15 at the Chebyshev points of [0, 1], computed in 50-digit
+# arithmetic. Its error is below 1e-17 for every z >= 2.
+_STIRLING = np.array([
+    [0.08333333333333333, -0.0006944444444385314, 4.9603174089018035e-05,
+     -9.300577220467171e-06],
+    [3.2877501050566833e-06, -1.8686136718275524e-06, 1.5332757936782692e-06,
+     -1.6184683856178597e-06],
+    [1.9023656466589608e-06, -2.160146900493373e-06, 2.124722336769599e-06,
+     -1.674001437713654e-06],
+    [9.891832786063277e-07, -4.064812066587359e-07, 1.0285938691918831e-07,
+     -1.2019890134559041e-08],
+])
+_STIRLING.setflags(write=False)
+_LOG_2PI = math.log(2.0 * math.pi)
+# F at the mean, where the median's solve starts, is taken from the continued
+# fraction at this share of the lowest switch point (see ``_incomplete_beta``)
+# plus the quadrature of the hop up to the mean: there the fraction needs
+# fewer levels, and the two cost less together than the fraction at the mean.
+_LOW_START = 0.75
+# Two evaluations of the incomplete Beta's continued fraction, from depths a
+# few levels apart, agree to this relative difference once both have converged.
+# Its coefficients are computed this many pairs of levels at a time. It needs
+# about 0.3 sqrt(alpha + beta) pairs at worst (270 levels at (1e5, 1e5)), so it
+# takes alpha + beta up to 1e10 and gives up past 2^16 pairs.
+_FRACTION_TOL = 4.0 * 2.0**-53
+_FRACTION_BLOCK = 64
+_FRACTION_SIZE = 1e10
+_FRACTION_PAIRS = 2**16
 
 
 def percentiles(values: np.ndarray, percents: Sequence[float]) -> list[float]:
@@ -96,6 +130,170 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, weights
 
 
+def _stirling_remainder(z: np.ndarray) -> np.ndarray:
+    """D(z) = log Gamma(z) - ((z - 1/2) log z - z + log(2 pi)/2) for z > 0.
+
+    Below 2 the Gamma recurrence, D(z) = D(z + 1) + (z + 1/2) log(1 + 1/z) - 1,
+    shifts z up; from 2 on, D is the polynomial ``_STIRLING`` in (2/z)^2, over z.
+    """
+    shift = np.zeros_like(z)
+    while (low := z < 2.0).any():
+        shift += np.where(low, (z + 0.5) * np.log1p(1.0 / z) - 1.0, 0.0)
+        z = np.where(low, z + 1.0, z)
+    t = (2.0 / z) ** 2
+    t2 = t * t
+    # p = g0 + t^4 (g1 + t^4 (g2 + t^4 g3)), with gi the cubic of row i
+    g = _STIRLING @ np.stack([np.ones_like(t), t, t2, t2 * t])
+    t4 = t2 * t2
+    return (g[0] + t4 * (g[1] + t4 * (g[2] + t4 * g[3]))) / z + shift
+
+
+class _Centre(NamedTuple):
+    """Per component of a Beta mixture: x0 = alpha / (alpha + beta) and
+    y0 = 1 - x0, rounded so that x0 + y0 == 1 exactly, their logs, and
+    log_front = log(x0^alpha y0^beta / B(alpha, beta))."""
+
+    x0: np.ndarray
+    y0: np.ndarray
+    log_x0: np.ndarray
+    log_y0: np.ndarray
+    log_front: np.ndarray
+
+
+def _beta_centre(a: np.ndarray, b: np.ndarray) -> _Centre:
+    """The ``_Centre`` of Beta components (a, b), in one vectorized pass.
+
+    With Stirling's formula for the three Gammas of B(a, b) = Gamma(a)
+    Gamma(b) / Gamma(a + b), the large terms cancel exactly: log_front is
+    log(a b / (2 pi (a + b))) / 2 - D(a) - D(b) + D(a + b), with D the
+    remainder ``_stirling_remainder``, so it carries an absolute error of a few
+    units in 1e-16 at any size of a and b. x0 and y0 are rounded together, which
+    leaves log_front exact to second order in their rounding.
+    """
+    s = a + b
+    small = np.minimum(a, b) / s
+    large = 1.0 - small
+    # 1 - large is exact; it is 0 only where small is below 2^-54.
+    small = np.where(large < 1.0, 1.0 - large, small)
+    x0, y0 = np.where(a <= b, small, large), np.where(a <= b, large, small)
+    remainder = _stirling_remainder(np.concatenate([a, b, s])).reshape(3, -1)
+    log_front = 0.5 * (np.log(a * (b / s)) - _LOG_2PI) - (
+        remainder[0] + remainder[1] - remainder[2]
+    )
+    return _Centre(x0, y0, np.log(x0), np.log(y0), log_front)
+
+
+def _betaln(a: np.ndarray, b: np.ndarray, centre: _Centre) -> np.ndarray:
+    """log B(a, b) = a log x0 + b log y0 - log_front (see ``_Centre``). This is
+    TOMS 708's form (DiDonato and Morris, ACM TOMS 18(3), 1992): with
+    a <= b, a log(a / (a + b)) - b log1p(a / b) plus Stirling corrections, so it
+    stays accurate where b is orders of magnitude above a."""
+    return a * centre.log_x0 + b * centre.log_y0 - centre.log_front
+
+
+def _beta_fraction(
+    p: np.ndarray, q: np.ndarray, x: np.ndarray, x_c: np.ndarray
+) -> np.ndarray:
+    """The continued fraction f of I_x(p, q) = x^p (1-x)^q / (p B(p, q) f),
+
+        f = 1 + d1 / (1 + d2 / (1 + ...)),
+        d(2m+1) = -(p+m)(p+q+m) x / ((p+2m)(p+2m+1)),
+        d(2m) = m(q-m) x / ((p+2m-1)(p+2m)),
+
+    which converges fast where x <= (p+1)/(p+q+2); x_c is 1 - x. It is
+    evaluated backward from a depth guessed from x(p+q), and in the same pass
+    from one pair of levels (or 1/8 of the depth) below it; where the two
+    differ by more than ``_FRACTION_TOL``, the depth is doubled and the
+    fraction evaluated again, up to ``_FRACTION_PAIRS``. Past
+    ``_FRACTION_SIZE`` a ValidationError refuses p + q.
+    The last level adds d1 = -x - (q-1) x / (p+1) to f2 = 1 + (f2 - 1) as
+    x_c + (f2 - 1) - (q-1) x / (p+1): where p >> q and x is near 1, f is
+    near 0, and 1 + d1 / f2 would lose its digits.
+    """
+    s, neg_x = p + q, -x
+    if s.max() > _FRACTION_SIZE:
+        raise ValidationError(
+            f"the incomplete Beta function takes alpha + beta up to {_FRACTION_SIZE:g}, "
+            f"got {s.max():g}"
+        )
+    # Levels are taken in pairs (2m+1, 2m), from m = pairs down to 1. The
+    # first guess grows with x(p+q) and with x against the switch point; it
+    # was fitted so that every fig6 median start passes at once.
+    hardness = np.sqrt(x * s) * x * (s + 2.0) / (p + 1.0)
+    pairs = 5 + int(7.75 * math.log1p(hardness.max()))
+    while True:
+        check = max(1, pairs // 8)
+        deep, shallow, work = np.ones_like(p), np.ones_like(p), np.empty_like(p)
+        for first in range(0, pairs, _FRACTION_BLOCK):
+            # Row i holds d(2m+1) in odd and d(2m) in even, m = pairs - first - i.
+            m = np.arange(pairs - first, max(pairs - first - _FRACTION_BLOCK, 0), -1.0)[:, None]
+            top = p + 2.0 * m
+            square = top * top
+            odd = (p + m) * (s + m) * neg_x / (square + top)
+            even = (q - m) * (m * x) / (square - top)
+            for i in range(len(m)):
+                for f in (deep, shallow) if first + i >= check else (deep,):
+                    np.divide(odd[i], f, out=work)
+                    work += 1.0
+                    np.divide(even[i], work, out=f)
+                    # after the last pair, f holds f2 - 1
+                    if first + i < pairs - 1:
+                        f += 1.0
+        rest = (q - 1.0) * x / (p + 1.0)
+        deep, shallow = ((x_c + f - rest) / (1.0 + f) for f in (deep, shallow))
+        if np.all(np.abs(deep - shallow) <= _FRACTION_TOL * deep):
+            return deep
+        if pairs >= _FRACTION_PAIRS:
+            raise ValidationError(
+                f"the incomplete Beta function did not converge in {2 * pairs + 1} levels"
+            )
+        pairs *= 2
+
+
+class _Fraction(NamedTuple):
+    """The components of a Beta mixture whose incomplete Beta function comes
+    from its continued fraction (``_incomplete_beta``)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    # (a+1)/(a+b+2): above it, the fraction is that of I_(1-t)(b, a).
+    switch: np.ndarray
+    centre: _Centre
+
+
+def _incomplete_beta(parts: _Fraction, t: float) -> np.ndarray:
+    """The regularized incomplete Beta function I_t(a, b) of each component,
+    for 0 < t < 1.
+
+    Each is the continued fraction ``_beta_fraction`` of I_t(a, b) up to the
+    component's switch point, and of I_(1-t)(b, a) = 1 - I_t(a, b) above it.
+    The front factor t^a (1-t)^b / B(a, b) is taken relative to the
+    component's ``_Centre``: its log is log_front + a log(t/x0) + b
+    log((1-t)/y0), and each of these two logs is the ``log1p`` of the exact
+    difference t - x0 over x0 (or y0) where that ratio is above -1/2, so near
+    x0 no term is larger than the log it adds up to.
+    """
+    a, b, centre = parts.a, parts.b, parts.centre
+    dt = t - centre.x0
+    logs = []
+    for ratio, log_t, log_0 in (
+        (dt / centre.x0, math.log(t), centre.log_x0),
+        (-dt / centre.y0, math.log1p(-t), centre.log_y0),
+    ):
+        log = log_t - log_0
+        np.log1p(ratio, out=log, where=ratio > -0.5)
+        logs.append(log)
+    front = np.exp(centre.log_front + a * logs[0] + b * logs[1])
+    flip = t > parts.switch
+    if flip.any():
+        p, q = np.where(flip, b, a), np.where(flip, a, b)
+        x, x_c = np.where(flip, 1.0 - t, t), np.where(flip, t, 1.0 - t)
+    else:  # below every switch point, as at the median's low start
+        p, q, x, x_c = a, b, t, 1.0 - t
+    part = front / (p * _beta_fraction(p, q, x, x_c))
+    return np.where(flip, 1.0 - part, part)
+
+
 class _Evaluation(NamedTuple):
     """One point of a Beta-mixture quantile solve."""
 
@@ -108,15 +306,18 @@ class _Evaluation(NamedTuple):
 class _BetaSetup(NamedTuple):
     """What every quantile solve of one Beta mixture shares."""
 
-    a: np.ndarray
-    b: np.ndarray
-    # Rows a - 1, b - 1 and betaln(a, b): the log-densities at x are
+    # Rows a - 1, b - 1 and log B(a, b): the log-densities at x are
     # [log x, log(1-x), -1] @ terms.
     terms: np.ndarray
     mean: float
     # The largest alpha - 1 and beta - 1 where every component has alpha,
     # beta >= 1 and alpha + beta <= _QUADRATURE_SIZE; else None.
     max_exponents: tuple[float, float] | None
+    # alpha of the components with beta = 1, whose I_t is t^alpha (a
+    # probabilistic estimate has one wherever the labels near a pool point
+    # agree), and the other components.
+    powers: np.ndarray
+    fraction: _Fraction
 
 
 @dataclass(frozen=True)
@@ -164,43 +365,54 @@ class PerformanceEstimate:
     @cached_property
     def _beta(self) -> _BetaSetup:
         """Beta-mixture set-up, computed once per estimate."""
-        from scipy import special
-
-        a, b = self.components[:, 0], self.components[:, 1]
-        terms = np.stack([a - 1.0, b - 1.0, special.betaln(a, b)])
+        a, b = np.ascontiguousarray(self.components.T)
+        terms = np.stack([a - 1.0, b - 1.0, np.empty_like(a)])
         am1, bm1, _ = terms
-        mean = float((a / (a + b)).sum() / len(a))
-        integrable = min(am1.min(), bm1.min()) >= 0.0 and (a + b).max() <= _QUADRATURE_SIZE
+        s = a + b
+        mean = float((a / s).sum() / len(a))
+        integrable = min(am1.min(), bm1.min()) >= 0.0 and s.max() <= _QUADRATURE_SIZE
         max_exponents = (float(am1.max()), float(bm1.max())) if integrable else None
-        return _BetaSetup(a, b, terms, mean, max_exponents)
+        ones = b == 1.0
+        rest = ~ones
+        powers, a, b = a[ones], a[rest], b[rest]
+        centre = _beta_centre(a, b)
+        terms[2, rest] = _betaln(a, b, centre)
+        terms[2, ones] = -np.log(powers)  # B(alpha, 1) = 1 / alpha
+        fraction = _Fraction(a, b, (a + 1.0) / (a + b + 2.0), centre)
+        return _BetaSetup(terms, mean, max_exponents, powers, fraction)
 
     def cdf(self, t: float) -> float:
-        """Empirical or mixture CDF (a point value's is a step function)."""
+        """Empirical or mixture CDF (a point value's is a step function). A
+        mixture's is the mean of its components' I_t: t^alpha where beta = 1,
+        else ``_incomplete_beta``."""
         if self.samples is not None:
             return float((self.samples <= t).mean())
         if t <= 0.0:
             return 0.0
         if t >= 1.0:
             return 1.0
-        from scipy import special
-
         beta = self._beta
-        return float(special.betainc(beta.a, beta.b, t).sum() / len(beta.a))
+        total = np.exp(beta.powers * math.log(t)).sum()
+        if len(beta.fraction.a):
+            total += _incomplete_beta(beta.fraction, t).sum()
+        return float(total / len(self.components))
 
     def quantile(self, q: float) -> float:
         """Level-q quantile.
 
         An empirical quantile is numpy's "linear" percentile (see
         ``percentiles``). For a Beta mixture this solves F(t) = q by a
-        safeguarded Halley iteration (``_halley``); F at a solve's first
-        evaluation comes from ``cdf``, and at each later one from the
-        evaluation it steps from (``_cdf_from``). The median's solve comes
-        first and is kept per estimate: it starts at
-        the mixture mean, the median of the normal distribution with the
-        mixture's mean and variance. Every other level starts from that
-        solve's evaluations: they bracket its root, and its first step is a
-        Halley step off the evaluation nearest to q in F. So a quantile
-        returns the same value whichever levels were asked for before it.
+        safeguarded Halley iteration (``_halley``); F at each evaluation
+        comes from the evaluation it steps from (``_cdf_from``). The median's
+        solve comes first and is kept per estimate: it starts at the mixture
+        mean, the median of the normal distribution with the mixture's mean
+        and variance, and takes F there from ``cdf`` at a low point plus the
+        hop up to the mean (see ``_LOW_START``), or from ``cdf`` at the mean
+        where the hop's quadrature does not apply. Every other level starts
+        from that solve's evaluations: they bracket its root, and its first
+        step is a Halley step off the evaluation nearest to q in F. So a
+        quantile returns the same value whichever levels were asked for
+        before it.
         """
         if not 0.0 <= q <= 1.0:
             raise ValidationError(f"quantile level must be in [0,1], got {q}")
@@ -221,8 +433,14 @@ class PerformanceEstimate:
     @cached_property
     def _median_solve(self) -> tuple[float, tuple[_Evaluation, ...]]:
         """The median of a Beta mixture, and the evaluations its solve made."""
-        mu = self._beta.mean
-        start = self._evaluate(mu if 0.0 < mu < 1.0 else 0.5)
+        beta = self._beta
+        t = beta.mean if 0.0 < beta.mean < 1.0 else 0.5
+        low = _LOW_START * float(beta.fraction.switch.min(initial=1.0))
+        if beta.max_exponents is not None and len(beta.fraction.a) and low < t:
+            # a hop reads only the t and F it steps from
+            start = self._evaluate(t, _Evaluation(low, self.cdf(low), 0.0, 0.0))
+        else:
+            start = self._evaluate(t)
         seen = [start]
         median = self._halley(0.5, 0.0, 1.0, start, seen)
         return median, tuple(seen)
@@ -231,53 +449,86 @@ class PerformanceEstimate:
         """The mixture's F, density and density slope at t.
 
         The density and its slope come from the log-space Beta densities.
-        F comes from ``cdf`` for a solve's first evaluation; a later one,
-        stepping from ``base``, takes it from ``_cdf_from``.
+        F comes from ``cdf`` without a ``base``, and from ``_cdf_from`` when
+        stepping from one.
         """
-        am1, bm1, log_norm = self._beta.terms
-        n = len(am1)
-        pdf = np.exp(am1 * math.log(t) + bm1 * math.log1p(-t) - log_norm)
+        terms, n = self._beta.terms, len(self.components)
+        pdf = np.exp(np.array([math.log(t), math.log1p(-t), -1.0]) @ terms)
+        # the slope of each density is (alpha-1)/t - (beta-1)/(1-t) times it
+        up, down = terms[:2] @ pdf
         density = float(pdf.sum() / n)
-        slope = float((pdf * (am1 / t - bm1 / (1.0 - t))).sum() / n)
+        slope = float((up / t - down / (1.0 - t)) / n)
         cdf = self.cdf(t) if base is None else self._cdf_from(base, t)
         return _Evaluation(t, cdf, density, slope)
 
     def _cdf_from(self, base: _Evaluation, t: float) -> float:
         """F(t) as F(base.t) plus the integral of the mixture density over
-        the hop from base.t to t, by a Gauss-Legendre rule.
+        the hop from base.t to t, by Gauss-Legendre rules on pieces of it.
 
         A component's log-density (alpha-1) log x + (beta-1) log(1-x) changes
-        over the hop by at most (alpha-1) |log(t/base.t)| + (beta-1)
-        |log((1-t)/(1-base.t))|, as each term is monotone in x. The hop's
-        reach is the largest such change over the components, with every
-        alpha and beta one larger, so that a hop long against its distance
-        from 0 or 1 also reaches far. The rule is used where every component
-        density is bounded (alpha, beta >= 1), the hop is no longer than the
-        distance of either end from 0 and from 1, and the reach is within a
-        bound of ``_QUADRATURE_NODES``. Elsewhere F(t) comes from ``cdf``.
+        over a piece [u, v] by at most (alpha-1) log(v/u) + (beta-1)
+        log((1-u)/(1-v)), as each term is monotone in x. The piece's reach is
+        the largest such change over the components, with every alpha and
+        beta one larger, so that a piece long against its distance from 0 or
+        1 also reaches far. Where every component density is bounded (alpha,
+        beta >= 1), the hop is cut into the fewest pieces, evenly spaced in
+        log(x/(1-x)), of which each is no longer than the distance of either
+        of its ends from 0 and from 1 and reaches no further than the last
+        bound of ``_QUADRATURE_NODES``; all pieces take the rule whose bound
+        the farthest-reaching one is within. Elsewhere F(t) comes from
+        ``cdf``.
         """
         beta = self._beta
+        if beta.max_exponents is None:
+            return self.cdf(t)
         lo, hi = min(base.t, t), max(base.t, t)
-        if beta.max_exponents is None or hi - lo > min(lo, 1.0 - hi):
-            return self.cdf(t)
-        a_max, b_max = beta.max_exponents
-        reach = (1.0 + a_max) * math.log1p((hi - lo) / lo) + (1.0 + b_max) * math.log1p(
-            (hi - lo) / (1.0 - hi)
-        )
-        n = next((n for bound, n in _QUADRATURE_NODES if reach <= bound), None)
-        if n is None:
-            return self.cdf(t)
+        ends, reach = [lo, hi], self._reach(lo, hi)
+        if reach > _QUADRATURE_NODES[-1][0] or hi - lo > min(lo, 1.0 - hi):
+            ends, reach = self._pieces(lo, hi, reach)
+        n = next(n for bound, n in _QUADRATURE_NODES if reach <= bound)
         nodes, weights = _gauss_legendre(n)
-        mid, half = 0.5 * (lo + hi), 0.5 * (t - base.t)
-        # log x and log(1-x) at the nodes x = mid + half * node, each as its
-        # value at mid plus a log1p, so that no node is rounded to a float
-        logs = np.column_stack([
-            math.log(mid) + np.log1p(half / mid * nodes),
-            math.log1p(-mid) + np.log1p(-half / (1.0 - mid) * nodes),
-            np.full(n, -1.0),
-        ])
-        pdf = np.exp(logs @ beta.terms)
-        return base.cdf + half * float(weights @ pdf.sum(axis=1)) / len(beta.a)
+        count = len(ends) - 1
+        logs, halves = np.empty((count * n, 3)), np.empty(count)
+        logs[:, 2] = -1.0
+        for i in range(count):
+            u, v = ends[i], ends[i + 1]
+            mid, halves[i] = 0.5 * (u + v), 0.5 * (v - u)
+            # log x and log(1-x) at the nodes x = mid + half * node, each as
+            # its value at mid plus a log1p, so that no node is rounded to a float
+            rows = logs[i * n : (i + 1) * n]
+            np.log1p(halves[i] / mid * nodes, out=rows[:, 0])
+            rows[:, 0] += math.log(mid)
+            np.log1p(-halves[i] / (1.0 - mid) * nodes, out=rows[:, 1])
+            rows[:, 1] += math.log1p(-mid)
+        pdf = np.exp(logs @ beta.terms).sum(axis=1).reshape(count, n)
+        integral = float(halves @ (pdf @ weights)) / len(self.components)
+        return base.cdf + (integral if t > base.t else -integral)
+
+    def _reach(self, u: float, v: float) -> float:
+        """The reach of the piece [u, v] (see ``_cdf_from``)."""
+        a_max, b_max = self._beta.max_exponents
+        return (1.0 + a_max) * math.log1p((v - u) / u) + (1.0 + b_max) * math.log1p(
+            (v - u) / (1.0 - v)
+        )
+
+    def _pieces(self, lo: float, hi: float, reach: float) -> tuple[list[float], float]:
+        """The ends of the fewest pieces of [lo, hi], evenly spaced in
+        log(x/(1-x)), that ``_cdf_from`` integrates, and their farthest reach.
+        Reach adds up over pieces, so there are at least reach / (the last
+        bound of ``_QUADRATURE_NODES``) of them."""
+        odds = math.log(lo) - math.log1p(-lo)
+        span = math.log(hi) - math.log1p(-hi) - odds
+        count = max(2, math.ceil(reach / _QUADRATURE_NODES[-1][0]))
+        while True:
+            cuts = (1.0 / (1.0 + math.exp(-odds - span * i / count)) for i in range(1, count))
+            ends = [lo, *cuts, hi]
+            pieces = list(zip(ends, ends[1:]))
+            reach = max(self._reach(u, v) for u, v in pieces)
+            if reach <= _QUADRATURE_NODES[-1][0] and all(
+                v - u <= min(u, 1.0 - v) for u, v in pieces
+            ):
+                return ends, reach
+            count += 1
 
     def _halley(
         self, q: float, lo: float, hi: float, e: _Evaluation, seen: list[_Evaluation]

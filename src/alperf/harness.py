@@ -680,10 +680,6 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
         # one-worker run never needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        if PROBABILISTIC in (e.name for e in spec.estimators):
-            # Beta-mixture summaries need scipy.special: import it once here,
-            # so that forked workers inherit it instead of each importing it.
-            import scipy.special  # noqa: F401
         chunk = max(1, math.ceil(len(work) / (workers * 4)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(run, items, chunksize=chunk))

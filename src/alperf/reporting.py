@@ -66,10 +66,13 @@ def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
             if any(ch in value for ch in ',"\r\n'):
                 raise ValidationError(f"refusing to serialize {name}={value!r}: "
                                       "it holds a comma, quote or line break")
+    # One pass per float column; only where a column fails does the record
+    # loop run, so that the error names the first bad record and field.
+    if not all(all(map(math.isfinite, map(attrgetter(n), records))) for n in _FLOAT_COLUMNS):
+        for r in records:
+            _check_finite(r, _UNWRITABLE)
     lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        _check_finite(r, _UNWRITABLE)
-        lines.append(_ROW % r)
+    lines += [_ROW % r for r in records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

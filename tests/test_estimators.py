@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from alperf.errors import ValidationError
 from alperf.estimators import (
     _QUADRATURE_NODES,
     PerformanceEstimate,
+    _beta_centre,
+    _betaln,
     _accuracy_from_posteriors,
     _fold_predictions,
     _gauss_legendre,
@@ -418,6 +421,437 @@ class TestBetaQuantile:
         assert len(calls) <= 4
         monkeypatch.undo()
         assert abs(q75 - self._brentq(e, 0.75)) <= 5e-13
+
+
+# Reference values for log B and the regularized incomplete Beta function,
+# computed once in 50-digit arithmetic with mpmath: log B as
+# log(beta(alpha, beta)); I_t(p, q) as x^p (1-x)^q / (p B(p, q)) times
+# 2F1(p+q, 1; p+1; x), of I_t(alpha, beta) below the switch point and of
+# 1 - I_(1-t)(beta, alpha) above it. The grid is alpha, beta in
+# {1, 1.5, 2.7, 8, 16, 31}; the rest are alpha or beta below 1 and three
+# far-apart pairs.
+# log B(alpha, beta) to 40 significant digits.
+_BETALN = {
+    (1.0, 1.0): "0.0",
+    (1.0, 1.5): "-0.405465108108164381978013115464349136572",
+    (1.0, 2.7): "-0.9932517730102834559587383079443390635143",
+    (1.0, 8.0): "-2.079441541679835928251696364374529704227",
+    (1.0, 16.0): "-2.772588722239781237668928485832706272302",
+    (1.0, 31.0): "-3.43398720448514624592916432454235721045",
+    (1.5, 1.0): "-0.405465108108164381978013115464349136572",
+    (1.5, 1.5): "-0.9347116558304357541082690130214709925792",
+    (1.5, 2.7): "-1.734517320940730591065707815224773685666",
+    (1.5, 8.0): "-3.28495429736709940474942998697669467213",
+    (1.5, 16.0): "-4.302625749741703142760922581063571722464",
+    (1.5, 31.0): "-5.283731302419442478509195833245058708834",
+    (2.7, 1.0): "-0.9932517730102834559587383079443390635143",
+    (2.7, 1.5): "-1.734517320940730591065707815224773685666",
+    (2.7, 2.7): "-2.928066925038863970760323624050066095609",
+    (2.7, 8.0): "-5.443228681577999205075028866305851372741",
+    (2.7, 16.0): "-7.188430633514163658628028493182830336755",
+    (2.7, 31.0): "-8.909282557663980212818124168209788371232",
+    (8.0, 1.0): "-2.079441541679835928251696364374529704227",
+    (8.0, 1.5): "-3.28495429736709940474942998697669467213",
+    (8.0, 2.7): "-5.443228681577999205075028866305851372741",
+    (8.0, 8.0): "-10.84894866171006296575837719097621665767",
+    (8.0, 16.0): "-15.18224282285806770419143218229153746804",
+    (8.0, 31.0): "-19.78480090461823401309917146751332229202",
+    (16.0, 1.0): "-2.772588722239781237668928485832706272302",
+    (16.0, 1.5): "-4.302625749741703142760922581063571722464",
+    (16.0, 2.7): "-7.188430633514163658628028493182830336755",
+    (16.0, 8.0): "-15.18224282285806770419143218229153746804",
+    (16.0, 16.0): "-22.29368078563352749923792953137939032833",
+    (16.0, 31.0): "-30.3950673029452539312455301857067730344",
+    (31.0, 1.0): "-3.43398720448514624592916432454235721045",
+    (31.0, 1.5): "-5.283731302419442478509195833245058708834",
+    (31.0, 2.7): "-8.909282557663980212818124168209788371232",
+    (31.0, 8.0): "-19.78480090461823401309917146751332229202",
+    (31.0, 16.0): "-30.3950673029452539312455301857067730344",
+    (31.0, 31.0): "-43.42257459018457366506451202490559822251",
+    (0.5, 0.5): "1.144729885849400174143427351353058711647",
+    (0.5, 3.0): "0.06453852113757117167292391568399292812891",
+    (3.0, 0.5): "0.06453852113757117167292391568399292812891",
+    (1000.0, 2.0): "-13.81651005829735763727475812702672025707",
+    (2.0, 1000000.0): "-27.63102211592804820854923053954590382438",
+    (100000.0, 3.0): "-33.84565921410074295081014035879645339689",
+}
+# I_t(alpha, beta) to 40 significant digits, at the five t of _BETAINC_T:
+# None is the switch point (alpha + 1) / (alpha + beta + 2) in double precision.
+_BETAINC = {
+    (1.0, 1.0): (
+        "0.001000000000000000020816681711721685132943",
+        "0.2999999999999999888977697537484345957637",
+        "0.5",
+        "0.9000000000000000222044604925031308084726",
+        "0.9989999999999999991118215802998747676611",
+    ),
+    (1.0, 1.5): (
+        "0.00149962493747655080561907109654425201358",
+        "0.4143379814261471024820912033259924778852",
+        "0.5859133375000389175256994697096930159673",
+        "0.9683772233983162172125114702857752691137",
+        "0.9999683772233983161645500094416352513034",
+    ),
+    (1.0, 2.7): (
+        "0.00269770553554017317960938858280028037199",
+        "0.6182626027914799517828903542410363762103",
+        "0.6886258574054058091439492585536953469058",
+        "0.9980047376850311224109528138785939083932",
+        "0.9999999920567176527571756776150060360715",
+    ),
+    (1.0, 8.0): (
+        "0.007972055930055972173370210897598931487392",
+        "0.9423519899999999926854687970489972518012",
+        "0.7991838695967068522067202055759196435802",
+        "0.9999999900000000000000177635683940024908",
+        "0.9999999999999999999999989999999999999929",
+    ),
+    (1.0, 16.0): (
+        "0.01588055818436000375524715670657056282079",
+        "0.9966767069430398991566636641339370746212",
+        "0.8312960983175222210538259032047030411108",
+        "0.9999999999999999000000000000003552713679",
+        "1.0",
+    ),
+    (1.0, 31.0): (
+        "0.03053946370417734133262653699653019602653",
+        "0.999984222461796515411581150415017713868",
+        "0.8473127055699599565030598252250061461283",
+        "0.9999999999999999999999999999999",
+        "1.0",
+    ),
+    (1.5, 1.0): (
+        "3.162277660168379430741084848152435039361e-5",
+        "0.1643167672515498249156780181080643655793",
+        "0.4140866624999610824743005302903069840327",
+        "0.8538149682454624512372024741871433163611",
+        "0.9985003750625234478939890059360336234747",
+    ),
+    (1.5, 1.5): (
+        "5.366838468650542659947169124079904064034e-5",
+        "0.2523157877343454600493678666360177950034",
+        "0.5",
+        "0.9479559806690860876518888664258495080615",
+        "0.9999463316153134945035896473381040879067",
+    ),
+    (1.5, 2.7): (
+        "0.0001193320074658883417354239997866864321136",
+        "0.4453735753089567397720325862300283316377",
+        "0.6109284702271053794730422481893171138889",
+        "0.995968678398470633384312796087098228124",
+        "0.9999999833363928598703342699911532838027",
+    ),
+    (1.5, 8.0): (
+        "0.0005606893507589563868922502740044450971304",
+        "0.882165526384837923581528873041252879311",
+        "0.7427091025370335225057536018375153713379",
+        "0.9999999681340552289980921090487689854486",
+        "0.9999999999999999999999966630136396629203",
+    ),
+    (1.5, 16.0): (
+        "0.001543862684093932425962774717322333654743",
+        "0.9910485448499287363387377734082637501226",
+        "0.78387585169258359974004789116475244611",
+        "0.9999999999999995604376227788997137592246",
+        "1.0",
+    ),
+    (1.5, 31.0): (
+        "0.00408128970105990576843570777822930116144",
+        "0.9999431156252412722044877634308151614485",
+        "0.8049510290574732193781784503510921572567",
+        "0.9999999999999999999999999999993957634693",
+        "1.0",
+    ),
+    (2.7, 1.0): (
+        "7.9432823472428057201972024636748702203e-9",
+        "0.03874604582249406800966030828336488572892",
+        "0.3113741425945941908560507414463046530942",
+        "0.7524103751251505715168583149930728618771",
+        "0.997302294464459824482493715669857714403",
+    ),
+    (2.7, 1.5): (
+        "1.666360714012962671117320293326616150314e-8",
+        "0.07180844017726427833970924249114194748193",
+        "0.3890715297728946205269577518106828861111",
+        "0.8924234277484220219912225579363348312403",
+        "0.9998806679925341115031141789295198547717",
+    ),
+    (2.7, 2.7): (
+        "5.492127341386981301272637268979655861692e-8",
+        "0.176879706691791351891310244745649588897",
+        "0.5",
+        "0.9878531809518875790678304567358459189022",
+        "0.9999999450787265861300584275594115967529",
+    ),
+    (2.7, 8.0): (
+        "6.766772355040195008407939846900065353629e-7",
+        "0.6753236509536595374276007840020778352148",
+        "0.6536297152976922426613762301379319042234",
+        "0.999999753296010732414073190470152326236",
+        "0.9999999999999999999999711452286891695007",
+    ),
+    (2.7, 16.0): (
+        "3.852817269969347548348376859916821392379e-6",
+        "0.9554665517849675825686306956344710362143",
+        "0.7083570889446657370136543953687772976301",
+        "0.9999999999999930046812356314159185432071",
+        "1.0",
+    ),
+    (2.7, 31.0): (
+        "2.130028629929566782613934924549244679949e-5",
+        "0.9994503256094444966143272152219620409282",
+        "0.737947357177278514859727116486708282546",
+        "0.9999999999999999999999999999799245710849",
+        "1.0",
+    ),
+    (8.0, 1.0): (
+        "1.000000000000000166533453693773493196903e-24",
+        "6.560999999999998057553796115826368472139e-5",
+        "0.2008161304032932567913957316909393520073",
+        "0.4304672100000000849625969578937729844736",
+        "0.9920279440699440209361626683691122779793",
+    ),
+    (8.0, 1.5): (
+        "3.336986360337056504474693645645520363014e-24",
+        "0.000187534390017259113877171181451489475378",
+        "0.2572908974629665396414412918700118724081",
+        "0.6288150636820804874453634125342766356935",
+        "0.9994393106492410428856693839897509753246",
+    ),
+    (8.0, 2.7): (
+        "2.885477131083029915260256876833393075559e-23",
+        "0.001120162958469602433684142861253904518416",
+        "0.3463702847023080404273241418675512381359",
+        "0.898418133690673625914809058293977413619",
+        "0.9999993233227644959789174637830305775703",
+    ),
+    (8.0, 8.0): (
+        "6.395067944350067929900310126049201654619e-21",
+        "0.05001254005377598970600788676055335620478",
+        "0.5",
+        "0.9999663751120320000546734311424046004257",
+        "0.9999999999999999999936049320556498877299",
+    ),
+    (8.0, 16.0): (
+        "4.838175045719211207822739358950256421748e-19",
+        "0.3818716495096942232609374076978916704909",
+        "0.571182072140635245313622067599201719095",
+        "0.9999999999877172794502400416583507648127",
+        "1.0",
+    ),
+    (8.0, 31.0): (
+        "4.761627378573614610898898143762380526556e-17",
+        "0.9205078169920736108795401371965807695344",
+        "0.6161522843064885396725748168063467146674",
+        "0.9999999999999999999999993814043802811242",
+        "1.0",
+    ),
+    (16.0, 1.0): (
+        "1.000000000000000333066907387547014127198e-48",
+        "4.304672099999997451122091263187738018866e-9",
+        "0.1687039016824777789461740967952969588892",
+        "0.1853020188851841731472241336380470846424",
+        "0.9841194418156399825736809803682469341336",
+    ),
+    (16.0, 1.5): (
+        "4.616173971470905140881521862861614928223e-48",
+        "1.684044348712290098051062996789901259873e-8",
+        "0.21612414830741640025995210883524755389",
+        "0.3308763707753692171801025347355497970695",
+        "0.9984561373159060655774457874382406735347",
+    ),
+    (16.0, 2.7): (
+        "8.261912239232690960165005058413168565336e-47",
+        "2.027228675965186518945029585671330669568e-7",
+        "0.2916429110553342629863456046312227023699",
+        "0.6683718301429057917743736624324092141703",
+        "0.999996147182730030643465404838392136339",
+    ),
+    (16.0, 8.0): (
+        "2.435464170451805558197213560453351525296e-43",
+        "0.0001047079201355756384588352541407639198311",
+        "0.428817927859364754686377932400798280905",
+        "0.9987701732271566771346954026930288772736",
+        "0.9999999999999999995161824954280755276588",
+    ),
+    (16.0, 16.0): (
+        "2.963252101913550482050219239225115607407e-40",
+        "0.009540435911883398162868434178319283692057",
+        "0.5",
+        "0.9999999931487969260212273478730048322481",
+        "0.9999999999999999999999999999999999999997",
+    ),
+    (16.0, 31.0): (
+        "9.638787375106823435020093937834870024743e-37",
+        "0.2872453115894150213846011005416770704252",
+        "0.550245340710928333084173644001297615309",
+        "0.9999999999999999999888879799554255860049",
+        "1.0",
+    ),
+    (31.0, 1.0): (
+        "1.000000000000000645317133063372440621656e-93",
+        "6.176733962839462913862662053819433470491e-17",
+        "0.1526872944300399737036334812108603291569",
+        "0.03815204244769461234232176363895669278923",
+        "0.9694605362958226325742180617480646172096",
+    ),
+    (31.0, 1.5): (
+        "6.355111743535247963837334848257315548977e-93",
+        "3.307666264182962021103723783233630659163e-16",
+        "0.1950489709425268577126203044729693243989",
+        "0.08639964916355274753997045106186604597291",
+        "0.9959187102989400889851781106507569194114",
+    ),
+    (31.0, 2.7): (
+        "2.383279533715973103916110133396690835799e-91",
+        "8.225849270376848753298671896295310103338e-15",
+        "0.2620526428227209947028795860184772747105",
+        "0.2841712840147388375081974768766581593097",
+        "0.9999786997137007042826952883685896030043",
+    ),
+    (31.0, 8.0): (
+        "1.253492344988836788093948968904469044151e-86",
+        "7.071527124900344426223435207961198892831e-11",
+        "0.3838477156935116177164026923854427054828",
+        "0.9681942702045479161852021053890235628852",
+        "0.99999999999999995238372621426352458871",
+    ),
+    (31.0, 16.0): (
+        "5.043528210513582305730765661171373087175e-82",
+        "1.867422454187665499618688961022908014209e-7",
+        "0.4497546592890713527204354362516759011024",
+        "0.9999947969346836385477057406072710324261",
+        "0.9999999999999999999999999999999999990361",
+    ),
+    (31.0, 31.0): (
+        "2.260451605113977488809620792930558146048e-76",
+        "0.0005286730018134202449635543901459814365238",
+        "0.5",
+        "0.9999999999999988996994661317141604090261",
+        "1.0",
+    ),
+    (0.5, 0.5): (
+        "0.02013504163337749118198667960203337489",
+        "0.369010119565545375043720199121209918751",
+        "0.5",
+        "0.7951672353008665719104664595866426388759",
+        "0.9798649583666225000829181038495330220628",
+    ),
+    (0.5, 3.0): (
+        "0.05925318951594623398065679818030622867705",
+        "0.840069472573548517203185051873300005977",
+        "0.8157192638585179498127593547263708344443",
+        "0.9996750253207289165475773135198369097111",
+        "0.9999999996873827421386343919597058681411",
+    ),
+    (3.0, 0.5): (
+        "3.126172578613647944817837668543526679984e-10",
+        "0.009603693590288068961207655480182694424631",
+        "0.1842807361414820501872406452736291655557",
+        "0.4454155553479705279714773486537628981131",
+        "0.9407468104840537403566333936677255953725",
+    ),
+    (1000.0, 2.0): (
+        "0.0004748837215172368838937417227560036388617",
+        "0.03992381147299182060201945952357648026188",
+        "0.2000437680211244471001792529766518144601",
+        "0.7353908495419277620206588796970106887798",
+        "0.9096822342601090692087425685519269740461",
+    ),
+    (2.0, 1000000.0): (
+        "0.004678845137050587639875915512873082132198",
+        "0.2642414855367097947811394451415188508632",
+        "0.8008508303619857359991797778108078441803",
+        "0.9595728233500382151244878454928954867462",
+        "0.9995006257421162570753686210130206967142",
+    ),
+    (100000.0, 3.0): (
+        "0.1246372805732550253267880939298675001493",
+        "0.4231732779386333316851856558451819739557",
+        "0.2381150274058233635071534419449340891059",
+        "0.676665589260617070137155587647254776007",
+        "0.9196958438052766542487318019202016481284",
+    ),
+}
+_BETAINC_T = {
+    (1000.0, 2.0): (0.99, 0.995, None, 0.999, 0.9995),
+    (2.0, 1e6): (1e-7, 1e-6, None, 5e-6, 1e-5),
+    (1e5, 3.0): (0.99995, 0.99997, None, 0.99998, 0.99999),
+}
+_BETAINC_T_GRID = (1e-3, 0.3, None, 0.9, 0.999)
+
+
+def _betaln_error(alpha, beta):
+    a, b = np.array([alpha]), np.array([beta])
+    value = float(_betaln(a, b, _beta_centre(a, b))[0])
+    return float(abs(Fraction(value) - Fraction(_BETALN[alpha, beta])))
+
+
+def _betainc_errors(alpha, beta):
+    e = PerformanceEstimate.beta_mixture(np.array([alpha]), np.array([beta]))
+    ts = _BETAINC_T.get((alpha, beta), _BETAINC_T_GRID)
+    ts = [(alpha + 1.0) / (alpha + beta + 2.0) if t is None else t for t in ts]
+    return [
+        float(abs(Fraction(e.cdf(t)) - Fraction(ref)))
+        for t, ref in zip(ts, _BETAINC[alpha, beta])
+    ]
+
+
+def _in_quadrature_domain(alpha, beta):
+    return min(alpha, beta) >= 1.0 and alpha + beta <= 32.0
+
+
+class TestBetaFunctions:
+    """log B and I_t against the 40-digit values above. Each tolerance is
+    several times the largest error measured on its points."""
+
+    def test_betaln_where_the_quadrature_applies(self):
+        # alpha, beta >= 1 and alpha + beta <= 32: the log-densities the
+        # quadrature rule reads are this accurate.
+        errors = {k: _betaln_error(*k) for k in _BETALN if _in_quadrature_domain(*k)}
+        assert len(errors) == 27
+        assert max(errors.values()) <= 1e-14, errors
+
+    @pytest.mark.parametrize("alpha, beta, tolerance", [
+        (0.5, 0.5, 1e-15), (0.5, 3.0, 1e-15), (3.0, 0.5, 1e-15),
+        # scipy.special.betaln is off by 9e-13, 2.4e-10 and 2.9e-11 here
+        (1000.0, 2.0, 1e-14), (2.0, 1e6, 1e-14), (1e5, 3.0, 1e-14),
+    ])
+    def test_betaln_off_the_grid(self, alpha, beta, tolerance):
+        assert _betaln_error(alpha, beta) <= tolerance
+
+    def test_betaln_on_the_rest_of_the_grid(self):
+        grid = (1.0, 1.5, 2.7, 8.0, 16.0, 31.0)
+        rest = [(a, b) for a in grid for b in grid if not _in_quadrature_domain(a, b)]
+        assert len(rest) == 9
+        assert max(_betaln_error(*k) for k in rest) <= 1e-14
+
+    def test_incomplete_beta_of_one_component(self):
+        # A single-component mixture's CDF is I_t itself, taken as t^alpha
+        # where beta = 1 and from the continued fraction elsewhere.
+        for key in _BETAINC:
+            tolerance = {(2.0, 1e6): 2e-14, (1e5, 3.0): 1e-13}.get(key, 1e-15)
+            errors = _betainc_errors(*key)
+            assert max(errors) <= tolerance, (key, errors)
+
+    def test_incomplete_beta_refuses_what_its_fraction_cannot_reach(self):
+        # ~0.3 sqrt(alpha + beta) pairs of levels are needed: past 1e10 the
+        # mixture CDF is refused, not left to hang or overflow.
+        for alpha, beta in ((1e11, 2.0), (1e200, 1e200)):
+            e = PerformanceEstimate.beta_mixture(np.array([alpha]), np.array([beta]))
+            with pytest.raises(ValidationError, match="takes alpha \\+ beta up to 1e\\+10"):
+                e.cdf(0.5)
+        e = PerformanceEstimate.beta_mixture(np.array([1e9, 3.0]), np.array([1e9, 2.5]))
+        assert 0.0 < e.cdf(0.5) < 1.0
+
+    def test_incomplete_beta_of_a_mixture_is_the_mean(self):
+        keys = [k for k in _BETAINC if _in_quadrature_domain(*k)]
+        alphas, betas = np.array(keys).T
+        e = PerformanceEstimate.beta_mixture(alphas, betas)
+        for t in (1e-3, 0.3, 0.6, 0.999):
+            singles = [PerformanceEstimate.beta_mixture(np.array([a]), np.array([b])).cdf(t)
+                       for a, b in keys]
+            assert abs(e.cdf(t) - math.fsum(singles) / len(keys)) <= 1e-15
 
 
 class TestGeneralizationError:

@@ -1,17 +1,17 @@
 """Which commands load scipy, numpy.random and the process pool, checked in
 fresh interpreters.
 
-Only the Beta-mixture methods of ``PerformanceEstimate`` import
-``scipy.special``, and ``run_experiment`` before it forks workers for a
-study with the probabilistic estimator. fig2, fig3 and fig5 summarize no Beta mixture, and
-``report``, ``plot`` and ``scenarios`` compute no estimate, so none of them
-may load scipy. Only ``run_experiment`` on two or more workers imports
+alperf imports no scipy: a Beta mixture's log B and incomplete Beta function
+are computed with numpy alone. So no built-in study, fig6's Beta mixtures
+included, loads scipy on one or two workers, and neither do ``report``,
+``plot`` and ``scenarios``. Only ``run_experiment`` on two or more workers imports
 ``concurrent.futures``, and with it ``multiprocessing``. The test process
 itself has these loaded, so every check runs its commands in a subprocess.
 Importing the CLI loads no ``numpy.random`` module either: only the first
 random stream a run builds needs it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -88,8 +88,8 @@ def _csv_without_wall(path):
     return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
 
-@pytest.mark.parametrize("name", ["fig2", "fig3", "fig5"])
-def test_builtin_without_beta_mixture_never_loads_scipy(tmp_path, name):
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig5", "fig6"])
+def test_no_builtin_loads_scipy(tmp_path, name):
     assert _run(tmp_path, name, 2, 1) == {
         "import": [], "run-w1": [], "report-plot-scenarios": [],
     }
@@ -105,13 +105,24 @@ def test_fig2_loads_the_process_pool_only_on_two_workers(tmp_path):
     )
 
 
-def test_fig6_loads_scipy_in_its_workers_with_identical_output(tmp_path):
+def test_fig6_loads_no_scipy_on_one_or_two_workers_with_identical_output(tmp_path):
     loaded = _run(tmp_path, "fig6", 2, 2, 1)
-    # On 2 workers run_experiment imports scipy.special before it forks the
-    # workers, which summarize the Beta mixtures; on 1 worker this process
-    # imports it at its first Beta-mixture summary.
-    assert "scipy.special" in loaded["run-w2"]
-    assert "scipy.special" in loaded["run-w1"]
+    # This process summarizes the Beta mixtures on 1 worker; on 2 its forked
+    # workers do, from the source test_alperf_source_imports_no_scipy reads.
+    for step in ("import", "run-w2", "run-w1", "report-plot-scenarios"):
+        assert not any(m.split(".")[0] == "scipy" for m in loaded[step]), step
     assert _csv_without_wall(tmp_path / "w2" / "raw.csv") == _csv_without_wall(
         tmp_path / "w1" / "raw.csv"
     )
+
+
+def test_alperf_source_imports_no_scipy():
+    for path in Path(SRC, "alperf").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)

@@ -114,6 +114,26 @@ class TestCsv:
         with pytest.raises(ValidationError, match=f"line 3: non-finite {field}=inf"):
             read_records_csv(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_first_non_finite_in_record_order_is_named(self, tmp_path, bad):
+        # The writer checks whole columns first; the error still names the
+        # first bad record in record order, and in it the first bad field.
+        fields = [n for n in CSV_COLUMNS if isinstance(getattr(_record(), n), float)]
+        records = [_record(repetition=i) for i in range(2 * len(fields))]
+        for i, field in enumerate(fields):
+            records[2 * i + 1] = _record(repetition=2 * i + 1, **{field: bad})
+        for start, field in enumerate(fields):
+            with pytest.raises(ValidationError) as exc:
+                write_records_csv(records[2 * start :], tmp_path / "w.csv")
+            assert str(exc.value) == (
+                f"refusing to serialize non-finite {field}={bad!r} "
+                f"(estimator-comparison, rep {2 * start + 1}, cv-3fold)"
+            )
+        both = _record(repetition=7, estimate_q75=bad, estimate_median=float("nan"))
+        with pytest.raises(ValidationError, match="non-finite estimate_median=nan"):
+            write_records_csv([_record(), both, _record(wall_ms=bad)], tmp_path / "w.csv")
+        assert not (tmp_path / "w.csv").exists()
+
     def test_non_finite_messages_name_the_record_and_line(self, tmp_path):
         # The writer names the record; the reader names the file and line,
         # even when the path holds format braces.
