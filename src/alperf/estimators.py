@@ -743,8 +743,8 @@ def kfold_cv(
 
     Fold assignment is randomized per call; predictions are pooled over all
     held-out instances. With ``reweighted`` each prediction is weighted by
-    the inverse of its recorded sampling density, which corrects the
-    estimate toward the data-generating distribution.
+    1/q(x), its recorded sampling density inverted. A correction toward the
+    data-generating density p needs p(x)/q(x) (ROADMAP item 1).
     """
     # Tracing wraps kfold_cv_detail and names its span by reweighted, read at
     # position 4 or by keyword.

@@ -2,7 +2,8 @@
 
 The raw CSV is the contract everything downstream operates on; the summary
 is always reproducible from it alone. Writers and the reader refuse NaN/Inf
-values.
+values. The reader reads the file once and parses it by column; where that
+fails, it checks the rows read in file order and raises the first error.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ _FLOAT_COLUMNS = tuple(n for n, t in zip(CSV_COLUMNS, _TYPES) if t is float)
 _STR_COLUMNS = tuple(n for n, t in zip(CSV_COLUMNS, _TYPES) if t is str)
 _FLOAT = ".6f"
 _ROW = ",".join({float: "%" + _FLOAT, int: "%d", str: "%s"}[t] for t in _TYPES)
-_UNWRITABLE = "refusing to serialize {bad} ({r.scenario}, rep {r.repetition}, {r.estimator})"
 
 # Summary rows are grouped by these record fields, in this order.
 _GROUP = ("scenario", "sampler", "budget", "estimator")
@@ -47,15 +47,14 @@ def _as_written(values: list[float]) -> list[float]:
     return [rounded[v] if v else v for v in values]
 
 
-def _check_finite(record: RunRecord, where: str, **context) -> None:
-    """Refuse a record with a NaN or infinite float field. ``where`` is the
-    message, a format string given ``bad`` ("non-finite <field>=<value>"),
-    the record as ``r``, and ``context``."""
+def _non_finite(record: RunRecord) -> str | None:
+    """"non-finite <field>=<value>" for the first NaN or infinite float field
+    of ``record``, or None if there is none."""
     for name in _FLOAT_COLUMNS:
         value = getattr(record, name)
         if not math.isfinite(value):
-            bad = f"non-finite {name}={value!r}"
-            raise ValidationError(where.format(bad=bad, r=record, **context))
+            return f"non-finite {name}={value!r}"
+    return None
 
 
 def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
@@ -70,81 +69,77 @@ def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
     # loop run, so that the error names the first bad record and field.
     if not all(all(map(math.isfinite, map(attrgetter(n), records))) for n in _FLOAT_COLUMNS):
         for r in records:
-            _check_finite(r, _UNWRITABLE)
+            if bad := _non_finite(r):
+                raise ValidationError(f"refusing to serialize {bad} "
+                                      f"({r.scenario}, rep {r.repetition}, {r.estimator})")
     lines = [",".join(CSV_COLUMNS)]
     lines += [_ROW % r for r in records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_columns(rows: list[list[str]]) -> list[list] | None:
-    """The columns of ``rows``, each parsed by its field's type, or None if
-    there are none or a row has the wrong field count, an unparsable field
-    or a non-finite float."""
-    if set(map(len, rows)) != {len(CSV_COLUMNS)}:
-        return None
-    try:
-        columns = [
-            col if parse is str else list(map(parse, col))
-            for parse, col in zip(_TYPES, zip(*rows))
-        ]
-    except ValueError:
-        return None
-    floats = (col for parse, col in zip(_TYPES, columns) if parse is float)
-    return columns if all(all(map(math.isfinite, col)) for col in floats) else None
-
-
-def _read_rows(path) -> list[RunRecord]:
-    """The records of a raw CSV, read row by row: the first error in file
-    order is raised, a bad row named by the physical line it starts on."""
-    records, line = [], 1
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValidationError(f"{path}: empty file, expected a CSV header")
-            if tuple(header) != CSV_COLUMNS:
-                raise ValidationError(
-                    f"{path}: unexpected CSV header {header!r}; expected {','.join(CSV_COLUMNS)}"
-                )
-            line = reader.line_num + 1
-            for row in reader:
-                if len(row) != len(CSV_COLUMNS):
-                    raise ValidationError(f"{path}: line {line} has {len(row)} fields")
-                try:
-                    record = RunRecord(*[parse(v) for parse, v in zip(_TYPES, row)])
-                except ValueError as exc:
-                    raise ValidationError(f"{path}: line {line}: {exc}") from exc
-                _check_finite(record, "{path}: line {i}: {bad}", path=path, i=line)
-                records.append(record)
-                line = reader.line_num + 1
-    except UnicodeDecodeError as exc:
-        # exc.start counts from the start of the decoder's read chunk; the
-        # whole file, decoded at once, gives the offset in the file.
-        try:
-            Path(path).read_bytes().decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        raise ValidationError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    except csv.Error as exc:
-        raise ValidationError(f"{path}: line {line}: {exc}") from None
-    return records
-
-
 def read_records_csv(path: str | Path) -> list[RunRecord]:
-    """The records of a raw CSV, parsed column by column. Where that fails
-    (a bad header or row, a decoding or CSV syntax error) or finds no rows,
-    the file is read again row by row, which raises the first error in file
-    order."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error):
-        return _read_rows(path)
-    columns = _parse_columns(rows[1:]) if rows[:1] == [list(CSV_COLUMNS)] else None
-    # Free the parsed fields' text before the records are built.
-    rows.clear()
-    return _read_rows(path) if columns is None else list(map(RunRecord, *columns))
+    """The records of a raw CSV, read once and parsed column by column.
+    Where a column fails, or a decoding or CSV syntax error ends the read,
+    the rows read are checked in order and the first error in the file is
+    raised, a bad row named by the physical line it starts on."""
+    rows, held = [], None
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            # extend keeps the rows read before an error.
+            rows.extend(csv.reader(fh))
+        except csv.Error as exc:
+            held = exc
+        except UnicodeDecodeError as exc:
+            # exc.start counts from the start of the decoder's read chunk;
+            # the whole file, decoded at once, gives the offset in the file.
+            # A pipe cannot be read again, so its message has no offset.
+            held = f"not UTF-8 ({exc.reason})"
+            if fh.seekable():
+                fh.buffer.seek(0)
+                try:
+                    fh.buffer.read().decode("utf-8")
+                except UnicodeDecodeError as whole:
+                    held = f"not UTF-8 ({whole.reason} at byte {whole.start})"
+    if not rows and held is None:
+        raise ValidationError(f"{path}: empty file, expected a CSV header")
+    if rows and rows[0] != list(CSV_COLUMNS):
+        raise ValidationError(
+            f"{path}: unexpected CSV header {rows[0]!r}; expected {','.join(CSV_COLUMNS)}"
+        )
+    # The body starts on line 2: a header that matches holds no line break.
+    line = 2 if rows else 1
+    del rows[:1]
+    if held is None and set(map(len, rows)) == {len(CSV_COLUMNS)}:
+        try:
+            columns = [
+                col if parse is str else list(map(parse, col))
+                for parse, col in zip(_TYPES, zip(*rows))
+            ]
+        except ValueError:
+            pass
+        else:
+            floats = (col for parse, col in zip(_TYPES, columns) if parse is float)
+            if all(all(map(math.isfinite, col)) for col in floats):
+                # Free the parsed fields' text before the records are built.
+                rows.clear()
+                return list(map(RunRecord, *columns))
+    for row in rows:
+        if len(row) != len(CSV_COLUMNS):
+            raise ValidationError(f"{path}: line {line} has {len(row)} fields")
+        try:
+            record = RunRecord(*[parse(v) for parse, v in zip(_TYPES, row)])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {line}: {exc}") from exc
+        if bad := _non_finite(record):
+            raise ValidationError(f"{path}: line {line}: {bad}")
+        # Each line break in a quoted field ("\r\n", "\r" or "\n") is a line.
+        text = "".join(row)
+        line += 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+    if isinstance(held, csv.Error):
+        raise ValidationError(f"{path}: line {line}: {held}")
+    if held is not None:
+        raise ValidationError(f"{path}: {held}")
+    return []
 
 
 def summarize(values: Sequence[float]) -> dict:

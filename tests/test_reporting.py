@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -32,6 +33,30 @@ def _record(**overrides):
     )
     base.update(overrides)
     return RunRecord(**base)
+
+
+def _three_rows(tmp_path, edits):
+    """The bytes of a raw CSV of three records, where each (line index,
+    field, value) edit puts value in that field; "\udcff" becomes the byte
+    0xff, which is not UTF-8."""
+    write_records_csv([_record(repetition=i) for i in range(3)], tmp_path / "three.csv")
+    lines = (tmp_path / "three.csv").read_text().splitlines()
+    for index, field, value in edits:
+        cells = lines[index].split(",")
+        cells[CSV_COLUMNS.index(field)] = value
+        lines[index] = ",".join(cells)
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+
+
+def _assert_read(path, message):
+    """``path`` reads as _three_rows' records when ``message`` is None, and
+    is refused with "<path>: <message>" otherwise."""
+    if message is None:
+        assert read_records_csv(path) == [_record(repetition=i) for i in range(3)]
+    else:
+        with pytest.raises(ValidationError) as exc:
+            read_records_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 @pytest.fixture
@@ -214,6 +239,58 @@ class TestCsv:
         with pytest.raises(ValidationError) as exc:
             read_records_csv(path)
         assert str(exc.value) == f"{path}: line 4: non-finite true_baseline=nan"
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ([], None),
+            ([(2, "true_baseline", "nan")], "line 3: non-finite true_baseline=nan"),
+            ([(1, "sampler", '"un\r\nbiased"'), (2, "true_baseline", "nan")],
+             "line 4: non-finite true_baseline=nan"),
+            ([(1, "sampler", '"un\rbiased"'), (2, "budget", "x")],
+             "line 4: invalid literal for int() with base 10: 'x'"),
+            ([(1, "sampler", '"un\nbiased"'), (3, "sampler", "u" * 140_000)],
+             "line 5: field larger than field limit (131072)"),
+            ([(3, "sampler", "un\udcff")], "not UTF-8 (invalid start byte at byte 344)"),
+        ],
+        ids=["valid", "nan", "crlf-then-nan", "cr-then-bad-int", "lf-then-syntax", "not-utf8"],
+    )
+    def test_raw_csv_is_opened_once(self, tmp_path, monkeypatch, edits, message):
+        # The file is read once; a bad file is checked in memory, its rows
+        # named by the physical line they start on, whatever the line break
+        # inside an earlier quoted field.
+        path = tmp_path / "raw.csv"
+        path.write_bytes(_three_rows(tmp_path, edits))
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr("alperf.reporting.open", counting_open, raising=False)
+        _assert_read(path, message)
+        assert opened == [path]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ([], None),
+            ([(2, "true_baseline", "nan")], "line 3: non-finite true_baseline=nan"),
+            ([(3, "sampler", "un\udcff")], "not UTF-8 (invalid start byte)"),
+        ],
+        ids=["valid", "nan", "not-utf8"],
+    )
+    def test_piped_raw_csv_is_read_once(self, tmp_path, edits, message):
+        # A pipe can be read only once: its rows are still checked in file
+        # order, and a byte that is not UTF-8 is refused without an offset.
+        read_end, write_end = os.pipe()
+        os.write(write_end, _three_rows(tmp_path, edits))
+        os.close(write_end)
+        try:
+            _assert_read(f"/dev/fd/{read_end}", message)
+        finally:
+            os.close(read_end)
 
     @pytest.mark.parametrize("field", ["scenario", "sampler", "estimator"])
     @pytest.mark.parametrize("value", ["a,b", 'say "x"', "a\nb", "a\rb"])
