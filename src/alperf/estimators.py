@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -331,6 +331,9 @@ class PerformanceEstimate:
         if (self.samples is None) == (self.components is None):
             raise ValidationError("an estimate holds either samples or Beta components")
         if self.samples is not None:
+            if self.samples.ndim != 1:
+                shape = self.samples.shape
+                raise ValidationError(f"empirical samples must be 1-D, got shape {shape}")
             if len(self.samples) == 0:
                 raise ValidationError("empirical estimate needs at least one sample")
             # min and max propagate NaN, so a NaN sample fails too.
@@ -338,6 +341,10 @@ class PerformanceEstimate:
                 raise ValidationError("empirical samples must lie in [0,1]")
             self.samples.setflags(write=False)
         else:
+            if self.components.ndim != 2 or self.components.shape[1] != 2:
+                raise ValidationError(
+                    f"beta components must have shape (n, 2), got shape {self.components.shape}"
+                )
             if len(self.components) == 0:
                 raise ValidationError("beta mixture needs at least one component")
             if not np.all(np.isfinite(self.components) & (self.components > 0.0)):
@@ -636,8 +643,9 @@ def generalization_error_estimate(pool: KernelBlock) -> PerformanceEstimate:
 # ---------------------------------------------------------------------------
 
 
-def random_folds(n: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Unstratified random folds with sizes within 1 of n/k.
+def random_folds(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Each instance's fold (0..k-1) under unstratified random folds, as an
+    int64 array: fold sizes are within 1 of n/k, the larger folds first.
 
     k == n is leave-one-out; its assignment is forced, so it is built
     deterministically without consuming randomness.
@@ -647,16 +655,12 @@ def random_folds(n: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
     if k > n:
         raise ValidationError(f"cannot split {n} instances into {k} folds")
     if k == n:
-        return [np.array([i]) for i in range(n)]
+        return np.arange(n)
     perm = rng.permutation(n)
     base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(np.sort(perm[start : start + size]))
-        start += size
-    return folds
+    fold_of = np.empty(n, dtype=np.int64)
+    fold_of[perm] = np.repeat(np.arange(k), base + (np.arange(k) < extra))
+    return fold_of
 
 
 def _fold_predictions(
@@ -671,24 +675,17 @@ def _fold_predictions(
     over (xs, ys), the model of all of it and each instance's fold. A fold
     trains on the instances outside it or, with ``train_size``, on a fresh
     uniform subset of at most that many of them; no fold model is fitted."""
-    n = len(xs)
-    folds = random_folds(n, k, rng)
+    fold_of = random_folds(len(xs), k, rng)
     whole = parzen.fit_arrays(xs, ys, config)  # the one label check
     xs, ys, h, c = whole.train_x, whole.train_y, config.bandwidth, config.class_count
-    fold_of = np.empty(n, dtype=np.int64)
-    for i, fold in enumerate(folds):
-        fold_of[fold] = i
-    masses = np.empty((n, c))
     if train_size is None:
-        onehot = parzen._onehot(ys, c)
-        for start in range(0, n, parzen._CHUNK):
-            rows = slice(start, start + parzen._CHUNK)
-            weights = parzen.kernel_weights(xs[rows], xs, h)
-            weights[fold_of[rows, None] == fold_of] = 0.0
-            masses[rows] = weights @ onehot
+        block = parzen.kernel_block(xs, whole)
+        masses = np.where(fold_of[:, None] == fold_of, 0.0, block.weights) @ block.onehot
     else:
-        for i, fold in enumerate(folds):
-            outside = np.flatnonzero(fold_of != i)
+        masses = np.empty((len(xs), c))
+        for i in range(k):
+            fold = fold_of == i
+            outside = np.flatnonzero(~fold)
             train = rng.choice(outside, size=min(train_size, len(outside)), replace=False)
             masses[fold] = parzen.class_kernel_mass(xs[fold], xs[train], ys[train], h, c)
     predicted = np.argmax(parzen.posterior_from_masses(masses, config), axis=1) + 1
@@ -797,6 +794,11 @@ def probabilistic_performance(pool: KernelBlock) -> PerformanceEstimate:
     nearby-label count n, a soft kernel mass (the block's weights), and the
     local class-2 fraction p_hat. With no mass p_hat defaults to 1/2, so
     instances with no nearby labels contribute the uniform Beta(1, 1).
+
+    So each component's mean alpha / (alpha + beta) is
+    (1 + n max(p_hat, 1 - p_hat)) / (2 + n): the kernel's max-posterior
+    (without the prior weight), shrunk toward 1/2 with weight 2 / (n + 2).
+    n is an unnormalised soft count, so scaling the kernel moves the estimate.
     """
     if len(pool) == 0:
         raise ValidationError("no evaluation instances")
@@ -829,20 +831,20 @@ def true_baseline(
     m: ParzenModel, model: TaskModel, grid_read: tuple[np.ndarray, np.ndarray] | None = None
 ) -> float:
     """Exact accuracy of the classifier under the data-generating
-    distribution: ``synthdata.region_accuracy`` of the class
-    ``parzen.predict_batch`` returns, read on ``truth_grid``.
+    distribution: ``synthdata.decision_accuracy`` of ``parzen.posterior_batch``
+    under ``m``, read on ``truth_grid`` (the decision grid of ``truth_step``).
 
     ``grid_read`` is ``(grid, labels)``: ``truth_grid`` and the classifier's
     class (0-based) at each of its points, as ``parzen.prefix_labels`` gives
     it; the harness builds the grid once per acquisition sequence and reads
-    every budget's labels from one kernel block. Without it, both are built
-    for ``m`` alone. Only the brackets around class changes go through
-    ``parzen.posterior_batch``.
+    every budget's labels from one kernel block, and only the brackets around
+    class changes go through ``parzen.posterior_batch``
+    (``synthdata.region_accuracy``).
     """
+    scores = partial(parzen.posterior_batch, m)
     if grid_read is None:
-        grid = truth_grid(model, m.config)
-        grid_read = grid, parzen.prefix_labels(grid, m, (len(m.train_x),))[0]
-    return synthdata.region_accuracy(model, lambda xs: parzen.posterior_batch(m, xs), *grid_read)
+        return synthdata.decision_accuracy(model, scores, truth_step(m.config))
+    return synthdata.region_accuracy(model, scores, *grid_read)
 
 
 def subsample_accuracy(

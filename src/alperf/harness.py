@@ -402,8 +402,8 @@ class ExperimentSpec:
         # A symmetric-mixture sampler sits about x = 0, so the Bayes rule
         # must change class there.
         if any(s.kind == synthdata.SYMMETRIC_MIXTURE for s in self.samplers):
-            joint = synthdata._joint_density(self.task, np.array([-1e-9, 1e-9]))
-            below, above = np.argmax(joint, axis=1)
+            posterior = synthdata.bayes_posterior_batch(self.task, np.array([-1e-9, 1e-9]))
+            below, above = np.argmax(posterior, axis=1)
             if below == above:
                 raise ValidationError(
                     "symmetric-mixture samplers are placed about x = 0, but the task's "
@@ -664,6 +664,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[RunRecord]:
 
     The seed states of every unit's paths come from one ``derive_states``
     pass before any unit runs; each unit gets its rows."""
+    if integer(workers, "workers") < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     row = SCENARIO_TABLE[spec.scenario]
     work = [(s, rep) for s in range(len(spec.samplers)) for rep in range(spec.repetitions)]
     paths = [row.paths(spec, unit) for unit in work]

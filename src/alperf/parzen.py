@@ -67,13 +67,20 @@ class ParzenModel:
 def fit_arrays(
     xs: np.ndarray, ys: np.ndarray, config: ClassifierConfig = ClassifierConfig()
 ) -> ParzenModel:
-    """Build a model from raw (x, label) arrays. No iterative training."""
+    """Build a model from raw (x, label) arrays: finite 1-D features and
+    labels 1..class_count. No iterative training."""
     class_count = config.class_count
     # Copies, so freezing the model's arrays never freezes the caller's.
     xs = np.array(xs, dtype=np.float64)
     ys = np.array(ys, dtype=np.int64)
+    if xs.ndim != 1:
+        raise ValidationError(f"training features must be 1-D, got shape {xs.shape}")
     if xs.shape != ys.shape:
         raise ValidationError("training features and labels differ in length")
+    bad = np.nonzero(~np.isfinite(xs))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(f"training feature at index {i} is {xs[i]}, not finite")
     bad = np.nonzero((ys < 1) | (ys > class_count))[0]
     if bad.size:
         i = int(bad[0])

@@ -142,6 +142,17 @@ class TestPerformanceEstimate:
         with pytest.raises(ValidationError, match="either samples or Beta components"):
             PerformanceEstimate(samples=np.array([0.5]), components=np.array([[1.0, 1.0]]))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"samples": np.full((1, 1), 0.5)}, r"samples must be 1-D, got shape \(1, 1\)"),
+        ({"samples": np.float64(0.5)}, r"samples must be 1-D, got shape \(\)"),
+        ({"components": np.ones(2)}, r"shape \(n, 2\), got shape \(2,\)"),
+        ({"components": np.ones((1, 3))}, r"shape \(n, 2\), got shape \(1, 3\)"),
+        ({"components": np.ones((1, 1, 2))}, r"shape \(n, 2\), got shape \(1, 1, 2\)"),
+    ], ids=["samples-2d", "samples-0d", "components-1d", "components-3-wide", "components-3d"])
+    def test_array_shapes_validated(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            PerformanceEstimate(**kwargs)
+
     def test_empirical_quantiles_match_numpy(self):
         rng = np.random.default_rng(0)
         vals = rng.random(101)
@@ -894,11 +905,13 @@ class TestGeneralizationError:
 
 class TestRandomFolds:
     def test_partition_with_balanced_sizes(self):
-        folds = random_folds(23, 5, derive_substream(0, (0,)))
-        sizes = [len(f) for f in folds]
-        assert sum(sizes) == 23
+        fold_of = random_folds(23, 5, derive_substream(0, (0,)))
+        # one fold per instance
+        assert fold_of.dtype == np.int64 and fold_of.shape == (23,)
+        assert fold_of.min() == 0 and fold_of.max() == 4
+        sizes = np.bincount(fold_of).tolist()
         assert max(sizes) - min(sizes) <= 1
-        assert sorted(np.concatenate(folds)) == list(range(23))
+        assert sizes == sorted(sizes, reverse=True)  # the larger folds first
 
     def test_leave_one_out_is_deterministic(self):
         a = random_folds(6, 6, derive_substream(0, (0,)))
@@ -967,9 +980,10 @@ def _refit_fold_predictions(xs, ys, k, config, rng, train_size=None):
     correct = np.empty(n)
     masses = np.empty((n, config.class_count))
     models = []
-    for fold in random_folds(n, k, rng):
-        train = np.ones(n, dtype=bool)
-        train[fold] = False
+    fold_of = random_folds(n, k, rng)
+    for i in range(k):
+        fold = fold_of == i
+        train = ~fold
         if train_size is not None:
             outside = np.flatnonzero(train)
             train = rng.choice(outside, size=min(train_size, len(outside)), replace=False)
@@ -1034,8 +1048,7 @@ class TestFoldPredictions:
         (masses,) = seen
         assert np.all(np.abs(masses - ref_masses) <= n * 2.0**-52 * ref_masses)
         assert np.array_equal(whole.train_x, xs) and np.array_equal(whole.train_y, ys)
-        for i, fold in enumerate(random_folds(n, k, derive_substream(9, (k,)))):
-            assert np.all(fold_of[fold] == i)
+        assert np.array_equal(fold_of, random_folds(n, k, derive_substream(9, (k,))))
 
     def test_labels_are_checked_once_and_no_fold_is_fitted(self, monkeypatch):
         xs, ys = _three_class_set()
@@ -1155,6 +1168,17 @@ class TestProbabilisticPerformance:
             expected = np.column_stack(beta_components_from_stats(total, np.minimum(p_hat, 1.0)))
             got = probabilistic_performance(block).components
             assert np.all(np.abs(got - expected) <= len(ys) * 2.0**-52 * expected)
+
+    def test_component_mean_is_the_shrunk_max_posterior(self):
+        # alpha / (alpha + beta) = (1 + n max(p, 1 - p)) / (2 + n): the kernel
+        # max-posterior shrunk toward 1/2 with weight 2 / (n + 2), n the
+        # point's kernel mass (an unnormalised soft count).
+        for block in _fig6_blocks():
+            alphas, betas = probabilistic_performance(block).components.T
+            n = block.masses.sum(axis=1)
+            p = np.where(n > 0.0, block.masses[:, 1] / np.where(n > 0.0, n, 1.0), 0.5)
+            shrunk = (1.0 + n * np.maximum(p, 1.0 - p)) / (2.0 + n)
+            assert np.all(np.abs(alphas / (alphas + betas) - shrunk) <= 1e-15 * shrunk)
 
     def test_every_beta_at_least_one(self):
         # Class masses are nonnegative, so class 2's never exceeds their

@@ -741,6 +741,21 @@ class TestRunExperiment:
         assert _InlinePool.asked == pool_workers
         assert _strip_wall(records) == _strip_wall(serial)
 
+    @pytest.mark.parametrize("workers, message", [
+        (0, "workers must be >= 1, got 0"),
+        (-3, "workers must be >= 1, got -3"),
+        (True, "workers must be an integer, got True"),
+        (2.5, "workers must be an integer, got 2.5"),
+    ])
+    def test_worker_count_checked_before_any_unit(self, monkeypatch, workers, message):
+        spec = _spec({"scenario": "eval-size-distribution", "budgets": [5], "repetitions": 5})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "asked", [])
+        monkeypatch.setattr(harness, "_run_unit", lambda *a: pytest.fail("a unit ran"))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            run_experiment(spec, workers=workers)
+        assert _InlinePool.asked == []
+
     def test_bias_sweep_wall_ms_stops_before_holdout(self, monkeypatch):
         # The fold models' exact truth comes after the estimate's summary:
         # slowing it down must not reach wall_ms, and the truth must still

@@ -8,7 +8,8 @@ included, loads scipy on one or two workers, and neither do ``report``,
 ``concurrent.futures``, and with it ``multiprocessing``. The test process
 itself has these loaded, so every check runs its commands in a subprocess.
 Importing the CLI loads no ``numpy.random`` module either: only the first
-random stream a run builds needs it.
+random stream a run builds needs it. A scan of the source checks that no
+alperf module reads another module's private (underscore) names.
 """
 
 import ast
@@ -126,3 +127,44 @@ def test_alperf_source_imports_no_scipy():
             else:
                 continue
             assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)
+
+
+def _private_reads(path, modules):
+    """``module._name`` reads, and ``from .module import _name`` imports, in
+    the source at ``path`` of a private name of another alperf module, as
+    (line, text) pairs. ``modules`` holds the package's module names."""
+    own, aliases, found = path.stem, {}, []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # "" for the package itself, else the module imported from
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "alperf":
+                    continue
+                module = module.removeprefix("alperf").lstrip(".")
+            for alias in node.names:
+                if not module and alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif module in modules and module != own and _private(alias.name):
+                    found.append((node.lineno, f"from {module} import {alias.name}"))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and aliases.get(node.value.id, own) != own
+            and _private(node.attr)
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_names():
+    paths = sorted(Path(SRC, "alperf").glob("*.py"))
+    modules = {path.stem for path in paths}
+    found = {path.name: _private_reads(path, modules) for path in paths}
+    assert {name: reads for name, reads in found.items() if reads} == {}

@@ -105,6 +105,17 @@ class TestFit:
         with pytest.raises(ValidationError, match="length"):
             fit_arrays(np.array([0.0, 1.0]), np.array([1]))
 
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([math.nan, 1.0], [1, 2], "index 0 is nan, not finite"),
+        ([0.0, -math.inf], [1, 2], "index 1 is -inf, not finite"),
+        ([[0.0], [1.0]], [1, 2], r"1-D, got shape \(2, 1\)"),
+        ([[0.0, 1.0]], [[1, 2]], r"1-D, got shape \(1, 2\)"),
+        (0.5, 1, r"1-D, got shape \(\)"),
+    ], ids=["nan", "inf", "column", "row", "scalar"])
+    def test_non_finite_or_not_1d_features_rejected(self, xs, ys, message):
+        with pytest.raises(ValidationError, match=message):
+            fit_arrays(np.array(xs), np.array(ys))
+
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="class_count"):
             ClassifierConfig(class_count=1)
