@@ -330,6 +330,11 @@ class PerformanceEstimate:
     def __post_init__(self):
         if (self.samples is None) == (self.components is None):
             raise ValidationError("an estimate holds either samples or Beta components")
+        for name in ("samples", "components"):
+            value = getattr(self, name)
+            if value is not None:
+                # A float64 copy, so freezing it never freezes the caller's array.
+                object.__setattr__(self, name, np.array(value, dtype=np.float64))
         if self.samples is not None:
             if self.samples.ndim != 1:
                 shape = self.samples.shape
@@ -353,16 +358,15 @@ class PerformanceEstimate:
 
     @classmethod
     def point(cls, value: float) -> PerformanceEstimate:
-        return cls(samples=np.array([float(value)]))
+        return cls(samples=[value])
 
     @classmethod
     def empirical(cls, values: np.ndarray) -> PerformanceEstimate:
-        # A copy, so freezing the samples never freezes the caller's array.
-        return cls(samples=np.array(values, dtype=np.float64))
+        return cls(samples=values)
 
     @classmethod
     def beta_mixture(cls, alphas: np.ndarray, betas: np.ndarray) -> PerformanceEstimate:
-        return cls(components=np.column_stack([alphas, betas]).astype(np.float64))
+        return cls(components=np.column_stack([alphas, betas]))
 
     def mean(self) -> float:
         if self.samples is not None:
@@ -670,11 +674,11 @@ def _fold_predictions(
     config: ClassifierConfig,
     rng: np.random.Generator,
     train_size: int | None = None,
-) -> tuple[np.ndarray, ParzenModel, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Held-out correctness (1.0 or 0.0) of each instance under k-fold CV
-    over (xs, ys), the model of all of it and each instance's fold. A fold
-    trains on the instances outside it or, with ``train_size``, on a fresh
-    uniform subset of at most that many of them; no fold model is fitted."""
+    over (xs, ys), and each instance's fold. A fold trains on the instances
+    outside it or, with ``train_size``, on a fresh uniform subset of at most
+    that many of them; no fold model is fitted."""
     fold_of = random_folds(len(xs), k, rng)
     whole = parzen.fit_arrays(xs, ys, config)  # the one label check
     xs, ys, h, c = whole.train_x, whole.train_y, config.bandwidth, config.class_count
@@ -689,24 +693,7 @@ def _fold_predictions(
             train = rng.choice(outside, size=min(train_size, len(outside)), replace=False)
             masses[fold] = parzen.class_kernel_mass(xs[fold], xs[train], ys[train], h, c)
     predicted = np.argmax(parzen.posterior_from_masses(masses, config), axis=1) + 1
-    return (predicted == ys).astype(np.float64), whole, fold_of
-
-
-@dataclass(frozen=True)
-class KFoldDetail:
-    """Cross-validation output plus the per-fold models, built on first use
-    from ``model`` (of the whole labeled set) and each instance's fold."""
-
-    estimate: PerformanceEstimate
-    model: ParzenModel
-    fold_of: np.ndarray
-
-    @cached_property
-    def fold_models(self) -> list[ParzenModel]:
-        """Per fold, the model of the instances outside it, in ascending order."""
-        m = self.model
-        outside = [self.fold_of != i for i in range(self.fold_of.max() + 1)]
-        return [ParzenModel(m.train_x[o], m.train_y[o], m.config) for o in outside]
+    return (predicted == ys).astype(np.float64), fold_of
 
 
 def kfold_cv_detail(
@@ -715,10 +702,12 @@ def kfold_cv_detail(
     config: ClassifierConfig,
     rng: np.random.Generator,
     reweighted: bool = False,
-) -> KFoldDetail:
+) -> tuple[PerformanceEstimate, np.ndarray]:
+    """``kfold_cv``'s estimate and each instance's fold (``random_folds``):
+    fold i's model is that of the instances where the fold array is not i."""
     if len(labeled) == 0:
         raise ValidationError("no labeled instances")
-    correct, model, fold_of = _fold_predictions(labeled.xs, labeled.ys, k, config, rng)
+    correct, fold_of = _fold_predictions(labeled.xs, labeled.ys, k, config, rng)
     acc = float(correct.mean())
     if reweighted:
         w = 1.0 / labeled.qs
@@ -726,7 +715,7 @@ def kfold_cv_detail(
         # value, not the weighted sum, makes the equality exact.
         if np.ptp(w) != 0.0:
             acc = float((w * correct).sum() / w.sum())
-    return KFoldDetail(PerformanceEstimate.point(acc), model, fold_of)
+    return PerformanceEstimate.point(acc), fold_of
 
 
 def kfold_cv(
@@ -745,7 +734,7 @@ def kfold_cv(
     """
     # Tracing wraps kfold_cv_detail and names its span by reweighted, read at
     # position 4 or by keyword.
-    return kfold_cv_detail(labeled, k, config, rng, reweighted).estimate
+    return kfold_cv_detail(labeled, k, config, rng, reweighted)[0]
 
 
 def self_label_cv(pool: KernelBlock, k: int, rng: np.random.Generator) -> PerformanceEstimate:

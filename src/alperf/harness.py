@@ -49,7 +49,7 @@ import numpy as np
 
 from . import estimators, parzen, synthdata
 from .errors import ValidationError, integer
-from .parzen import ClassifierConfig
+from .parzen import ClassifierConfig, ParzenModel
 from .synthdata import LabeledSet, SamplingDistribution, TaskModel
 
 EVAL_SIZE_DISTRIBUTION = "eval-size-distribution"
@@ -70,47 +70,48 @@ class EstimatorEntry(NamedTuple):
 
     reads: tuple[str, ...]  # the EstimatorSpec fields it reads
     id_template: str  # record id, formatted with k
-    run: Callable  # run(spec, espec, labeled, pool, budget, truth, rng)
+    run: Callable  # run(spec, espec, labeled, pool, truth, rng)
     draws: bool  # whether run reads rng; one that does not is passed None
 
 
 # Each run looks its function up in ``estimators`` at call time, so a wrapper
-# installed there reaches it.
+# installed there reaches it. ``_estimates`` makes every run; the labeled set's
+# size is the budget.
 ESTIMATOR_TABLE = {
     GENERALIZATION_ERROR: EstimatorEntry(
         (), "generalization-error",
-        lambda spec, e, labeled, pool, budget, truth, rng:
+        lambda spec, e, labeled, pool, truth, rng:
             estimators.generalization_error_estimate(pool),
         False,
     ),
     KFOLD_CV: EstimatorEntry(
         ("k",), "cv-{k}fold",
-        lambda spec, e, labeled, pool, budget, truth, rng:
+        lambda spec, e, labeled, pool, truth, rng:
             estimators.kfold_cv(labeled, e.k, spec.classifier, rng),
         True,
     ),
     REWEIGHTED_CV: EstimatorEntry(
         ("k",), "reweighted-cv-{k}fold",
-        lambda spec, e, labeled, pool, budget, truth, rng:
+        lambda spec, e, labeled, pool, truth, rng:
             estimators.kfold_cv(labeled, e.k, spec.classifier, rng, reweighted=True),
         True,
     ),
     SELF_LABEL_CV: EstimatorEntry(
         ("k",), "self-label-cv-{k}fold",
-        lambda spec, e, labeled, pool, budget, truth, rng:
+        lambda spec, e, labeled, pool, truth, rng:
             estimators.self_label_cv(pool, e.k, rng),
         True,
     ),
     PROBABILISTIC: EstimatorEntry(
         (), "probabilistic",
-        lambda spec, e, labeled, pool, budget, truth, rng:
+        lambda spec, e, labeled, pool, truth, rng:
             estimators.probabilistic_performance(pool),
         False,
     ),
     SUBSAMPLE_BASELINE: EstimatorEntry(
         (), "subsample-baseline",
-        lambda spec, e, labeled, pool, budget, truth, rng:
-            estimators.subsample_baseline(truth, budget, spec.subsample_reps, rng),
+        lambda spec, e, labeled, pool, truth, rng:
+            estimators.subsample_baseline(truth, len(labeled), spec.subsample_reps, rng),
         True,
     ),
 }
@@ -490,22 +491,34 @@ def _eval_size_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]
     return records
 
 
-def _cv_folds_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
-    """Cross-validate the fixed labeled set, of the single budget's size, with
-    each configured fold count, against the model trained on all of it."""
-    (labeled, truth), (_, rep) = shared, unit
+def _estimates(spec: ExperimentSpec, rep: int, sampler: str, labeled: LabeledSet,
+               pool, truth: float, rngs) -> list[RunRecord]:
+    """The record of every configured estimator on ``labeled``, whose size is
+    the budget: ``pool`` is the kernel block of the evaluation pool under the
+    model of ``labeled`` (None where the scenario has no pool) and ``truth``
+    that model's exact accuracy. An estimator that draws reads the next
+    stream of ``rngs``."""
     records = []
-    for espec, rng in zip(spec.estimators, rngs):
-        run = ESTIMATOR_TABLE[espec.name].run
+    for espec in spec.estimators:
+        entry = ESTIMATOR_TABLE[espec.name]
+        rng = next(rngs) if entry.draws else None
         t0 = time.perf_counter()
-        estimate = run(spec, espec, labeled, None, spec.budgets[0], truth, rng)
+        estimate = entry.run(spec, espec, labeled, pool, truth, rng)
         records.append(
             _record(
-                spec.scenario, rep, spec.samplers[0].label(), spec.budgets[0],
-                espec.estimator_id(), estimate.summary(), truth, t0,
+                spec.scenario, rep, sampler, len(labeled), espec.estimator_id(),
+                estimate.summary(), truth, t0,
             )
         )
     return records
+
+
+def _cv_folds_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
+    """Cross-validate the fixed labeled set, of the single budget's size, with
+    each configured fold count, against the model trained on all of it. Every
+    estimator draws, so each reads its own stream."""
+    (labeled, truth), (_, rep) = shared, unit
+    return _estimates(spec, rep, spec.samplers[0].label(), labeled, None, truth, rngs)
 
 
 def _bias_sweep_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
@@ -516,16 +529,16 @@ def _bias_sweep_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord
     sampler, espec = spec.samplers[d_idx], spec.estimators[0]
     labeled = _sequence(spec, d_idx, next(rngs))
     t0 = time.perf_counter()
-    detail = estimators.kfold_cv_detail(labeled, espec.k, spec.classifier, next(rngs))
+    estimate, fold_of = estimators.kfold_cv_detail(labeled, espec.k, spec.classifier, next(rngs))
     # The hold-out truth is filled in after the record, so wall_ms stops at
     # the estimate's summary.
     record = _record(
         spec.scenario, rep, sampler.label(), spec.budgets[0],
-        espec.estimator_id(), detail.estimate.summary(), math.nan, t0,
+        espec.estimator_id(), estimate.summary(), math.nan, t0,
     )
-    truth = float(
-        np.mean([estimators.true_baseline(m, spec.task) for m in detail.fold_models])
-    )
+    outside = [fold_of != i for i in range(espec.k)]
+    models = [ParzenModel(labeled.xs[o], labeled.ys[o], spec.classifier) for o in outside]
+    truth = float(np.mean([estimators.true_baseline(m, spec.task) for m in models]))
     return [record._replace(true_baseline=truth)]
 
 
@@ -571,7 +584,6 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord
     (``parzen.prefix_labels``)."""
     grid, (s_idx, rep) = shared, unit
     label = spec.samplers[s_idx].label()
-    ids = [espec.estimator_id() for espec in spec.estimators]
     sequence = _sequence(spec, s_idx, next(rngs))
     model = parzen.fit_arrays(sequence.xs, sequence.ys, spec.classifier)
     pool = synthdata.draw_unlabeled(spec.task, spec.pool_size, next(rngs))
@@ -579,19 +591,9 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord
     grid_labels = parzen.prefix_labels(grid, model, spec.budgets)
     records = []
     for b_idx, budget in enumerate(spec.budgets):
-        labeled = sequence[:budget]
         block = pool_block.prefix(budget)
         truth = estimators.true_baseline(block.model, spec.task, (grid, grid_labels[b_idx]))
-        for e_idx, espec in enumerate(spec.estimators):
-            entry = ESTIMATOR_TABLE[espec.name]
-            rng = next(rngs) if entry.draws else None
-            t0 = time.perf_counter()
-            estimate = entry.run(spec, espec, labeled, block, budget, truth, rng)
-            records.append(
-                _record(
-                    spec.scenario, rep, label, budget, ids[e_idx], estimate.summary(), truth, t0
-                )
-            )
+        records += _estimates(spec, rep, label, sequence[:budget], block, truth, rngs)
     return records
 
 

@@ -68,15 +68,19 @@ def fit_arrays(
     xs: np.ndarray, ys: np.ndarray, config: ClassifierConfig = ClassifierConfig()
 ) -> ParzenModel:
     """Build a model from raw (x, label) arrays: finite 1-D features and
-    labels 1..class_count. No iterative training."""
+    integer labels 1..class_count. No iterative training."""
     class_count = config.class_count
     # Copies, so freezing the model's arrays never freezes the caller's.
     xs = np.array(xs, dtype=np.float64)
-    ys = np.array(ys, dtype=np.int64)
+    ys = np.asarray(ys)
     if xs.ndim != 1:
         raise ValidationError(f"training features must be 1-D, got shape {xs.shape}")
     if xs.shape != ys.shape:
         raise ValidationError("training features and labels differ in length")
+    # As LabeledSet: casting 1.5 or True to a class index would hide a bad label.
+    if ys.size and ys.dtype.kind not in "iu":
+        raise ValidationError(f"training labels must be integers, got dtype {ys.dtype}")
+    ys = np.array(ys, dtype=np.int64)
     bad = np.nonzero(~np.isfinite(xs))[0]
     if bad.size:
         i = int(bad[0])

@@ -191,6 +191,21 @@ class TestPerformanceEstimate:
         PerformanceEstimate.beta_mixture(alphas, betas)
         values[0], alphas[0], betas[0] = 0.1, 3.0, 2.0
 
+    def test_fields_take_lists_and_integer_arrays(self):
+        samples, components = np.array([0, 1]), np.array([[2, 1], [1, 1]])
+        for e in (
+            PerformanceEstimate(samples=[0.5]),
+            PerformanceEstimate(components=[[2.0, 1.0], [1.0, 1.0]]),
+            PerformanceEstimate(samples=samples),
+            PerformanceEstimate(components=components),
+        ):
+            field = e.samples if e.samples is not None else e.components
+            assert field.dtype == np.float64 and not field.flags.writeable
+        assert PerformanceEstimate(samples=[0.5]).summary() == point_summary(0.5)
+        mixture = PerformanceEstimate.beta_mixture(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+        assert PerformanceEstimate(components=components).summary() == mixture.summary()
+        assert samples.flags.writeable and components.flags.writeable
+
     def test_beta_single_component(self):
         e = PerformanceEstimate.beta_mixture(np.array([10.0]), np.array([2.0]))
         assert e.mean() == pytest.approx(10.0 / 12.0, abs=1e-15)
@@ -966,9 +981,12 @@ class TestKFoldCV:
         assert 0.0 <= est.mean() <= 1.0
 
     def test_detail_exposes_fold_models(self):
+        # fold i's model is that of the instances outside fold i
         labeled = _labeled([(float(x), 1 + int(x > 0)) for x in np.linspace(-2, 2, 9)])
-        detail = kfold_cv_detail(labeled, 3, CFG, derive_substream(2, (0,)))
-        assert len(detail.fold_models) == 3
+        estimate, fold_of = kfold_cv_detail(labeled, 3, CFG, derive_substream(2, (0,)))
+        assert estimate.mean() == kfold_cv(labeled, 3, CFG, derive_substream(2, (0,))).mean()
+        assert np.array_equal(fold_of, random_folds(9, 3, derive_substream(2, (0,))))
+        assert sorted(np.bincount(fold_of)) == [3, 3, 3]
 
 
 def _refit_fold_predictions(xs, ys, k, config, rng, train_size=None):
@@ -1028,26 +1046,24 @@ class TestFoldPredictions:
         )
         if train_size is None:
             labeled = LabeledSet(xs, ys, np.ones(n))
-            models = kfold_cv_detail(labeled, k, config, derive_substream(9, (k,))).fold_models
-            assert len(models) == len(ref_models) == k
-            for model, ref in zip(models, ref_models):
-                assert np.array_equal(model.train_x, ref.train_x)
-                assert np.array_equal(model.train_y, ref.train_y)
-                assert model.config == ref.config
+            _, fold_of = kfold_cv_detail(labeled, k, config, derive_substream(9, (k,)))
+            assert fold_of.max() + 1 == len(ref_models) == k
+            for i, ref in enumerate(ref_models):
+                assert np.array_equal(xs[fold_of != i], ref.train_x)
+                assert np.array_equal(ys[fold_of != i], ref.train_y)
         seen = []
         posterior = parzen.posterior_from_masses
         monkeypatch.setattr(
             parzen, "posterior_from_masses",
             lambda masses, c: seen.append(masses) or posterior(masses, c),
         )
-        correct, whole, fold_of = _fold_predictions(
+        correct, fold_of = _fold_predictions(
             xs, ys, k, config, derive_substream(9, (k,)), train_size
         )
         assert correct.dtype == np.float64 and np.array_equal(correct, ref_correct)
         assert 0.0 < correct.mean() < 1.0
         (masses,) = seen
         assert np.all(np.abs(masses - ref_masses) <= n * 2.0**-52 * ref_masses)
-        assert np.array_equal(whole.train_x, xs) and np.array_equal(whole.train_y, ys)
         assert np.array_equal(fold_of, random_folds(n, k, derive_substream(9, (k,))))
 
     def test_labels_are_checked_once_and_no_fold_is_fitted(self, monkeypatch):

@@ -551,8 +551,27 @@ class TestBiasSweep:
             expected = kfold_cv_detail(
                 labeled, 3, spec.classifier,
                 derive_substream(spec.master_seed, (1, d_idx, r.repetition)),
-            ).estimate.mean()
+            )[0].mean()
             assert r.estimate_mean == expected
+
+    def test_truth_is_the_mean_of_the_fold_refits(self):
+        spec = _spec({"scenario": "bias-sweep", "repetitions": 2,
+                      "samplers": _mixtures(0.5, 1.5), "budgets": [9]})
+        records = run_experiment(spec, workers=1)
+        assert len(records) == 4
+        labels = [s.label() for s in spec.samplers]
+        for r in records:
+            d_idx = labels.index(r.sampler)
+            labeled = acquisition_sequence(spec, d_idx, r.repetition)
+            fold_of = estimators.random_folds(
+                len(labeled), 3, derive_substream(spec.master_seed, (1, d_idx, r.repetition))
+            )
+            refits = [
+                parzen.fit_arrays(labeled.xs[fold_of != i], labeled.ys[fold_of != i], spec.classifier)
+                for i in range(3)
+            ]
+            expected = np.mean([estimators.true_baseline(m, spec.task) for m in refits])
+            assert r.true_baseline == float(expected)
 
     def test_samplers_must_form_a_d_grid(self):
         spec = _spec({"scenario": "bias-sweep", "repetitions": 2,

@@ -116,6 +116,17 @@ class TestFit:
         with pytest.raises(ValidationError, match=message):
             fit_arrays(np.array(xs), np.array(ys))
 
+    @pytest.mark.parametrize("ys, dtype", [
+        ([1.5, 2.9], "float64"), ([1.0, 2.0], "float64"), ([True, False], "bool"),
+    ], ids=["fractional", "integral-float", "bool"])
+    def test_non_integer_labels_rejected(self, ys, dtype):
+        with pytest.raises(ValidationError, match=f"labels must be integers, got dtype {dtype}"):
+            fit_arrays(np.array([0.0, 1.0]), np.array(ys))
+
+    def test_empty_float_labels_fit(self):
+        m = fit_arrays([], [])
+        assert m.train_y.dtype == np.int64 and len(m.train_y) == 0
+
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="class_count"):
             ClassifierConfig(class_count=1)
