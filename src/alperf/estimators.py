@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import parzen, synthdata
-from .errors import ValidationError
+from .errors import ValidationError, floats
 from .parzen import ClassifierConfig, KernelBlock, ParzenModel
 from .synthdata import LabeledSet, TaskModel
 
@@ -333,8 +333,7 @@ class PerformanceEstimate:
         for name in ("samples", "components"):
             value = getattr(self, name)
             if value is not None:
-                # A float64 copy, so freezing it never freezes the caller's array.
-                object.__setattr__(self, name, np.array(value, dtype=np.float64))
+                object.__setattr__(self, name, floats(value, name))
         if self.samples is not None:
             if self.samples.ndim != 1:
                 shape = self.samples.shape
@@ -626,7 +625,7 @@ def _accuracy_from_posteriors(post: np.ndarray) -> float:
     """1 - mean(1 - max posterior). Contributions are summed in sorted
     order so the result is exactly invariant under permutation of the
     evaluation set."""
-    contrib = 1.0 - post.max(axis=1)
+    contrib = 1.0 - parzen.class_max(post)
     err = float(np.sort(contrib).sum())
     return 1.0 - err / post.shape[0]
 
@@ -692,7 +691,7 @@ def _fold_predictions(
             outside = np.flatnonzero(~fold)
             train = rng.choice(outside, size=min(train_size, len(outside)), replace=False)
             masses[fold] = parzen.class_kernel_mass(xs[fold], xs[train], ys[train], h, c)
-    predicted = np.argmax(parzen.posterior_from_masses(masses, config), axis=1) + 1
+    predicted = parzen.class_argmax(parzen.posterior_from_masses(masses, config)) + 1
     return (predicted == ys).astype(np.float64), fold_of
 
 
@@ -753,7 +752,7 @@ def self_label_cv(pool: KernelBlock, k: int, rng: np.random.Generator) -> Perfor
     if n == 0:
         raise ValidationError("no labeled instances")
     union_xs = np.concatenate([m.train_x, pool.points])
-    union_ys = np.concatenate([m.train_y, np.argmax(pool.posterior, axis=1) + 1])
+    union_ys = np.concatenate([m.train_y, parzen.class_argmax(pool.posterior) + 1])
     correct = _fold_predictions(union_xs, union_ys, k, m.config, rng, train_size=n)[0]
     return PerformanceEstimate.point(float(correct.mean()))
 
@@ -795,7 +794,7 @@ def probabilistic_performance(pool: KernelBlock) -> PerformanceEstimate:
     if np.any((ys < 1) | (ys > 2)):
         raise ValidationError("local label statistics are defined for 2 classes only")
     # Masses are >= 0, so class2 <= total after rounding too, and every beta >= 1.
-    total, class2 = pool.masses.sum(axis=1), pool.masses[:, 1]
+    total, class2 = parzen.class_sum(pool.masses), pool.masses[:, 1]
     p_hat = np.where(total > 0.0, class2 / np.where(total > 0.0, total, 1.0), 0.5)
     alphas, betas = beta_components_from_stats(total, p_hat)
     return PerformanceEstimate.beta_mixture(alphas, betas)
@@ -816,24 +815,26 @@ def truth_grid(model: TaskModel, config: ClassifierConfig) -> np.ndarray:
     return synthdata.decision_grid(model, truth_step(config))
 
 
-def true_baseline(
-    m: ParzenModel, model: TaskModel, grid_read: tuple[np.ndarray, np.ndarray] | None = None
-) -> float:
+def true_baseline(m: ParzenModel, model: TaskModel) -> float:
     """Exact accuracy of the classifier under the data-generating
     distribution: ``synthdata.decision_accuracy`` of ``parzen.posterior_batch``
     under ``m``, read on ``truth_grid`` (the decision grid of ``truth_step``).
-
-    ``grid_read`` is ``(grid, labels)``: ``truth_grid`` and the classifier's
-    class (0-based) at each of its points, as ``parzen.prefix_labels`` gives
-    it; the harness builds the grid once per acquisition sequence and reads
-    every budget's labels from one kernel block, and only the brackets around
-    class changes go through ``parzen.posterior_batch``
-    (``synthdata.region_accuracy``).
-    """
+    ``prefix_truths`` gives it for every budget of an acquisition sequence
+    at once."""
     scores = partial(parzen.posterior_batch, m)
-    if grid_read is None:
-        return synthdata.decision_accuracy(model, scores, truth_step(m.config))
-    return synthdata.region_accuracy(model, scores, *grid_read)
+    return synthdata.decision_accuracy(model, scores, truth_step(m.config))
+
+
+def prefix_truths(
+    m: ParzenModel, model: TaskModel, budgets: Sequence[int], grid: np.ndarray
+) -> np.ndarray:
+    """``true_baseline`` of the prefix model of each budget of ``m``, bit for
+    bit, from one read of the ``truth_grid`` ``grid``: every budget's rule is
+    read on it by ``parzen.prefix_labels`` and refined by one
+    ``synthdata.region_accuracy`` call, whose every round is one
+    ``parzen.prefix_posteriors`` kernel block for all budgets' brackets."""
+    scores = partial(parzen.prefix_posteriors, model=m, budgets=budgets)
+    return synthdata.region_accuracy(model, scores, grid, parzen.prefix_labels(grid, m, budgets))
 
 
 def subsample_accuracy(

@@ -580,19 +580,18 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord
     The sequence is fitted once, and the pool and the truth grid (``shared``,
     built once per run) are each read under that model once: the pool as
     one ``parzen.KernelBlock`` whose prefixes hold every budget's model and
-    serve its pool estimators, the grid as every budget's predicted classes
-    (``parzen.prefix_labels``)."""
+    serve its pool estimators, the grid for every budget's exact truth,
+    which ``estimators.prefix_truths`` computes before the budget loop."""
     grid, (s_idx, rep) = shared, unit
     label = spec.samplers[s_idx].label()
     sequence = _sequence(spec, s_idx, next(rngs))
     model = parzen.fit_arrays(sequence.xs, sequence.ys, spec.classifier)
     pool = synthdata.draw_unlabeled(spec.task, spec.pool_size, next(rngs))
     pool_block = parzen.kernel_block(pool, model)
-    grid_labels = parzen.prefix_labels(grid, model, spec.budgets)
+    truths = estimators.prefix_truths(model, spec.task, spec.budgets, grid)
     records = []
-    for b_idx, budget in enumerate(spec.budgets):
+    for budget, truth in zip(spec.budgets, truths.tolist()):
         block = pool_block.prefix(budget)
-        truth = estimators.true_baseline(block.model, spec.task, (grid, grid_labels[b_idx]))
         records += _estimates(spec, rep, label, sequence[:budget], block, truth, rngs)
     return records
 

@@ -135,18 +135,54 @@ def class_kernel_mass(
     return out
 
 
+def class_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last (class) axis, column by column, from class 0 up.
+
+    For fewer than 8 classes this is numpy's ``a.sum(axis=-1)`` bit for bit,
+    without its per-row cost. From 8 classes on numpy sums a row pairwise,
+    so the two may differ in the last bit."""
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
+
+def class_max(a: np.ndarray) -> np.ndarray:
+    """Maximum over the last (class) axis, column by column: numpy's
+    ``a.max(axis=-1)`` for NaN-free input."""
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = np.maximum(out, a[..., j])
+    return out
+
+
+def class_argmax(a: np.ndarray) -> np.ndarray:
+    """Index of the largest entry over the last (class) axis, column by
+    column; a tie goes to the smallest index. ``np.argmax(a, axis=-1)`` for
+    NaN-free input."""
+    best, out = a[..., 0], np.zeros(a.shape[:-1], dtype=np.intp)
+    for j in range(1, a.shape[-1]):
+        col = a[..., j]
+        up = col > best
+        out = np.where(up, j, out)
+        best = np.maximum(best, col)
+    return out
+
+
 def posterior_from_masses(masses: np.ndarray, config: ClassifierConfig) -> np.ndarray:
-    """Posterior rows from per-class kernel masses, shape (n, C): each class
-    gets its mass plus ``prior_weight``, over the row total.
+    """Posterior rows from per-class kernel masses, shape (..., C): each
+    class gets its mass plus ``prior_weight``, over the row total.
 
     With prior_weight == 0 and zero kernel mass at a query there is no
-    evidence at all; a uniform vector is returned for those rows and a
-    warning flags them as degenerate.
+    evidence at all; a uniform vector is returned for those rows and one
+    warning flags them as degenerate. It counts rows over every leading
+    axis: in a (budgets, points, C) read, a point counts once for each
+    budget whose model has no mass there.
     """
     eps = config.prior_weight
-    total = masses.sum(axis=1) + config.class_count * eps
+    total = class_sum(masses) + config.class_count * eps
     ok = total > 0.0  # every row when prior_weight > 0
-    out = (masses + eps) / np.where(ok, total, 1.0)[:, None]
+    out = (masses + eps) / np.where(ok, total, 1.0)[..., None]
     if not ok.all():
         degenerate = int((~ok).sum())
         warnings.warn(
@@ -166,6 +202,11 @@ def posterior_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
     return posterior_from_masses(
         class_kernel_mass(xs, m.train_x, m.train_y, c.bandwidth, c.class_count), c
     )
+
+
+def _check_budget(budget: int, n: int) -> None:
+    if not 0 <= budget <= n:
+        raise ValidationError(f"prefix budget must be in 0..{n}, got {budget}")
 
 
 @dataclass(frozen=True)
@@ -200,8 +241,7 @@ class KernelBlock:
         """The block of the model fitted on the first ``budget`` samples. Its
         model holds views of this model's arrays: nothing is refitted."""
         m = self.model
-        if not 0 <= budget <= len(m.train_x):
-            raise ValidationError(f"prefix budget must be in 0..{len(m.train_x)}, got {budget}")
+        _check_budget(budget, len(m.train_x))
         model = ParzenModel(m.train_x[:budget], m.train_y[:budget], m.config)
         return KernelBlock(self.points, self.weights[:, :budget], self.onehot[:budget], model)
 
@@ -228,22 +268,37 @@ def kernel_block(points: np.ndarray, model: ParzenModel) -> KernelBlock:
     )
 
 
+def prefix_posteriors(
+    points: np.ndarray, model: ParzenModel, budgets: Sequence[int]
+) -> np.ndarray:
+    """Posterior of each budget's prefix model at every point, shape
+    (len(budgets), len(points), C), by one ``posterior_from_masses`` call.
+    The points get one ``kernel_block`` under ``model``, and budget B the
+    class masses ``weights[:, :B] @ onehot[:B]`` that ``block.prefix(B)``
+    forms."""
+    block = kernel_block(points, model)
+    masses = np.empty((len(budgets), len(block), model.config.class_count))
+    for row, budget in enumerate(budgets):
+        _check_budget(budget, len(model.train_x))
+        masses[row] = block.weights[:, :budget] @ block.onehot[:budget]
+    return posterior_from_masses(masses, model.config)
+
+
 def prefix_labels(
     points: np.ndarray, model: ParzenModel, budgets: Sequence[int]
 ) -> np.ndarray:
     """Predicted class (0-based) of each budget's prefix model at every point,
     shape (len(budgets), len(points)). The points are read in chunks of
-    _CHUNK, each through one ``kernel_block`` under ``model``, so memory
-    stays bounded on a long grid."""
+    _CHUNK, each through one ``prefix_posteriors`` call, so memory stays
+    bounded on a long grid."""
     points = np.asarray(points, dtype=np.float64)
     out = np.empty((len(budgets), len(points)), dtype=np.int64)
     for start in range(0, len(points), _CHUNK):
-        block = kernel_block(points[start : start + _CHUNK], model)
-        for row, budget in enumerate(budgets):
-            out[row, start : start + _CHUNK] = np.argmax(block.prefix(budget).posterior, axis=1)
+        chunk = points[start : start + _CHUNK]
+        out[:, start : start + _CHUNK] = class_argmax(prefix_posteriors(chunk, model, budgets))
     return out
 
 
 def predict_batch(m: ParzenModel, xs: np.ndarray) -> np.ndarray:
     """Most probable class per query; ties break toward the smallest index."""
-    return np.argmax(posterior_batch(m, xs), axis=1) + 1
+    return class_argmax(posterior_batch(m, xs)) + 1

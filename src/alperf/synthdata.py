@@ -27,7 +27,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, number
+from .errors import ValidationError, floats, number
+from .parzen import class_argmax
 
 # Decision rules are read on this interval, widened for each task to cover
 # mean +- _SUPPORT_STDS std of every component; each tail beyond the interval
@@ -251,9 +252,9 @@ class LabeledSet:
     qs: np.ndarray
 
     def __post_init__(self):
-        xs = np.array(self.xs, dtype=np.float64)
+        xs = floats(self.xs, "xs")
         ys = np.asarray(self.ys)
-        qs = np.array(self.qs, dtype=np.float64)
+        qs = floats(self.qs, "qs")
         if xs.ndim != 1 or ys.shape != xs.shape or qs.shape != xs.shape:
             raise ValidationError(
                 "x, label and density arrays must be 1-D and of equal length, got "
@@ -396,8 +397,18 @@ def decision_accuracy(
     ``scores(xs)``, an (len(xs), C) array; ties go to the smallest class.
     The rule is read on the ``decision_grid`` of ``step``, then integrated
     by ``region_accuracy``."""
-    grid = decision_grid(model, step)
-    return region_accuracy(model, scores, grid, np.argmax(scores(grid), axis=1))
+    return _rule_accuracy(model, scores, decision_grid(model, step))
+
+
+def _rule_accuracy(
+    model: TaskModel, scores: Callable[[np.ndarray], np.ndarray], grid: np.ndarray
+) -> float:
+    """``region_accuracy`` of the one rule whose scores are ``scores(xs)``,
+    read on ``grid``."""
+    def rule(xs):
+        return scores(xs)[None]
+
+    return float(region_accuracy(model, rule, grid, class_argmax(rule(grid)))[0])
 
 
 def region_accuracy(
@@ -405,42 +416,63 @@ def region_accuracy(
     scores: Callable[[np.ndarray], np.ndarray],
     grid: np.ndarray,
     labels: np.ndarray,
-) -> float:
-    """Exact accuracy under ``model`` of the argmax rule of ``scores``, given
-    its class (0-based) ``labels`` at each point of the increasing ``grid``.
+) -> np.ndarray:
+    """Exact accuracy under ``model`` of R argmax rules, given each rule's
+    class (0-based) at each point of the increasing ``grid`` as the rows of
+    the (R, len(grid)) ``labels``: ``scores(xs)`` is every rule's scores at
+    the points xs, shape (R, len(xs), C).
 
     Each class change between neighbouring grid points is bracketed ever
-    more tightly, all changes at once: every round reads the rule at
+    more tightly, all changes at once: every round reads the rules at
     _SECTIONS evenly spaced points inside each bracket, in one ``scores``
-    call, and keeps the section where the class first changes, until every
-    bracket is narrower than _EDGE_TOL. Refining the rule itself, not a
-    score difference, keeps its ties exactly as argmax breaks them. The
-    predicted class is then constant between boundaries, each tail taking the
-    class at its grid end, and the accuracy is the sum over intervals of
-    prior * weight * (Phi(b) - Phi(a)) over the predicted class's components.
+    call, and keeps the section where the rule's class first changes. A
+    rule's brackets are refined until all of them are narrower than
+    _EDGE_TOL, whatever the other rules' brackets are, so each rule's
+    accuracy equals that of a one-rule call bit for bit. Refining the rule
+    itself, not a score difference, keeps its ties exactly as argmax breaks
+    them. A rule's predicted class is then constant between boundaries, each
+    tail taking the class at its grid end, and its accuracy is the sum over
+    intervals of prior * weight * (Phi(b) - Phi(a)) over the predicted
+    class's components.
     """
-    changes = np.nonzero(np.diff(labels))[0]
-    left, right, before = grid[changes], grid[changes + 1], labels[changes]
+    rule_of, changes = np.nonzero(np.diff(labels, axis=1))
+    left, right = grid[changes], grid[changes + 1]
+    before = labels[rule_of, changes]
     fractions = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
-    rows = np.arange(len(changes))
-    while len(changes) and (right - left).max() > _EDGE_TOL:
-        points = left[:, None] + (right - left)[:, None] * fractions
-        inside = np.argmax(scores(points.ravel()), axis=1).reshape(points.shape)
-        moved = inside != before[:, None]
+    while True:
+        # A rule is refined while its widest bracket is wider than _EDGE_TOL.
+        wide = np.zeros(len(labels), dtype=bool)
+        wide[rule_of[right - left > _EDGE_TOL]] = True
+        refined = np.flatnonzero(wide[rule_of])
+        if not len(refined):
+            break
+        lo, hi = left[refined], right[refined]
+        points = lo[:, None] + (hi - lo)[:, None] * fractions
+        read = class_argmax(scores(points.ravel()))
+        inside = read[rule_of[refined].repeat(_SECTIONS), np.arange(points.size)]
+        moved = inside.reshape(points.shape) != before[refined, None]
         # points[:, j] is ends[:, j + 1]. The new bracket ends at the first
         # point whose class differs from the left end's, else at the old right end.
         first = np.where(moved.any(axis=1), moved.argmax(axis=1), _SECTIONS)
-        ends = np.column_stack([left, points, right])
-        left, right = ends[rows, first], ends[rows, first + 1]
-    edges = np.r_[-math.inf, 0.5 * (left + right), math.inf]
-    predicted = labels[np.r_[0, changes + 1]]  # the class of each interval
+        ends = np.column_stack([lo, points, hi])
+        rows = np.arange(len(refined))
+        left[refined], right[refined] = ends[rows, first], ends[rows, first + 1]
+    # Phi of every component at each boundary; at a rule's tails, -inf and
+    # +inf, Phi is exactly 0.0 and 1.0.
     m = model.mixture
-    z = (edges[:, None] - m.means) / m.stds
-    mass = np.diff(np.reshape([_normal_cdf(v) for v in z.ravel().tolist()], z.shape), axis=0)
-    total = 0.0
-    for k, weight in enumerate(m.weights.tolist()):
-        total += weight * float(mass[predicted == m.classes[k], k].sum())
-    return total
+    z = (0.5 * (left + right)[:, None] - m.means) / m.stds
+    phi = np.reshape([_normal_cdf(v) for v in z.ravel().tolist()], z.shape)
+    below, above = np.zeros((1, len(m.means))), np.ones((1, len(m.means)))
+    bounds = np.searchsorted(rule_of, np.arange(len(labels) + 1))
+    out = np.empty(len(labels))
+    for r, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        mass = np.diff(np.concatenate([below, phi[a:b], above]), axis=0)
+        predicted = labels[r, np.concatenate([[0], changes[a:b] + 1])]  # each interval's class
+        total = 0.0
+        for k, weight in enumerate(m.weights.tolist()):
+            total += weight * float(mass[predicted == m.classes[k], k].sum())
+        out[r] = total
+    return out
 
 
 def bayes_accuracy(model: TaskModel) -> float:
@@ -464,5 +496,4 @@ def bayes_accuracy(model: TaskModel) -> float:
         for mean, std in zip(m.means.tolist(), m.stds.tolist()) if std < scale
     ]
     grid = np.unique(np.concatenate([decision_grid(model, scale / 20.0), *narrow]))
-    joint = partial(_joint_density, model)
-    return region_accuracy(model, joint, grid, np.argmax(joint(grid), axis=1))
+    return _rule_accuracy(model, partial(_joint_density, model), grid)

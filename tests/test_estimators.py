@@ -28,6 +28,7 @@ from alperf.estimators import (
     self_label_cv,
     subsample_accuracy,
     subsample_baseline,
+    prefix_truths,
     true_baseline,
     truth_grid,
 )
@@ -151,6 +152,15 @@ class TestPerformanceEstimate:
     ], ids=["samples-2d", "samples-0d", "components-1d", "components-3-wide", "components-3d"])
     def test_array_shapes_validated(self, kwargs, message):
         with pytest.raises(ValidationError, match=message):
+            PerformanceEstimate(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"samples": ["a"]}, "samples"),
+        ({"samples": [[0.5], [0.5, 0.2]]}, "samples"),
+        ({"components": [["x", 1.0]]}, "components"),
+    ], ids=["samples-string", "samples-ragged", "components-string"])
+    def test_fields_that_are_not_numbers_refused(self, kwargs, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be an array of numbers"):
             PerformanceEstimate(**kwargs)
 
     def test_empirical_quantiles_match_numpy(self):
@@ -1270,16 +1280,15 @@ class TestTrueBaseline:
         for s_idx in range(3):
             sequence = acquisition_sequence(spec, s_idx, 0)
             whole = fit_arrays(sequence.xs, sequence.ys, spec.classifier)
-            labels = parzen.prefix_labels(grid, whole, budgets)
-            for budget, row in zip(budgets, labels):
+            truths = prefix_truths(whole, task, budgets, grid)
+            assert truths.shape == (len(budgets),)
+            for budget, truth in zip(budgets, truths.tolist()):
                 m = fit_arrays(sequence.xs[:budget], sequence.ys[:budget], spec.classifier)
                 # The refit model's rule read on the grid through posterior_batch.
                 refit = synthdata.decision_accuracy(
                     task, lambda xs: parzen.posterior_batch(m, xs), spec.classifier.bandwidth / 20
                 )
-                assert true_baseline(m, task, (grid, row)) == true_baseline(m, task) == refit, (
-                    s_idx, budget,
-                )
+                assert truth == true_baseline(m, task) == refit, (s_idx, budget)
 
     def test_constant_classifier_is_a_coin_flip(self, task):
         m = _fit(_labeled([(0.0, 1)]), prior_weight=0.0)

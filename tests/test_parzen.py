@@ -16,9 +16,13 @@ from alperf.parzen import (
     fit_arrays,
     kernel_block,
     kernel_weights,
+    class_argmax,
+    class_max,
+    class_sum,
     posterior_batch,
     predict_batch,
     prefix_labels,
+    prefix_posteriors,
 )
 from alperf.estimators import true_baseline
 from alperf.synthdata import draw_labeled, draw_unlabeled, unbiased_sampler
@@ -370,3 +374,75 @@ class TestKernelBlock:
         ):
             with pytest.raises(ValidationError, match="do not fit 2 points and a"):
                 KernelBlock(points, weights, onehot, model)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestClassAxis:
+    @staticmethod
+    def _arrays(classes):
+        """2-D and 3-D arrays over ``classes`` columns: magnitudes over six
+        decades, and small integers, whose rows hold many ties."""
+        rng = np.random.default_rng(classes)
+        for shape in ((1050, classes), (3, 41, classes)):
+            yield rng.random(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            yield rng.integers(0, 3, shape).astype(np.float64)
+
+    @pytest.mark.parametrize("classes", range(2, 8))
+    def test_equal_numpy_bit_for_bit_below_8_classes(self, classes):
+        for a in self._arrays(classes):
+            assert _bits(class_argmax(a)) == _bits(np.argmax(a, axis=-1))
+            assert _bits(class_max(a)) == _bits(a.max(axis=-1))
+            assert _bits(class_sum(a)) == _bits(a.sum(axis=-1))
+
+    def test_ties_go_to_the_first_class(self):
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0], [0.0, 1.0, 1.0]])
+        assert class_argmax(a).tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("classes", range(8, 11))
+    def test_from_8_classes_only_the_sum_may_differ_from_numpy(self, classes):
+        # numpy sums a row of 8 or more pairwise; the column sum goes from
+        # class 0 up, so the two may differ in the last bit.
+        for a in self._arrays(classes):
+            assert _bits(class_argmax(a)) == _bits(np.argmax(a, axis=-1))
+            assert _bits(class_max(a)) == _bits(a.max(axis=-1))
+            reference = a.sum(axis=-1)
+            assert np.all(np.abs(class_sum(a) - reference) <= classes * 2.0**-52 * reference)
+
+
+class TestPrefixPosteriors:
+    @pytest.mark.parametrize("source", [_fig6_sequences, _random_sequences])
+    def test_every_budget_equals_its_prefix_block_bit_for_bit(self, source):
+        for xs, ys, pool, config in source():
+            model = fit_arrays(xs, ys, config)
+            budgets = (1, 7, len(xs) // 2, len(xs))
+            post = prefix_posteriors(pool, model, budgets)
+            assert post.shape == (len(budgets), len(pool), config.class_count)
+            block = kernel_block(pool, model)
+            for row, budget in zip(post, budgets):
+                assert _bits(row) == _bits(block.prefix(budget).posterior)
+
+    def test_degenerate_rows_are_counted_once_per_budget(self):
+        # With prior_weight 0 a budget-0 model has no kernel mass anywhere:
+        # one warning counts every (budget, point) row of the read.
+        config = ClassifierConfig(bandwidth=0.2, prior_weight=0.0)
+        model = fit_arrays(np.array([0.0, 1.0]), np.array([1, 2]), config)
+        points = np.array([-50.0, 0.2, 3.0])
+        post, warned = _with_warnings(lambda: prefix_posteriors(points, model, (0, 2, 0)))
+        assert warned == [
+            "degenerate posterior at 6 query point(s): zero kernel mass with "
+            "prior_weight=0; returning uniform"
+        ]
+        assert np.all(post[[0, 2]] == 0.5)
+        assert np.array_equal(post[1], posterior_batch(model, points))
+        labels, warned = _with_warnings(lambda: prefix_labels(points, model, (2, 0)))
+        assert warned == [warned[0]] and "at 3 query point(s)" in warned[0]
+        assert labels[1].tolist() == [0, 0, 0]
+
+    def test_budget_outside_0_to_n_rejected(self):
+        model = fit_arrays(np.array([-1.0, 0.5, 2.0]), np.array([1, 2, 2]))
+        for budget in (-1, 4):
+            with pytest.raises(ValidationError, match=r"prefix budget must be in 0\.\.3, got "):
+                prefix_posteriors(np.array([0.0]), model, (1, budget))

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from alperf import synthdata
 from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.errors import ValidationError
 from alperf.harness import derive_substream
+from alperf.parzen import ClassifierConfig, fit_arrays, prefix_labels, prefix_posteriors
 from alperf.synthdata import (
     DATA_MARGINAL,
     SYMMETRIC_MIXTURE,
@@ -104,6 +106,14 @@ class TestSampleValidation:
             LabeledSet([0.0], [1], [0.0])
         with pytest.raises(ValidationError):
             LabeledSet([0.0], [1], [float("inf")])
+
+    @pytest.mark.parametrize("xs, qs, field", [
+        (["a"], [1.0], "xs"),
+        ([0.0], ["q"], "qs"),
+    ], ids=["xs-string", "qs-string"])
+    def test_fields_that_are_not_numbers_refused(self, xs, qs, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be an array of numbers"):
+            LabeledSet(xs, [1], qs)
 
     def test_lengths_must_match(self):
         with pytest.raises(ValidationError, match="equal length"):
@@ -431,6 +441,80 @@ class TestNormalCdf:
         tail = (zs > -37.5) & (zs < -1.0)
         assert np.abs(ours[tail] / ndtr[tail] - 1.0).max() <= 1e-13
         assert ours[:6].tolist() == [1.0, 0.0, 0.5, 0.5, 0.5, 0.5]
+
+
+def _threshold_rules(thresholds):
+    """Two-class scores of R rules: rule r predicts class 0 (ties included)
+    below thresholds[r] and class 1 above it; a None threshold predicts class
+    0 everywhere. Shape (R, len(xs), 2)."""
+    def scores(xs):
+        rows = []
+        for t in thresholds:
+            if t is None:
+                rows.append(np.column_stack([np.ones_like(xs), np.zeros_like(xs)]))
+            else:
+                rows.append(np.column_stack([t - xs, xs - t]))
+        return np.stack(rows)
+
+    return scores
+
+
+class TestRegionAccuracy:
+    # Spacing 1 up to 0, 1e-3 on (0, 1], 1 beyond: a bracket on the coarse
+    # part takes 6 rounds of 32 sections to fall below 1e-9, one on the fine
+    # part 4.
+    GRID = np.concatenate([np.linspace(-10.0, 0.0, 11), np.linspace(0.001, 1.0, 1000),
+                           np.linspace(2.0, 10.0, 9)])
+
+    def _accuracy(self, task, thresholds):
+        """region_accuracy of the threshold rules, and the number of points
+        of each scores call it made."""
+        calls = []
+        rules = _threshold_rules(thresholds)
+
+        def scores(xs):
+            calls.append(len(xs))
+            return rules(xs)
+
+        labels = np.argmax(rules(self.GRID), axis=-1)
+        return synthdata.region_accuracy(task, scores, self.GRID, labels), calls
+
+    def test_rules_refined_together_equal_one_rule_calls(self, task):
+        thresholds = (-2.5, 0.3004, None, 0.3004, -7.25)
+        together, calls = self._accuracy(task, thresholds)
+        # Every round reads every rule still refining, in one call.
+        assert calls == [4 * 32] * 4 + [2 * 32] * 2
+        for t, accuracy in zip(thresholds, together.tolist()):
+            alone, alone_calls = self._accuracy(task, (t,))
+            assert accuracy == alone[0], t
+            # Each rule keeps its own number of rounds: a bracket starting 1
+            # wide takes 6, one starting 1e-3 wide 4, a rule with no class
+            # change none.
+            assert alone_calls == [32] * {-2.5: 6, 0.3004: 4, None: 0, -7.25: 6}[t]
+            expected = 0.5 if t is None else 0.5 * _phi(t + 1.5) + 0.5 * (1.0 - _phi(t - 1.5))
+            assert accuracy == pytest.approx(expected, abs=1e-9)
+
+    def test_prefix_model_rules_equal_one_rule_calls(self):
+        # Three classes, where every budget's rule changes class several times.
+        task = TaskModel(
+            class_priors=(0.3, 0.3, 0.4),
+            class_components=tuple(
+                (GaussianComponent(1.0, mean, 1.0),) for mean in (-2.0, 0.0, 2.0)
+            ),
+        )
+        config = ClassifierConfig(bandwidth=0.3, prior_weight=0.01, class_count=3)
+        rng = np.random.default_rng(4)
+        model = fit_arrays(rng.normal(0, 2, 40), rng.integers(1, 4, 40), config)
+        grid = synthdata.decision_grid(task, 0.015)
+        budgets = (3, 12, 25, 40)
+
+        def accuracy(bs):
+            scores = partial(prefix_posteriors, model=model, budgets=bs)
+            return synthdata.region_accuracy(task, scores, grid, prefix_labels(grid, model, bs))
+
+        together = accuracy(budgets)
+        for budget, value in zip(budgets, together.tolist()):
+            assert value == accuracy((budget,))[0], budget
 
 
 class TestBayesAccuracy:
