@@ -3,7 +3,8 @@
 Each spec dataclass passes its numeric fields through ``integer`` or
 ``number`` on construction and holds what they return, so a value is checked
 once, in the same words, whether the spec was parsed from JSON or built in
-Python. The data types that hold float arrays take them through ``floats``.
+Python. The data types that hold float arrays take them through ``floats``,
+and their label arrays through ``label_array``.
 """
 
 from numbers import Integral, Real
@@ -36,3 +37,11 @@ def floats(value, field: str) -> np.ndarray:
         return np.array(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{field} must be an array of numbers ({exc})") from None
+
+
+def label_array(value, field: str) -> np.ndarray:
+    """``value`` as a numpy array, whose dtype and range the caller checks."""
+    try:
+        return np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{field} must be an array of class indices ({exc})") from None

@@ -673,16 +673,28 @@ def _fold_predictions(
     config: ClassifierConfig,
     rng: np.random.Generator,
     train_size: int | None = None,
+    *,
+    block: KernelBlock | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Held-out correctness (1.0 or 0.0) of each instance under k-fold CV
     over (xs, ys), and each instance's fold. A fold trains on the instances
     outside it or, with ``train_size``, on a fresh uniform subset of at most
-    that many of them; no fold model is fitted."""
+    that many of them; no fold model is fitted. ``block``, where given, is
+    the ``kernel_block`` of xs under the model fitted on (xs, ys) with
+    ``config``: its model's labels were checked when it was fitted, so
+    neither the label check nor the kernel block is made again."""
     fold_of = random_folds(len(xs), k, rng)
-    whole = parzen.fit_arrays(xs, ys, config)  # the one label check
+    if block is None:
+        whole = parzen.fit_arrays(xs, ys, config)  # the one label check
+    else:
+        whole = block.model
+        if not (whole.config == config and np.array_equal(block.points, xs)
+                and np.array_equal(whole.train_x, xs) and np.array_equal(whole.train_y, ys)):
+            raise ValidationError("block is not the kernel block of the labeled set under its model")
     xs, ys, h, c = whole.train_x, whole.train_y, config.bandwidth, config.class_count
     if train_size is None:
-        block = parzen.kernel_block(xs, whole)
+        if block is None:
+            block = parzen.kernel_block(xs, whole)
         masses = np.where(fold_of[:, None] == fold_of, 0.0, block.weights) @ block.onehot
     else:
         masses = np.empty((len(xs), c))
@@ -701,12 +713,14 @@ def kfold_cv_detail(
     config: ClassifierConfig,
     rng: np.random.Generator,
     reweighted: bool = False,
+    *,
+    block: KernelBlock | None = None,
 ) -> tuple[PerformanceEstimate, np.ndarray]:
     """``kfold_cv``'s estimate and each instance's fold (``random_folds``):
     fold i's model is that of the instances where the fold array is not i."""
     if len(labeled) == 0:
         raise ValidationError("no labeled instances")
-    correct, fold_of = _fold_predictions(labeled.xs, labeled.ys, k, config, rng)
+    correct, fold_of = _fold_predictions(labeled.xs, labeled.ys, k, config, rng, block=block)
     acc = float(correct.mean())
     if reweighted:
         w = 1.0 / labeled.qs
@@ -723,6 +737,8 @@ def kfold_cv(
     config: ClassifierConfig,
     rng: np.random.Generator,
     reweighted: bool = False,
+    *,
+    block: KernelBlock | None = None,
 ) -> PerformanceEstimate:
     """k-fold cross-validation accuracy over the labeled set.
 
@@ -730,10 +746,16 @@ def kfold_cv(
     held-out instances. With ``reweighted`` each prediction is weighted by
     1/q(x), its recorded sampling density inverted. A correction toward the
     data-generating density p needs p(x)/q(x) (ROADMAP item 1).
+
+    ``block``, where given, is the ``parzen.kernel_block`` of the labeled
+    points under the model fitted on them with ``config``, such as the first
+    B rows of a sequence's own block's ``prefix(B)``; every held-out mass is
+    read from it, with no label check and no kernel evaluation of the call's
+    own. A block of other points, labels or settings is refused.
     """
     # Tracing wraps kfold_cv_detail and names its span by reweighted, read at
     # position 4 or by keyword.
-    return kfold_cv_detail(labeled, k, config, rng, reweighted)[0]
+    return kfold_cv_detail(labeled, k, config, rng, reweighted, block=block)[0]
 
 
 def self_label_cv(pool: KernelBlock, k: int, rng: np.random.Generator) -> PerformanceEstimate:
@@ -830,10 +852,21 @@ def prefix_truths(
 ) -> np.ndarray:
     """``true_baseline`` of the prefix model of each budget of ``m``, bit for
     bit, from one read of the ``truth_grid`` ``grid``: every budget's rule is
-    read on it by ``parzen.prefix_labels`` and refined by one
-    ``synthdata.region_accuracy`` call, whose every round is one
-    ``parzen.prefix_posteriors`` kernel block for all budgets' brackets."""
-    scores = partial(parzen.prefix_posteriors, model=m, budgets=budgets)
+    read on it by ``parzen.prefix_labels``, within the labels' reach only,
+    and refined by one ``synthdata.region_accuracy`` call. Each of its rounds
+    is one ``parzen.kernel_block`` of all budgets' bracket points, and each
+    budget B's rows of it take the masses ``weights[rows, :B] @ onehot[:B]``
+    alone, so a round reads each point under its own budget only."""
+    config = m.config
+
+    def scores(xs, rules):
+        block = parzen.kernel_block(xs, m)
+        masses = np.empty((len(xs), config.class_count))
+        for rule, budget in enumerate(budgets):
+            rows = np.flatnonzero(rules == rule)
+            masses[rows] = block.weights[rows, :budget] @ block.onehot[:budget]
+        return parzen.posterior_from_masses(masses, config)
+
     return synthdata.region_accuracy(model, scores, grid, parzen.prefix_labels(grid, m, budgets))
 
 

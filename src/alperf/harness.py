@@ -49,7 +49,7 @@ import numpy as np
 
 from . import estimators, parzen, synthdata
 from .errors import ValidationError, integer
-from .parzen import ClassifierConfig, ParzenModel
+from .parzen import ClassifierConfig, KernelBlock, ParzenModel
 from .synthdata import LabeledSet, SamplingDistribution, TaskModel
 
 EVAL_SIZE_DISTRIBUTION = "eval-size-distribution"
@@ -70,7 +70,7 @@ class EstimatorEntry(NamedTuple):
 
     reads: tuple[str, ...]  # the EstimatorSpec fields it reads
     id_template: str  # record id, formatted with k
-    run: Callable  # run(spec, espec, labeled, pool, truth, rng)
+    run: Callable  # run(spec, espec, labeled, own, pool, truth, rng)
     draws: bool  # whether run reads rng; one that does not is passed None
 
 
@@ -80,37 +80,37 @@ class EstimatorEntry(NamedTuple):
 ESTIMATOR_TABLE = {
     GENERALIZATION_ERROR: EstimatorEntry(
         (), "generalization-error",
-        lambda spec, e, labeled, pool, truth, rng:
+        lambda spec, e, labeled, own, pool, truth, rng:
             estimators.generalization_error_estimate(pool),
         False,
     ),
     KFOLD_CV: EstimatorEntry(
         ("k",), "cv-{k}fold",
-        lambda spec, e, labeled, pool, truth, rng:
-            estimators.kfold_cv(labeled, e.k, spec.classifier, rng),
+        lambda spec, e, labeled, own, pool, truth, rng:
+            estimators.kfold_cv(labeled, e.k, spec.classifier, rng, block=own),
         True,
     ),
     REWEIGHTED_CV: EstimatorEntry(
         ("k",), "reweighted-cv-{k}fold",
-        lambda spec, e, labeled, pool, truth, rng:
-            estimators.kfold_cv(labeled, e.k, spec.classifier, rng, reweighted=True),
+        lambda spec, e, labeled, own, pool, truth, rng:
+            estimators.kfold_cv(labeled, e.k, spec.classifier, rng, reweighted=True, block=own),
         True,
     ),
     SELF_LABEL_CV: EstimatorEntry(
         ("k",), "self-label-cv-{k}fold",
-        lambda spec, e, labeled, pool, truth, rng:
+        lambda spec, e, labeled, own, pool, truth, rng:
             estimators.self_label_cv(pool, e.k, rng),
         True,
     ),
     PROBABILISTIC: EstimatorEntry(
         (), "probabilistic",
-        lambda spec, e, labeled, pool, truth, rng:
+        lambda spec, e, labeled, own, pool, truth, rng:
             estimators.probabilistic_performance(pool),
         False,
     ),
     SUBSAMPLE_BASELINE: EstimatorEntry(
         (), "subsample-baseline",
-        lambda spec, e, labeled, pool, truth, rng:
+        lambda spec, e, labeled, own, pool, truth, rng:
             estimators.subsample_baseline(truth, len(labeled), spec.subsample_reps, rng),
         True,
     ),
@@ -492,18 +492,18 @@ def _eval_size_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]
 
 
 def _estimates(spec: ExperimentSpec, rep: int, sampler: str, labeled: LabeledSet,
-               pool, truth: float, rngs) -> list[RunRecord]:
+               own, pool, truth: float, rngs) -> list[RunRecord]:
     """The record of every configured estimator on ``labeled``, whose size is
-    the budget: ``pool`` is the kernel block of the evaluation pool under the
-    model of ``labeled`` (None where the scenario has no pool) and ``truth``
-    that model's exact accuracy. An estimator that draws reads the next
-    stream of ``rngs``."""
+    the budget: ``own`` and ``pool`` are the kernel blocks of the labeled
+    points and of the evaluation pool under the model of ``labeled`` (None
+    where the scenario has none) and ``truth`` that model's exact accuracy.
+    An estimator that draws reads the next stream of ``rngs``."""
     records = []
     for espec in spec.estimators:
         entry = ESTIMATOR_TABLE[espec.name]
         rng = next(rngs) if entry.draws else None
         t0 = time.perf_counter()
-        estimate = entry.run(spec, espec, labeled, pool, truth, rng)
+        estimate = entry.run(spec, espec, labeled, own, pool, truth, rng)
         records.append(
             _record(
                 spec.scenario, rep, sampler, len(labeled), espec.estimator_id(),
@@ -518,7 +518,7 @@ def _cv_folds_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
     each configured fold count, against the model trained on all of it. Every
     estimator draws, so each reads its own stream."""
     (labeled, truth), (_, rep) = shared, unit
-    return _estimates(spec, rep, spec.samplers[0].label(), labeled, None, truth, rngs)
+    return _estimates(spec, rep, spec.samplers[0].label(), labeled, None, None, truth, rngs)
 
 
 def _bias_sweep_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
@@ -577,22 +577,31 @@ def _comparison_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord
     """Every configured estimator on each nested budget prefix of one
     acquisition sequence.
 
-    The sequence is fitted once, and the pool and the truth grid (``shared``,
-    built once per run) are each read under that model once: the pool as
-    one ``parzen.KernelBlock`` whose prefixes hold every budget's model and
-    serve its pool estimators, the grid for every budget's exact truth,
-    which ``estimators.prefix_truths`` computes before the budget loop."""
+    The sequence is fitted once, and the sequence itself, the pool and the
+    truth grid (``shared``, built once per run) are each read under that
+    model once: the sequence and the pool as one ``parzen.KernelBlock``
+    each, whose prefixes hold every budget's model, the grid for every
+    budget's exact truth, which ``estimators.prefix_truths`` computes before
+    the budget loop. At budget B the first B rows of the sequence block's
+    prefix serve plain and reweighted CV, and the pool block's prefix the
+    pool estimators."""
     grid, (s_idx, rep) = shared, unit
     label = spec.samplers[s_idx].label()
     sequence = _sequence(spec, s_idx, next(rngs))
     model = parzen.fit_arrays(sequence.xs, sequence.ys, spec.classifier)
     pool = synthdata.draw_unlabeled(spec.task, spec.pool_size, next(rngs))
+    own_block = parzen.kernel_block(sequence.xs, model)
     pool_block = parzen.kernel_block(pool, model)
     truths = estimators.prefix_truths(model, spec.task, spec.budgets, grid)
     records = []
     for budget, truth in zip(spec.budgets, truths.tolist()):
-        block = pool_block.prefix(budget)
-        records += _estimates(spec, rep, label, sequence[:budget], block, truth, rngs)
+        prefix = own_block.prefix(budget)
+        own = KernelBlock(
+            prefix.points[:budget], prefix.weights[:budget], prefix.onehot, prefix.model
+        )
+        records += _estimates(
+            spec, rep, label, sequence[:budget], own, pool_block.prefix(budget), truth, rngs
+        )
     return records
 
 

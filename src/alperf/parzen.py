@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, integer, number
+from .errors import ValidationError, floats, integer, label_array, number
 
 # Kernel exponents are clamped here before exponentiation.
 _EXP_CLAMP = -700.0
@@ -71,8 +71,8 @@ def fit_arrays(
     integer labels 1..class_count. No iterative training."""
     class_count = config.class_count
     # Copies, so freezing the model's arrays never freezes the caller's.
-    xs = np.array(xs, dtype=np.float64)
-    ys = np.asarray(ys)
+    xs = floats(xs, "training features")
+    ys = label_array(ys, "training labels")
     if xs.ndim != 1:
         raise ValidationError(f"training features must be 1-D, got shape {xs.shape}")
     if xs.shape != ys.shape:
@@ -284,18 +284,46 @@ def prefix_posteriors(
     return posterior_from_masses(masses, model.config)
 
 
+def _reach(config: ClassifierConfig, n: int) -> float:
+    """r = h sqrt(2 ln(4 n / ulp(epsilon))): beyond it every kernel weight of
+    n labels is at most ulp(epsilon) / (4 n). Infinite where epsilon is 0, or
+    where that bound is below the clamped weight exp(_EXP_CLAMP)."""
+    eps = config.prior_weight
+    if eps == 0.0:
+        return math.inf
+    exponent = math.log(4 * max(n, 1)) - math.log(math.ulp(eps))
+    return config.bandwidth * math.sqrt(2.0 * exponent) if exponent <= -_EXP_CLAMP else math.inf
+
+
 def prefix_labels(
     points: np.ndarray, model: ParzenModel, budgets: Sequence[int]
 ) -> np.ndarray:
     """Predicted class (0-based) of each budget's prefix model at every point,
-    shape (len(budgets), len(points)). The points are read in chunks of
-    _CHUNK, each through one ``prefix_posteriors`` call, so memory stays
-    bounded on a long grid."""
+    shape (len(budgets), len(points)), as ``class_argmax`` of
+    ``prefix_posteriors`` gives it.
+
+    Only the points within the labels' reach r (``_reach``) are read, those
+    in [min x - r, max x + r]. Farther than r from every one of n labels,
+    each kernel weight is at most ulp(epsilon) / (4 n), so at every budget
+    each class mass is below ulp(epsilon) / 2 and mass + epsilon rounds to
+    epsilon in every class: the posterior is the exact uniform tie, class 0.
+    With prior_weight 0 every point is read. The points read go through
+    ``prefix_posteriors`` in chunks of _CHUNK, so memory stays bounded on a
+    long grid."""
     points = np.asarray(points, dtype=np.float64)
-    out = np.empty((len(budgets), len(points)), dtype=np.int64)
-    for start in range(0, len(points), _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        out[:, start : start + _CHUNK] = class_argmax(prefix_posteriors(chunk, model, budgets))
+    xs = model.train_x
+    for budget in budgets:
+        _check_budget(budget, len(xs))
+    reach = _reach(model.config, len(xs))
+    if math.isinf(reach):
+        read = np.arange(len(points))
+    else:
+        lo, hi = (xs.min() - reach, xs.max() + reach) if len(xs) else (math.inf, -math.inf)
+        read = np.flatnonzero((points >= lo) & (points <= hi))
+    out = np.zeros((len(budgets), len(points)), dtype=np.int64)
+    for start in range(0, len(read), _CHUNK):
+        rows = read[start : start + _CHUNK]
+        out[:, rows] = class_argmax(prefix_posteriors(points[rows], model, budgets))
     return out
 
 

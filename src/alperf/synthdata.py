@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, floats, number
+from .errors import ValidationError, floats, label_array, number
 from .parzen import class_argmax
 
 # Decision rules are read on this interval, widened for each task to cover
@@ -253,7 +253,7 @@ class LabeledSet:
 
     def __post_init__(self):
         xs = floats(self.xs, "xs")
-        ys = np.asarray(self.ys)
+        ys = label_array(self.ys, "ys")
         qs = floats(self.qs, "qs")
         if xs.ndim != 1 or ys.shape != xs.shape or qs.shape != xs.shape:
             raise ValidationError(
@@ -405,35 +405,35 @@ def _rule_accuracy(
 ) -> float:
     """``region_accuracy`` of the one rule whose scores are ``scores(xs)``,
     read on ``grid``."""
-    def rule(xs):
-        return scores(xs)[None]
-
-    return float(region_accuracy(model, rule, grid, class_argmax(rule(grid)))[0])
+    labels = class_argmax(scores(grid))[None]
+    return float(region_accuracy(model, lambda xs, rules: scores(xs), grid, labels)[0])
 
 
 def region_accuracy(
     model: TaskModel,
-    scores: Callable[[np.ndarray], np.ndarray],
+    scores: Callable[[np.ndarray, np.ndarray], np.ndarray],
     grid: np.ndarray,
     labels: np.ndarray,
 ) -> np.ndarray:
     """Exact accuracy under ``model`` of R argmax rules, given each rule's
     class (0-based) at each point of the increasing ``grid`` as the rows of
-    the (R, len(grid)) ``labels``: ``scores(xs)`` is every rule's scores at
-    the points xs, shape (R, len(xs), C).
+    the (R, len(grid)) ``labels``: ``scores(xs, rules)`` is the scores of
+    point xs[i] under rule rules[i] (an index into the rows of ``labels``),
+    shape (len(xs), C).
 
     Each class change between neighbouring grid points is bracketed ever
-    more tightly, all changes at once: every round reads the rules at
-    _SECTIONS evenly spaced points inside each bracket, in one ``scores``
-    call, and keeps the section where the rule's class first changes. A
-    rule's brackets are refined until all of them are narrower than
-    _EDGE_TOL, whatever the other rules' brackets are, so each rule's
-    accuracy equals that of a one-rule call bit for bit. Refining the rule
-    itself, not a score difference, keeps its ties exactly as argmax breaks
-    them. A rule's predicted class is then constant between boundaries, each
-    tail taking the class at its grid end, and its accuracy is the sum over
-    intervals of prior * weight * (Phi(b) - Phi(a)) over the predicted
-    class's components.
+    more tightly, all changes at once: every round reads _SECTIONS evenly
+    spaced points inside each bracket, each under its own rule only, in one
+    ``scores`` call, and keeps the section where the rule's class first
+    changes, so a round reads as many points as its brackets hold, however
+    many rules there are. A rule's brackets are refined until all of them
+    are narrower than _EDGE_TOL, whatever the other rules' brackets are, so
+    each rule's accuracy equals that of a one-rule call bit for bit.
+    Refining the rule itself, not a score difference, keeps its ties exactly
+    as argmax breaks them. A rule's predicted class is then constant between
+    boundaries, each tail taking the class at its grid end, and its accuracy
+    is the sum over intervals of prior * weight * (Phi(b) - Phi(a)) over the
+    predicted class's components.
     """
     rule_of, changes = np.nonzero(np.diff(labels, axis=1))
     left, right = grid[changes], grid[changes + 1]
@@ -448,9 +448,8 @@ def region_accuracy(
             break
         lo, hi = left[refined], right[refined]
         points = lo[:, None] + (hi - lo)[:, None] * fractions
-        read = class_argmax(scores(points.ravel()))
-        inside = read[rule_of[refined].repeat(_SECTIONS), np.arange(points.size)]
-        moved = inside.reshape(points.shape) != before[refined, None]
+        read = class_argmax(scores(points.ravel(), rule_of[refined].repeat(_SECTIONS)))
+        moved = read.reshape(points.shape) != before[refined, None]
         # points[:, j] is ends[:, j + 1]. The new bracket ends at the first
         # point whose class differs from the left end's, else at the old right end.
         first = np.where(moved.any(axis=1), moved.argmax(axis=1), _SECTIONS)

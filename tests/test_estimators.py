@@ -998,6 +998,39 @@ class TestKFoldCV:
         assert np.array_equal(fold_of, random_folds(9, 3, derive_substream(2, (0,))))
         assert sorted(np.bincount(fold_of)) == [3, 3, 3]
 
+    def test_corner_of_the_sequence_block_equals_a_fresh_call(self, task, monkeypatch):
+        # The B x B corner of one kernel block of a 40-label sequence serves
+        # every budget's plain and reweighted CV, bit for bit, with no fit and
+        # no kernel block of the call's own.
+        sequence = draw_labeled(task, unbiased_sampler(), 40, derive_substream(5, (0,)))
+        whole = kernel_block(sequence.xs, fit_arrays(sequence.xs, sequence.ys, CFG))
+        corners = {}
+        for budget in (6, 17, 40):
+            prefix = whole.prefix(budget)
+            corners[budget] = parzen.KernelBlock(
+                prefix.points[:budget], prefix.weights[:budget], prefix.onehot, prefix.model
+            )
+        expected = {
+            (budget, rew): kfold_cv(sequence[:budget], 3, CFG, derive_substream(5, (1,)), rew)
+            for budget in corners for rew in (False, True)
+        }
+        calls = []
+        for name in ("fit_arrays", "kernel_block"):
+            monkeypatch.setattr(parzen, name, lambda *a, **kw: calls.append(a))
+        for (budget, rew), estimate in expected.items():
+            got = kfold_cv(
+                sequence[:budget], 3, CFG, derive_substream(5, (1,)), rew, block=corners[budget]
+            )
+            assert got.mean() == estimate.mean(), (budget, rew)
+        assert calls == []
+        # A block of other points, labels or settings is refused.
+        for labeled, config in ((sequence[1:18], CFG), (sequence[:17], ClassifierConfig(0.3))):
+            with pytest.raises(ValidationError, match="^block is not the kernel block"):
+                kfold_cv(labeled, 3, config, derive_substream(5, (1,)), block=corners[17])
+        relabeled = LabeledSet(sequence.xs[:17], 3 - sequence.ys[:17], sequence.qs[:17])
+        with pytest.raises(ValidationError, match="^block is not the kernel block"):
+            kfold_cv(relabeled, 3, CFG, derive_substream(5, (1,)), block=corners[17])
+
 
 def _refit_fold_predictions(xs, ys, k, config, rng, train_size=None):
     """The per-fold reference for ``_fold_predictions``: each fold's model is

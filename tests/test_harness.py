@@ -630,30 +630,45 @@ class TestEstimatorComparison:
         keys = [r.sort_key() for r in records]
         assert keys == sorted(keys)
 
-    def test_one_unit_fits_each_model_once(self, monkeypatch):
-        # The acquisition sequence once, whose pool block's prefixes hold
-        # every budget's model, then per budget one label check per CV
-        # estimator: its fold predictions come from kernel masses, with no
-        # fold model fitted. Self-label CV labels the pool with the prefix
-        # model, so it adds no refit of its own.
+    def _fig6_unit(self, monkeypatch, name):
+        """The fig6 spec, the first unit's acquisition sequence, and the
+        positional arguments of every ``parzen.<name>`` call that unit made."""
         spec = resolve_config(json.dumps(BUILTIN_SCENARIOS["fig6"].config)).spec
-        cv_folds = [
-            e.k for e in spec.estimators if "k" in harness.ESTIMATOR_TABLE[e.name].reads
-        ]
-        assert cv_folds == [3, 3, 3]
-        fits = []
-        fit = parzen.fit_arrays
+        calls = []
+        original = getattr(parzen, name)
 
         def counting(*args, **kwargs):
-            fits.append(args)
-            return fit(*args, **kwargs)
+            calls.append(args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(parzen, "fit_arrays", counting)
+        monkeypatch.setattr(parzen, name, counting)
         paths = harness._comparison_paths(spec, (0, 0))
         rngs = (derive_substream(spec.master_seed, p) for p in paths)
         shared = harness.SCENARIO_TABLE[spec.scenario].shared(spec)
         harness._comparison_unit(spec, shared, (0, 0), rngs)
-        assert len(fits) == 1 + len(spec.budgets) * len(cv_folds) == 10
+        return spec, acquisition_sequence(spec, 0, 0), calls
+
+    def test_one_unit_fits_each_model_once(self, monkeypatch):
+        # The acquisition sequence once, whose blocks' prefixes hold every
+        # budget's model, then per budget one label check for self-label CV
+        # only: it cross-validates the labels with the self-labeled pool. Plain
+        # and reweighted CV read the sequence's own block, whose labels the
+        # sequence's fit checked.
+        spec, _, fits = self._fig6_unit(monkeypatch, "fit_arrays")
+        cv_names = [e.name for e in spec.estimators if "k" in harness.ESTIMATOR_TABLE[e.name].reads]
+        assert sorted(cv_names) == ["kfold-cv", "reweighted-cv", "self-label-cv"]
+        assert len(fits) == 1 + len(spec.budgets) * cv_names.count("self-label-cv") == 4
+
+    def test_one_sequence_kernel_block_serves_every_cv_estimate(self, monkeypatch):
+        # Plain and reweighted CV at all three budgets, six estimates, read
+        # the corners of one kernel block of the sequence under its model.
+        spec, sequence, blocks = self._fig6_unit(monkeypatch, "kernel_block")
+        own = [
+            points for points, _ in blocks
+            if len(points) <= len(sequence)
+            and np.array_equal(points, sequence.xs[: len(points)])
+        ]
+        assert len(own) == 1 and len(own[0]) == max(spec.budgets)
 
     def test_truth_grid_is_built_once_per_run(self, monkeypatch):
         grids = []

@@ -127,6 +127,14 @@ class TestFit:
         with pytest.raises(ValidationError, match=f"labels must be integers, got dtype {dtype}"):
             fit_arrays(np.array([0.0, 1.0]), np.array(ys))
 
+    @pytest.mark.parametrize("xs, ys, message", [
+        (["a"], [1], "training features must be an array of numbers"),
+        ([0.0, 1.0], [[1], [1, 2]], "training labels must be an array of class indices"),
+    ], ids=["string-feature", "ragged-labels"])
+    def test_arrays_that_do_not_convert_refused(self, xs, ys, message):
+        with pytest.raises(ValidationError, match=f"^{message} "):
+            fit_arrays(xs, ys)
+
     def test_empty_float_labels_fit(self):
         m = fit_arrays([], [])
         assert m.train_y.dtype == np.int64 and len(m.train_y) == 0
@@ -446,3 +454,74 @@ class TestPrefixPosteriors:
         for budget in (-1, 4):
             with pytest.raises(ValidationError, match=r"prefix budget must be in 0\.\.3, got "):
                 prefix_posteriors(np.array([0.0]), model, (1, budget))
+
+
+class TestPrefixLabelsReach:
+    """``prefix_labels`` reads only the points within r = h sqrt(2 ln(4 n /
+    ulp(epsilon))) of some label; every other point is the exact uniform tie,
+    class 0, at every budget."""
+
+    @staticmethod
+    def _reads(monkeypatch):
+        """The number of points of each ``prefix_posteriors`` call."""
+        reads = []
+        original = parzen.prefix_posteriors
+        monkeypatch.setattr(
+            parzen, "prefix_posteriors",
+            lambda points, model, budgets: reads.append(len(points))
+            or original(points, model, budgets),
+        )
+        return reads, original
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_points_at_the_reach_match_every_point_read(self, monkeypatch, classes):
+        n, config = 50, ClassifierConfig(bandwidth=0.2, prior_weight=0.01, class_count=classes)
+        rng = np.random.default_rng(classes)
+        model = fit_arrays(rng.normal(0, 1.5, n), rng.integers(1, classes + 1, n), config)
+        reach = 0.2 * math.sqrt(2.0 * math.log(4 * n / math.ulp(0.01)))
+        assert round(reach, 2) == 1.92
+        lo, hi = model.train_x.min(), model.train_x.max()
+        edges = [lo - reach * (1.0 + 1e-9), lo - reach * (1.0 - 1e-9),
+                 hi + reach * (1.0 - 1e-9), hi + reach * (1.0 + 1e-9)]
+        # Just beyond the reach every weight is within the bound.
+        outside = kernel_weights(np.array(edges[::3]), model.train_x, 0.2)
+        assert outside.max() <= math.ulp(0.01) / (4 * n)
+        points = np.concatenate([edges, np.linspace(-12.0, 12.0, 2401)])
+        budgets = (1, 7, 25, n)
+        reads, every_point = self._reads(monkeypatch)
+        labels = prefix_labels(points, model, budgets)
+        inside = (points >= lo - reach) & (points <= hi + reach)
+        assert reads == [int(inside.sum())] and not inside[[0, 3]].any() and inside[[1, 2]].all()
+        expected = class_argmax(every_point(points, model, budgets))
+        assert _bits(labels) == _bits(expected)
+        assert np.all(labels[:, ~inside] == 0) and np.any(labels[:, inside] != 0)
+        for budget in (-1, n + 1):
+            with pytest.raises(ValidationError, match=r"prefix budget must be in 0\.\.50, got "):
+                prefix_labels(np.array([100.0]), model, (1, budget))
+
+    def test_without_prior_weight_every_point_is_read(self, monkeypatch):
+        # With prior_weight 0 the clamped weights decide far from the labels,
+        # where the class-2 majority is predicted, so no point may be skipped;
+        # the budget-0 model has no mass anywhere, and its rows are counted.
+        config = ClassifierConfig(bandwidth=0.2, prior_weight=0.0)
+        model = fit_arrays(np.array([0.0, 0.5, 1.0]), np.array([1, 2, 2]), config)
+        points = np.array([-1e4, 0.1, 0.9, 1e4])
+        reads, _ = self._reads(monkeypatch)
+        labels, warned = _with_warnings(lambda: prefix_labels(points, model, (0, 3)))
+        assert reads == [4]
+        assert warned == [
+            "degenerate posterior at 4 query point(s): zero kernel mass with "
+            "prior_weight=0; returning uniform"
+        ]
+        assert labels.tolist() == [[0, 0, 0, 0], [1, 0, 1, 1]]
+
+    def test_reach_below_the_clamp_reads_every_point(self, monkeypatch):
+        # With prior_weight 1e-300 the reach's weight bound lies below the
+        # clamped exp(-700): far away the clamped weights outweigh epsilon and
+        # the class-2 majority is predicted, so every point is read.
+        config = ClassifierConfig(bandwidth=0.2, prior_weight=1e-300)
+        model = fit_arrays(np.array([0.0, 0.5, 1.0]), np.array([1, 2, 2]), config)
+        points = np.array([-1e4, 0.1, 0.9, 1e4])
+        reads, _ = self._reads(monkeypatch)
+        assert prefix_labels(points, model, (1, 3)).tolist() == [[0, 0, 0, 0], [1, 0, 1, 1]]
+        assert reads == [4]

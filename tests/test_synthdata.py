@@ -1,16 +1,16 @@
 import json
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from alperf import synthdata
+from alperf import parzen, synthdata
 from alperf.config import BUILTIN_SCENARIOS, resolve_config
 from alperf.errors import ValidationError
+from alperf.estimators import prefix_truths
 from alperf.harness import derive_substream
-from alperf.parzen import ClassifierConfig, fit_arrays, prefix_labels, prefix_posteriors
+from alperf.parzen import ClassifierConfig, fit_arrays
 from alperf.synthdata import (
     DATA_MARGINAL,
     SYMMETRIC_MIXTURE,
@@ -114,6 +114,10 @@ class TestSampleValidation:
     def test_fields_that_are_not_numbers_refused(self, xs, qs, field):
         with pytest.raises(ValidationError, match=f"^{field} must be an array of numbers"):
             LabeledSet(xs, [1], qs)
+
+    def test_ragged_labels_refused(self):
+        with pytest.raises(ValidationError, match="^ys must be an array of class indices "):
+            LabeledSet([0.0, 1.0], [[1], [1, 2]], [1.0, 1.0])
 
     def test_lengths_must_match(self):
         with pytest.raises(ValidationError, match="equal length"):
@@ -470,13 +474,15 @@ class TestRegionAccuracy:
         """region_accuracy of the threshold rules, and the number of points
         of each scores call it made."""
         calls = []
-        rules = _threshold_rules(thresholds)
+        every_rule = _threshold_rules(thresholds)
 
-        def scores(xs):
+        def scores(xs, rules):
+            # each point is read under its own rule only
+            assert rules.shape == xs.shape
             calls.append(len(xs))
-            return rules(xs)
+            return every_rule(xs)[rules, np.arange(len(xs))]
 
-        labels = np.argmax(rules(self.GRID), axis=-1)
+        labels = np.argmax(every_rule(self.GRID), axis=-1)
         return synthdata.region_accuracy(task, scores, self.GRID, labels), calls
 
     def test_rules_refined_together_equal_one_rule_calls(self, task):
@@ -494,7 +500,7 @@ class TestRegionAccuracy:
             expected = 0.5 if t is None else 0.5 * _phi(t + 1.5) + 0.5 * (1.0 - _phi(t - 1.5))
             assert accuracy == pytest.approx(expected, abs=1e-9)
 
-    def test_prefix_model_rules_equal_one_rule_calls(self):
+    def test_prefix_model_rules_equal_one_rule_calls(self, monkeypatch):
         # Three classes, where every budget's rule changes class several times.
         task = TaskModel(
             class_priors=(0.3, 0.3, 0.4),
@@ -507,14 +513,25 @@ class TestRegionAccuracy:
         model = fit_arrays(rng.normal(0, 2, 40), rng.integers(1, 4, 40), config)
         grid = synthdata.decision_grid(task, 0.015)
         budgets = (3, 12, 25, 40)
-
-        def accuracy(bs):
-            scores = partial(prefix_posteriors, model=model, budgets=bs)
-            return synthdata.region_accuracy(task, scores, grid, prefix_labels(grid, model, bs))
-
-        together = accuracy(budgets)
+        # The shape of every posterior read: (budgets, points, C) on the grid,
+        # (points, C) in a refinement round.
+        reads = []
+        posterior = parzen.posterior_from_masses
+        monkeypatch.setattr(
+            parzen, "posterior_from_masses",
+            lambda masses, c: reads.append(masses.shape) or posterior(masses, c),
+        )
+        together = prefix_truths(model, task, budgets, grid)
+        rounds = [shape for shape in reads if len(shape) == 2]
+        assert len(rounds) >= 4 and all(m % 32 == 0 and c == 3 for m, c in rounds)
+        reads.clear()
         for budget, value in zip(budgets, together.tolist()):
-            assert value == accuracy((budget,))[0], budget
+            assert value == prefix_truths(model, task, (budget,), grid)[0], budget
+        # A round reads each bracket point under its own budget only: the
+        # rounds of the four budgets together read as many rows as those of
+        # the four one-budget calls, not four times as many.
+        alone = [shape for shape in reads if len(shape) == 2]
+        assert sum(m for m, _ in rounds) == sum(m for m, _ in alone)
 
 
 class TestBayesAccuracy:
