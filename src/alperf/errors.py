@@ -18,6 +18,8 @@ class ValidationError(ValueError):
 
 def integer(value, field: str) -> int:
     """``value`` as an int: a Python or numpy integer, never a bool."""
+    if type(value) is int:  # the common case; a bool's type is bool
+        return value
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValidationError(f"{field} must be an integer, got {value!r}")
     return int(value)

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import parzen, synthdata
-from .errors import ValidationError, floats
+from .errors import ValidationError, floats, integer
 from .parzen import ClassifierConfig, KernelBlock, ParzenModel
 from .synthdata import LabeledSet, TaskModel
 
@@ -394,7 +394,9 @@ class PerformanceEstimate:
     def cdf(self, t: float) -> float:
         """Empirical or mixture CDF (a point value's is a step function). A
         mixture's is the mean of its components' I_t: t^alpha where beta = 1,
-        else ``_incomplete_beta``."""
+        else ``_incomplete_beta``. t may be infinite, not NaN."""
+        if math.isnan(t):
+            raise ValidationError(f"cdf point must not be NaN, got {t}")
         if self.samples is not None:
             return float((self.samples <= t).mean())
         if t <= 0.0:
@@ -651,8 +653,9 @@ def random_folds(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     int64 array: fold sizes are within 1 of n/k, the larger folds first.
 
     k == n is leave-one-out; its assignment is forced, so it is built
-    deterministically without consuming randomness.
+    deterministically without consuming randomness. n and k must be integers.
     """
+    n, k = integer(n, "instance count"), integer(k, "fold count")
     if k < 2:
         raise ValidationError(f"fold count must be >= 2, got {k}")
     if k > n:
@@ -666,45 +669,10 @@ def random_folds(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return fold_of
 
 
-def _fold_predictions(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    k: int,
-    config: ClassifierConfig,
-    rng: np.random.Generator,
-    train_size: int | None = None,
-    *,
-    block: KernelBlock | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Held-out correctness (1.0 or 0.0) of each instance under k-fold CV
-    over (xs, ys), and each instance's fold. A fold trains on the instances
-    outside it or, with ``train_size``, on a fresh uniform subset of at most
-    that many of them; no fold model is fitted. ``block``, where given, is
-    the ``kernel_block`` of xs under the model fitted on (xs, ys) with
-    ``config``: its model's labels were checked when it was fitted, so
-    neither the label check nor the kernel block is made again."""
-    fold_of = random_folds(len(xs), k, rng)
-    if block is None:
-        whole = parzen.fit_arrays(xs, ys, config)  # the one label check
-    else:
-        whole = block.model
-        if not (whole.config == config and np.array_equal(block.points, xs)
-                and np.array_equal(whole.train_x, xs) and np.array_equal(whole.train_y, ys)):
-            raise ValidationError("block is not the kernel block of the labeled set under its model")
-    xs, ys, h, c = whole.train_x, whole.train_y, config.bandwidth, config.class_count
-    if train_size is None:
-        if block is None:
-            block = parzen.kernel_block(xs, whole)
-        masses = np.where(fold_of[:, None] == fold_of, 0.0, block.weights) @ block.onehot
-    else:
-        masses = np.empty((len(xs), c))
-        for i in range(k):
-            fold = fold_of == i
-            outside = np.flatnonzero(~fold)
-            train = rng.choice(outside, size=min(train_size, len(outside)), replace=False)
-            masses[fold] = parzen.class_kernel_mass(xs[fold], xs[train], ys[train], h, c)
+def _held_out_correct(masses: np.ndarray, ys: np.ndarray, config: ClassifierConfig) -> np.ndarray:
+    """1.0 where the posterior of held-out ``masses`` predicts ``ys``, else 0.0."""
     predicted = parzen.class_argmax(parzen.posterior_from_masses(masses, config)) + 1
-    return (predicted == ys).astype(np.float64), fold_of
+    return (predicted == ys).astype(np.float64)
 
 
 def kfold_cv_detail(
@@ -717,10 +685,22 @@ def kfold_cv_detail(
     block: KernelBlock | None = None,
 ) -> tuple[PerformanceEstimate, np.ndarray]:
     """``kfold_cv``'s estimate and each instance's fold (``random_folds``):
-    fold i's model is that of the instances where the fold array is not i."""
+    fold i's model is that of the instances where the fold array is not i.
+    After the folds, every held-out class mass is read from ``block``, or the
+    block of one label-checking fit, with same-fold weights zeroed."""
     if len(labeled) == 0:
         raise ValidationError("no labeled instances")
-    correct, fold_of = _fold_predictions(labeled.xs, labeled.ys, k, config, rng, block=block)
+    xs, ys = labeled.xs, labeled.ys
+    fold_of = random_folds(len(xs), k, rng)
+    if block is None:
+        block = parzen.kernel_block(xs, parzen.fit_arrays(xs, ys, config))
+    else:
+        m = block.model
+        if not (m.config == config and np.array_equal(block.points, xs)
+                and np.array_equal(m.train_x, xs) and np.array_equal(m.train_y, ys)):
+            raise ValidationError("block is not the kernel block of the labeled set under its model")
+    masses = np.where(fold_of[:, None] == fold_of, 0.0, block.weights) @ block.onehot
+    correct = _held_out_correct(masses, ys, config)
     acc = float(correct.mean())
     if reweighted:
         w = 1.0 / labeled.qs
@@ -748,10 +728,11 @@ def kfold_cv(
     data-generating density p needs p(x)/q(x) (ROADMAP item 1).
 
     ``block``, where given, is the ``parzen.kernel_block`` of the labeled
-    points under the model fitted on them with ``config``, such as the first
-    B rows of a sequence's own block's ``prefix(B)``; every held-out mass is
-    read from it, with no label check and no kernel evaluation of the call's
-    own. A block of other points, labels or settings is refused.
+    points under the model fitted on them with ``config``: the first B rows
+    of a sequence's own block's ``prefix(B)``, or a cv-folds run's one block
+    of its fixed set. Every held-out mass is read from it, with no label
+    check and no kernel evaluation of the call's own. A block of other
+    points, labels or settings is refused.
     """
     # Tracing wraps kfold_cv_detail and names its span by reweighted, read at
     # position 4 or by keyword.
@@ -765,18 +746,28 @@ def self_label_cv(pool: KernelBlock, k: int, rng: np.random.Generator) -> Perfor
     predictions are then treated as ground truth. To keep the training sets
     comparable to the labeled set ``m`` was fitted on, each fold's classifier
     (``m.config``) trains on a uniform random subset of size min(|labeled|,
-    instances outside the fold).
+    instances outside the fold), drawn after the folds; its held-out masses
+    are one kernel against that subset, so no fold model is fitted.
     """
     if len(pool) == 0:
         raise ValidationError("no evaluation instances")
     m = pool.model
-    n = len(m.train_x)
+    n, config = len(m.train_x), m.config
     if n == 0:
         raise ValidationError("no labeled instances")
-    union_xs = np.concatenate([m.train_x, pool.points])
-    union_ys = np.concatenate([m.train_y, parzen.class_argmax(pool.posterior) + 1])
-    correct = _fold_predictions(union_xs, union_ys, k, m.config, rng, train_size=n)[0]
-    return PerformanceEstimate.point(float(correct.mean()))
+    xs = np.concatenate([m.train_x, pool.points])
+    ys = np.concatenate([m.train_y, parzen.class_argmax(pool.posterior) + 1])
+    fold_of = random_folds(len(xs), k, rng)
+    parzen.fit_arrays(xs, ys, config)  # the one label check
+    masses = np.empty((len(xs), config.class_count))
+    for i in range(k):
+        fold = fold_of == i
+        outside = np.flatnonzero(~fold)
+        train = rng.choice(outside, size=min(n, len(outside)), replace=False)
+        masses[fold] = parzen.class_kernel_mass(
+            xs[fold], xs[train], ys[train], config.bandwidth, config.class_count
+        )
+    return PerformanceEstimate.point(float(_held_out_correct(masses, ys, config).mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +868,12 @@ def subsample_accuracy(
     instances, for a classifier of true ``accuracy``: one
     Binomial(budget, accuracy) / budget draw from ``rng``, a float; with
     ``reps``, an array of ``reps`` such draws, whose first value is the
-    float a scalar draw from the same stream gives.
+    float a scalar draw from the same stream gives. ``budget`` and ``reps``
+    must be integers.
     """
+    budget = integer(budget, "budget")
+    if reps is not None:
+        reps = integer(reps, "reps")
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
     if reps is not None and reps < 1:

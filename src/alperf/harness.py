@@ -460,15 +460,22 @@ def _record(
 SHARED_PATH = (0, 0)
 
 
-def _fixed_set(spec: ExperimentSpec, size: int) -> tuple[LabeledSet, float]:
+def _fixed_set(spec: ExperimentSpec, size: int) -> tuple[LabeledSet, float, ParzenModel]:
     """The labeled set every unit of eval-size and cv-folds shares: ``size``
     draws from the single sampler on ``SHARED_PATH``, with the exact accuracy
-    of the model fitted on all of it."""
+    of the model fitted on all of it, and that model."""
     labeled = synthdata.draw_labeled(
         spec.task, spec.samplers[0], size, derive_substream(spec.master_seed, SHARED_PATH)
     )
     model = parzen.fit_arrays(labeled.xs, labeled.ys, spec.classifier)
-    return labeled, estimators.true_baseline(model, spec.task)
+    return labeled, estimators.true_baseline(model, spec.task), model
+
+
+def _cv_folds_shared(spec: ExperimentSpec) -> tuple[LabeledSet, float, KernelBlock]:
+    """The fixed set of the single budget's size, its truth, and the kernel
+    block of its own points under its model, built once per run."""
+    labeled, truth, model = _fixed_set(spec, spec.budgets[0])
+    return labeled, truth, parzen.kernel_block(labeled.xs, model)
 
 
 def _eval_size_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
@@ -515,10 +522,11 @@ def _estimates(spec: ExperimentSpec, rep: int, sampler: str, labeled: LabeledSet
 
 def _cv_folds_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
     """Cross-validate the fixed labeled set, of the single budget's size, with
-    each configured fold count, against the model trained on all of it. Every
-    estimator draws, so each reads its own stream."""
-    (labeled, truth), (_, rep) = shared, unit
-    return _estimates(spec, rep, spec.samplers[0].label(), labeled, None, None, truth, rngs)
+    each configured fold count, against the model trained on all of it. Each
+    estimate reads the set's own kernel block in ``shared`` and fits nothing;
+    each draws, so each reads its own stream."""
+    (labeled, truth, own), (_, rep) = shared, unit
+    return _estimates(spec, rep, spec.samplers[0].label(), labeled, own, None, truth, rngs)
 
 
 def _bias_sweep_unit(spec: ExperimentSpec, shared, unit, rngs) -> list[RunRecord]:
@@ -620,7 +628,7 @@ def _mixtures(*ds: float) -> tuple[SamplingDistribution, ...]:
 
 SCENARIO_TABLE = {
     EVAL_SIZE_DISTRIBUTION: Scenario(
-        lambda spec: _fixed_set(spec, spec.train_size),
+        lambda spec: _fixed_set(spec, spec.train_size)[:2],
         # one evaluation stream per size
         lambda spec, unit: [(1, unit[1], i) for i in range(len(spec.budgets))],
         _eval_size_unit,
@@ -629,7 +637,7 @@ SCENARIO_TABLE = {
         sizes=("train_size",), estimator_names=(SUBSAMPLE_BASELINE,), single=("samplers",),
     ),
     CV_FOLDS: Scenario(
-        lambda spec: _fixed_set(spec, spec.budgets[0]),
+        _cv_folds_shared,
         # one fold-assignment stream per estimator
         lambda spec, unit: [(1, unit[1], e) for e in range(len(spec.estimators))],
         _cv_folds_unit,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from alperf import parzen, synthdata
+from alperf import estimators, parzen, synthdata
 from alperf.errors import ValidationError
 from alperf.estimators import (
     _QUADRATURE_NODES,
@@ -15,7 +15,6 @@ from alperf.estimators import (
     _beta_centre,
     _betaln,
     _accuracy_from_posteriors,
-    _fold_predictions,
     _gauss_legendre,
     beta_components_from_stats,
     generalization_error_estimate,
@@ -122,6 +121,14 @@ class TestPerformanceEstimate:
                 assert point.quantile(q) == sample.quantile(q) == v
             for t in (v - 1e-12, v, v + 1e-12):
                 assert point.cdf(t) == sample.cdf(t) == (1.0 if t >= v else 0.0)
+
+    def test_cdf_refuses_nan_and_takes_infinities(self):
+        point = PerformanceEstimate.point(0.7)
+        mixture = PerformanceEstimate.beta_mixture(np.array([2.0, 3.5]), np.array([1.0, 4.0]))
+        for e in (point, mixture):
+            with pytest.raises(ValidationError, match="^cdf point must not be NaN, got nan$"):
+                e.cdf(float("nan"))
+            assert e.cdf(-math.inf) == 0.0 and e.cdf(math.inf) == 1.0
 
     @pytest.mark.parametrize("v", [-0.0, 0.0, 5e-324, 0.1, 1.0 / 3.0, 0.7, 1.0 - 2.0**-53, 1.0])
     def test_one_value_summary_is_numpy_bit_for_bit(self, v):
@@ -949,6 +956,23 @@ class TestRandomFolds:
         with pytest.raises(ValidationError, match=">= 2"):
             random_folds(3, 1, derive_substream(0, (0,)))
 
+    def test_counts_must_be_integers(self):
+        rng = derive_substream(0, (0,))
+        with pytest.raises(ValidationError, match="^fold count must be an integer, got 2.5$"):
+            random_folds(10, 2.5, rng)
+        with pytest.raises(ValidationError, match="^instance count must be an integer, got 10.0$"):
+            random_folds(10.0, 2, rng)
+        expected = random_folds(10, 2, derive_substream(0, (0,)))
+        assert np.array_equal(random_folds(np.int64(10), np.int32(2), rng), expected)
+
+    def test_cv_estimators_refuse_a_non_integer_fold_count(self):
+        labeled = _labeled([(float(x), 1 + int(x > 0)) for x in np.linspace(-2, 2, 10)])
+        with pytest.raises(ValidationError, match="^fold count must be an integer, got 2.5$"):
+            kfold_cv(labeled, 2.5, CFG, derive_substream(0, (0,)))
+        block = kernel_block(np.linspace(-3.0, 3.0, 7), _fit(labeled))
+        with pytest.raises(ValidationError, match="^fold count must be an integer, got 2.5$"):
+            self_label_cv(block, 2.5, derive_substream(0, (0,)))
+
 
 class TestKFoldCV:
     def test_single_class_is_perfect(self):
@@ -1033,8 +1057,9 @@ class TestKFoldCV:
 
 
 def _refit_fold_predictions(xs, ys, k, config, rng, train_size=None):
-    """The per-fold reference for ``_fold_predictions``: each fold's model is
-    fitted by ``fit_arrays`` and read by ``predict_batch``. Returns the
+    """The per-fold reference for ``kfold_cv_detail`` and, with
+    ``train_size``, for ``self_label_cv`` over the union (xs, ys): each fold's
+    model is fitted by ``fit_arrays`` and read by ``predict_batch``. Returns the
     held-out correctness, each instance's held-out class masses and the fold
     models."""
     n = len(xs)
@@ -1067,10 +1092,26 @@ def _three_class_set(n=45):
     return xs, ys
 
 
+def _recording(monkeypatch, module, name):
+    """Replace ``module.<name>`` by a wrapper that appends each result to the
+    returned list."""
+    results, original = [], getattr(module, name)
+
+    def recording(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    return results
+
+
 class TestFoldPredictions:
     """One kernel evaluation per CV estimate gives what per-fold refits give:
     the same held-out 0/1 vector and fold models, and class masses within
-    n * 2**-52 relative (the masked product sums in another order)."""
+    n * 2**-52 relative (the masked product sums in another order). Plain CV
+    (``kfold_cv_detail``) reads one masked block; self-label CV, with
+    ``train_size`` labels and the rest of the points as its pool, one kernel
+    per fold against the fold's random subset."""
 
     @pytest.mark.parametrize("k, train_size, classes", [
         (2, None, 2), (3, None, 2), (5, None, 2), ("n", None, 2),
@@ -1084,8 +1125,16 @@ class TestFoldPredictions:
             xs, ys = _three_class_set()
         n, config = len(xs), ClassifierConfig(class_count=classes)
         k = n if k == "n" else k
+        if train_size is not None:
+            # the union's labels: the model's own, then its predictions on the pool
+            model = fit_arrays(xs[:train_size], ys[:train_size], config)
+            pool = kernel_block(xs[train_size:], model)
+            ys = np.concatenate([ys[:train_size], predict_batch(model, pool.points)])
+            # the block's posterior, read (and cached) here, predicts the same
+            assert np.array_equal(ys[train_size:], parzen.class_argmax(pool.posterior) + 1)
+        ref_rng = derive_substream(9, (k,))
         ref_correct, ref_masses, ref_models = _refit_fold_predictions(
-            xs, ys, k, config, derive_substream(9, (k,)), train_size
+            xs, ys, k, config, ref_rng, train_size
         )
         if train_size is None:
             labeled = LabeledSet(xs, ys, np.ones(n))
@@ -1100,24 +1149,38 @@ class TestFoldPredictions:
             parzen, "posterior_from_masses",
             lambda masses, c: seen.append(masses) or posterior(masses, c),
         )
-        correct, fold_of = _fold_predictions(
-            xs, ys, k, config, derive_substream(9, (k,)), train_size
-        )
+        folds = _recording(monkeypatch, estimators, "random_folds")
+        held_out = _recording(monkeypatch, estimators, "_held_out_correct")
+        rng = derive_substream(9, (k,))
+        if train_size is None:
+            estimate, fold_of = kfold_cv_detail(labeled, k, config, rng)
+            assert np.array_equal(fold_of, folds[0])
+        else:
+            estimate = self_label_cv(pool, k, rng)
+        (correct,), (fold_of,) = held_out, folds
+        assert estimate.mean() == float(correct.mean())
         assert correct.dtype == np.float64 and np.array_equal(correct, ref_correct)
         assert 0.0 < correct.mean() < 1.0
         (masses,) = seen
         assert np.all(np.abs(masses - ref_masses) <= n * 2.0**-52 * ref_masses)
         assert np.array_equal(fold_of, random_folds(n, k, derive_substream(9, (k,))))
+        # the same draws, in the same order, as the reference
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_labels_are_checked_once_and_no_fold_is_fitted(self, monkeypatch):
         xs, ys = _three_class_set()
+        config = ClassifierConfig(class_count=3)
+        pool = kernel_block(xs[12:], fit_arrays(xs[:12], ys[:12], config))
+        labeled = LabeledSet(xs, ys, np.ones(len(xs)))
         fits = []
         fit = parzen.fit_arrays
         monkeypatch.setattr(parzen, "fit_arrays", lambda *a: fits.append(a) or fit(*a))
-        _fold_predictions(xs, ys, 5, ClassifierConfig(class_count=3), derive_substream(1, (0,)))
-        assert len(fits) == 1
+        kfold_cv_detail(labeled, 5, config, derive_substream(1, (0,)))
+        self_label_cv(pool, 5, derive_substream(1, (0,)))
+        # one check each, of the labeled set and of the self-labeled union
+        assert [len(a[0]) for a in fits] == [len(xs), len(xs)]
         with pytest.raises(ValidationError, match="outside 1..2"):
-            _fold_predictions(xs, ys, 5, CFG, derive_substream(1, (0,)))
+            kfold_cv_detail(labeled, 5, CFG, derive_substream(1, (0,)))
 
 
 class TestSelfLabelCV:
@@ -1137,7 +1200,7 @@ class TestSelfLabelCV:
         est = self_label_cv(kernel_block(pool, _fit(labeled)), 3, derive_substream(2, (0,)))
         union_x = np.tile(labeled.xs, 2)
         union_y = np.tile(labeled.ys, 2)
-        correct = _fold_predictions(
+        correct = _refit_fold_predictions(
             union_x, union_y, 3, CFG, derive_substream(2, (0,)), train_size=len(labeled)
         )[0]
         assert est.mean() == float(correct.mean())
@@ -1449,6 +1512,21 @@ class TestSubsampleBaseline:
             subsample_accuracy(0.9, 0, rng)
         with pytest.raises(ValidationError, match=r"accuracy must be in \[0,1\], got nan"):
             subsample_accuracy(float("nan"), 10, rng)
+
+    def test_sizes_must_be_integers(self):
+        # numpy would truncate 10.5 to 10 but divide by 10.5, take True as 1
+        # and raise its own TypeError on 2.5 draws
+        rng = derive_substream(0, (0,))
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match="^budget must be an integer, got 10.5$"):
+            subsample_accuracy(0.9, 10.5, rng)
+        with pytest.raises(ValidationError, match="^budget must be an integer, got True$"):
+            subsample_accuracy(0.9, True, rng)
+        with pytest.raises(ValidationError, match="^reps must be an integer, got 2.5$"):
+            subsample_baseline(0.9, 10, 2.5, rng)
+        assert rng.bit_generator.state == state
+        value = subsample_accuracy(0.9, np.int64(10), rng)
+        assert value == subsample_accuracy(0.9, 10, derive_substream(0, (0,)))
 
     # numpy draws a Binomial by inversion where n * min(p, 1-p) is at most 30
     # and by BTPE elsewhere: (10, 0.93) and (7, 0.2) take the first, (100, 0.5)

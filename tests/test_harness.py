@@ -505,6 +505,23 @@ class TestCvFolds:
         ):
             dataclasses.replace(spec, estimators=(EstimatorSpec("probabilistic"),))
 
+    def test_one_own_kernel_block_per_run_and_no_estimate_fits(self, monkeypatch):
+        # The fixed set is fitted and kernelled once, when the run starts;
+        # every CV estimate of every repetition reads that one block.
+        spec = _spec({"scenario": "cv-folds", "budgets": [12], "repetitions": 3,
+                      "estimators": [{"name": "kfold-cv", "params": {"k": k}} for k in (2, 4)]
+                      + [{"name": "reweighted-cv", "params": {"k": 3}}]})
+        labeled = harness.SCENARIO_TABLE[spec.scenario].shared(spec)[0]
+        calls = {"fit_arrays": [], "kernel_block": []}
+        for name, log in calls.items():
+            original = getattr(parzen, name)
+            monkeypatch.setattr(
+                parzen, name, lambda *a, _f=original, _log=log: _log.append(a) or _f(*a)
+            )
+        assert len(run_experiment(spec, workers=1)) == 3 * 3
+        (fit,), (block,) = calls["fit_arrays"], calls["kernel_block"]
+        assert np.array_equal(fit[0], labeled.xs) and np.array_equal(block[0], labeled.xs)
+
     def test_rejects_k_above_label_count(self):
         spec = _spec({"scenario": "cv-folds", "budgets": [10], "repetitions": 2,
                       "estimators": [{"name": "kfold-cv", "params": {"k": 2}}]})
